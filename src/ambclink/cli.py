@@ -13,10 +13,11 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import replace
+from functools import partial
 
 from . import __version__
-from .config import MODES, PAPER_DEFAULTS, SystemParams, load_scenario, read_scenario
+from .config import MODES, SystemParams, load_scenario, read_scenario
 from .errors import AmbclinkError, ConfigError
 from .montecarlo import (
     POLICIES,
@@ -36,23 +37,6 @@ EXIT_IO = 3
 BER_CSV_HEADER = ("sweep_var,value,mode,threshold_policy,ber_empirical,"
                   "ber_ci_halfwidth,ber_closed_form,threshold_mean,errors,bits,failures")
 PILOT_CSV_HEADER = "pilot_fraction,k_train,R_mean,R_median,R_p90,frames"
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    command: str
-    input_digest: str
-    output_paths: tuple
-    duration_s: float
-    failures: int
-
-
-def _digest(params: SystemParams, flags: dict, seed: int) -> str:
-    payload = json.dumps(
-        {"scenario": params.to_dict(), "flags": flags, "seed": seed},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _load_params(args) -> SystemParams:
@@ -108,21 +92,38 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_ber_sweep(args) -> int:
+def _sweep_command(args, sweep, failure_noun: str) -> int:
+    """Shared by ber-sweep and pilot-sweep: apply --ps, run `sweep(args, params)`
+    for (flags, header, rows, failures), write the CSV atomically under the
+    digest of scenario, flags and seed, and print one summary line."""
     t0 = time.monotonic()
     params = _load_params(args)
     if args.ps is not None:
-        from dataclasses import replace
         params = replace(params, ps_dbm=args.ps)
+    flags, header, rows, failures = sweep(args, params)
+    payload = json.dumps(
+        {"scenario": params.to_dict(), "flags": {**flags, "ps": args.ps}, "seed": args.seed},
+        sort_keys=True,
+    )
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    _write_csv(args.out, header, rows, {
+        "tool_version": __version__,
+        "scenario_digest": digest,
+        "master_seed": args.seed,
+    })
+    print(f"{args.command}: {len(rows)} points -> {args.out} "
+          f"({time.monotonic() - t0:.1f}s, {failures} {failure_noun} failures, "
+          f"digest {digest[:12]})")
+    return EXIT_OK
+
+
+def _ber_sweep(args, params: SystemParams):
     sweep_var, values = _parse_sweep(args.sweep)
-    modes = tuple(m.strip() for m in args.modes.split(","))
-    if not all(m in MODES for m in modes):
-        raise ConfigError(f"--modes must be a subset of {','.join(MODES)}, got {args.modes!r}")
     spec = SweepSpec(
         scenario=params,
         sweep_var=sweep_var,
         values=values,
-        modes=modes,
+        modes=tuple(m.strip() for m in args.modes.split(",")),
         threshold_policy=args.threshold_policy,
         n_frames=args.frames,
         n_realizations=args.realizations,
@@ -133,9 +134,7 @@ def cmd_ber_sweep(args) -> int:
     flags = {
         "sweep": args.sweep, "modes": args.modes, "threshold_policy": args.threshold_policy,
         "frames": args.frames, "realizations": args.realizations, "bdpr": args.bdpr,
-        "ps": args.ps,
     }
-    digest = _digest(params, flags, args.seed)
     rows = [
         ",".join([
             p.sweep_var, _format_float(p.value), p.mode, p.threshold_policy,
@@ -145,45 +144,21 @@ def cmd_ber_sweep(args) -> int:
         ])
         for p in points
     ]
-    _write_csv(args.out, BER_CSV_HEADER, rows, {
-        "tool_version": __version__,
-        "scenario_digest": digest,
-        "master_seed": args.seed,
-    })
-    failures = sum(p.failures for p in points)
-    outcome = CommandOutcome("ber-sweep", digest, (args.out,), time.monotonic() - t0, failures)
-    print(f"ber-sweep: {len(points)} points -> {args.out} "
-          f"({outcome.duration_s:.1f}s, {failures} trial failures, digest {digest[:12]})")
-    return EXIT_OK
+    return flags, BER_CSV_HEADER, rows, sum(p.failures for p in points)
 
 
-def cmd_pilot_sweep(args) -> int:
-    t0 = time.monotonic()
-    params = _load_params(args)
-    if args.ps is not None:
-        from dataclasses import replace
-        params = replace(params, ps_dbm=args.ps)
+def _pilot_sweep(args, params: SystemParams):
     try:
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError as exc:
         raise ConfigError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from exc
-    # validate every fraction up front so no work happens on a bad plan
-    from dataclasses import replace
-    for f in fractions:
-        replace(params, pilot_fraction=f)
-        k_train = round(f * params.k_symbols)
-        if k_train < 4 or k_train % 2:
-            raise ConfigError(
-                f"pilot fraction {f} gives k_train={k_train}; need an even count >= 4"
-            )
     points = run_pilot_sweep(
         params, fractions, mode=args.mode,
         n_realizations=args.realizations, n_frames=args.frames,
         master_seed=args.seed, workers=args.workers,
     )
     flags = {"fractions": args.fractions, "mode": args.mode,
-             "frames": args.frames, "realizations": args.realizations, "ps": args.ps}
-    digest = _digest(params, flags, args.seed)
+             "frames": args.frames, "realizations": args.realizations}
     rows = [
         ",".join([
             _format_float(p.pilot_fraction), str(p.k_train),
@@ -192,16 +167,7 @@ def cmd_pilot_sweep(args) -> int:
         ])
         for p in points
     ]
-    _write_csv(args.out, PILOT_CSV_HEADER, rows, {
-        "tool_version": __version__,
-        "scenario_digest": digest,
-        "master_seed": args.seed,
-    })
-    failures = sum(p.failures for p in points)
-    outcome = CommandOutcome("pilot-sweep", digest, (args.out,), time.monotonic() - t0, failures)
-    print(f"pilot-sweep: {len(points)} points -> {args.out} "
-          f"({outcome.duration_s:.1f}s, {failures} frame failures, digest {digest[:12]})")
-    return EXIT_OK
+    return flags, PILOT_CSV_HEADER, rows, sum(p.failures for p in points)
 
 
 def cmd_verify(args) -> int:
@@ -248,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=100, help="channel draws per point")
     p.add_argument("--bdpr", type=float, default=None,
                    help="pin BDPR (dB) during a ps sweep")
-    p.set_defaults(func=cmd_ber_sweep)
+    p.set_defaults(func=partial(_sweep_command, sweep=_ber_sweep, failure_noun="trial"))
 
     p = sub.add_parser("pilot-sweep", help="threshold error versus pilot overhead")
     common(p)
@@ -257,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="lna")
     p.add_argument("--frames", type=int, default=10, help="frames per realization")
     p.add_argument("--realizations", type=int, default=50, help="channel draws")
-    p.set_defaults(func=cmd_pilot_sweep)
+    p.set_defaults(func=partial(_sweep_command, sweep=_pilot_sweep, failure_noun="frame"))
 
     p = sub.add_parser("verify", help="run all oracle cross-checks")
     common(p, needs_out=False)

@@ -41,6 +41,11 @@ def db_to_amplitude_gain(g_db: float) -> float:
     return 10.0 ** (g_db / 20.0)
 
 
+def valid_pilot_count(k_train: int) -> bool:
+    """The pilot estimator needs two pilots of each bit value: an even count >= 4."""
+    return k_train >= 4 and k_train % 2 == 0
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All scenario constants. Immutable; safe to share across workers."""
@@ -76,10 +81,8 @@ class SystemParams:
                 bad.append(name)
         if not 0.0 <= self.pilot_fraction < 1.0:
             bad.append("pilot_fraction")
-        elif self.pilot_fraction > 0.0:
-            k_train = round(self.pilot_fraction * self.k_symbols)
-            if k_train < 2 or k_train % 2 != 0:
-                bad.append("pilot_fraction")
+        elif self.pilot_fraction > 0.0 and not valid_pilot_count(self.k_train):
+            bad.append("pilot_fraction")
         if bad:
             raise ConfigError(
                 f"invalid parameter value(s): {', '.join(bad)}", fields=bad

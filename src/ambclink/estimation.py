@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import ESTIMATED, HypothesisMoments, near_optimal_threshold
+from .config import valid_pilot_count
 from .errors import EstimationError, ModelValidityError
 
 
@@ -18,7 +19,7 @@ class PilotPlan:
     pilot_bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.k_train < 4 or self.k_train % 2 != 0:
+        if not valid_pilot_count(self.k_train):
             raise EstimationError(
                 f"k_train must be an even integer >= 4, got {self.k_train}"
             )

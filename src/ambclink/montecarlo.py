@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from .analysis import HypothesisMoments, ber_closed_form, hypothesis_moments, near_optimal_threshold
 from .channel import ChannelRealization, channels_with_bdpr, draw_channels
 from .config import MODES, SystemParams
-from .errors import AmbclinkError
+from .errors import AmbclinkError, ConfigError
 from .estimation import PilotPlan, estimate_moments, estimated_threshold, relative_threshold_error
 from .frontend import generate_frame
 from .oracles import grid_min_threshold
@@ -23,19 +24,13 @@ POLICIES = (CLOSED_FORM_TRUE, ESTIMATED_POLICY, NUMERIC_ORACLE)
 
 SWEEP_PS = "ps_dbm"
 SWEEP_BDPR = "bdpr_db"
-SWEEP_PILOT = "pilot_fraction"
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def detect(gamma: float, threshold: float, m: HypothesisMoments) -> int:
-    """Energy-detector decision for one symbol energy."""
-    if m.delta0 > m.delta1:
-        return 0 if gamma >= threshold else 1
-    return 0 if gamma < threshold else 1
-
-
-def _detect_many(energies: np.ndarray, threshold: float, m: HypothesisMoments) -> np.ndarray:
+def detect(energies, threshold: float, m: HypothesisMoments) -> np.ndarray:
+    """0/1 decisions for symbol energies; a tie goes to the larger-mean hypothesis."""
+    energies = np.asarray(energies)
     if m.delta0 > m.delta1:
         return (energies < threshold).astype(np.int64)
     return (energies >= threshold).astype(np.int64)
@@ -79,11 +74,10 @@ def ber_trial(
 
     frame = generate_frame(params, real, bits, rng, mode)
 
+    decision_m = true_m
     if threshold_policy == CLOSED_FORM_TRUE:
-        decision_m = true_m
         threshold = near_optimal_threshold(true_m)
     elif threshold_policy == NUMERIC_ORACLE:
-        decision_m = true_m
         threshold, _ = grid_min_threshold(true_m)
     else:
         try:
@@ -93,7 +87,7 @@ def ber_trial(
             return TrialResult(0, 0, math.nan, math.nan, failed=True)
 
     data_slice = slice(plan.k_train, None) if plan is not None else slice(None)
-    decided = _detect_many(frame.energies[data_slice], threshold, decision_m)
+    decided = detect(frame.energies[data_slice], threshold, decision_m)
     errors = int(np.sum(decided != bits[data_slice]))
     n_bits = int(bits[data_slice].size)
     return TrialResult(
@@ -102,6 +96,12 @@ def ber_trial(
         threshold=threshold,
         ber_closed_form=ber_closed_form(true_m, threshold),
     )
+
+
+def _check_counts(n_frames: int, n_realizations: int) -> None:
+    for name, value in (("n_frames", n_frames), ("n_realizations", n_realizations)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}", fields=(name,))
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,16 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.sweep_var not in (SWEEP_PS, SWEEP_BDPR):
-            raise ValueError(f"unknown sweep variable {self.sweep_var!r}")
+            raise ConfigError(f"unknown sweep variable {self.sweep_var!r}", fields=("sweep_var",))
         if not self.values:
-            raise ValueError("sweep values must be nonempty")
-        if not all(m in MODES for m in self.modes):
-            raise ValueError(f"modes must be a subset of {MODES}")
+            raise ConfigError("sweep values must be nonempty", fields=("values",))
+        if not self.modes or not all(m in MODES for m in self.modes):
+            raise ConfigError(f"modes must be a nonempty subset of {MODES}, got {self.modes!r}",
+                              fields=("modes",))
         if self.threshold_policy not in POLICIES:
-            raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
-        if self.n_frames < 1 or self.n_realizations < 1:
-            raise ValueError("n_frames and n_realizations must be >= 1")
+            raise ConfigError(f"unknown threshold policy {self.threshold_policy!r}",
+                              fields=("threshold_policy",))
+        _check_counts(self.n_frames, self.n_realizations)
 
 
 @dataclass(frozen=True)
@@ -157,94 +158,86 @@ def wilson_halfwidth(errors: int, bits: int, z: float = _WILSON_Z) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits))
 
 
-def _point_params(spec: SweepSpec, value: float) -> SystemParams:
-    if spec.sweep_var == SWEEP_PS:
-        return replace(spec.scenario, ps_dbm=float(value))
-    return spec.scenario
+def _realization_task(task):
+    """One (sweep point, mode, realization): draw the channel once, then run
+    n_frames frames through ber_trial. A pure function of the task, so results
+    do not depend on the worker count.
 
-
-def _draw_point_channel(
-    spec: SweepSpec, params: SystemParams, value: float, rng: np.random.Generator
-) -> ChannelRealization:
-    if spec.sweep_var == SWEEP_BDPR:
-        return channels_with_bdpr(params, float(value), rng)
-    if spec.fixed_bdpr_db is not None:
-        return channels_with_bdpr(params, spec.fixed_bdpr_db, rng)
-    return draw_channels(params, rng)
-
-
-def _realization_task(args):
-    """One (sweep point, mode, realization): pure function of the spec and
-    indices, so aggregation is order- and worker-count-independent."""
-    spec, point_idx, mode_idx, r_idx = args
-    value = spec.values[point_idx]
-    mode = spec.modes[mode_idx]
-    params = _point_params(spec, value)
-
-    # The channel seed excludes the mode and the sweep point: modes are
-    # compared on identical fading, and sweep curves are paired across points
-    # (common random numbers), so point-to-point wiggle reflects the swept
-    # variable rather than fresh fading draws.
-    ch_rng = np.random.default_rng(
-        np.random.SeedSequence((spec.master_seed, r_idx, 1))
-    )
-    real = _draw_point_channel(spec, params, value, ch_rng)
-
-    errors = bits = failures = 0
-    thr_sum = cf_sum = 0.0
-    ok = 0
-    for f_idx in range(spec.n_frames):
+    The channel seed excludes the mode and the sweep point (`point_key` enters
+    only the frame seeds): modes are compared on identical fading, and sweep
+    curves are paired across points (common random numbers), so point-to-point
+    wiggle reflects the swept variable rather than fresh fading draws.
+    """
+    params, mode, policy, bdpr_db, n_frames, master_seed, point_key, r_idx = task
+    ch_rng = np.random.default_rng(np.random.SeedSequence((master_seed, r_idx, 1)))
+    if bdpr_db is None:
+        real = draw_channels(params, ch_rng)
+    else:
+        real = channels_with_bdpr(params, bdpr_db, ch_rng)
+    trials = []
+    for f_idx in range(n_frames):
         rng = np.random.default_rng(
-            np.random.SeedSequence((spec.master_seed, point_idx, mode_idx, r_idx, 2, f_idx))
+            np.random.SeedSequence((master_seed, *point_key, r_idx, 2, f_idx))
         )
-        res = ber_trial(params, real, rng, mode, spec.threshold_policy)
-        if res.failed:
-            failures += 1
-            continue
-        errors += res.errors
-        bits += res.bits
-        thr_sum += res.threshold
-        cf_sum += res.ber_closed_form
-        ok += 1
-    return point_idx, mode_idx, errors, bits, failures, thr_sum, cf_sum, ok
+        trials.append(ber_trial(params, real, rng, mode, policy))
+    return real, trials
+
+
+def _map_tasks(tasks: list, workers: int) -> list:
+    """Results of _realization_task in task order; the only place a process
+    pool is opened. At least four chunks per worker keep the load balanced
+    when one worker runs slower than the other."""
+    if workers > 1:
+        chunksize = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_realization_task, tasks, chunksize=chunksize))
+    return [_realization_task(t) for t in tasks]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
-    tasks = [
-        (spec, pi, mi, ri)
-        for pi in range(len(spec.values))
-        for mi in range(len(spec.modes))
-        for ri in range(spec.n_realizations)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_realization_task, tasks, chunksize=4))
-    else:
-        results = [_realization_task(t) for t in tasks]
-
-    acc = {}
-    for pi, mi, errors, bits, failures, thr_sum, cf_sum, ok in results:
-        a = acc.setdefault((pi, mi), [0, 0, 0, 0.0, 0.0, 0])
-        a[0] += errors
-        a[1] += bits
-        a[2] += failures
-        a[3] += thr_sum
-        a[4] += cf_sum
-        a[5] += ok
+    tasks = []
+    for pi, value in enumerate(spec.values):
+        if spec.sweep_var == SWEEP_PS:
+            params = replace(spec.scenario, ps_dbm=float(value))
+            bdpr_db = spec.fixed_bdpr_db
+        else:
+            params, bdpr_db = spec.scenario, float(value)
+        for mi, mode in enumerate(spec.modes):
+            tasks.extend(
+                (params, mode, spec.threshold_policy, bdpr_db, spec.n_frames,
+                 spec.master_seed, (pi, mi), ri)
+                for ri in range(spec.n_realizations)
+            )
+    results = iter(_map_tasks(tasks, workers))
 
     points = []
-    for pi, value in enumerate(spec.values):
-        for mi, mode in enumerate(spec.modes):
-            errors, bits, failures, thr_sum, cf_sum, ok = acc[(pi, mi)]
-            ber = errors / bits if bits else math.nan
+    for value in spec.values:
+        for mode in spec.modes:
+            errors = bits = failures = ok = 0
+            thr_sum = cf_sum = 0.0
+            for _ in range(spec.n_realizations):
+                # sum per realization first; the CSV's last bits depend on this order
+                _, trials = next(results)
+                thr_part = cf_part = 0.0
+                for res in trials:
+                    if res.failed:
+                        failures += 1
+                        continue
+                    errors += res.errors
+                    bits += res.bits
+                    thr_part += res.threshold
+                    cf_part += res.ber_closed_form
+                    ok += 1
+                thr_sum += thr_part
+                cf_sum += cf_part
             points.append(BerPoint(
                 sweep_var=spec.sweep_var,
                 value=float(value),
                 mode=mode,
                 threshold_policy=spec.threshold_policy,
-                ber_empirical=ber,
+                ber_empirical=errors / bits if bits else math.nan,
                 ber_ci_halfwidth=wilson_halfwidth(errors, bits),
                 ber_closed_form=cf_sum / ok if ok else math.nan,
                 threshold_mean=thr_sum / ok if ok else math.nan,
@@ -269,26 +262,6 @@ class PilotPoint:
     master_seed: int
 
 
-def _pilot_task(args):
-    params, mode, master_seed, f_idx, r_seed_idx = args
-    ch_rng = np.random.default_rng(np.random.SeedSequence((master_seed, r_seed_idx, 1)))
-    real = draw_channels(params, ch_rng)
-    m_true = hypothesis_moments(params, real, mode)
-    t_true = near_optimal_threshold(m_true)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((master_seed, r_seed_idx, 2, f_idx))
-    )
-    plan = PilotPlan(params.k_train)
-    bits = np.concatenate([plan.pilot_bits, rng.integers(0, 2, params.k_symbols - plan.k_train)])
-    frame = generate_frame(params, real, bits, rng, mode)
-    try:
-        m_hat = estimate_moments(frame.energies, plan)
-        t_hat = estimated_threshold(m_hat)
-        return relative_threshold_error(t_true, t_hat)
-    except AmbclinkError:
-        return None
-
-
 def run_pilot_sweep(
     params: SystemParams,
     fractions,
@@ -300,32 +273,39 @@ def run_pilot_sweep(
 ) -> list[PilotPoint]:
     """Relative threshold-error statistics versus pilot overhead.
 
-    Each fraction reuses the same channel/noise seed schedule so points
-    differ only in pilot count.
+    Each fraction reuses the same channel/noise seed schedule (frame seeds
+    carry no point index) so points differ only in pilot count.
     """
+    _check_counts(n_frames, n_realizations)
+    if any(frac <= 0 for frac in fractions):  # SystemParams reads 0 as "no pilots"
+        raise ConfigError("pilot fractions must be > 0", fields=("pilot_fraction",))
+    per_fraction = [replace(params, pilot_fraction=float(frac)) for frac in fractions]
+    tasks = [
+        (p, mode, ESTIMATED_POLICY, None, n_frames, master_seed, (), r)
+        for p in per_fraction
+        for r in range(n_realizations)
+    ]
+    results = iter(_map_tasks(tasks, workers))
+
     points = []
-    for frac in fractions:
-        p = replace(params, pilot_fraction=float(frac))
-        tasks = [
-            (p, mode, master_seed, f, r)
-            for r in range(n_realizations)
-            for f in range(n_frames)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rs = list(pool.map(_pilot_task, tasks, chunksize=8))
-        else:
-            rs = [_pilot_task(t) for t in tasks]
-        good = np.array([r for r in rs if r is not None], dtype=float)
-        failures = len(rs) - good.size
+    for p in per_fraction:
+        errs = []
+        for _ in range(n_realizations):
+            real, trials = next(results)
+            t_true = near_optimal_threshold(hypothesis_moments(p, real, mode))
+            for res in trials:
+                if not res.failed:
+                    with suppress(AmbclinkError):   # a failed frame
+                        errs.append(relative_threshold_error(t_true, res.threshold))
+        good = np.array(errs, dtype=float)
         points.append(PilotPoint(
-            pilot_fraction=float(frac),
+            pilot_fraction=p.pilot_fraction,
             k_train=p.k_train,
             r_mean=float(np.mean(good)) if good.size else math.nan,
             r_median=float(np.median(good)) if good.size else math.nan,
             r_p90=float(np.percentile(good, 90)) if good.size else math.nan,
             frames=int(good.size),
-            failures=failures,
+            failures=n_realizations * n_frames - good.size,
             master_seed=master_seed,
         ))
     return points

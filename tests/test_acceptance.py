@@ -29,13 +29,12 @@ from ambclink.montecarlo import (
     ESTIMATED_POLICY,
     SWEEP_PS,
     SweepSpec,
-    _detect_many,
     ber_trial,
+    detect,
     run_pilot_sweep,
     run_sweep,
 )
-from ambclink.oracles import exp_moment_mean_var, grid_min_threshold
-from ambclink.verify import random_moment_tuple, random_valid_moments
+from ambclink.verify import check_moments_vs_expansion, check_threshold_near_optimality
 
 from conftest import rel_err
 
@@ -70,19 +69,11 @@ def averaged_sweep(averaged_spec):
 
 def test_criterion_1_moment_exactness():
     t0 = time.monotonic()
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        beta1, beta3, p, n_aw = random_moment_tuple(rng)
-        n = int(rng.integers(1, 200))
-        got = lna_moments(p, beta1, beta3, n_aw, n)
-        want = exp_moment_mean_var(p, beta1, beta3, n_aw, n)
-        worst = max(worst, rel_err(got[0], want[0]), rel_err(got[1], want[1]))
+    res = check_moments_vs_expansion(seed=2024, n_tuples=1000)
     dt = time.monotonic() - t0
-    ok = worst <= 1e-12 and dt < 5.0
-    _report(1, "moment_exactness", ok,
-            f"max rel err {worst:.3e} (tol 1e-12) over 1000 tuples in {dt:.2f}s (< 5s)")
-    assert worst <= 1e-12
+    ok = res.passed and dt < 5.0
+    _report(1, "moment_exactness", ok, f"{res.detail} in {dt:.2f}s (< 5s)")
+    assert res.passed, res.detail
     assert dt < 5.0
 
 
@@ -117,23 +108,11 @@ def test_criterion_2_moment_realism(params):
 
 def test_criterion_3_threshold_optimality():
     t0 = time.monotonic()
-    rng = np.random.default_rng(7)
-    worst_gap = worst_res = 0.0
-    for _ in range(1000):
-        m = random_valid_moments(rng)
-        t = near_optimal_threshold(m)
-        _, ber_grid = grid_min_threshold(m)
-        worst_gap = max(worst_gap, ber_closed_form(m, t) - ber_grid)
-        f0 = math.exp(-((t - m.delta0) ** 2) / (2 * m.var0)) / math.sqrt(2 * math.pi * m.var0)
-        f1 = math.exp(-((t - m.delta1) ** 2) / (2 * m.var1)) / math.sqrt(2 * math.pi * m.var1)
-        worst_res = max(worst_res, abs(f0 - f1) / max(f0, f1))
+    res = check_threshold_near_optimality(seed=7, n_tuples=1000)
     dt = time.monotonic() - t0
-    ok = worst_gap <= 1e-6 and worst_res <= 1e-9 and dt < 30.0
-    _report(3, "threshold_optimality", ok,
-            f"max BER gap {worst_gap:.3e} (tol 1e-6), max PDF residual "
-            f"{worst_res:.3e} (tol 1e-9), 1000 tuples in {dt:.1f}s (< 30s)")
-    assert worst_gap <= 1e-6
-    assert worst_res <= 1e-9
+    ok = res.passed and dt < 30.0
+    _report(3, "threshold_optimality", ok, f"{res.detail}, 1000 tuples in {dt:.1f}s (< 30s)")
+    assert res.passed, res.detail
     assert dt < 30.0
 
 
@@ -159,7 +138,7 @@ def test_criterion_4_ber_formula_vs_simulation(params):
             for _ in range(n_symbols // chunk):
                 bits = rng.integers(0, 2, chunk)
                 frame = generate_frame(pc, real, bits, rng, LNA)
-                errors += int(np.sum(_detect_many(frame.energies, t, m) != bits))
+                errors += int(np.sum(detect(frame.energies, t, m) != bits))
             if errors < 10:
                 enough_errors = False
                 continue

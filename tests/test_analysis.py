@@ -19,6 +19,7 @@ from ambclink.analysis import (
     nolna_moments,
     q_function,
 )
+from ambclink.channel import draw_channels
 from ambclink.oracles import (
     exp_moment_mean_var,
     grid_min_threshold,
@@ -96,6 +97,25 @@ class TestNoisePower:
                              noise_power(paper_params, ht2, 0, LNA),
                              paper_params.n_samples)
         assert (m.delta0, m.var0) == (d0, v0)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    def test_noise_free_moments_set_the_interference_floor(self, paper_params, mode):
+        # Without noise the energy of hypothesis i is G |h_i s|^2 averaged
+        # over N samples: mean G P_i and variance G^2 P_i^2 / N, with
+        # G = beta1^2 behind the LNA (the cubic moves it by < 1e-7 at
+        # Ps <= -10 dBm) and G = 1 without it. These moments fix the level of
+        # the interference floor that acceptance criterion 6 measures.
+        quiet = replace(paper_params, n_ar_dbm=-300.0, n_at_dbm=-300.0, n_cov_dbm=-300.0)
+        gain = quiet.beta1 ** 2 if mode == LNA else 1.0
+        rng = np.random.default_rng(606)
+        for ps in (-30.0, -20.0, -10.0):
+            p = replace(quiet, ps_dbm=ps)
+            for _ in range(20):
+                real = draw_channels(p, rng)
+                m = hypothesis_moments(p, real, mode)
+                for mean, var, power in ((m.delta0, m.var0, real.p0), (m.delta1, m.var1, real.p1)):
+                    assert rel_err(mean, gain * power) <= 1e-6
+                    assert rel_err(var, gain**2 * power**2 / p.n_samples) <= 1e-6
 
     def test_dc_noise_ungated(self, paper_params):
         ht2 = 0.02

@@ -118,6 +118,15 @@ class TestPilotSweep:
         assert header == PILOT_CSV_HEADER
         assert len([l for l in lines if not l.startswith("#")]) == 3
 
+    def test_worker_count_does_not_change_output(self, tmp_path):
+        scenario = _scenario_file(tmp_path, k_symbols=200)
+        a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
+        base = ["pilot-sweep", "--scenario", scenario, "--fractions", "0.05,0.2",
+                "--frames", "3", "--realizations", "3", "--seed", "4"]
+        assert main([*base, "--workers", "1", "--out", a]) == EXIT_OK
+        assert main([*base, "--workers", "2", "--out", b]) == EXIT_OK
+        assert _read(a) == _read(b)
+
     def test_odd_pilot_count_rejected_before_work(self, tmp_path):
         scenario = _scenario_file(tmp_path, k_symbols=100)
         out = str(tmp_path / "pilot.csv")
@@ -126,6 +135,26 @@ class TestPilotSweep:
                    "--realizations", "1", *FAST])
         assert rc == EXIT_VALIDATION
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, bad_args, field", [
+    ("ber-sweep", ["--realizations", "0"], "n_realizations"),
+    ("ber-sweep", ["--frames", "0"], "n_frames"),
+    ("ber-sweep", ["--modes", "lna,amp"], "modes"),
+    ("pilot-sweep", ["--realizations", "0"], "n_realizations"),
+    ("pilot-sweep", ["--frames", "0"], "n_frames"),
+    ("pilot-sweep", ["--fractions", "0,0.2"], "pilot fractions"),
+], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
+        "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0"])
+def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, command, bad_args, field):
+    scenario = _scenario_file(tmp_path, k_symbols=200)
+    out = str(tmp_path / "x.csv")
+    sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []
+    rc = main([command, "--scenario", scenario, "--out", out, *sweep, *FAST, *bad_args])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not os.path.exists(out)
 
 
 class TestVerify:

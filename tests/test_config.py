@@ -103,6 +103,10 @@ class TestLoadScenario:
         with pytest.raises(ConfigError) as ei:
             load_scenario({"paper_defaults": True, "pilot_fraction": 0.33})
         assert "pilot_fraction" in ei.value.fields
+        # k_train = 2 is even but leaves one pilot per bit value, too few to estimate
+        with pytest.raises(ConfigError) as ei:
+            load_scenario({"paper_defaults": True, "pilot_fraction": 0.02})
+        assert "pilot_fraction" in ei.value.fields
 
     def test_deterministic(self):
         doc = {"paper_defaults": True, "ps_dbm": -3.0}

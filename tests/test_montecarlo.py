@@ -7,7 +7,7 @@ import pytest
 from ambclink import LNA, NO_LNA
 from ambclink.analysis import HypothesisMoments
 from ambclink.channel import ChannelRealization
-from ambclink.errors import EstimationError
+from ambclink.errors import ConfigError, EstimationError
 from ambclink.montecarlo import (
     CLOSED_FORM_TRUE,
     ESTIMATED_POLICY,
@@ -126,6 +126,9 @@ class TestSweepSpec:
             SweepSpec(**{**good, "threshold_policy": "guess"})
         with pytest.raises(ValueError):
             SweepSpec(**{**good, "n_frames": 0})
+        with pytest.raises(ConfigError) as ei:
+            SweepSpec(**{**good, "n_realizations": 0})
+        assert ei.value.fields == ("n_realizations",)
 
 
 @pytest.fixture(scope="module")
