@@ -41,7 +41,7 @@ from .estimation import (
     estimated_threshold,
     relative_threshold_error,
 )
-from .frontend import SymbolFrame, generate_frame, symbol_energies
+from .frontend import SymbolFrame, frame_energies, generate_frame, symbol_energies
 from .montecarlo import (
     BerPoint,
     SweepSpec,
@@ -83,6 +83,7 @@ __all__ = [
     "draw_channels",
     "estimate_moments",
     "estimated_threshold",
+    "frame_energies",
     "generate_frame",
     "hypothesis_moments",
     "lna_moments",

@@ -16,6 +16,8 @@ import time
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .config import MODES, SystemParams, load_scenario, read_scenario
 from .errors import AmbclinkError, ConfigError
@@ -40,11 +42,14 @@ PILOT_CSV_HEADER = "pilot_fraction,k_train,R_mean,R_median,R_p90,frames"
 
 
 def _load_params(args) -> SystemParams:
+    """The scenario of every command, with the --ps override applied."""
     if args.scenario:
-        return read_scenario(args.scenario, paper_defaults=args.paper_defaults)
-    if args.paper_defaults:
-        return load_scenario({}, paper_defaults=True)
-    raise ConfigError("provide --scenario <path> or --paper-defaults")
+        params = read_scenario(args.scenario, paper_defaults=args.paper_defaults)
+    elif args.paper_defaults:
+        params = load_scenario({}, paper_defaults=True)
+    else:
+        raise ConfigError("provide --scenario <path> or --paper-defaults")
+    return params if args.ps is None else replace(params, ps_dbm=args.ps)
 
 
 def _parse_sweep(text: str):
@@ -93,13 +98,11 @@ def _format_float(x: float) -> str:
 
 
 def _sweep_command(args, sweep, failure_noun: str) -> int:
-    """Shared by ber-sweep and pilot-sweep: apply --ps, run `sweep(args, params)`
-    for (flags, header, rows, failures), write the CSV atomically under the
-    digest of scenario, flags and seed, and print one summary line."""
+    """Shared by ber-sweep and pilot-sweep: run `sweep(args, params)` for
+    (flags, header, rows, failures), write the CSV atomically under the digest
+    of scenario, flags and seed, and print one summary line."""
     t0 = time.monotonic()
     params = _load_params(args)
-    if args.ps is not None:
-        params = replace(params, ps_dbm=args.ps)
     flags, header, rows, failures = sweep(args, params)
     payload = json.dumps(
         {"scenario": params.to_dict(), "flags": {**flags, "ps": args.ps}, "seed": args.seed},
@@ -108,6 +111,7 @@ def _sweep_command(args, sweep, failure_noun: str) -> int:
     digest = hashlib.sha256(payload.encode()).hexdigest()
     _write_csv(args.out, header, rows, {
         "tool_version": __version__,
+        "numpy_version": np.__version__,
         "scenario_digest": digest,
         "master_seed": args.seed,
     })

@@ -1,4 +1,9 @@
-"""Baseband sample generation for a frame of tag symbols and the energy statistic."""
+"""Per-symbol energy statistics for a frame of tag symbols.
+
+`frame_energies` draws each symbol's energy statistic directly from its exact
+distribution; `generate_frame` builds the same statistic from K*N baseband
+samples and is kept as the sample-level reference for it.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import noise_power
 from .channel import ChannelRealization
-from .config import LNA, MODES, NO_LNA, SystemParams
+from .config import MODES, NO_LNA, SystemParams
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,19 @@ def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
     return np.mean(np.abs(blocks) ** 2, axis=1)
 
 
+def _checked_bits(params: SystemParams, bits, mode: str) -> np.ndarray:
+    """The frame's bits as an int array, after the checks both samplers share."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or bits.size != params.k_symbols:
+        raise ValueError(f"bits must have length K={params.k_symbols}, got {bits.size}")
+    # checked before the cast, which would truncate 0.5 to a valid 0
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0/1 valued")
+    return bits.astype(np.int64, copy=False)
+
+
 def _draw_cn_block(rng: np.random.Generator, variance: float, shape) -> np.ndarray:
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -51,14 +70,7 @@ def generate_frame(
                 + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
     The cubic distortion acts on the noiseless signal component only.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1 or bits.size != params.k_symbols:
-        raise ValueError(f"bits must have length K={params.k_symbols}, got {bits.size}")
-    if not np.isin(bits, (0, 1)).all():
-        raise ValueError("bits must be 0/1 valued")
-
+    bits = _checked_bits(params, bits, mode)
     n = params.n_samples
     total = bits.size * n
     d = np.repeat(bits, n)                   # sample-level tag symbol
@@ -79,3 +91,37 @@ def generate_frame(
              + params.beta1 * alpha * real.htr * d * w_at)
 
     return SymbolFrame(bits=bits, samples=y, energies=symbol_energies(y, n), mode=mode)
+
+
+def frame_energies(
+    params: SystemParams,
+    real: ChannelRealization,
+    bits: np.ndarray,
+    rng: np.random.Generator,
+    mode: str,
+) -> np.ndarray:
+    """The K energy statistics of one frame, drawn from exactly the
+    distribution of `generate_frame(...).energies`.
+
+    With p_d the input power and n_d the d-gated noise power of symbol d:
+    no_lna: y is CN(0, p_d + n_d), so the energy is Gamma(N, (p_d + n_d)/N).
+    lna:    the phase of x = g*s does not matter (the noise is circular), so
+            draw Z_k = |x_k|^2 ~ Exp(p_d) and set A = sum_k Z_k (beta1 + beta3 Z_k)^2.
+            Given Z, sum_k |a_k + w_k|^2 with w ~ CN(0, n_d) is
+            (n_d/2) chi'^2_{2N}(2A/n_d), so the energy is that over N.
+            Where 2A/n_d is not finite (n_d underflowed to 0 W) the energy
+            is its exact limit A/N.
+    """
+    bits = _checked_bits(params, bits, mode)
+    n = params.n_samples
+    power = np.array((real.p0, real.p1))[bits]
+    noise = np.array([noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)])[bits]
+    if mode == NO_LNA:
+        return rng.gamma(n, (power + noise) / n)
+    z = power[:, None] * rng.standard_exponential((bits.size, n))
+    a = np.sum(z * (params.beta1 + params.beta3 * z) ** 2, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nonc = 2.0 * a / noise
+    finite = np.isfinite(nonc)
+    chi2 = rng.noncentral_chisquare(2 * n, np.where(finite, nonc, 0.0))
+    return np.where(finite, noise / (2 * n) * chi2, a / n)

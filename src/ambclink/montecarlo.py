@@ -11,10 +11,10 @@ import numpy as np
 
 from .analysis import HypothesisMoments, ber_closed_form, hypothesis_moments, near_optimal_threshold
 from .channel import ChannelRealization, channels_with_bdpr, draw_channels
-from .config import MODES, SystemParams
+from .config import MODES, SystemParams, valid_pilot_count
 from .errors import AmbclinkError, ConfigError
 from .estimation import PilotPlan, estimate_moments, estimated_threshold, relative_threshold_error
-from .frontend import generate_frame
+from .frontend import frame_energies
 from .oracles import grid_min_threshold
 
 CLOSED_FORM_TRUE = "closed_form_true"
@@ -52,8 +52,8 @@ def ber_trial(
     mode: str,
     threshold_policy: str = CLOSED_FORM_TRUE,
 ) -> TrialResult:
-    """One frame: draw bits, generate samples, pick a threshold per policy,
-    detect, and count errors on data symbols.
+    """One frame: draw bits, draw their energy statistics, pick a threshold
+    per policy, detect, and count errors on data symbols.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
@@ -72,7 +72,7 @@ def ber_trial(
         plan = None
         bits = rng.integers(0, 2, k)
 
-    frame = generate_frame(params, real, bits, rng, mode)
+    energies = frame_energies(params, real, bits, rng, mode)
 
     decision_m = true_m
     if threshold_policy == CLOSED_FORM_TRUE:
@@ -81,13 +81,13 @@ def ber_trial(
         threshold, _ = grid_min_threshold(true_m)
     else:
         try:
-            decision_m = estimate_moments(frame.energies, plan)
+            decision_m = estimate_moments(energies, plan)
             threshold = estimated_threshold(decision_m)
         except AmbclinkError:
             return TrialResult(0, 0, math.nan, math.nan, failed=True)
 
     data_slice = slice(plan.k_train, None) if plan is not None else slice(None)
-    decided = detect(frame.energies[data_slice], threshold, decision_m)
+    decided = detect(energies[data_slice], threshold, decision_m)
     errors = int(np.sum(decided != bits[data_slice]))
     n_bits = int(bits[data_slice].size)
     return TrialResult(
@@ -129,6 +129,12 @@ class SweepSpec:
         if self.threshold_policy not in POLICIES:
             raise ConfigError(f"unknown threshold policy {self.threshold_policy!r}",
                               fields=("threshold_policy",))
+        if (self.threshold_policy == ESTIMATED_POLICY
+                and not valid_pilot_count(self.scenario.k_train)):
+            raise ConfigError(
+                f"the {ESTIMATED_POLICY} policy needs an even pilot count >= 4, got "
+                f"k_train={self.scenario.k_train} (pilot_fraction="
+                f"{self.scenario.pilot_fraction})", fields=("pilot_fraction",))
         _check_counts(self.n_frames, self.n_realizations)
 
 

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from . import analysis, oracles
 from .analysis import HypothesisMoments, dc_noise_powers, hypothesis_moments
 from .channel import draw_channels
-from .config import LNA, NO_LNA, SystemParams
+from .config import LNA, MODES, NO_LNA, SystemParams, watts_to_dbm
 from .errors import ModelValidityError
-from .frontend import generate_frame
+from .frontend import frame_energies, generate_frame
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ def check_moments_vs_montecarlo(
         real.p1, params.beta1, params.beta3, n_aw, 1
     )
     # per-sample moments of |y|^2 with d[k] = 1 throughout
-    from dataclasses import replace
     p = replace(params, k_symbols=1, n_samples=1, pilot_fraction=0.0)
     sq_sum = 0.0
     quad_sum = 0.0
@@ -85,6 +85,80 @@ def check_moments_vs_montecarlo(
     return CheckResult(
         "moments_vs_montecarlo", err_m <= mean_tol and err_v <= var_tol,
         f"mean rel err {err_m:.3e} (tol {mean_tol}), var rel err {err_v:.3e} (tol {var_tol})",
+    )
+
+
+def _ks_2samp_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov statistic."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    d = np.max(np.abs(np.searchsorted(a, both, side="right") / a.size
+                      - np.searchsorted(b, both, side="right") / b.size))
+    return float(kolmogorov(math.sqrt(a.size * b.size / (a.size + b.size)) * d))
+
+
+def _moment_pvalues(a: np.ndarray, b: np.ndarray):
+    """Two-sided normal p-values for equal means and equal variances."""
+    def var_of_var(x):
+        c = x - x.mean()
+        return (np.mean(c**4) - np.mean(c**2) ** 2) / x.size
+
+    z_mean = (a.mean() - b.mean()) / math.sqrt(a.var() / a.size + b.var() / b.size)
+    z_var = (a.var() - b.var()) / math.sqrt(var_of_var(a) + var_of_var(b))
+    return tuple(math.erfc(abs(float(z)) / math.sqrt(2.0)) for z in (z_mean, z_var))
+
+
+def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResult:
+    """The energy-domain sampler against the sample-level one, on one channel.
+
+    Per mode and per bit (alternating bits), the energies of frame_energies
+    and of generate_frame must agree in distribution (two-sample KS) and in
+    mean and variance, each at p >= 1e-6. N = 4, so the statistic is far
+    from Gaussian and its shape is tested, not only its first two moments.
+    Two operating points derived from `params`:
+    - noise-limited: the tag noise raised to 3x the larger input-referred
+      ungated noise, so n1/n0 >= 4, and the direct path at that noise;
+    - compression: Ps set so that |beta3| P / beta1 = 0.05 on the weaker
+      hypothesis (the params' own Ps when beta3 = 0).
+    The reference takes 4000 symbols in frames of 1000, the energy sampler
+    20000 in one frame.
+    """
+    n_samples, chunk, k_ref, k_fast, p_min = 4, 1000, 4000, 20_000, 1e-6
+    base = replace(params, n_samples=n_samples, k_symbols=chunk, pilot_fraction=0.0)
+    real = draw_channels(base, np.random.default_rng(seed))
+    h0_2, h1_2 = real.p0 / base.ps, real.p1 / base.ps
+    n_in = max(base.n_ar + base.n_cov, base.n_ar + base.n_cov / base.beta1**2)
+    tag = base.alpha_amp**2 * real.htr_abs2
+    points = {
+        "noise-limited": replace(base, n_at_dbm=watts_to_dbm(3.0 * n_in / tag),
+                                 ps_dbm=watts_to_dbm(n_in / h0_2)),
+        "compression": base if base.beta3 == 0 else replace(
+            base, ps_dbm=watts_to_dbm(
+                0.05 * abs(base.beta1 / base.beta3) / min(h0_2, h1_2))),
+    }
+    chunk_bits, ref_bits, fast_bits = (np.arange(k) % 2 for k in (chunk, k_ref, k_fast))
+    worst = (math.inf, "")
+    stream = 0
+    for label, point in points.items():
+        real = draw_channels(point, np.random.default_rng(seed))
+        for mode in MODES:
+            stream += 1
+            rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+            ref = np.concatenate([
+                generate_frame(point, real, chunk_bits, rng, mode).energies
+                for _ in range(k_ref // chunk)
+            ])
+            fast = frame_energies(replace(point, k_symbols=k_fast), real, fast_bits, rng, mode)
+            for d in (0, 1):
+                a, b = ref[ref_bits == d], fast[fast_bits == d]
+                p_ks = _ks_2samp_pvalue(a, b)
+                p_mean, p_var = _moment_pvalues(a, b)
+                for name, p in (("KS", p_ks), ("mean", p_mean), ("variance", p_var)):
+                    worst = min(worst, (p, f"{label} {mode} bit {d} {name}"))
+    return CheckResult(
+        "sampler_equivalence", worst[0] >= p_min,
+        f"min p {worst[0]:.2e} ({worst[1]}) over {len(points) * len(MODES) * 2 * 3} tests "
+        f"(KS, mean, variance; bound {p_min:g}), N={n_samples}",
     )
 
 
@@ -229,4 +303,5 @@ def run_all_checks(params: SystemParams, seed: int = 0) -> list[CheckResult]:
         check_deflection(params, seed=seed + 4),
         check_linear_reduction(params),
         check_model_validity_guard(params),
+        check_sampler_equivalence(params, seed=seed + 5),
     ]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ambclink.cli import (
@@ -42,6 +43,7 @@ class TestBerSweep:
         lines = _read(out).decode().splitlines()
         comments = [l for l in lines if l.startswith("# ")]
         assert any(l.startswith("# tool_version=") for l in comments)
+        assert f"# numpy_version={np.__version__}" in comments
         assert any(l.startswith("# scenario_digest=") for l in comments)
         assert any(l.startswith("# master_seed=") for l in comments)
         header = next(l for l in lines if not l.startswith("#"))
@@ -144,8 +146,10 @@ class TestPilotSweep:
     ("pilot-sweep", ["--realizations", "0"], "n_realizations"),
     ("pilot-sweep", ["--frames", "0"], "n_frames"),
     ("pilot-sweep", ["--fractions", "0,0.2"], "pilot fractions"),
+    ("ber-sweep", ["--threshold-policy", "estimated"], "pilot_fraction"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
-        "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0"])
+        "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
+        "ber-estimated-without-pilots"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, command, bad_args, field):
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
@@ -164,6 +168,14 @@ class TestVerify:
         assert rc == EXIT_OK
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_ps_override_reaches_the_checks(self, capsys):
+        def moments_line(extra):
+            main(["verify", "--paper-defaults", "--seed", "0", *extra])
+            out = capsys.readouterr().out
+            return next(l for l in out.splitlines() if l.startswith("moments_vs_montecarlo"))
+
+        assert moments_line(["--ps", "30"]) != moments_line([])
 
     def test_ill_conditioned_deflection_seed_passes(self, capsys):
         # seed 51 draws a channel with |h1| close to |h0|: the composition's

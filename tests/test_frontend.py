@@ -7,7 +7,8 @@ import pytest
 from ambclink import LNA, NO_LNA
 from ambclink.analysis import lna_moments, noise_power, nolna_moments
 from ambclink.channel import draw_channels
-from ambclink.frontend import _draw_cn_block, generate_frame, symbol_energies
+from ambclink.frontend import _draw_cn_block, frame_energies, generate_frame, symbol_energies
+from ambclink.verify import check_sampler_equivalence
 
 
 def _clone_draws(params, total, seed):
@@ -137,3 +138,78 @@ class TestStatisticalProperties:
         # an N-sample mean of exponential-like terms has skew ~ 2/sqrt(N) ~ 0.23
         assert abs(skew) < 0.4
         assert abs(ex_kurt) < 1.0
+
+
+class TestFrameEnergies:
+    @pytest.mark.parametrize("sampler", [generate_frame, frame_energies])
+    def test_bad_inputs_rejected_alike(self, paper_params, fixed_realization, sampler):
+        p = replace(paper_params, k_symbols=4, pilot_fraction=0.0)
+        rng = np.random.default_rng(1)
+        for bits, mode in ((np.zeros(3, dtype=int), LNA),
+                           (np.zeros((2, 2), dtype=int), LNA),
+                           (np.array([0, 1, 2, 0]), NO_LNA),
+                           (np.array([0.0, 0.5, 1.0, 0.0]), LNA),
+                           (np.zeros(4, dtype=int), "amp")):
+            with pytest.raises(ValueError):
+                sampler(p, fixed_realization, bits, rng, mode)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    def test_same_rng_same_energies(self, paper_params, fixed_realization, mode):
+        bits = np.random.default_rng(2).integers(0, 2, paper_params.k_symbols)
+        a, b = (frame_energies(paper_params, fixed_realization, bits,
+                               np.random.default_rng(11), mode) for _ in range(2))
+        assert a.shape == (paper_params.k_symbols,)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    def test_moments_match_closed_form(self, paper_params, fixed_realization, mode):
+        p = replace(paper_params, k_symbols=20_000, pilot_fraction=0.0)
+        ht2 = fixed_realization.htr_abs2
+        for d, power in ((0, fixed_realization.p0), (1, fixed_realization.p1)):
+            n_d = noise_power(p, ht2, d, mode)
+            mean_c, var_c = (lna_moments(power, p.beta1, p.beta3, n_d, p.n_samples)
+                             if mode == LNA else nolna_moments(power, n_d, p.n_samples))
+            e = frame_energies(p, fixed_realization, np.full(p.k_symbols, d),
+                               np.random.default_rng(40 + d), mode)
+            assert float(np.mean(e)) == pytest.approx(mean_c, rel=0.01)
+            assert float(np.var(e)) == pytest.approx(var_c, rel=0.05)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    def test_noise_free_floor_run_is_finite_and_positive(self, paper_params,
+                                                         fixed_realization, mode):
+        # criterion 6's floor run: every noise power at -300 dBm
+        p = replace(paper_params, n_ar_dbm=-300.0, n_at_dbm=-300.0, n_cov_dbm=-300.0)
+        bits = np.arange(p.k_symbols) % 2
+        e = frame_energies(p, fixed_realization, bits, np.random.default_rng(12), mode)
+        assert np.all(np.isfinite(e)) and np.all(e > 0)
+
+    def test_underflowed_noise_gives_the_noise_free_limit(self, paper_params,
+                                                          fixed_realization):
+        # -4000 dBm is 0 W in floating point: the LNA energy is then exactly
+        # A/N with A = sum_k Z_k (beta1 + beta3 Z_k)^2, never NaN
+        p = replace(paper_params, n_ar_dbm=-4000.0, n_at_dbm=-4000.0, n_cov_dbm=-4000.0)
+        assert noise_power(p, fixed_realization.htr_abs2, 1, LNA) == 0.0
+        bits = np.arange(p.k_symbols) % 2
+        e = frame_energies(p, fixed_realization, bits, np.random.default_rng(13), LNA)
+        power = np.where(bits == 1, fixed_realization.p1, fixed_realization.p0)
+        z = power[:, None] * np.random.default_rng(13).standard_exponential(
+            (p.k_symbols, p.n_samples))
+        a = np.sum(z * (p.beta1 + p.beta3 * z) ** 2, axis=1)
+        assert not np.any(np.isnan(e))
+        assert np.array_equal(e, a / p.n_samples)
+
+    def test_sampler_equivalence_check(self, paper_params):
+        res = check_sampler_equivalence(paper_params, seed=5)
+        assert res.passed, res.detail
+
+    def test_sampler_equivalence_check_sees_a_dropped_cubic(self, paper_params,
+                                                            monkeypatch):
+        import ambclink.verify as verify
+
+        def linear_lna(params, *args):
+            return frame_energies(replace(params, beta3=0.0), *args)
+
+        monkeypatch.setattr(verify, "frame_energies", linear_lna)
+        res = verify.check_sampler_equivalence(paper_params, seed=5)
+        assert not res.passed
+        assert "compression lna" in res.detail

@@ -129,6 +129,11 @@ class TestSweepSpec:
         with pytest.raises(ConfigError) as ei:
             SweepSpec(**{**good, "n_realizations": 0})
         assert ei.value.fields == ("n_realizations",)
+        SweepSpec(**{**good, "threshold_policy": ESTIMATED_POLICY})
+        with pytest.raises(ConfigError) as ei:
+            SweepSpec(**{**good, "threshold_policy": ESTIMATED_POLICY,
+                         "scenario": replace(paper_params, pilot_fraction=0.0)})
+        assert ei.value.fields == ("pilot_fraction",)
 
 
 @pytest.fixture(scope="module")
