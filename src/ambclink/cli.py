@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,6 +36,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
 EXIT_IO = 3
+
+MAX_SWEEP_POINTS = 1000
 
 BER_CSV_HEADER = ("sweep_var,value,mode,threshold_policy,ber_empirical,"
                   "ber_ci_halfwidth,ber_closed_form,threshold_mean,errors,bits,failures")
@@ -65,8 +68,14 @@ def _parse_sweep(text: str):
         start, stop, step = float(start), float(stop), float(step)
     except ValueError as exc:
         raise ConfigError(f"non-numeric sweep bounds in {text!r}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"--sweep bounds must be finite in {text!r}", fields=("sweep",))
     if step <= 0 or stop < start:
         raise ConfigError(f"need start <= stop and step > 0 in {text!r}")
+    count = math.floor((stop + 1e-9 - start) / step) + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ConfigError(f"--sweep {text!r} has {count} points; at most "
+                          f"{MAX_SWEEP_POINTS} are allowed", fields=("sweep",))
     values = []
     v = start
     while v <= stop + 1e-9:

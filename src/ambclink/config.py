@@ -50,7 +50,7 @@ def valid_pilot_count(k_train: int) -> bool:
 class SystemParams:
     """All scenario constants. Immutable; safe to share across workers."""
 
-    beta1: float            # LNA linear gain (amplitude domain)
+    beta1: float            # LNA linear gain (amplitude domain), > 0
     beta3: float            # LNA third-order coefficient, 1/power
     alpha_db: float         # tag coefficient, dB power gain
     n_ar_dbm: float         # receiver antenna noise power
@@ -68,7 +68,8 @@ class SystemParams:
     pilot_fraction: float = 0.0
 
     def __post_init__(self):
-        bad = []
+        bad = [f.name for f in fields(self)
+               if f.name not in _INT_FIELDS and not math.isfinite(getattr(self, f.name))]
         if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
             bad.append("n_samples")
         if not (isinstance(self.k_symbols, int) and self.k_symbols >= 1):
@@ -83,7 +84,10 @@ class SystemParams:
             bad.append("pilot_fraction")
         elif self.pilot_fraction > 0.0 and not valid_pilot_count(self.k_train):
             bad.append("pilot_fraction")
+        if not self.beta1 > 0:
+            bad.append("beta1")
         if bad:
+            bad = list(dict.fromkeys(bad))
             raise ConfigError(
                 f"invalid parameter value(s): {', '.join(bad)}", fields=bad
             )

@@ -27,28 +27,32 @@ class PilotPlan:
         object.__setattr__(self, "pilot_bits", bits)
 
 
-def estimate_moments(energies: np.ndarray, plan: PilotPlan) -> HypothesisMoments:
-    """Grouped sample mean/variance of the leading pilot energies.
+def pilot_statistics(energies: np.ndarray, plan: PilotPlan):
+    """Grouped sample mean/variance of the leading pilot energies along the
+    last axis, for any leading axes (frames, realizations).
 
     delta_i = (2/K_train) sum A_k, var_i = (2/(K_train-2)) sum (A_k - delta_i)^2
-    over the pilots whose known bit is i.
+    over the pilots whose known bit is i. Returns (delta0, delta1, var0, var1),
+    each of shape energies.shape[:-1].
     """
     energies = np.asarray(energies, dtype=float)
-    if energies.size < plan.k_train:
-        raise EstimationError(
-            f"need at least {plan.k_train} energies, got {energies.size}"
-        )
-    pilots = energies[: plan.k_train]
     k = plan.k_train
-    est = {}
+    if energies.shape[-1] < k:
+        raise EstimationError(f"need at least {k} energies, got {energies.shape[-1]}")
+    pilots = energies[..., :k]
+    means, variances = [], []
     for b in (0, 1):
-        group = pilots[plan.pilot_bits == b]
-        if group.size < 2:
-            raise EstimationError(f"pilot group {b} has fewer than 2 symbols")
-        mean = (2.0 / k) * group.sum()
-        var = (2.0 / (k - 2)) * ((group - mean) ** 2).sum()
-        est[b] = (mean, var)
-    (d0, v0), (d1, v1) = est[0], est[1]
+        group = pilots[..., plan.pilot_bits == b]
+        mean = (2.0 / k) * group.sum(axis=-1)
+        means.append(mean)
+        variances.append((2.0 / (k - 2)) * ((group - mean[..., None]) ** 2).sum(axis=-1))
+    return means[0], means[1], variances[0], variances[1]
+
+
+def estimate_moments(energies: np.ndarray, plan: PilotPlan) -> HypothesisMoments:
+    """The moments of one frame estimated from its leading pilot energies
+    (see `pilot_statistics`)."""
+    d0, d1, v0, v1 = (float(s) for s in pilot_statistics(np.ravel(energies), plan))
     if v0 <= 0 or v1 <= 0:
         raise EstimationError("degenerate estimate: zero pilot-group variance")
     return HypothesisMoments(delta0=d0, delta1=d1, var0=v0, var1=v1, source=ESTIMATED)
@@ -62,8 +66,10 @@ def estimated_threshold(m: HypothesisMoments) -> float:
         raise EstimationError(f"estimated threshold undefined: {exc}") from exc
 
 
-def relative_threshold_error(t_true: float, t_est: float) -> float:
-    """|T - T_hat| / |T_hat|, the threshold approximation error metric."""
-    if t_est == 0:
+def relative_threshold_error(t_true: float, t_est):
+    """|T - T_hat| / |T_hat|, the threshold approximation error metric;
+    t_est may be an array of per-frame estimates."""
+    t_est = np.asarray(t_est, dtype=float)
+    if np.any(t_est == 0):
         raise EstimationError("relative threshold error undefined for t_est = 0")
-    return abs(t_true - t_est) / abs(t_est)
+    return np.abs(t_true - t_est) / np.abs(t_est)

@@ -1,7 +1,8 @@
 """Per-symbol energy statistics for a frame of tag symbols.
 
-`frame_energies` draws each symbol's energy statistic directly from its exact
-distribution; `generate_frame` builds the same statistic from K*N baseband
+`draw_energies` draws each symbol's energy statistic directly from its exact
+distribution, for symbols of any shape; `frame_energies` is its one-frame
+entry point. `generate_frame` builds the same statistic from K*N baseband
 samples and is kept as the sample-level reference for it.
 """
 
@@ -15,6 +16,8 @@ import numpy as np
 from .analysis import noise_power
 from .channel import ChannelRealization
 from .config import MODES, NO_LNA, SystemParams
+
+SAMPLER_CHUNK = 2 ** 15  # exponential samples the LNA sampler holds at once
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,19 @@ def frame_energies(
     mode: str,
 ) -> np.ndarray:
     """The K energy statistics of one frame, drawn from exactly the
-    distribution of `generate_frame(...).energies`.
+    distribution of `generate_frame(...).energies` (see `draw_energies`)."""
+    bits = _checked_bits(params, bits, mode)
+    noise = [noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
+    return draw_energies(params, bits, (real.p0, real.p1), noise, rng, mode)
 
-    With p_d the input power and n_d the d-gated noise power of symbol d:
+
+def draw_energies(params: SystemParams, bits: np.ndarray, power, noise,
+                  rng: np.random.Generator, mode: str) -> np.ndarray:
+    """Energy statistics of symbols `bits` (0/1, any shape), whose input
+    power and d-gated noise power under bit d are power[d] and noise[d]:
+    scalars, or arrays that broadcast against `bits`.
+
+    With p_d the input power and n_d the noise power of symbol d:
     no_lna: y is CN(0, p_d + n_d), so the energy is Gamma(N, (p_d + n_d)/N).
     lna:    the phase of x = g*s does not matter (the noise is circular), so
             draw Z_k = |x_k|^2 ~ Exp(p_d) and set A = sum_k Z_k (beta1 + beta3 Z_k)^2.
@@ -111,15 +124,28 @@ def frame_energies(
             (n_d/2) chi'^2_{2N}(2A/n_d), so the energy is that over N.
             Where 2A/n_d is not finite (n_d underflowed to 0 W) the energy
             is its exact limit A/N.
+    The exponentials are drawn in chunks of at most SAMPLER_CHUNK samples,
+    all before the chi-square draws, so memory stays bounded and the draws
+    do not depend on the chunk size.
     """
-    bits = _checked_bits(params, bits, mode)
+    one = bits == 1
+    power = np.where(one, power[1], power[0])
+    noise = np.where(one, noise[1], noise[0])
     n = params.n_samples
-    power = np.array((real.p0, real.p1))[bits]
-    noise = np.array([noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)])[bits]
     if mode == NO_LNA:
         return rng.gamma(n, (power + noise) / n)
-    z = power[:, None] * rng.standard_exponential((bits.size, n))
-    a = np.sum(z * (params.beta1 + params.beta3 * z) ** 2, axis=1)
+    a = np.empty(power.shape)
+    flat_power, flat_a = power.reshape(-1), a.reshape(-1)
+    rows = max(1, SAMPLER_CHUNK // n)
+    for start in range(0, flat_power.size, rows):
+        stop = min(start + rows, flat_power.size)
+        z = rng.standard_exponential((stop - start, n))
+        z *= flat_power[start:stop, None]
+        t = params.beta3 * z
+        t += params.beta1
+        t *= t
+        t *= z
+        t.sum(axis=1, out=flat_a[start:stop])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nonc = 2.0 * a / noise
     finite = np.isfinite(nonc)

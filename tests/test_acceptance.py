@@ -138,7 +138,7 @@ def test_criterion_4_ber_formula_vs_simulation(params):
             for _ in range(n_symbols // chunk):
                 bits = rng.integers(0, 2, chunk)
                 frame = generate_frame(pc, real, bits, rng, LNA)
-                errors += int(np.sum(detect(frame.energies, t, m) != bits))
+                errors += int(np.sum(detect(frame.energies, t, m.delta0, m.delta1) != bits))
             if errors < 10:
                 enough_errors = False
                 continue

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ class TestBerSweep:
                        "--out", str(tmp_path / "x.csv"), *FAST])
             assert rc == EXIT_VALIDATION
         assert not os.path.exists(tmp_path / "x.csv")
+
+    def test_oversized_grid_rejected_before_it_is_built(self, tmp_path, capsys):
+        out = str(tmp_path / "ber.csv")
+        t0 = time.monotonic()
+        rc = main(["ber-sweep", "--scenario", _scenario_file(tmp_path), "--out", out,
+                   "--sweep", "ps:0:5:1e-12", *FAST])
+        assert time.monotonic() - t0 < 1.0
+        assert rc == EXIT_VALIDATION
+        assert "--sweep" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_unwritable_output_is_io_error_without_partial_file(self, tmp_path):
         scenario = _scenario_file(tmp_path)
@@ -185,6 +196,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "FAIL" not in out
+
+    def test_zero_gain_rejected_at_load(self, tmp_path, capsys):
+        path = tmp_path / "beta1.json"
+        path.write_text(json.dumps({"paper_defaults": True, "beta1": 0.0}))
+        rc = main(["verify", "--scenario", str(path), "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert captured.err.startswith("error: ") and "beta1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_attenuating_front_end_fails_checks(self, tmp_path, capsys):
         # beta1 < 1 raises the input-referred front-end noise above the plain

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -146,7 +147,27 @@ class TestSystemParams:
         with pytest.raises(Exception):
             paper_params.beta1 = 1.0
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_beta1_must_be_positive(self, paper_params, bad):
+        from dataclasses import replace
+        with pytest.raises(ConfigError) as ei:
+            replace(paper_params, beta1=bad)
+        assert ei.value.fields == ("beta1",)
+
     def test_k_train(self):
         p = load_scenario({"paper_defaults": True, "pilot_fraction": 0.2,
                            "k_symbols": 200})
         assert p.k_train == 40
+
+
+_FLOAT_FIELDS = [f.name for f in fields(SystemParams)
+                 if f.name not in ("n_samples", "k_symbols")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_non_finite_scalars_rejected_at_load(field, value):
+    with pytest.raises(ConfigError) as ei:
+        load_scenario({"paper_defaults": True, field: value})
+    assert field in ei.value.fields
+    assert field in str(ei.value)

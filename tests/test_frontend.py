@@ -7,7 +7,15 @@ import pytest
 from ambclink import LNA, NO_LNA
 from ambclink.analysis import lna_moments, noise_power, nolna_moments
 from ambclink.channel import draw_channels
-from ambclink.frontend import _draw_cn_block, frame_energies, generate_frame, symbol_energies
+import ambclink.frontend as frontend
+from ambclink.frontend import (
+    SAMPLER_CHUNK,
+    _draw_cn_block,
+    draw_energies,
+    frame_energies,
+    generate_frame,
+    symbol_energies,
+)
 from ambclink.verify import check_sampler_equivalence
 
 
@@ -164,6 +172,7 @@ class TestFrameEnergies:
     @pytest.mark.parametrize("mode", [LNA, NO_LNA])
     def test_moments_match_closed_form(self, paper_params, fixed_realization, mode):
         p = replace(paper_params, k_symbols=20_000, pilot_fraction=0.0)
+        assert p.k_symbols * p.n_samples > SAMPLER_CHUNK
         ht2 = fixed_realization.htr_abs2
         for d, power in ((0, fixed_realization.p0), (1, fixed_realization.p1)):
             n_d = noise_power(p, ht2, d, mode)
@@ -197,6 +206,36 @@ class TestFrameEnergies:
         a = np.sum(z * (p.beta1 + p.beta3 * z) ** 2, axis=1)
         assert not np.any(np.isnan(e))
         assert np.array_equal(e, a / p.n_samples)
+
+    def test_draws_do_not_depend_on_the_chunk(self, paper_params, fixed_realization,
+                                              monkeypatch):
+        p = replace(paper_params, k_symbols=1000, pilot_fraction=0.0)
+        bits = np.arange(p.k_symbols) % 2
+        draws = []
+        for chunk in (10 ** 9, SAMPLER_CHUNK, 7 * p.n_samples + 3):
+            monkeypatch.setattr(frontend, "SAMPLER_CHUNK", chunk)
+            draws.append(frame_energies(p, fixed_realization, bits,
+                                        np.random.default_rng(14), LNA))
+        assert all(np.array_equal(d, draws[0]) for d in draws)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    def test_block_of_realizations_matches_each_ones_moments(self, paper_params, mode):
+        # per-realization levels of shape (R, 1, 1) broadcast over frames and symbols
+        reals = [draw_channels(paper_params, np.random.default_rng(s)) for s in (1, 2)]
+        levels = [np.array([getattr(r, f"p{d}") for r in reals])[:, None, None]
+                  for d in (0, 1)]
+        noise = [np.array([noise_power(paper_params, r.htr_abs2, d, mode)
+                           for r in reals])[:, None, None] for d in (0, 1)]
+        bits = np.ones((2, 4, 5000), dtype=np.int64)
+        e = draw_energies(paper_params, bits, levels, noise, np.random.default_rng(15), mode)
+        assert e.shape == bits.shape
+        for r, real in enumerate(reals):
+            n_1 = noise_power(paper_params, real.htr_abs2, 1, mode)
+            mean_c, var_c = (lna_moments(real.p1, paper_params.beta1, paper_params.beta3,
+                                         n_1, paper_params.n_samples) if mode == LNA
+                             else nolna_moments(real.p1, n_1, paper_params.n_samples))
+            assert float(np.mean(e[r])) == pytest.approx(mean_c, rel=0.01)
+            assert float(np.var(e[r])) == pytest.approx(var_c, rel=0.05)
 
     def test_sampler_equivalence_check(self, paper_params):
         res = check_sampler_equivalence(paper_params, seed=5)

@@ -3,20 +3,33 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ambclink.montecarlo as mc
 from ambclink import LNA, NO_LNA
-from ambclink.analysis import HypothesisMoments
+from ambclink.analysis import (
+    HypothesisMoments,
+    ber_closed_form,
+    hypothesis_moments,
+    near_optimal_threshold,
+)
 from ambclink.channel import ChannelRealization
-from ambclink.errors import ConfigError, EstimationError
+from ambclink.errors import ConfigError
+from ambclink.estimation import PilotPlan, estimate_moments, pilot_statistics
+from ambclink.frontend import draw_energies, frame_energies
+from ambclink.oracles import grid_min_threshold
 from ambclink.montecarlo import (
     CLOSED_FORM_TRUE,
     ESTIMATED_POLICY,
     NUMERIC_ORACLE,
+    POLICIES,
     SWEEP_BDPR,
     SWEEP_PS,
     SweepSpec,
     ber_trial,
     detect,
+    run_pilot_sweep,
     run_sweep,
     wilson_halfwidth,
 )
@@ -33,14 +46,14 @@ class TestDetect:
     def test_rule_applications(self):
         up = HypothesisMoments(1.0, 6.0, 1.0, 1.0)
         down = HypothesisMoments(6.0, 1.0, 1.0, 1.0)
-        assert detect(5.0, 3.0, up) == 1
-        assert detect(5.0, 3.0, down) == 0
+        assert detect(5.0, 3.0, up.delta0, up.delta1) == 1
+        assert detect(5.0, 3.0, down.delta0, down.delta1) == 0
 
     def test_tie_goes_to_the_geq_branch(self):
         up = HypothesisMoments(1.0, 6.0, 1.0, 1.0)
-        assert detect(3.0, 3.0, up) == 1
+        assert detect(3.0, 3.0, up.delta0, up.delta1) == 1
         down = HypothesisMoments(6.0, 1.0, 1.0, 1.0)
-        assert detect(3.0, 3.0, down) == 0
+        assert detect(3.0, 3.0, down.delta0, down.delta1) == 0
 
 
 class TestWilson:
@@ -96,15 +109,40 @@ class TestBerTrial:
     def test_degenerate_estimate_is_recorded_not_raised(self, paper_params,
                                                         fixed_realization,
                                                         monkeypatch):
-        import ambclink.montecarlo as mc
-        def boom(energies, plan):
-            raise EstimationError("forced degenerate estimate")
-        monkeypatch.setattr(mc, "estimate_moments", boom)
+        def degenerate(energies, plan):
+            d0, d1, v0, v1 = pilot_statistics(energies, plan)
+            return d0, d1, np.zeros_like(v0), v1    # zero pilot-group variance
+        monkeypatch.setattr(mc, "pilot_statistics", degenerate)
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
         res = ber_trial(p, fixed_realization, np.random.default_rng(11), LNA,
                         ESTIMATED_POLICY)
         assert res.failed is True
         assert res.bits == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_is_the_one_frame_case_of_a_block(self, paper_params, fixed_realization,
+                                               policy):
+        # and both equal one frame drawn by frame_energies and detected by hand
+        p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
+        res = ber_trial(p, fixed_realization, np.random.default_rng(21), LNA, policy)
+        frames = mc._ber_block(p, [fixed_realization], 1, np.random.default_rng(21),
+                               LNA, policy)
+        assert (res.errors, res.bits, res.threshold, res.ber_closed_form) == (
+            frames.errors[0, 0], frames.bits[0, 0], frames.threshold[0, 0],
+            frames.ber_closed_form[0, 0])
+
+        rng = np.random.default_rng(21)
+        k0 = p.k_train if policy == ESTIMATED_POLICY else 0
+        bits = np.concatenate([np.arange(k0) % 2, rng.integers(0, 2, p.k_symbols - k0)])
+        energies = frame_energies(p, fixed_realization, bits, rng, LNA)
+        true_m = hypothesis_moments(p, fixed_realization, LNA)
+        m = estimate_moments(energies, PilotPlan(k0)) if k0 else true_m
+        t = (grid_min_threshold(m)[0] if policy == NUMERIC_ORACLE
+             else near_optimal_threshold(m))
+        errors = int(np.sum(detect(energies[k0:], t, m.delta0, m.delta1) != bits[k0:]))
+        assert not res.failed
+        assert (res.errors, res.bits, res.threshold, res.ber_closed_form) == (
+            errors, p.k_symbols - k0, t, ber_closed_form(true_m, t))
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
         with pytest.raises(ValueError):
@@ -191,3 +229,77 @@ class TestRunSweep:
         (pt,) = run_sweep(spec, workers=1)
         assert pt.bits + 0 == (50 - pt.failures) * 80
         assert pt.failures >= 0
+
+
+class TestBlocks:
+    """Blocks hold max(1, BLOCK_SYMBOLS // (F*K)) realizations: at K=400 and
+    F=4 that is 10, so 12 realizations span two blocks."""
+
+    @pytest.fixture(scope="class")
+    def block_params(self, paper_params):
+        return replace(paper_params, k_symbols=400, n_samples=10, pilot_fraction=0.1)
+
+    def test_two_blocks(self, block_params):
+        tasks = mc._block_tasks(block_params, LNA, CLOSED_FORM_TRUE, None, 4, 12, 0, ())
+        assert [(t[-2], t[-1]) for t in tasks] == [(0, 10), (10, 2)]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sweep_worker_invariance_across_blocks(self, block_params, policy):
+        spec = SweepSpec(scenario=block_params, sweep_var=SWEEP_PS, values=(0.0, 10.0),
+                         modes=(LNA, NO_LNA), threshold_policy=policy, n_frames=4,
+                         n_realizations=12, master_seed=31)
+        one = run_sweep(spec, workers=1)
+        assert one == run_sweep(spec, workers=2)
+        assert all(pt.bits + pt.failures * 360 == 12 * 4 * (360 if policy == ESTIMATED_POLICY
+                                                             else 400) for pt in one)
+
+    def test_pilot_sweep_worker_invariance_across_blocks(self, block_params):
+        def sweep(workers):
+            return run_pilot_sweep(block_params, (0.05, 0.1), LNA, n_realizations=12,
+                                   n_frames=4, master_seed=8, workers=workers)
+        one = sweep(1)
+        assert one == sweep(2)
+        assert [pt.frames + pt.failures for pt in one] == [48, 48]
+
+    def test_long_blocks_draw_in_runs_of_frames(self, paper_params, monkeypatch):
+        # F*K = 24000 > BLOCK_SYMBOLS: one realization per block, its frames
+        # drawn in runs of BLOCK_SYMBOLS // K = 4
+        p = replace(paper_params, k_symbols=4000, n_samples=4, pilot_fraction=0.01)
+        shapes = []
+
+        def recording(params, bits, *args):
+            shapes.append(bits.shape)
+            return draw_energies(params, bits, *args)
+
+        monkeypatch.setattr(mc, "draw_energies", recording)
+        spec = SweepSpec(scenario=p, sweep_var=SWEEP_PS, values=(5.0,), modes=(LNA,),
+                         threshold_policy=ESTIMATED_POLICY, n_frames=6,
+                         n_realizations=2, master_seed=6)
+        (pt,) = run_sweep(spec, workers=1)
+        assert shapes == [(1, 4, 4000), (1, 2, 4000)] * 2
+        assert pt.bits + pt.failures * 3960 == 2 * 6 * 3960
+
+    def test_closed_form_columns_add_each_frame(self, block_params):
+        # the closed-form threshold and BER are the same on every frame of a
+        # realization, and enter the mean once per frame
+        spec = SweepSpec(scenario=block_params, sweep_var=SWEEP_PS, values=(5.0,),
+                         modes=(LNA,), n_frames=4, n_realizations=12, master_seed=4)
+        (pt,) = run_sweep(spec, workers=1)
+        (ref,) = run_sweep(replace(spec, n_frames=1), workers=1)
+        assert pt.threshold_mean == pytest.approx(ref.threshold_mean, rel=1e-14)
+        assert pt.ber_closed_form == pytest.approx(ref.ber_closed_form, rel=1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(8, 40), n=st.integers(1, 25), r=st.integers(1, 6),
+       f=st.integers(1, 3), policy=st.sampled_from(POLICIES),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_sweep_identical_at_one_and_two_workers(paper_params, k, n, r, f, policy, seed,
+                                                data):
+    k_train = data.draw(st.sampled_from(range(4, k, 2)))
+    p = replace(paper_params, k_symbols=k, n_samples=n, pilot_fraction=k_train / k)
+    spec = SweepSpec(scenario=p, sweep_var=SWEEP_PS, values=(0.0, 10.0),
+                     modes=(LNA, NO_LNA), threshold_policy=policy, n_frames=f,
+                     n_realizations=r, master_seed=seed)
+    # repr compares NaN fields (a point whose frames all failed) as equal
+    assert repr(run_sweep(spec, workers=1)) == repr(run_sweep(spec, workers=2))
