@@ -72,15 +72,14 @@ def _parse_sweep(text: str):
         raise ConfigError(f"--sweep bounds must be finite in {text!r}", fields=("sweep",))
     if step <= 0 or stop < start:
         raise ConfigError(f"need start <= stop and step > 0 in {text!r}")
-    count = math.floor((stop + 1e-9 - start) / step) + 1
-    if count > MAX_SWEEP_POINTS:
-        raise ConfigError(f"--sweep {text!r} has {count} points; at most "
-                          f"{MAX_SWEEP_POINTS} are allowed", fields=("sweep",))
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(round(v, 9))
-        v += step
+    # count the points before building them; the quotient may overflow to inf
+    spans = (stop + 1e-9 - start) / step
+    if not spans < MAX_SWEEP_POINTS:
+        raise ConfigError(f"--sweep {text!r} has more than {MAX_SWEEP_POINTS} points",
+                          fields=("sweep",))
+    # by index, not by accumulation: a step below the float spacing at start
+    # would never advance
+    values = (round(start + i * step, 9) for i in range(math.floor(spans) + 1))
     return names[var], tuple(values)
 
 

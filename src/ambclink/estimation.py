@@ -49,13 +49,18 @@ def pilot_statistics(energies: np.ndarray, plan: PilotPlan):
     return means[0], means[1], variances[0], variances[1]
 
 
-def estimate_moments(energies: np.ndarray, plan: PilotPlan) -> HypothesisMoments:
-    """The moments of one frame estimated from its leading pilot energies
-    (see `pilot_statistics`)."""
-    d0, d1, v0, v1 = (float(s) for s in pilot_statistics(np.ravel(energies), plan))
-    if v0 <= 0 or v1 <= 0:
+def moments_from_statistics(delta0, delta1, var0, var1) -> HypothesisMoments:
+    """The estimated moments of one frame from its pilot statistics (see
+    `pilot_statistics`); a zero group variance is a degenerate estimate."""
+    if var0 <= 0 or var1 <= 0:
         raise EstimationError("degenerate estimate: zero pilot-group variance")
-    return HypothesisMoments(delta0=d0, delta1=d1, var0=v0, var1=v1, source=ESTIMATED)
+    return HypothesisMoments(delta0=float(delta0), delta1=float(delta1), var0=float(var0),
+                             var1=float(var1), source=ESTIMATED)
+
+
+def estimate_moments(energies: np.ndarray, plan: PilotPlan) -> HypothesisMoments:
+    """The moments of one frame estimated from its leading pilot energies."""
+    return moments_from_statistics(*pilot_statistics(np.ravel(energies), plan))
 
 
 def estimated_threshold(m: HypothesisMoments) -> float:
@@ -66,10 +71,8 @@ def estimated_threshold(m: HypothesisMoments) -> float:
         raise EstimationError(f"estimated threshold undefined: {exc}") from exc
 
 
-def relative_threshold_error(t_true: float, t_est):
-    """|T - T_hat| / |T_hat|, the threshold approximation error metric;
-    t_est may be an array of per-frame estimates."""
-    t_est = np.asarray(t_est, dtype=float)
-    if np.any(t_est == 0):
+def relative_threshold_error(t_true: float, t_est: float) -> float:
+    """|T - T_hat| / |T_hat|, the threshold approximation error metric."""
+    if t_est == 0:
         raise EstimationError("relative threshold error undefined for t_est = 0")
-    return np.abs(t_true - t_est) / np.abs(t_est)
+    return abs(t_true - t_est) / abs(t_est)

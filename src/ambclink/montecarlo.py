@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import (
-    ESTIMATED,
-    HypothesisMoments,
     ber_closed_form,
     hypothesis_moments,
     near_optimal_threshold,
@@ -24,8 +23,14 @@ from .analysis import (
 )
 from .channel import ChannelRealization, channels_with_bdpr, draw_channels
 from .config import MODES, SystemParams, valid_pilot_count
-from .errors import AmbclinkError, ConfigError
-from .estimation import PilotPlan, estimated_threshold, pilot_statistics, relative_threshold_error
+from .errors import AmbclinkError, ConfigError, EstimationError
+from .estimation import (
+    PilotPlan,
+    estimated_threshold,
+    moments_from_statistics,
+    pilot_statistics,
+    relative_threshold_error,
+)
 from .frontend import draw_energies
 from .oracles import grid_min_threshold
 
@@ -101,8 +106,7 @@ def _estimated_thresholds(energies, plan):
     failed = np.zeros(stats[0].shape, dtype=bool)
     for idx in np.ndindex(threshold.shape):
         try:
-            m = HypothesisMoments(*(float(s[idx]) for s in stats), source=ESTIMATED)
-            threshold[idx] = estimated_threshold(m)
+            threshold[idx] = estimated_threshold(moments_from_statistics(*(s[idx] for s in stats)))
         except AmbclinkError:
             failed[idx] = True
     return stats, threshold, failed
@@ -385,9 +389,10 @@ def run_pilot_sweep(
         errs = []
         for t_true, threshold, failed in blocks:
             for t, thr, bad in zip(t_true, threshold, failed):
-                # a zero estimate has no relative error: a failed frame
-                errs.append(relative_threshold_error(t, thr[~bad & (thr != 0)]))
-        good = np.concatenate(errs)
+                for t_est in thr[~bad].tolist():
+                    with suppress(EstimationError):   # a failed frame
+                        errs.append(relative_threshold_error(t, t_est))
+        good = np.array(errs)
         points.append(PilotPoint(
             pilot_fraction=p.pilot_fraction,
             k_train=p.k_train,

@@ -13,8 +13,10 @@ from ambclink.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     PILOT_CSV_HEADER,
+    _parse_sweep,
     main,
 )
+from ambclink.montecarlo import SWEEP_BDPR
 
 FAST = ["--seed", "4", "--workers", "1"]
 SMALL_SWEEP = ["--sweep", "ps:0:10:10", "--frames", "1", "--realizations", "4"]
@@ -87,15 +89,25 @@ class TestBerSweep:
             assert rc == EXIT_VALIDATION
         assert not os.path.exists(tmp_path / "x.csv")
 
-    def test_oversized_grid_rejected_before_it_is_built(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sweep", ["ps:0:5:1e-12", "ps:0:1e300:1e-300",
+                                       "ps:-1e308:1e308:1"])
+    def test_oversized_grid_rejected_before_it_is_built(self, tmp_path, capsys, sweep):
         out = str(tmp_path / "ber.csv")
         t0 = time.monotonic()
         rc = main(["ber-sweep", "--scenario", _scenario_file(tmp_path), "--out", out,
-                   "--sweep", "ps:0:5:1e-12", *FAST])
+                   "--sweep", sweep, *FAST])
         assert time.monotonic() - t0 < 1.0
         assert rc == EXIT_VALIDATION
         assert "--sweep" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_step_below_float_spacing_still_ends(self):
+        # 1e17 + 2 rounds back to 1e17, so accumulating the step never advances
+        t0 = time.monotonic()
+        assert _parse_sweep("bdpr:1e17:1e17:1") == (SWEEP_BDPR, (1e17,))
+        _, values = _parse_sweep("bdpr:1e17:1.0000000000000102e17:2")
+        assert time.monotonic() - t0 < 1.0
+        assert len(values) == 513 and values[0] == 1e17 and values[-1] <= 1.0000000000000102e17
 
     def test_unwritable_output_is_io_error_without_partial_file(self, tmp_path):
         scenario = _scenario_file(tmp_path)
