@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc
 
 from .channel import ChannelRealization
 from .config import LNA, MODES, NO_LNA, SystemParams
@@ -107,9 +105,15 @@ def hypothesis_moments(
     return HypothesisMoments(delta0=d0, delta1=d1, var0=v0, var1=v1)
 
 
+_erfc_array = np.vectorize(math.erfc, otypes=[float])
+
+
 def q_function(x):
-    """Gaussian tail probability Q(x), via the complementary error function."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    """Gaussian tail probability Q(x), via the complementary error function;
+    x is a number (a float is returned) or an array of them."""
+    if isinstance(x, (int, float)):
+        return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
+    return 0.5 * _erfc_array(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def ber_closed_form(m: HypothesisMoments, threshold: float) -> float:
@@ -147,6 +151,8 @@ def _pdf_residual_ok(m: HypothesisMoments, t: float, rel_tol: float = 1e-9) -> b
 
 
 def _root_of_pdf_equality(m: HypothesisMoments) -> float:
+    from scipy.optimize import brentq   # rare fallback: keeps scipy off the import path
+
     lo, hi = min(m.delta0, m.delta1), max(m.delta0, m.delta1)
     s = max(math.sqrt(m.var0), math.sqrt(m.var1))
     brackets = [(lo, hi), (lo - 3 * s, hi + 3 * s), (lo - 10 * s, hi + 10 * s)]

@@ -41,6 +41,22 @@ def db_to_amplitude_gain(g_db: float) -> float:
     return 10.0 ** (g_db / 20.0)
 
 
+# Upper bounds, checked at load. A power of 300 dBm is 1e27 W; the LNA variance
+# grows like P^6, which is then 1e162, so the closed-form moments stay finite
+# (about 1e138 at the paper's gains and path loss with every power at the
+# bound). There is no lower bound: below about -3200 dBm a power is 0 W, the
+# exact noise-free (or signal-free) limit the samplers and closed forms handle.
+MAX_DBM = 300.0
+# A passive tag reflects at most the power it receives.
+MAX_ALPHA_DB = 0.0
+# A sweep holds whole frames of K symbols, the LNA sampler at least one
+# symbol's N exponentials, and the sample-level generate_frame several arrays
+# of K*N complex samples (160 MB each at the cap).
+MAX_K_SYMBOLS = 10 ** 6
+MAX_N_SAMPLES = 10 ** 6
+MAX_FRAME_SAMPLES = 10 ** 7
+
+
 def valid_pilot_count(k_train: int) -> bool:
     """The pilot estimator needs two pilots of each bit value: an even count >= 4."""
     return k_train >= 4 and k_train % 2 == 0
@@ -70,10 +86,20 @@ class SystemParams:
     def __post_init__(self):
         bad = [f.name for f in fields(self)
                if f.name not in _INT_FIELDS and not math.isfinite(getattr(self, f.name))]
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
-            bad.append("n_samples")
-        if not (isinstance(self.k_symbols, int) and self.k_symbols >= 1):
-            bad.append("k_symbols")
+        limits = []
+        for name, cap in _DB_CAPS.items():
+            if getattr(self, name) > cap:
+                bad.append(name)
+                limits.append(f"{name} <= {cap:g}")
+        for name, cap in (("n_samples", MAX_N_SAMPLES), ("k_symbols", MAX_K_SYMBOLS)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and 1 <= value <= cap):
+                bad.append(name)
+                limits.append(f"integer 1 <= {name} <= {cap}")
+        k, n = self.k_symbols, self.n_samples
+        if isinstance(k, int) and isinstance(n, int) and k * n > MAX_FRAME_SAMPLES:
+            bad += ["k_symbols", "n_samples"]
+            limits.append(f"k_symbols * n_samples <= {MAX_FRAME_SAMPLES}")
         for name in ("r0", "rst", "rtr"):
             if not getattr(self, name) > 0:
                 bad.append(name)
@@ -82,14 +108,16 @@ class SystemParams:
                 bad.append(name)
         if not 0.0 <= self.pilot_fraction < 1.0:
             bad.append("pilot_fraction")
-        elif self.pilot_fraction > 0.0 and not valid_pilot_count(self.k_train):
+        elif (self.pilot_fraction > 0.0 and "k_symbols" not in bad
+              and not valid_pilot_count(self.k_train)):
             bad.append("pilot_fraction")
         if not self.beta1 > 0:
             bad.append("beta1")
         if bad:
             bad = list(dict.fromkeys(bad))
+            need = f" (need {'; '.join(limits)})" if limits else ""
             raise ConfigError(
-                f"invalid parameter value(s): {', '.join(bad)}", fields=bad
+                f"invalid parameter value(s): {', '.join(bad)}{need}", fields=bad
             )
 
     # Derived linear-scale quantities
@@ -146,6 +174,8 @@ PAPER_DEFAULTS = {
 
 _FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
 _INT_FIELDS = {"n_samples", "k_symbols"}
+_DB_CAPS = {"n_ar_dbm": MAX_DBM, "n_at_dbm": MAX_DBM, "n_cov_dbm": MAX_DBM,
+            "ps_dbm": MAX_DBM, "alpha_db": MAX_ALPHA_DB}
 
 
 def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:
@@ -177,12 +207,15 @@ def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             bad_types.append(name)
         elif name in _INT_FIELDS:
-            if float(value) != int(value):
+            if isinstance(value, float) and not value.is_integer():   # also nan, inf
                 bad_types.append(name)
             else:
                 values[name] = int(value)
         else:
-            values[name] = float(value)
+            try:
+                values[name] = float(value)
+            except OverflowError:   # an integer beyond the float range
+                values[name] = math.inf
     if bad_types:
         raise ConfigError(
             f"wrong type for scenario key(s): {', '.join(sorted(bad_types))}",

@@ -2,7 +2,8 @@
 
 Every function here recomputes a result by a route that shares no code with
 the implementation it checks: combinatorial moment expansion, quadrature,
-bisection, grid search, or brute-force grouping.
+bisection, grid search, or brute-force grouping. Each imports the scipy
+routine it needs when it runs, so importing the package never loads scipy.
 """
 
 from __future__ import annotations
@@ -10,10 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .analysis import HypothesisMoments, q_function
+from .analysis import HypothesisMoments
 
 
 def exp_moment_mean_var(p: float, beta1: float, beta3: float, n_aw: float, n_samples: int):
@@ -44,6 +43,8 @@ def exp_moment_mean_var(p: float, beta1: float, beta3: float, n_aw: float, n_sam
 
 def q_integral(x: float) -> float:
     """Q(x) by adaptive quadrature of the defining integral."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
                   x, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
     return val
@@ -52,6 +53,8 @@ def q_integral(x: float) -> float:
 def pdf_equality_root(m: HypothesisMoments) -> float:
     """Crossing point of the two Gaussian PDFs by bracketed root finding on
     the log-density difference."""
+    from scipy.optimize import brentq
+
     def g(t: float) -> float:
         return (
             -((t - m.delta0) ** 2) / (2 * m.var0) - 0.5 * math.log(m.var0)
@@ -70,13 +73,21 @@ def grid_min_threshold(m: HypothesisMoments, n_points: int = 10_000):
     """Threshold minimizing the closed-form BER over a dense grid.
 
     Grid spans [delta_min - 3 s_min, delta_max + 3 s_max]. Returns (T, BER).
+    Q comes from scipy's erfc, not from analysis.q_function, which this
+    oracle checks.
     """
+    from scipy.special import erfc
+
     if m.delta0 <= m.delta1:
         lo_mean, s_lo, hi_mean, s_hi = m.delta0, math.sqrt(m.var0), m.delta1, math.sqrt(m.var1)
     else:
         lo_mean, s_lo, hi_mean, s_hi = m.delta1, math.sqrt(m.var1), m.delta0, math.sqrt(m.var0)
     grid = np.linspace(lo_mean - 3 * s_lo, hi_mean + 3 * s_hi, n_points)
-    bers = 0.5 * q_function((grid - lo_mean) / s_lo) + 0.5 * q_function((hi_mean - grid) / s_hi)
+
+    def q(x):
+        return 0.5 * erfc(x / math.sqrt(2.0))
+
+    bers = 0.5 * q((grid - lo_mean) / s_lo) + 0.5 * q((hi_mean - grid) / s_hi)
     idx = int(np.argmin(bers))
     return float(grid[idx]), float(bers[idx])
 

@@ -1,4 +1,6 @@
-"""Cross-validation suite: every closed form against an independent oracle."""
+"""Cross-validation suite: every closed form against an independent oracle.
+
+scipy is imported only inside the checks and oracles that use it."""
 
 from __future__ import annotations
 
@@ -6,12 +8,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from . import analysis, oracles
 from .analysis import HypothesisMoments, dc_noise_powers, hypothesis_moments
 from .channel import draw_channels
-from .config import LNA, MODES, NO_LNA, SystemParams, watts_to_dbm
+from .config import LNA, MAX_DBM, MODES, NO_LNA, SystemParams, watts_to_dbm
 from .errors import ModelValidityError
 from .frontend import frame_energies, generate_frame
 
@@ -90,6 +91,8 @@ def check_moments_vs_montecarlo(
 
 def _ks_2samp_pvalue(a: np.ndarray, b: np.ndarray) -> float:
     """Asymptotic p-value of the two-sample Kolmogorov-Smirnov statistic."""
+    from scipy.special import kolmogorov
+
     a, b = np.sort(a), np.sort(b)
     both = np.concatenate([a, b])
     d = np.max(np.abs(np.searchsorted(a, both, side="right") / a.size
@@ -120,6 +123,9 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
       ungated noise, so n1/n0 >= 4, and the direct path at that noise;
     - compression: Ps set so that |beta3| P / beta1 = 0.05 on the weaker
       hypothesis (the params' own Ps when beta3 = 0).
+    A derived power is capped at MAX_DBM, the bound the scenario was loaded
+    under; only a nearly linear LNA or a tag gain far below the paper's
+    reaches the cap, and the point then falls short of its ratio.
     The reference takes 4000 symbols in frames of 1000, the energy sampler
     20000 in one frame.
     """
@@ -129,12 +135,15 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
     h0_2, h1_2 = real.p0 / base.ps, real.p1 / base.ps
     n_in = max(base.n_ar + base.n_cov, base.n_ar + base.n_cov / base.beta1**2)
     tag = base.alpha_amp**2 * real.htr_abs2
+
+    def dbm(watts):
+        return min(watts_to_dbm(watts), MAX_DBM)
+
     points = {
-        "noise-limited": replace(base, n_at_dbm=watts_to_dbm(3.0 * n_in / tag),
-                                 ps_dbm=watts_to_dbm(n_in / h0_2)),
+        "noise-limited": replace(base, n_at_dbm=dbm(3.0 * n_in / tag),
+                                 ps_dbm=dbm(n_in / h0_2)),
         "compression": base if base.beta3 == 0 else replace(
-            base, ps_dbm=watts_to_dbm(
-                0.05 * abs(base.beta1 / base.beta3) / min(h0_2, h1_2))),
+            base, ps_dbm=dbm(0.05 * abs(base.beta1 / base.beta3) / min(h0_2, h1_2))),
     }
     chunk_bits, ref_bits, fast_bits = (np.arange(k) % 2 for k in (chunk, k_ref, k_fast))
     worst = (math.inf, "")

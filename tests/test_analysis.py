@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambclink import LNA, NO_LNA, ModelValidityError, NoSeparationError
 from ambclink.analysis import (
@@ -62,6 +64,24 @@ class TestMoments:
             want = exp_moment_mean_var(p, beta1, beta3, n_aw, n)
             assert rel_err(got[0], want[0]) <= 1e-12
             assert rel_err(got[1], want[1]) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta1=st.floats(1.0, 100.0), log_p=st.floats(-12.0, -6.0),
+           compression=st.floats(0.0, 0.1), log_noise=st.floats(-14.0, -8.0),
+           n=st.integers(1, 200), lna=st.booleans())
+    def test_matches_expansion_oracle_property(self, beta1, log_p, compression, log_noise,
+                                               n, lna):
+        # compression = |beta3| P / beta1, kept small as in verify's random tuples
+        p, noise = 10.0 ** log_p, 10.0 ** log_noise
+        if lna:
+            beta3 = -compression * beta1 / p
+            closed = lna_moments(p, beta1, beta3, noise, n)
+        else:
+            beta1, beta3 = 1.0, 0.0
+            closed = nolna_moments(p, noise, n)
+        oracle = exp_moment_mean_var(p, beta1, beta3, noise, n)
+        assert rel_err(closed[0], oracle[0]) <= 1e-12
+        assert rel_err(closed[1], oracle[1]) <= 1e-12
 
     def test_negative_power_rejected(self):
         with pytest.raises(ModelValidityError):
@@ -144,6 +164,19 @@ class TestQFunction:
         assert np.all(qs <= np.exp(-xs ** 2 / 2) / 2 + 1e-300)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-37.0, 37.0))
+    def test_agrees_with_scipy_erfc(self, x):
+        from scipy.special import erfc
+
+        # scipy's erfc rounds the argument of its exp(-z^2), so its own error
+        # grows like z^2 = x^2 / 2 ulp, plus a few ulp from 1 - erf(z) below
+        # z = 1; above x = 37.7 it returns 0 where Q is still subnormal
+        ref = 0.5 * float(erfc(x / math.sqrt(2.0)))
+        assert abs(q_function(x) - ref) <= (16 + x * x / 2) * math.ulp(ref)
+        assert q_function(np.array([x]))[0] == q_function(x)
+
+
 class TestBerClosedForm:
     def test_symmetric_unit_case(self):
         m = HypothesisMoments(0.0, 2.0, 1.0, 1.0)
@@ -212,6 +245,18 @@ class TestThreshold:
         t = near_optimal_threshold(m)
         _, ber_grid = grid_min_threshold(m)
         assert ber_closed_form(m, t) <= ber_grid + 1e-6
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_d0=st.floats(-15.0, 5.0),
+           log_ratio=st.floats(1e-6, 3.0) | st.floats(-3.0, -1e-6),
+           n=st.integers(1, 10_000), f0=st.floats(0.01, 100.0), f1=st.floats(0.01, 100.0))
+    def test_ber_at_threshold_in_range(self, log_d0, log_ratio, n, f0, f1):
+        # an N-sample energy of mean d has variance near d^2 / N; f0, f1 scale it
+        d0 = 10.0 ** log_d0
+        d1 = d0 * 10.0 ** log_ratio
+        m = HypothesisMoments(d0, d1, f0 * d0 * d0 / n, f1 * d1 * d1 / n)
+        assert 0.0 <= ber_closed_form(m, near_optimal_threshold(m)) <= 0.5
 
 
 class TestDeflection:

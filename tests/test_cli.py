@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+import ambclink
 from ambclink.cli import (
     BER_CSV_HEADER,
     EXIT_CHECK_FAILURE,
@@ -170,9 +174,13 @@ class TestPilotSweep:
     ("pilot-sweep", ["--frames", "0"], "n_frames"),
     ("pilot-sweep", ["--fractions", "0,0.2"], "pilot fractions"),
     ("ber-sweep", ["--threshold-policy", "estimated"], "pilot_fraction"),
+    ("ber-sweep", ["--ps", "100000"], "ps_dbm"),
+    ("pilot-sweep", ["--ps", "300.5"], "ps_dbm"),
+    ("ber-sweep", ["--sweep", "ps:100:400:100"], "ps_dbm"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
-        "ber-estimated-without-pilots"])
+        "ber-estimated-without-pilots", "ber-ps-override-too-high",
+        "pilot-ps-override-too-high", "ber-ps-grid-too-high"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, command, bad_args, field):
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
@@ -182,6 +190,60 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, command, ba
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "pilot-sweep", "verify"])
+@pytest.mark.parametrize("doc, named", [
+    ({"ps_dbm": 100000}, ("ps_dbm",)),
+    ({"n_cov_dbm": 1e4}, ("n_cov_dbm",)),
+    ({"k_symbols": 10 ** 9, "n_samples": 10 ** 6}, ("k_symbols", "n_samples")),
+], ids=["ps-dbm", "noise-dbm", "frame-size"])
+def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, command, doc,
+                                                         named):
+    scenario = _scenario_file(tmp_path, **{"k_symbols": 200, **doc})
+    out = str(tmp_path / "x.csv")
+    extra = {"ber-sweep": ["--sweep", "ps:0:10:10", "--out", out],
+             "pilot-sweep": ["--out", out], "verify": []}[command]
+    rc = main([command, "--scenario", scenario, *FAST, *extra])
+    captured = capsys.readouterr()
+    assert rc == EXIT_VALIDATION
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert all(name in captured.err for name in named)
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
+def test_scipy_stays_off_the_sweep_path(tmp_path):
+    """Importing the package and running closed-form and pilot sweeps load no
+    scipy; the numeric_oracle policy and verify load it when they run."""
+    code = textwrap.dedent("""
+        import sys
+        import ambclink, ambclink.cli
+
+        def scipy_loaded():
+            return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+        assert not scipy_loaded(), "import"
+        ber = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:10:10",
+               "--realizations", "2", "--out", "ber.csv"]
+        assert ambclink.cli.main(ber) == 0
+        assert ambclink.cli.main([*ber, "--threshold-policy", "estimated"]) == 0
+        assert not scipy_loaded(), "ber-sweep"
+        assert ambclink.cli.main(["pilot-sweep", "--paper-defaults", "--fractions",
+                                  "0.2,0.4", "--frames", "2", "--realizations", "2",
+                                  "--out", "pilot.csv"]) == 0
+        assert not scipy_loaded(), "pilot-sweep"
+        assert ambclink.cli.main([*ber, "--threshold-policy", "numeric_oracle"]) == 0
+        assert scipy_loaded()
+        assert ambclink.cli.main(["verify", "--paper-defaults"]) == 0
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ambclink.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify: all checks passed" in proc.stdout
 
 
 class TestVerify:
@@ -208,6 +270,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("doc", [{"beta3": -1e-20}, {"alpha_db": -400.0}],
+                             ids=["near-linear-lna", "weak-tag"])
+    def test_derived_operating_points_stay_in_range(self, tmp_path, capsys, doc):
+        # the sampler check derives Ps (compression) and the tag noise
+        # (noise-limited) from the scenario; here one of them exceeds 300 dBm
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"paper_defaults": True, **doc}))
+        rc = main(["verify", "--scenario", str(path), "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK, captured.err
+        assert "all checks passed" in captured.out
 
     def test_zero_gain_rejected_at_load(self, tmp_path, capsys):
         path = tmp_path / "beta1.json"

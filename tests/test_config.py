@@ -2,9 +2,16 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambclink import ConfigError, SystemParams, load_scenario, read_scenario
 from ambclink.config import (
+    MAX_ALPHA_DB,
+    MAX_DBM,
+    MAX_FRAME_SAMPLES,
+    MAX_K_SYMBOLS,
+    MAX_N_SAMPLES,
     PAPER_DEFAULTS,
     db_to_amplitude_gain,
     db_to_power_gain,
@@ -98,6 +105,18 @@ class TestLoadScenario:
             load_scenario({"paper_defaults": True, "n_samples": 75.5})
         assert "n_samples" in ei.value.fields
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_integer_fields_reject_non_finite(self, value):
+        with pytest.raises(ConfigError) as ei:
+            load_scenario({"paper_defaults": True, "k_symbols": value})
+        assert tuple(ei.value.fields) == ("k_symbols",)
+
+    def test_integer_beyond_the_float_range_is_rejected(self):
+        # JSON integers have no size limit; float() of this one overflows
+        with pytest.raises(ConfigError) as ei:
+            load_scenario({"paper_defaults": True, "ps_dbm": 10 ** 400})
+        assert tuple(ei.value.fields) == ("ps_dbm",)
+
     def test_pilot_fraction_even_odd(self):
         ok = load_scenario({"paper_defaults": True, "pilot_fraction": 0.3})
         assert ok.k_train == 30
@@ -154,6 +173,48 @@ class TestSystemParams:
             replace(paper_params, beta1=bad)
         assert ei.value.fields == ("beta1",)
 
+    @pytest.mark.parametrize("field", ["ps_dbm", "n_ar_dbm", "n_at_dbm", "n_cov_dbm"])
+    def test_powers_bounded_above(self, paper_params, field):
+        from dataclasses import replace
+        assert getattr(replace(paper_params, **{field: MAX_DBM}), field) == MAX_DBM
+        # 1e5 dBm once overflowed in dbm_to_watts at first use
+        for bad in (math.nextafter(MAX_DBM, math.inf), 1e5):
+            with pytest.raises(ConfigError) as ei:
+                replace(paper_params, **{field: bad})
+            assert tuple(ei.value.fields) == (field,)
+            assert f"{field} <= {MAX_DBM:g}" in str(ei.value)
+
+    def test_powers_have_no_lower_bound(self, paper_params):
+        from dataclasses import replace
+        # -300 dBm is the noise floor of criterion 6's noise-free run; -4000 dBm
+        # is 0 W, the exact noise-free limit
+        for dbm in (-300.0, -4000.0):
+            quiet = replace(paper_params, n_ar_dbm=dbm, n_at_dbm=dbm, n_cov_dbm=dbm,
+                            ps_dbm=dbm)
+            assert math.isfinite(quiet.n_ar) and math.isfinite(quiet.ps)
+
+    def test_passive_tag_gain_bounded(self, paper_params):
+        from dataclasses import replace
+        assert replace(paper_params, alpha_db=MAX_ALPHA_DB).alpha_amp == 1.0
+        with pytest.raises(ConfigError) as ei:
+            replace(paper_params, alpha_db=1e5)
+        assert tuple(ei.value.fields) == ("alpha_db",)
+
+    def test_frame_size_capped(self):
+        base = {"paper_defaults": True, "pilot_fraction": 0.0}
+        load_scenario({**base, "k_symbols": MAX_K_SYMBOLS, "n_samples": 10})
+        load_scenario({**base, "k_symbols": 1, "n_samples": MAX_N_SAMPLES})
+        for k, n, named in (
+            (MAX_K_SYMBOLS + 1, 1, ("k_symbols",)),
+            (1, MAX_N_SAMPLES + 1, ("n_samples",)),
+            (10 ** 9, 10 ** 6, ("k_symbols", "n_samples")),
+            (MAX_FRAME_SAMPLES // 100 + 1, 100, ("k_symbols", "n_samples")),
+        ):
+            with pytest.raises(ConfigError) as ei:
+                load_scenario({**base, "k_symbols": k, "n_samples": n})
+            assert set(ei.value.fields) == set(named)
+            assert all(name in str(ei.value) for name in named)
+
     def test_k_train(self):
         p = load_scenario({"paper_defaults": True, "pilot_fraction": 0.2,
                            "k_symbols": 200})
@@ -171,3 +232,34 @@ def test_non_finite_scalars_rejected_at_load(field, value):
         load_scenario({"paper_defaults": True, field: value})
     assert field in ei.value.fields
     assert field in str(ei.value)
+
+
+_SCALARS = st.one_of(
+    st.floats(),
+    st.integers(-(10 ** 400), 10 ** 400),
+    st.integers(-5, 2 * MAX_K_SYMBOLS),
+    st.floats(-5000.0, 400.0),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.sampled_from([f.name for f in fields(SystemParams)]),
+                           _SCALARS, max_size=5))
+def test_load_rejects_or_returns_finite_in_range_fields(doc):
+    try:
+        p = load_scenario({"paper_defaults": True, **doc})
+    except ConfigError as exc:
+        assert exc.fields
+        return
+    for name in _FLOAT_FIELDS:
+        assert math.isfinite(getattr(p, name))
+    for name in ("ps_dbm", "n_ar_dbm", "n_at_dbm", "n_cov_dbm"):
+        assert getattr(p, name) <= MAX_DBM
+    assert p.alpha_db <= MAX_ALPHA_DB
+    assert 1 <= p.k_symbols <= MAX_K_SYMBOLS and 1 <= p.n_samples <= MAX_N_SAMPLES
+    assert p.k_symbols * p.n_samples <= MAX_FRAME_SAMPLES
+    for linear in (p.ps, p.n_ar, p.n_at, p.n_cov, p.alpha_amp):
+        assert math.isfinite(linear) and linear >= 0
