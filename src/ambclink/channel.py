@@ -29,6 +29,18 @@ class ChannelRealization:
     def htr_abs2(self) -> float:
         return abs(self.htr) ** 2
 
+    def at_operating_point(self, params: SystemParams,
+                           target_bdpr_db: float | None = None) -> ChannelRealization:
+        """The drawn h0, hst, htr composed under `params` (its Ps and tag
+        gain). With a target, hst is first rescaled so bdpr() hits it
+        exactly; h0 and htr keep their drawn values."""
+        hst = self.hst
+        if target_bdpr_db is not None:
+            if not math.isfinite(target_bdpr_db):
+                raise UndefinedRatioError(f"target BDPR must be finite, got {target_bdpr_db!r}")
+            hst = hst * 10.0 ** ((target_bdpr_db - bdpr(self, params)) / 20.0)
+        return _compose(params, self.h0, hst, self.htr)
+
 
 def _compose(params: SystemParams, h0: complex, hst: complex, htr: complex) -> ChannelRealization:
     h1 = h0 + params.alpha_amp * hst * htr
@@ -61,6 +73,17 @@ def bdpr(real: ChannelRealization, params: SystemParams) -> float:
     return 10.0 * math.log10(back / direct)
 
 
+def draw_nonzero_channels(params: SystemParams, rng: np.random.Generator,
+                          max_retries: int = 16) -> ChannelRealization:
+    """The first of up to `max_retries` draw_channels draws whose h0, hst and
+    htr are all nonzero, so that its BDPR is defined and can be rescaled."""
+    for _ in range(max_retries):
+        real = draw_channels(params, rng)
+        if abs(real.h0) > 0 and abs(real.hst) > 0 and abs(real.htr) > 0:
+            return real
+    raise UndefinedRatioError("could not draw nonzero channels for BDPR rescaling")
+
+
 def channels_with_bdpr(
     params: SystemParams,
     target_bdpr_db: float,
@@ -71,14 +94,5 @@ def channels_with_bdpr(
 
     Only hst is touched; h0 and htr keep their drawn values.
     """
-    if not math.isfinite(target_bdpr_db):
-        raise UndefinedRatioError(f"target BDPR must be finite, got {target_bdpr_db!r}")
-    for _ in range(max_retries):
-        real = draw_channels(params, rng)
-        if abs(real.h0) > 0 and abs(real.hst) > 0 and abs(real.htr) > 0:
-            break
-    else:
-        raise UndefinedRatioError("could not draw nonzero channels for BDPR rescaling")
-    current = bdpr(real, params)
-    scale = 10.0 ** ((target_bdpr_db - current) / 20.0)
-    return _compose(params, real.h0, real.hst * scale, real.htr)
+    real = draw_nonzero_channels(params, rng, max_retries)
+    return real.at_operating_point(params, target_bdpr_db)

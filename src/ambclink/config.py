@@ -47,8 +47,15 @@ def db_to_amplitude_gain(g_db: float) -> float:
 # bound). There is no lower bound: below about -3200 dBm a power is 0 W, the
 # exact noise-free (or signal-free) limit the samplers and closed forms handle.
 MAX_DBM = 300.0
-# A passive tag reflects at most the power it receives.
+# A passive tag reflects at most the power it receives. Below -300 dB (a power
+# gain of 1e-30) the tag carries no usable signal, and far below it the gain
+# underflows to 0 (about -3200 dB), where verify's sampler check can no longer
+# refer the receiver noise to the tag link.
 MAX_ALPHA_DB = 0.0
+MIN_ALPHA_DB = -300.0
+# A passive link adds no gain either: each path gain r^-v is at most 1 (0 dB).
+# With v > 0 that is r >= 1 m, checked on r because r^-v overflows for tiny r.
+MIN_DISTANCE_M = 1.0
 # A sweep holds whole frames of K symbols, the LNA sampler at least one
 # symbol's N exponentials, and the sample-level generate_frame several arrays
 # of K*N complex samples (160 MB each at the cap).
@@ -91,6 +98,10 @@ class SystemParams:
             if getattr(self, name) > cap:
                 bad.append(name)
                 limits.append(f"{name} <= {cap:g}")
+        for name, floor in _FLOORS.items():
+            if getattr(self, name) < floor:
+                bad.append(name)
+                limits.append(f"{name} >= {floor:g}")
         for name, cap in (("n_samples", MAX_N_SAMPLES), ("k_symbols", MAX_K_SYMBOLS)):
             value = getattr(self, name)
             if not (isinstance(value, int) and 1 <= value <= cap):
@@ -100,9 +111,6 @@ class SystemParams:
         if isinstance(k, int) and isinstance(n, int) and k * n > MAX_FRAME_SAMPLES:
             bad += ["k_symbols", "n_samples"]
             limits.append(f"k_symbols * n_samples <= {MAX_FRAME_SAMPLES}")
-        for name in ("r0", "rst", "rtr"):
-            if not getattr(self, name) > 0:
-                bad.append(name)
         for name in ("v0", "vst", "vtr"):
             if not getattr(self, name) > 0:
                 bad.append(name)
@@ -176,6 +184,8 @@ _FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
 _INT_FIELDS = {"n_samples", "k_symbols"}
 _DB_CAPS = {"n_ar_dbm": MAX_DBM, "n_at_dbm": MAX_DBM, "n_cov_dbm": MAX_DBM,
             "ps_dbm": MAX_DBM, "alpha_db": MAX_ALPHA_DB}
+_FLOORS = {"alpha_db": MIN_ALPHA_DB, "r0": MIN_DISTANCE_M, "rst": MIN_DISTANCE_M,
+           "rtr": MIN_DISTANCE_M}
 
 
 def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:

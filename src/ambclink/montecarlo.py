@@ -1,9 +1,11 @@
 """Energy detection, end-to-end BER trials, and deterministic parallel sweeps.
 
-The unit of Monte Carlo work is a block: one (sweep point, mode) and a run of
-consecutive realizations with all their frames, drawn from one generator in
-sampler calls of at most BLOCK_SYMBOLS symbols (one call unless a single
-realization's frames exceed it).
+A sweep draws its channels once, into a table of realizations. The unit of
+Monte Carlo work is a block: a run of consecutive realizations of that table
+with all their frames, drawn from one generator in sampler calls of at most
+BLOCK_SYMBOLS symbols (one call unless a single realization's frames exceed
+it). A BER block serves one (sweep point, mode); a pilot-study block serves
+every pilot fraction at once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .analysis import (
     near_optimal_threshold,
     noise_power,
 )
-from .channel import ChannelRealization, channels_with_bdpr, draw_channels
+from .channel import ChannelRealization, draw_channels, draw_nonzero_channels
 from .config import MODES, SystemParams, valid_pilot_count
 from .errors import AmbclinkError, ConfigError, EstimationError
 from .estimation import (
@@ -43,7 +45,6 @@ SWEEP_PS = "ps_dbm"
 SWEEP_BDPR = "bdpr_db"
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-_PILOT_STUDY = "pilot_study"     # task kind of run_pilot_sweep: thresholds only
 BLOCK_SYMBOLS = 2 ** 14          # symbols per sampler call of a block, bounding its memory
 
 
@@ -76,22 +77,22 @@ class _Frames:
     failed: np.ndarray
 
 
-def _frame_runs(params, reals, n_frames, rng, mode, plan):
+def _frame_runs(params, reals, n_frames, rng, mode, plan, n_data):
     """Bits, then energies, of every (realization, frame, symbol) of a block,
     in runs of consecutive frames of at most BLOCK_SYMBOLS symbols (one frame
     per realization at least), each drawn in one sampler call: yields
-    (bits, energies), each of shape (len(reals), frames in the run, K).
-    Under a pilot plan the leading k_train symbols of each frame are its
-    pilots. A block of several realizations holds one run."""
+    (bits, energies), each of shape (len(reals), frames in the run, symbols).
+    A frame holds the plan's k_train pilots (none without a plan), then
+    n_data random data bits. A block of several realizations holds one run."""
     k_train = plan.k_train if plan is not None else 0
     # [d] is the (realization, 1, 1) column of the bit-d power and noise power
     power = np.array([(real.p0, real.p1) for real in reals]).T[:, :, None, None]
     noise = np.array([[noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
                       for real in reals]).T[:, :, None, None]
-    run = max(1, BLOCK_SYMBOLS // (len(reals) * params.k_symbols))
+    run = max(1, BLOCK_SYMBOLS // (len(reals) * (k_train + n_data)))
     for f0 in range(0, n_frames, run):
         shape = (len(reals), min(run, n_frames - f0))
-        bits = rng.integers(0, 2, (*shape, params.k_symbols - k_train))
+        bits = rng.integers(0, 2, (*shape, n_data))
         if plan is not None:
             bits = np.concatenate(
                 [np.broadcast_to(plan.pilot_bits, (*shape, k_train)), bits], axis=-1)
@@ -132,7 +133,8 @@ def _ber_block(params, reals, n_frames, rng, mode, policy) -> _Frames:
         delta0 = np.array([m.delta0 for m in true_m])[:, None]
         delta1 = np.array([m.delta1 for m in true_m])[:, None]
     runs = []
-    for bits, energies in _frame_runs(params, reals, n_frames, rng, mode, plan):
+    n_data = params.k_symbols - (plan.k_train if plan is not None else 0)
+    for bits, energies in _frame_runs(params, reals, n_frames, rng, mode, plan, n_data):
         if plan is None:
             threshold = np.broadcast_to(np.array(true_t)[:, None], bits.shape[:2])
             failed = np.zeros(bits.shape[:2], dtype=bool)
@@ -241,58 +243,75 @@ def wilson_halfwidth(errors: int, bits: int, z: float = _WILSON_Z) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits))
 
 
-def _block_task(task):
-    """One block: a (sweep point, mode) and a run of consecutive
-    realizations, with all their frames. A pure function of the task, so
-    results do not depend on the worker count.
+def _channel_table(params, with_bdpr, n_realizations, master_seed) -> list:
+    """Realization r of every point and mode of a sweep, drawn once from seed
+    (master, r, 1) under `params`. The seed excludes the mode and the point,
+    so modes are compared on identical fading and curves are paired across
+    points (common random numbers). With a BDPR target, an entry is the draw
+    that channels_with_bdpr rescales; blocks compose it per point."""
+    draw = draw_nonzero_channels if with_bdpr else draw_channels
+    return [draw(params, np.random.default_rng(np.random.SeedSequence((master_seed, r, 1))))
+            for r in range(n_realizations)]
 
-    Each channel is drawn once from seed (master, r, 1), which excludes the
-    mode and the sweep point: modes are compared on identical fading, and
-    sweep curves are paired across points (common random numbers), so
-    point-to-point wiggle reflects the swept variable rather than fresh
-    fading draws. The block's frames share one generator seeded
-    (master, *point_key, r0, 2), with r0 its first realization.
-    """
-    params, mode, policy, bdpr_db, n_frames, master_seed, point_key, r0, n_real = task
-    reals = []
-    for r_idx in range(r0, r0 + n_real):
-        ch_rng = np.random.default_rng(np.random.SeedSequence((master_seed, r_idx, 1)))
-        reals.append(draw_channels(params, ch_rng) if bdpr_db is None
-                     else channels_with_bdpr(params, bdpr_db, ch_rng))
+
+def _blocks(table, symbols: int) -> list:
+    """(r0, realizations) of each block: runs of consecutive entries of the
+    table, about BLOCK_SYMBOLS symbols in all at `symbols` per realization.
+    Their size follows from the sweep alone, never from the worker count."""
+    size = max(1, BLOCK_SYMBOLS // symbols)
+    return [(r0, tuple(table[r0:r0 + size])) for r0 in range(0, len(table), size)]
+
+
+def _ber_task(task) -> _Frames:
+    """One BER block: a (sweep point, mode) and a run of realizations of the
+    channel table, with all their frames. A pure function of the task, so
+    results do not depend on the worker count. The frames share one
+    generator seeded (master, *point_key, r0, 2), with r0 the first
+    realization."""
+    params, mode, policy, bdpr_db, n_frames, master_seed, point_key, r0, drawn = task
+    reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, *point_key, r0, 2)))
-    if policy == _PILOT_STUDY:
-        t_true = [near_optimal_threshold(hypothesis_moments(params, real, mode))
-                  for real in reals]
-        plan = PilotPlan(params.k_train)
-        runs = [_estimated_thresholds(energies, plan)[1:]
-                for _, energies in _frame_runs(params, reals, n_frames, rng, mode, plan)]
-        threshold, failed = (np.concatenate(x, axis=1) for x in zip(*runs))
-        return t_true, threshold, failed
     return _ber_block(params, reals, n_frames, rng, mode, policy)
 
 
-def _block_tasks(params, mode, policy, bdpr_db, n_frames, n_realizations,
-                 master_seed, point_key) -> list:
-    """The blocks of one (sweep point, mode). Their size follows from the
-    spec alone, never from the worker count, and keeps a block near
-    BLOCK_SYMBOLS symbols."""
-    size = max(1, BLOCK_SYMBOLS // (n_frames * params.k_symbols))
-    return [(params, mode, policy, bdpr_db, n_frames, master_seed, point_key,
-             r0, min(size, n_realizations - r0))
-            for r0 in range(0, n_realizations, size)]
+def _pilot_task(task):
+    """One pilot-study block, for every pilot count in `k_trains` at once:
+    the true threshold once per realization, then per frame only the pilots
+    of the largest count, drawn from one generator seeded (master, r0, 2).
+    The pilot bits alternate 0/1, so the first k of them are exactly the
+    plan of count k, and each count estimates from that prefix of the same
+    energies. Returns the true thresholds and the estimated thresholds and
+    failure flags, of shape (len(k_trains), realizations, frames)."""
+    params, mode, k_trains, n_frames, master_seed, r0, reals = task
+    t_true = [near_optimal_threshold(hypothesis_moments(params, real, mode))
+              for real in reals]
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, r0, 2)))
+    plans = [PilotPlan(k) for k in k_trains]
+    threshold = np.empty((len(plans), len(reals), n_frames))
+    failed = np.empty(threshold.shape, dtype=bool)
+    f0 = 0
+    longest = PilotPlan(max(k_trains))
+    for _, energies in _frame_runs(params, reals, n_frames, rng, mode, longest, 0):
+        f1 = f0 + energies.shape[1]
+        for i, plan in enumerate(plans):
+            _, threshold[i, :, f0:f1], failed[i, :, f0:f1] = _estimated_thresholds(energies, plan)
+        f0 = f1
+    return t_true, threshold, failed
 
 
-def _map_blocks(groups: list, workers: int) -> list:
-    """The results of _block_task for each group of tasks, group by group;
-    the only place a process pool is opened. At least four chunks per worker
-    keep the load balanced when one worker runs slower than the other."""
+def _map_blocks(fn, groups: list, workers: int) -> list:
+    """The results of `fn` for each group of tasks, group by group; the only
+    place a process pool is opened, and only for two tasks or more (tasks
+    are pure, so this cannot change a result). At least four chunks per
+    worker keep the load balanced when one worker runs slower than the
+    other."""
     tasks = [task for group in groups for task in group]
-    if workers > 1:
+    if workers > 1 and len(tasks) > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = iter(list(pool.map(_block_task, tasks, chunksize=chunksize)))
+            results = iter(list(pool.map(fn, tasks, chunksize=chunksize)))
     else:
-        results = map(_block_task, tasks)
+        results = map(fn, tasks)
     return [[next(results) for _ in group] for group in groups]
 
 
@@ -335,6 +354,9 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
+    with_bdpr = spec.sweep_var == SWEEP_BDPR or spec.fixed_bdpr_db is not None
+    table = _channel_table(spec.scenario, with_bdpr, spec.n_realizations, spec.master_seed)
+    blocks = _blocks(table, spec.n_frames * spec.scenario.k_symbols)
     groups = []
     for pi, value in enumerate(spec.values):
         if spec.sweep_var == SWEEP_PS:
@@ -343,12 +365,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
         else:
             params, bdpr_db = spec.scenario, float(value)
         groups.extend(
-            _block_tasks(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames,
-                         spec.n_realizations, spec.master_seed, (pi, mi))
+            [(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames, spec.master_seed,
+              (pi, mi), r0, drawn) for r0, drawn in blocks]
             for mi, mode in enumerate(spec.modes))
     points = ((value, mode) for value in spec.values for mode in spec.modes)
-    return [_ber_point(spec, value, mode, blocks)
-            for (value, mode), blocks in zip(points, _map_blocks(groups, workers))]
+    return [_ber_point(spec, value, mode, results) for (value, mode), results
+            in zip(points, _map_blocks(_ber_task, groups, workers))]
 
 
 @dataclass(frozen=True)
@@ -374,21 +396,28 @@ def run_pilot_sweep(
 ) -> list[PilotPoint]:
     """Relative threshold-error statistics versus pilot overhead.
 
-    Each fraction reuses the same channel/noise seed schedule (frame seeds
-    carry no point index) so points differ only in pilot count.
+    The fractions are paired (common random numbers): every fraction sees the
+    same channels and the same frames, and a fraction with k pilots estimates
+    from the first k pilot energies of each frame, drawn once for the
+    largest fraction (see _pilot_task). Frames carry pilots only: the data
+    symbols play no part in the estimate and are not drawn.
     """
     _check_counts(n_frames, n_realizations)
-    if any(frac <= 0 for frac in fractions):  # SystemParams reads 0 as "no pilots"
-        raise ConfigError("pilot fractions must be > 0", fields=("pilot_fraction",))
+    if not fractions or any(frac <= 0 for frac in fractions):  # 0 reads as "no pilots"
+        raise ConfigError("pilot fractions must be a nonempty list of values > 0",
+                          fields=("pilot_fraction",))
     per_fraction = [replace(params, pilot_fraction=float(frac)) for frac in fractions]
-    groups = [_block_tasks(p, mode, _PILOT_STUDY, None, n_frames, n_realizations,
-                           master_seed, ()) for p in per_fraction]
+    k_trains = tuple(p.k_train for p in per_fraction)
+    table = _channel_table(params, False, n_realizations, master_seed)
+    tasks = [(params, mode, k_trains, n_frames, master_seed, r0, reals)
+             for r0, reals in _blocks(table, n_frames * max(k_trains))]
+    (blocks,) = _map_blocks(_pilot_task, [tasks], workers)
 
     points = []
-    for p, blocks in zip(per_fraction, _map_blocks(groups, workers)):
+    for i, p in enumerate(per_fraction):
         errs = []
         for t_true, threshold, failed in blocks:
-            for t, thr, bad in zip(t_true, threshold, failed):
+            for t, thr, bad in zip(t_true, threshold[i], failed[i]):
                 for t_est in thr[~bad].tolist():
                     with suppress(EstimationError):   # a failed frame
                         errs.append(relative_threshold_error(t, t_est))

@@ -56,7 +56,7 @@ class TestDrawChannels:
         assert mean_sq == pytest.approx(expected, rel=0.015)
 
     def test_negligible_tag_coefficient_collapses_hypotheses(self, paper_params):
-        p = replace(paper_params, alpha_db=-400.0)
+        p = replace(paper_params, alpha_db=-300.0)
         rng = np.random.default_rng(7)
         for _ in range(100):
             r = draw_channels(p, rng)

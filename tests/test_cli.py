@@ -197,7 +197,9 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, command, ba
     ({"ps_dbm": 100000}, ("ps_dbm",)),
     ({"n_cov_dbm": 1e4}, ("n_cov_dbm",)),
     ({"k_symbols": 10 ** 9, "n_samples": 10 ** 6}, ("k_symbols", "n_samples")),
-], ids=["ps-dbm", "noise-dbm", "frame-size"])
+    ({"r0": 1e-40}, ("r0",)),
+    ({"alpha_db": -4000}, ("alpha_db",)),
+], ids=["ps-dbm", "noise-dbm", "frame-size", "path-gain", "tag-gain-floor"])
 def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, command, doc,
                                                          named):
     scenario = _scenario_file(tmp_path, **{"k_symbols": 200, **doc})
@@ -271,7 +273,7 @@ class TestVerify:
         assert rc == EXIT_OK
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("doc", [{"beta3": -1e-20}, {"alpha_db": -400.0}],
+    @pytest.mark.parametrize("doc", [{"beta3": -1e-20}, {"alpha_db": -300.0}],
                              ids=["near-linear-lna", "weak-tag"])
     def test_derived_operating_points_stay_in_range(self, tmp_path, capsys, doc):
         # the sampler check derives Ps (compression) and the tag noise

@@ -12,6 +12,8 @@ from ambclink.config import (
     MAX_FRAME_SAMPLES,
     MAX_K_SYMBOLS,
     MAX_N_SAMPLES,
+    MIN_ALPHA_DB,
+    MIN_DISTANCE_M,
     PAPER_DEFAULTS,
     db_to_amplitude_gain,
     db_to_power_gain,
@@ -200,6 +202,29 @@ class TestSystemParams:
             replace(paper_params, alpha_db=1e5)
         assert tuple(ei.value.fields) == ("alpha_db",)
 
+    def test_tag_gain_bounded_below(self, paper_params):
+        from dataclasses import replace
+        assert replace(paper_params, alpha_db=MIN_ALPHA_DB).alpha_amp == pytest.approx(1e-15)
+        # -4000 dB once underflowed to a zero tag gain, and verify divided by it
+        for bad in (math.nextafter(MIN_ALPHA_DB, -math.inf), -4000.0):
+            with pytest.raises(ConfigError) as ei:
+                replace(paper_params, alpha_db=bad)
+            assert tuple(ei.value.fields) == ("alpha_db",)
+            assert f"alpha_db >= {MIN_ALPHA_DB:g}" in str(ei.value)
+
+    @pytest.mark.parametrize("distance, exponent", [("r0", "v0"), ("rst", "vst"),
+                                                    ("rtr", "vtr")])
+    def test_path_gain_at_most_0_db(self, paper_params, distance, exponent):
+        from dataclasses import replace
+        at_bound = replace(paper_params, **{distance: MIN_DISTANCE_M})
+        assert getattr(at_bound, distance) ** -getattr(at_bound, exponent) == 1.0
+        # 1e-40 m once loaded, and r^-v = 1e180 overflowed in the closed forms
+        for bad in (math.nextafter(MIN_DISTANCE_M, 0.0), 1e-40, -5.0):
+            with pytest.raises(ConfigError) as ei:
+                replace(paper_params, **{distance: bad})
+            assert tuple(ei.value.fields) == (distance,)
+            assert f"{distance} >= {MIN_DISTANCE_M:g}" in str(ei.value)
+
     def test_frame_size_capped(self):
         base = {"paper_defaults": True, "pilot_fraction": 0.0}
         load_scenario({**base, "k_symbols": MAX_K_SYMBOLS, "n_samples": 10})
@@ -258,7 +283,10 @@ def test_load_rejects_or_returns_finite_in_range_fields(doc):
         assert math.isfinite(getattr(p, name))
     for name in ("ps_dbm", "n_ar_dbm", "n_at_dbm", "n_cov_dbm"):
         assert getattr(p, name) <= MAX_DBM
-    assert p.alpha_db <= MAX_ALPHA_DB
+    assert MIN_ALPHA_DB <= p.alpha_db <= MAX_ALPHA_DB
+    for distance, exponent in (("r0", "v0"), ("rst", "vst"), ("rtr", "vtr")):
+        assert getattr(p, distance) >= MIN_DISTANCE_M
+        assert getattr(p, distance) ** -getattr(p, exponent) <= 1.0
     assert 1 <= p.k_symbols <= MAX_K_SYMBOLS and 1 <= p.n_samples <= MAX_N_SAMPLES
     assert p.k_symbols * p.n_samples <= MAX_FRAME_SAMPLES
     for linear in (p.ps, p.n_ar, p.n_at, p.n_cov, p.alpha_amp):

@@ -14,9 +14,16 @@ from ambclink.analysis import (
     hypothesis_moments,
     near_optimal_threshold,
 )
-from ambclink.channel import ChannelRealization
+from ambclink.channel import ChannelRealization, draw_channels
 from ambclink.errors import ConfigError
-from ambclink.estimation import PilotPlan, estimate_moments, pilot_statistics
+from ambclink.estimation import (
+    PilotPlan,
+    estimate_moments,
+    estimated_threshold,
+    moments_from_statistics,
+    pilot_statistics,
+    relative_threshold_error,
+)
 from ambclink.frontend import draw_energies, frame_energies
 from ambclink.oracles import grid_min_threshold
 from ambclink.montecarlo import (
@@ -240,8 +247,8 @@ class TestBlocks:
         return replace(paper_params, k_symbols=400, n_samples=10, pilot_fraction=0.1)
 
     def test_two_blocks(self, block_params):
-        tasks = mc._block_tasks(block_params, LNA, CLOSED_FORM_TRUE, None, 4, 12, 0, ())
-        assert [(t[-2], t[-1]) for t in tasks] == [(0, 10), (10, 2)]
+        blocks = mc._blocks(range(12), 4 * block_params.k_symbols)
+        assert [(r0, len(reals)) for r0, reals in blocks] == [(0, 10), (10, 2)]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sweep_worker_invariance_across_blocks(self, block_params, policy):
@@ -303,3 +310,78 @@ def test_sweep_identical_at_one_and_two_workers(paper_params, k, n, r, f, policy
                      n_realizations=r, master_seed=seed)
     # repr compares NaN fields (a point whose frames all failed) as equal
     assert repr(run_sweep(spec, workers=1)) == repr(run_sweep(spec, workers=2))
+
+
+class TestPilotSweep:
+    """All fractions share one draw: per frame the pilots of the largest
+    fraction, of which each fraction reads a prefix."""
+
+    @pytest.fixture(scope="class")
+    def k200(self, paper_params):
+        return replace(paper_params, k_symbols=200, pilot_fraction=0.0)
+
+    def test_fractions_estimate_from_prefixes_of_one_draw(self, k200, monkeypatch):
+        drawn = []
+
+        def recording(*args):
+            drawn.append(draw_energies(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(mc, "draw_energies", recording)
+        fractions = (0.05, 0.2, 0.1)
+        points = run_pilot_sweep(k200, fractions, LNA, n_realizations=1, n_frames=30,
+                                 master_seed=12, workers=1)
+        (energies,) = drawn
+        assert energies.shape == (1, 30, 40)
+        real = draw_channels(k200, np.random.default_rng(np.random.SeedSequence((12, 0, 1))))
+        t_true = near_optimal_threshold(hypothesis_moments(k200, real, LNA))
+        for frac, pt in zip(fractions, points):
+            k = round(frac * 200)
+            stats = pilot_statistics(energies[0, :, :k], PilotPlan(k))
+            errs = [relative_threshold_error(
+                        t_true, estimated_threshold(moments_from_statistics(*row)))
+                    for row in zip(*stats)]
+            assert (pt.k_train, pt.frames, pt.failures) == (k, 30, 0)
+            assert (pt.r_mean, pt.r_median, pt.r_p90) == (
+                float(np.mean(errs)), float(np.median(errs)), float(np.percentile(errs, 90)))
+
+    @pytest.mark.parametrize("n_realizations, n_frames", [(5, 100), (1, 500)],
+                             ids=["blocks-of-realizations", "runs-of-frames"])
+    def test_draws_only_the_largest_fractions_pilots(self, k200, monkeypatch,
+                                                     n_realizations, n_frames):
+        symbols = []
+
+        def counting(params, bits, *args):
+            symbols.append(bits.size)
+            return draw_energies(params, bits, *args)
+
+        monkeypatch.setattr(mc, "draw_energies", counting)
+        run_pilot_sweep(k200, (0.05, 0.2, 0.1), LNA, n_realizations=n_realizations,
+                        n_frames=n_frames, master_seed=3, workers=1)
+        assert max(symbols) <= mc.BLOCK_SYMBOLS
+        assert sum(symbols) == n_realizations * n_frames * 40
+
+
+class TestPool:
+    def _no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was opened")
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+
+    def test_single_task_pilot_sweep_opens_no_pool(self, paper_params, monkeypatch):
+        p = replace(paper_params, k_symbols=200, pilot_fraction=0.0)
+        args = (p, (0.05, 0.1, 0.2, 0.4), LNA, 4, 50, 9)
+        serial = run_pilot_sweep(*args, workers=1)
+        self._no_pool(monkeypatch)
+        assert run_pilot_sweep(*args, workers=2) == serial
+
+    def test_single_task_ber_sweep_opens_no_pool(self, small_spec, monkeypatch):
+        spec = replace(small_spec, values=(0.0,), modes=(LNA,))
+        serial = run_sweep(spec, workers=1)
+        self._no_pool(monkeypatch)
+        assert run_sweep(spec, workers=2) == serial
+
+    def test_two_tasks_open_a_pool(self, small_spec, monkeypatch):
+        self._no_pool(monkeypatch)
+        with pytest.raises(AssertionError, match="pool"):
+            run_sweep(replace(small_spec, modes=(LNA,)), workers=2)
