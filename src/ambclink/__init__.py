@@ -15,7 +15,7 @@ from .analysis import (
     nolna_moments,
     q_function,
 )
-from .channel import ChannelRealization, bdpr, channels_with_bdpr, draw_channels
+from .channel import ChannelRealization, bdpr, draw_channels, draw_nonzero_channels
 from .config import (
     LNA,
     NO_LNA,
@@ -37,16 +37,16 @@ from .errors import (
 )
 from .estimation import (
     PilotPlan,
-    estimate_moments,
     estimated_threshold,
+    pilot_statistics,
     relative_threshold_error,
 )
 from .frontend import SymbolFrame, frame_energies, generate_frame, symbol_energies
 from .montecarlo import (
     BerPoint,
+    BlockResult,
     SweepSpec,
-    TrialResult,
-    ber_trial,
+    ber_block,
     detect,
     run_pilot_sweep,
     run_sweep,
@@ -55,6 +55,7 @@ from .montecarlo import (
 __all__ = [
     "AmbclinkError",
     "BerPoint",
+    "BlockResult",
     "ChannelRealization",
     "ConfigError",
     "EstimationError",
@@ -69,11 +70,9 @@ __all__ = [
     "SweepSpec",
     "SymbolFrame",
     "SystemParams",
-    "TrialResult",
     "bdpr",
+    "ber_block",
     "ber_closed_form",
-    "ber_trial",
-    "channels_with_bdpr",
     "db_to_power_gain",
     "dbm_to_watts",
     "deflection_lna_approx",
@@ -81,7 +80,7 @@ __all__ = [
     "deflection_no_lna",
     "detect",
     "draw_channels",
-    "estimate_moments",
+    "draw_nonzero_channels",
     "estimated_threshold",
     "frame_energies",
     "generate_frame",
@@ -90,6 +89,7 @@ __all__ = [
     "load_scenario",
     "near_optimal_threshold",
     "nolna_moments",
+    "pilot_statistics",
     "q_function",
     "read_scenario",
     "relative_threshold_error",

@@ -6,14 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelRealization
 from .config import LNA, MODES, NO_LNA, SystemParams
 from .errors import ModelValidityError, NoSeparationError
-
-CLOSED_FORM = "closed_form"
-ESTIMATED = "estimated"
 
 
 @dataclass(frozen=True)
@@ -24,7 +19,6 @@ class HypothesisMoments:
     delta1: float   # mean under H1, watts
     var0: float     # variance under H0, watts^2
     var1: float     # variance under H1, watts^2
-    source: str = CLOSED_FORM
 
     def __post_init__(self):
         finite = all(
@@ -105,15 +99,9 @@ def hypothesis_moments(
     return HypothesisMoments(delta0=d0, delta1=d1, var0=v0, var1=v1)
 
 
-_erfc_array = np.vectorize(math.erfc, otypes=[float])
-
-
-def q_function(x):
-    """Gaussian tail probability Q(x), via the complementary error function;
-    x is a number (a float is returned) or an array of them."""
-    if isinstance(x, (int, float)):
-        return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
-    return 0.5 * _erfc_array(np.asarray(x, dtype=float) / math.sqrt(2.0))
+def q_function(x: float) -> float:
+    """Gaussian tail probability Q(x), via the complementary error function."""
+    return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
 
 
 def ber_closed_form(m: HypothesisMoments, threshold: float) -> float:
@@ -163,7 +151,10 @@ def _root_of_pdf_equality(m: HypothesisMoments) -> float:
         if fb == 0.0:
             return b
         if fa * fb < 0:
-            return float(brentq(lambda t: _log_pdf_diff(m, t), a, b, xtol=1e-300, rtol=1e-15))
+            try:
+                return float(brentq(lambda t: _log_pdf_diff(m, t), a, b, xtol=1e-300, rtol=1e-15))
+            except RuntimeError as exc:   # brentq ran out of iterations
+                raise ModelValidityError(f"PDF-equality root did not converge: {exc}") from exc
     raise ModelValidityError("PDF-equality root not bracketable for these moments")
 
 

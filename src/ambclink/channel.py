@@ -83,16 +83,3 @@ def draw_nonzero_channels(params: SystemParams, rng: np.random.Generator,
             return real
     raise UndefinedRatioError("could not draw nonzero channels for BDPR rescaling")
 
-
-def channels_with_bdpr(
-    params: SystemParams,
-    target_bdpr_db: float,
-    rng: np.random.Generator,
-    max_retries: int = 16,
-) -> ChannelRealization:
-    """Draw a realization and rescale hst so bdpr() hits the target exactly.
-
-    Only hst is touched; h0 and htr keep their drawn values.
-    """
-    real = draw_nonzero_channels(params, rng, max_retries)
-    return real.at_operating_point(params, target_bdpr_db)

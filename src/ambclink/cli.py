@@ -140,7 +140,7 @@ def _ber_sweep(args, params: SystemParams):
         n_frames=args.frames,
         n_realizations=args.realizations,
         master_seed=args.seed,
-        fixed_bdpr_db=args.bdpr if sweep_var == SWEEP_PS else None,
+        fixed_bdpr_db=args.bdpr,
     )
     points = run_sweep(spec, workers=args.workers)
     flags = {

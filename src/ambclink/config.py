@@ -56,6 +56,9 @@ MIN_ALPHA_DB = -300.0
 # A passive link adds no gain either: each path gain r^-v is at most 1 (0 dB).
 # With v > 0 that is r >= 1 m, checked on r because r^-v overflows for tiny r.
 MIN_DISTANCE_M = 1.0
+# A pinned or swept BDPR rescales hst by 10^(BDPR/20). At the paper's defaults
+# sweeps ran clean up to 200 dB; from about 280 dB (less at high Ps) they fail.
+MAX_BDPR_DB = 200.0
 # A sweep holds whole frames of K symbols, the LNA sampler at least one
 # symbol's N exponentials, and the sample-level generate_frame several arrays
 # of K*N complex samples (160 MB each at the cap).

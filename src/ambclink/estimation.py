@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ESTIMATED, HypothesisMoments, near_optimal_threshold
+from .analysis import HypothesisMoments, near_optimal_threshold
 from .config import valid_pilot_count
 from .errors import EstimationError, ModelValidityError
 
@@ -49,26 +49,15 @@ def pilot_statistics(energies: np.ndarray, plan: PilotPlan):
     return means[0], means[1], variances[0], variances[1]
 
 
-def moments_from_statistics(delta0, delta1, var0, var1) -> HypothesisMoments:
-    """The estimated moments of one frame from its pilot statistics (see
-    `pilot_statistics`); a zero group variance is a degenerate estimate."""
-    if var0 <= 0 or var1 <= 0:
-        raise EstimationError("degenerate estimate: zero pilot-group variance")
-    return HypothesisMoments(delta0=float(delta0), delta1=float(delta1), var0=float(var0),
-                             var1=float(var1), source=ESTIMATED)
-
-
-def estimate_moments(energies: np.ndarray, plan: PilotPlan) -> HypothesisMoments:
-    """The moments of one frame estimated from its leading pilot energies."""
-    return moments_from_statistics(*pilot_statistics(np.ravel(energies), plan))
-
-
-def estimated_threshold(m: HypothesisMoments) -> float:
-    """Near-optimal threshold evaluated at estimated moments."""
+def estimated_threshold(delta0, delta1, var0, var1) -> float:
+    """Near-optimal threshold at the moments one frame's pilot statistics
+    estimate (see `pilot_statistics`). A zero group variance, or moments
+    with no defined threshold, is a degenerate estimate."""
     try:
-        return near_optimal_threshold(m)
+        return near_optimal_threshold(HypothesisMoments(
+            delta0=float(delta0), delta1=float(delta1), var0=float(var0), var1=float(var1)))
     except ModelValidityError as exc:
-        raise EstimationError(f"estimated threshold undefined: {exc}") from exc
+        raise EstimationError(f"degenerate estimate: {exc}") from exc
 
 
 def relative_threshold_error(t_true: float, t_est: float) -> float:

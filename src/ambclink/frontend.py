@@ -22,12 +22,10 @@ SAMPLER_CHUNK = 2 ** 15  # exponential samples the LNA sampler holds at once
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """A generated frame: K tag bits, K*N complex samples, K energy statistics."""
+    """A generated frame: K*N complex samples and K energy statistics."""
 
-    bits: np.ndarray        # (K,) int, {0,1}
     samples: np.ndarray     # (K*N,) complex
     energies: np.ndarray    # (K,) float, watts
-    mode: str
 
 
 def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
@@ -93,7 +91,7 @@ def generate_frame(
              + params.beta1 * w_ar + w_cov
              + params.beta1 * alpha * real.htr * d * w_at)
 
-    return SymbolFrame(bits=bits, samples=y, energies=symbol_energies(y, n), mode=mode)
+    return SymbolFrame(samples=y, energies=symbol_energies(y, n))
 
 
 def frame_energies(

@@ -23,13 +23,12 @@ from .analysis import (
     near_optimal_threshold,
     noise_power,
 )
-from .channel import ChannelRealization, draw_channels, draw_nonzero_channels
-from .config import MODES, SystemParams, valid_pilot_count
+from .channel import draw_channels, draw_nonzero_channels
+from .config import MAX_BDPR_DB, MODES, SystemParams, valid_pilot_count
 from .errors import AmbclinkError, ConfigError, EstimationError
 from .estimation import (
     PilotPlan,
     estimated_threshold,
-    moments_from_statistics,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -57,18 +56,9 @@ def detect(energies, threshold, delta0, delta1) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    errors: int
-    bits: int
-    threshold: float
-    ber_closed_form: float
-    failed: bool = False
-
-
-@dataclass(frozen=True)
-class _Frames:
+class BlockResult:
     """Per-frame results of a block: arrays of shape (realizations, frames).
-    A failed frame counts no errors and no bits."""
+    A failed frame counts no errors and no bits; its threshold and closed form are NaN."""
 
     errors: np.ndarray
     bits: np.ndarray
@@ -107,21 +97,25 @@ def _estimated_thresholds(energies, plan):
     failed = np.zeros(stats[0].shape, dtype=bool)
     for idx in np.ndindex(threshold.shape):
         try:
-            threshold[idx] = estimated_threshold(moments_from_statistics(*(s[idx] for s in stats)))
+            threshold[idx] = estimated_threshold(*(s[idx] for s in stats))
         except AmbclinkError:
             failed[idx] = True
     return stats, threshold, failed
 
 
-def _ber_block(params, reals, n_frames, rng, mode, policy) -> _Frames:
-    """Every frame of the realizations `reals`: the closed forms once per
-    realization, then per run of frames one sampler call and one vectorized
-    detection pass.
+def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generator,
+              mode: str, policy: str = CLOSED_FORM_TRUE) -> BlockResult:
+    """Every frame of the realizations `reals`: draw bits and their energies,
+    pick a threshold per policy, detect, and count errors on data symbols.
+    The closed forms are taken once per realization, then per run of frames
+    come one sampler call and one vectorized detection pass.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
     it never sees ground truth; its thresholds are taken per frame.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown threshold policy {policy!r}")
     true_m = [hypothesis_moments(params, real, mode) for real in reals]
     plan = PilotPlan(params.k_train) if policy == ESTIMATED_POLICY else None
     if plan is None:
@@ -151,30 +145,7 @@ def _ber_block(params, reals, n_frames, rng, mode, policy) -> _Frames:
         closed = np.full(failed.shape, math.nan)
         for r, f in zip(*np.nonzero(~failed)):
             closed[r, f] = ber_closed_form(true_m[r], float(threshold[r, f]))
-    return _Frames(errors, n_bits, threshold, closed, failed)
-
-
-def ber_trial(
-    params: SystemParams,
-    real: ChannelRealization,
-    rng: np.random.Generator,
-    mode: str,
-    threshold_policy: str = CLOSED_FORM_TRUE,
-) -> TrialResult:
-    """One frame: draw bits, draw their energy statistics, pick a threshold
-    per policy, detect, and count errors on data symbols. The one-realization,
-    one-frame case of a Monte Carlo block."""
-    if threshold_policy not in POLICIES:
-        raise ValueError(f"unknown threshold policy {threshold_policy!r}")
-    frames = _ber_block(params, [real], 1, rng, mode, threshold_policy)
-    if frames.failed[0, 0]:
-        return TrialResult(0, 0, math.nan, math.nan, failed=True)
-    return TrialResult(
-        errors=int(frames.errors[0, 0]),
-        bits=int(frames.bits[0, 0]),
-        threshold=float(frames.threshold[0, 0]),
-        ber_closed_form=float(frames.ber_closed_form[0, 0]),
-    )
+    return BlockResult(errors, n_bits, threshold, closed, failed)
 
 
 def _check_counts(n_frames: int, n_realizations: int) -> None:
@@ -214,6 +185,16 @@ class SweepSpec:
                 f"the {ESTIMATED_POLICY} policy needs an even pilot count >= 4, got "
                 f"k_train={self.scenario.k_train} (pilot_fraction="
                 f"{self.scenario.pilot_fraction})", fields=("pilot_fraction",))
+        pinned = () if self.fixed_bdpr_db is None else (self.fixed_bdpr_db,)
+        if pinned and self.sweep_var == SWEEP_BDPR:
+            raise ConfigError("fixed_bdpr_db pins the BDPR of a ps sweep, not of a bdpr sweep",
+                              fields=("fixed_bdpr_db",))
+        field, bdprs = (("values", self.values) if self.sweep_var == SWEEP_BDPR
+                        else ("fixed_bdpr_db", pinned))
+        bad = [b for b in bdprs if not (math.isfinite(b) and abs(b) <= MAX_BDPR_DB)]
+        if bad:
+            raise ConfigError(f"bdpr must be finite and within +-{MAX_BDPR_DB:g} dB, got "
+                              f"{field} {bad[0]!r}", fields=(field,))
         _check_counts(self.n_frames, self.n_realizations)
 
 
@@ -247,8 +228,9 @@ def _channel_table(params, with_bdpr, n_realizations, master_seed) -> list:
     """Realization r of every point and mode of a sweep, drawn once from seed
     (master, r, 1) under `params`. The seed excludes the mode and the point,
     so modes are compared on identical fading and curves are paired across
-    points (common random numbers). With a BDPR target, an entry is the draw
-    that channels_with_bdpr rescales; blocks compose it per point."""
+    points (common random numbers). With a BDPR target, an entry is the
+    first all-nonzero draw (draw_nonzero_channels); blocks rescale it to
+    their target with at_operating_point."""
     draw = draw_nonzero_channels if with_bdpr else draw_channels
     return [draw(params, np.random.default_rng(np.random.SeedSequence((master_seed, r, 1))))
             for r in range(n_realizations)]
@@ -262,7 +244,7 @@ def _blocks(table, symbols: int) -> list:
     return [(r0, tuple(table[r0:r0 + size])) for r0 in range(0, len(table), size)]
 
 
-def _ber_task(task) -> _Frames:
+def _ber_task(task) -> BlockResult:
     """One BER block: a (sweep point, mode) and a run of realizations of the
     channel table, with all their frames. A pure function of the task, so
     results do not depend on the worker count. The frames share one
@@ -271,7 +253,7 @@ def _ber_task(task) -> _Frames:
     params, mode, policy, bdpr_db, n_frames, master_seed, point_key, r0, drawn = task
     reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, *point_key, r0, 2)))
-    return _ber_block(params, reals, n_frames, rng, mode, policy)
+    return ber_block(params, reals, n_frames, rng, mode, policy)
 
 
 def _pilot_task(task):
@@ -354,20 +336,17 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
+    # each point's scenario first: a power out of range fails before any draw
+    at_points = [(replace(spec.scenario, ps_dbm=float(value)), spec.fixed_bdpr_db)
+                 if spec.sweep_var == SWEEP_PS else (spec.scenario, float(value))
+                 for value in spec.values]
     with_bdpr = spec.sweep_var == SWEEP_BDPR or spec.fixed_bdpr_db is not None
     table = _channel_table(spec.scenario, with_bdpr, spec.n_realizations, spec.master_seed)
     blocks = _blocks(table, spec.n_frames * spec.scenario.k_symbols)
-    groups = []
-    for pi, value in enumerate(spec.values):
-        if spec.sweep_var == SWEEP_PS:
-            params = replace(spec.scenario, ps_dbm=float(value))
-            bdpr_db = spec.fixed_bdpr_db
-        else:
-            params, bdpr_db = spec.scenario, float(value)
-        groups.extend(
-            [(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames, spec.master_seed,
-              (pi, mi), r0, drawn) for r0, drawn in blocks]
-            for mi, mode in enumerate(spec.modes))
+    groups = [[(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames, spec.master_seed,
+                (pi, mi), r0, drawn) for r0, drawn in blocks]
+              for pi, (params, bdpr_db) in enumerate(at_points)
+              for mi, mode in enumerate(spec.modes)]
     points = ((value, mode) for value in spec.values for mode in spec.modes)
     return [_ber_point(spec, value, mode, results) for (value, mode), results
             in zip(points, _map_blocks(_ber_task, groups, workers))]
@@ -402,6 +381,8 @@ def run_pilot_sweep(
     largest fraction (see _pilot_task). Frames carry pilots only: the data
     symbols play no part in the estimate and are not drawn.
     """
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}", fields=("mode",))
     _check_counts(n_frames, n_realizations)
     if not fractions or any(frac <= 0 for frac in fractions):  # 0 reads as "no pilots"
         raise ConfigError("pilot fractions must be a nonempty list of values > 0",

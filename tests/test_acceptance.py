@@ -29,7 +29,7 @@ from ambclink.montecarlo import (
     ESTIMATED_POLICY,
     SWEEP_PS,
     SweepSpec,
-    ber_trial,
+    ber_block,
     detect,
     run_pilot_sweep,
     run_sweep,
@@ -311,10 +311,10 @@ def test_criterion_8_pilot_estimation(params):
         for f in range(600):
             rng = np.random.default_rng(
                 np.random.SeedSequence((PILOT_SEED, 0, 2, f, 9)))
-            res = ber_trial(pe, real, rng, LNA, policy)
-            if not res.failed:
-                errors += res.errors
-                bits += res.bits
+            res = ber_block(pe, [real], 1, rng, LNA, policy)
+            if not res.failed[0, 0]:
+                errors += int(res.errors[0, 0])
+                bits += int(res.bits[0, 0])
         counts[policy] = errors / bits
     excess = counts[ESTIMATED_POLICY] / counts[CLOSED_FORM_TRUE] - 1.0
     close = excess <= 0.10

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from ambclink import UndefinedRatioError
-from ambclink.channel import ChannelRealization, bdpr, channels_with_bdpr, draw_channels
+from ambclink.channel import (
+    ChannelRealization,
+    bdpr,
+    draw_channels,
+    draw_nonzero_channels,
+)
 
 N_DRAWS = 200_000  # 1% tolerance targets leave ~3x headroom at this size
 
@@ -94,27 +99,32 @@ class TestBdpr:
             bdpr(r, paper_params)
 
 
+def _with_bdpr(params, target, rng):
+    """A draw with nonzero gains, its hst rescaled to the target BDPR."""
+    return draw_nonzero_channels(params, rng).at_operating_point(params, target)
+
+
 class TestChannelsWithBdpr:
     def test_hits_target(self, paper_params):
         rng = np.random.default_rng(11)
         for target in (-30.0, -20.0, -10.0, 0.0):
-            r = channels_with_bdpr(paper_params, target, rng)
+            r = _with_bdpr(paper_params, target, rng)
             assert bdpr(r, paper_params) == pytest.approx(target, abs=1e-9)
 
     def test_zero_db_amplitude_identity(self, paper_params):
         rng = np.random.default_rng(12)
-        r = channels_with_bdpr(paper_params, 0.0, rng)
+        r = _with_bdpr(paper_params, 0.0, rng)
         assert paper_params.alpha_amp * abs(r.hst * r.htr) == pytest.approx(
             abs(r.h0), rel=1e-10
         )
 
     def test_only_hst_rescaled(self, paper_params):
         base = draw_channels(paper_params, np.random.default_rng(13))
-        pinned = channels_with_bdpr(paper_params, -20.0, np.random.default_rng(13))
+        pinned = _with_bdpr(paper_params, -20.0, np.random.default_rng(13))
         assert pinned.h0 == base.h0
         assert pinned.htr == base.htr
         assert pinned.hst != base.hst
 
     def test_non_finite_target_rejected(self, paper_params):
         with pytest.raises(UndefinedRatioError):
-            channels_with_bdpr(paper_params, math.inf, np.random.default_rng(1))
+            _with_bdpr(paper_params, math.inf, np.random.default_rng(1))

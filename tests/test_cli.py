@@ -177,11 +177,23 @@ class TestPilotSweep:
     ("ber-sweep", ["--ps", "100000"], "ps_dbm"),
     ("pilot-sweep", ["--ps", "300.5"], "ps_dbm"),
     ("ber-sweep", ["--sweep", "ps:100:400:100"], "ps_dbm"),
+    ("ber-sweep", ["--bdpr", "nan"], "bdpr"),
+    ("ber-sweep", ["--bdpr", "inf"], "bdpr"),
+    ("ber-sweep", ["--bdpr", "1e308"], "bdpr"),
+    ("ber-sweep", ["--bdpr", "300"], "bdpr"),
+    ("ber-sweep", ["--sweep", "bdpr:1e308:1e308:1"], "bdpr"),
+    ("ber-sweep", ["--sweep", "bdpr:-30:-10:10", "--bdpr", "-20"], "bdpr"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
-        "pilot-ps-override-too-high", "ber-ps-grid-too-high"])
-def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, command, bad_args, field):
+        "pilot-ps-override-too-high", "ber-ps-grid-too-high", "ber-bdpr-nan",
+        "ber-bdpr-inf", "ber-bdpr-overflow", "ber-bdpr-too-high",
+        "ber-bdpr-grid-overflow", "ber-bdpr-pinned-in-bdpr-sweep"])
+def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
+                                                   bad_args, field):
+    def no_draw(*args):
+        raise AssertionError("channel table drawn")
+    monkeypatch.setattr(ambclink.montecarlo, "_channel_table", no_draw)
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
     sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []

@@ -12,8 +12,8 @@ from ambclink.analysis import (
 )
 from ambclink.estimation import (
     PilotPlan,
-    estimate_moments,
     estimated_threshold,
+    pilot_statistics,
     relative_threshold_error,
 )
 from ambclink.frontend import generate_frame
@@ -36,27 +36,26 @@ class TestPilotPlan:
 class TestEstimateMoments:
     def test_arithmetic_by_hand(self):
         # pilot bits alternate 0,1,0,1: group 0 gets {1,3}, group 1 gets {2,4}
-        m = estimate_moments(np.array([1.0, 2.0, 3.0, 4.0]), PilotPlan(4))
-        assert m.delta0 == pytest.approx(2.0, rel=1e-12)
-        assert m.delta1 == pytest.approx(3.0, rel=1e-12)
-        assert m.var0 == pytest.approx(2.0, rel=1e-12)
-        assert m.var1 == pytest.approx(2.0, rel=1e-12)
-        assert m.source == "estimated"
+        d0, d1, v0, v1 = pilot_statistics(np.array([1.0, 2.0, 3.0, 4.0]), PilotPlan(4))
+        assert d0 == pytest.approx(2.0, rel=1e-12)
+        assert d1 == pytest.approx(3.0, rel=1e-12)
+        assert v0 == pytest.approx(2.0, rel=1e-12)
+        assert v1 == pytest.approx(2.0, rel=1e-12)
 
     def test_constant_energies_degenerate(self):
         with pytest.raises(EstimationError):
-            estimate_moments(np.full(8, 3.0), PilotPlan(8))
+            estimated_threshold(*pilot_statistics(np.full(8, 3.0), PilotPlan(8)))
 
     def test_too_few_energies(self):
         with pytest.raises(EstimationError):
-            estimate_moments(np.ones(3), PilotPlan(4))
+            pilot_statistics(np.ones(3), PilotPlan(4))
 
     def test_within_group_permutation_invariance(self):
         e = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         swapped = np.array([3.0, 2.0, 1.0, 4.0, 5.0, 6.0])  # swap group-0 members
-        a = estimate_moments(e, PilotPlan(6))
-        b = estimate_moments(swapped, PilotPlan(6))
-        assert (a.delta0, a.var0) == (b.delta0, b.var0)
+        a = pilot_statistics(e, PilotPlan(6))
+        b = pilot_statistics(swapped, PilotPlan(6))
+        assert (a[0], a[2]) == (b[0], b[2])
 
     def test_equals_brute_force_grouping(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.4)
@@ -65,12 +64,12 @@ class TestEstimateMoments:
         bits = np.concatenate([plan.pilot_bits,
                                rng.integers(0, 2, p.k_symbols - plan.k_train)])
         frame = generate_frame(p, fixed_realization, bits, rng, LNA)
-        m = estimate_moments(frame.energies, plan)
+        d0, d1, v0, v1 = pilot_statistics(frame.energies, plan)
         oracle = grouped_mean_var(frame.energies[: plan.k_train], plan.pilot_bits)
-        assert m.delta0 == pytest.approx(oracle[0][0], rel=1e-14)
-        assert m.var0 == pytest.approx(oracle[0][1], rel=1e-14)
-        assert m.delta1 == pytest.approx(oracle[1][0], rel=1e-14)
-        assert m.var1 == pytest.approx(oracle[1][1], rel=1e-14)
+        assert d0 == pytest.approx(oracle[0][0], rel=1e-14)
+        assert v0 == pytest.approx(oracle[0][1], rel=1e-14)
+        assert d1 == pytest.approx(oracle[1][0], rel=1e-14)
+        assert v1 == pytest.approx(oracle[1][1], rel=1e-14)
 
     def test_consistency_with_growing_pilots(self):
         # sample energies straight from the hypothesis Gaussians
@@ -83,9 +82,9 @@ class TestEstimateMoments:
             e = np.where(plan.pilot_bits == 0,
                          rng.normal(truth.delta0, math.sqrt(truth.var0), k_train),
                          rng.normal(truth.delta1, math.sqrt(truth.var1), k_train))
-            m = estimate_moments(e, plan)
-            d_err.append((m.delta0 - truth.delta0, m.delta1 - truth.delta1,
-                          m.var0 - truth.var0, m.var1 - truth.var1))
+            d0, d1, v0, v1 = pilot_statistics(e, plan)
+            d_err.append((d0 - truth.delta0, d1 - truth.delta1,
+                          v0 - truth.var0, v1 - truth.var1))
         means = np.abs(np.mean(d_err, axis=0))
         # unbiased estimators: averaged error shrinks as 1/sqrt(reps * group size)
         group = k_train // 2
@@ -98,27 +97,24 @@ class TestEstimateMoments:
 class TestEstimatedThreshold:
     def test_equals_true_threshold_on_true_moments(self, paper_params, fixed_realization):
         m_true = hypothesis_moments(paper_params, fixed_realization, LNA)
-        m_est = HypothesisMoments(m_true.delta0, m_true.delta1,
-                                  m_true.var0, m_true.var1, source="estimated")
-        assert estimated_threshold(m_est) == near_optimal_threshold(m_true)
+        assert estimated_threshold(m_true.delta0, m_true.delta1, m_true.var0,
+                                   m_true.var1) == near_optimal_threshold(m_true)
 
     def test_midpoint_case(self):
-        m = HypothesisMoments(1.0, 3.0, 0.25, 0.25, source="estimated")
-        assert estimated_threshold(m) == pytest.approx(2.0, rel=1e-12)
+        assert estimated_threshold(1.0, 3.0, 0.25, 0.25) == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_pdf_equality_oracle(self):
         rng = np.random.default_rng(47)
         from ambclink.verify import random_valid_moments
         for _ in range(50):
             m = random_valid_moments(rng)
-            t = estimated_threshold(m)
+            t = estimated_threshold(m.delta0, m.delta1, m.var0, m.var1)
             assert t == pytest.approx(pdf_equality_root(m), rel=1e-9)
 
     def test_no_separation_propagates(self):
         from ambclink import NoSeparationError
-        m = HypothesisMoments(1.0, 1.0, 0.5, 0.5, source="estimated")
         with pytest.raises(NoSeparationError):
-            estimated_threshold(m)
+            estimated_threshold(1.0, 1.0, 0.5, 0.5)
 
 
 class TestRelativeThresholdError:

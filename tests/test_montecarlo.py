@@ -18,9 +18,7 @@ from ambclink.channel import ChannelRealization, draw_channels
 from ambclink.errors import ConfigError
 from ambclink.estimation import (
     PilotPlan,
-    estimate_moments,
     estimated_threshold,
-    moments_from_statistics,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -34,7 +32,7 @@ from ambclink.montecarlo import (
     SWEEP_BDPR,
     SWEEP_PS,
     SweepSpec,
-    ber_trial,
+    ber_block,
     detect,
     run_pilot_sweep,
     run_sweep,
@@ -74,16 +72,25 @@ class TestWilson:
         assert wilson_halfwidth(0, 1000) > 0
 
 
+def _one_frame(params, real, seed, mode, policy):
+    """ber_block's single frame of a single realization, read at [0, 0]."""
+    res = ber_block(params, [real], 1, np.random.default_rng(seed), mode, policy)
+    return (int(res.errors[0, 0]), int(res.bits[0, 0]), float(res.threshold[0, 0]),
+            float(res.ber_closed_form[0, 0]), bool(res.failed[0, 0]))
+
+
 class TestBerTrial:
+    """One frame of one realization through ber_block."""
+
     def test_noise_free_separated_is_error_free(self, paper_params):
         p = replace(paper_params, beta1=1.0, beta3=0.0, alpha_db=0.0,
                     n_ar_dbm=-400.0, n_cov_dbm=-400.0, n_at_dbm=-400.0,
                     k_symbols=400, pilot_fraction=0.0)
         real = _manual_realization(p, 1e-4 + 0j, 1.0 + 0j, 1.0 + 0j)
         assert real.p1 / real.p0 > 1e6
-        res = ber_trial(p, real, np.random.default_rng(3), LNA, CLOSED_FORM_TRUE)
-        assert res.errors == 0
-        assert res.bits == 400
+        errors, bits, *_ = _one_frame(p, real, 3, LNA, CLOSED_FORM_TRUE)
+        assert errors == 0
+        assert bits == 400
 
     def test_no_tag_information_gives_half(self, paper_params):
         # -200 dB keeps the hypotheses formally distinct (so a threshold
@@ -91,27 +98,23 @@ class TestBerTrial:
         p = replace(paper_params, alpha_db=-200.0, k_symbols=4000,
                     pilot_fraction=0.0)
         real = _manual_realization(p, 0.001 + 0.001j, 0.01 + 0j, 0.02 + 0j)
-        res = ber_trial(p, real, np.random.default_rng(5), LNA, CLOSED_FORM_TRUE)
-        ber = res.errors / res.bits
-        assert abs(ber - 0.5) < 4 * math.sqrt(0.25 / res.bits)
+        errors, bits, *_ = _one_frame(p, real, 5, LNA, CLOSED_FORM_TRUE)
+        assert abs(errors / bits - 0.5) < 4 * math.sqrt(0.25 / bits)
 
     def test_estimated_policy_excludes_pilots(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
-        res = ber_trial(p, fixed_realization, np.random.default_rng(7), LNA,
-                        ESTIMATED_POLICY)
-        assert res.failed is False
-        assert res.bits == 80
+        _, bits, _, _, failed = _one_frame(p, fixed_realization, 7, LNA, ESTIMATED_POLICY)
+        assert failed is False
+        assert bits == 80
 
     def test_numeric_oracle_policy_close_to_closed_form(self, paper_params,
                                                         fixed_realization):
         p = replace(paper_params, k_symbols=2000, pilot_fraction=0.0)
-        a = ber_trial(p, fixed_realization, np.random.default_rng(9), LNA,
-                      CLOSED_FORM_TRUE)
-        b = ber_trial(p, fixed_realization, np.random.default_rng(9), LNA,
-                      NUMERIC_ORACLE)
+        a_errors, a_bits, *_ = _one_frame(p, fixed_realization, 9, LNA, CLOSED_FORM_TRUE)
+        b_errors, b_bits, *_ = _one_frame(p, fixed_realization, 9, LNA, NUMERIC_ORACLE)
         # near-optimality: closed-form threshold is not meaningfully worse
         se = math.sqrt(2 * 0.25 / p.k_symbols)
-        assert a.errors / a.bits - b.errors / b.bits <= 3 * se
+        assert a_errors / a_bits - b_errors / b_bits <= 3 * se
 
     def test_degenerate_estimate_is_recorded_not_raised(self, paper_params,
                                                         fixed_realization,
@@ -121,39 +124,34 @@ class TestBerTrial:
             return d0, d1, np.zeros_like(v0), v1    # zero pilot-group variance
         monkeypatch.setattr(mc, "pilot_statistics", degenerate)
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
-        res = ber_trial(p, fixed_realization, np.random.default_rng(11), LNA,
-                        ESTIMATED_POLICY)
-        assert res.failed is True
-        assert res.bits == 0
+        errors, bits, threshold, closed, failed = _one_frame(
+            p, fixed_realization, 11, LNA, ESTIMATED_POLICY)
+        assert failed is True
+        assert (errors, bits) == (0, 0)
+        assert math.isnan(threshold) and math.isnan(closed)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_is_the_one_frame_case_of_a_block(self, paper_params, fixed_realization,
                                                policy):
-        # and both equal one frame drawn by frame_energies and detected by hand
+        # equals one frame drawn by frame_energies and detected by hand
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
-        res = ber_trial(p, fixed_realization, np.random.default_rng(21), LNA, policy)
-        frames = mc._ber_block(p, [fixed_realization], 1, np.random.default_rng(21),
-                               LNA, policy)
-        assert (res.errors, res.bits, res.threshold, res.ber_closed_form) == (
-            frames.errors[0, 0], frames.bits[0, 0], frames.threshold[0, 0],
-            frames.ber_closed_form[0, 0])
+        res = _one_frame(p, fixed_realization, 21, LNA, policy)
 
         rng = np.random.default_rng(21)
         k0 = p.k_train if policy == ESTIMATED_POLICY else 0
         bits = np.concatenate([np.arange(k0) % 2, rng.integers(0, 2, p.k_symbols - k0)])
         energies = frame_energies(p, fixed_realization, bits, rng, LNA)
         true_m = hypothesis_moments(p, fixed_realization, LNA)
-        m = estimate_moments(energies, PilotPlan(k0)) if k0 else true_m
+        m = (HypothesisMoments(*map(float, pilot_statistics(energies, PilotPlan(k0))))
+             if k0 else true_m)
         t = (grid_min_threshold(m)[0] if policy == NUMERIC_ORACLE
              else near_optimal_threshold(m))
         errors = int(np.sum(detect(energies[k0:], t, m.delta0, m.delta1) != bits[k0:]))
-        assert not res.failed
-        assert (res.errors, res.bits, res.threshold, res.ber_closed_form) == (
-            errors, p.k_symbols - k0, t, ber_closed_form(true_m, t))
+        assert res == (errors, p.k_symbols - k0, t, ber_closed_form(true_m, t), False)
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
-        with pytest.raises(ValueError):
-            ber_trial(paper_params, fixed_realization, np.random.default_rng(1),
+        with pytest.raises(ValueError, match="unknown threshold policy"):
+            ber_block(paper_params, [fixed_realization], 1, np.random.default_rng(1),
                       LNA, "oracle")
 
 
@@ -179,6 +177,32 @@ class TestSweepSpec:
             SweepSpec(**{**good, "threshold_policy": ESTIMATED_POLICY,
                          "scenario": replace(paper_params, pilot_fraction=0.0)})
         assert ei.value.fields == ("pilot_fraction",)
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"fixed_bdpr_db": math.nan}, "fixed_bdpr_db"),
+        ({"fixed_bdpr_db": -math.inf}, "fixed_bdpr_db"),
+        ({"fixed_bdpr_db": 200.5}, "fixed_bdpr_db"),
+        ({"fixed_bdpr_db": 1e308}, "fixed_bdpr_db"),
+        ({"sweep_var": SWEEP_BDPR, "values": (-10.0, 300.0)}, "values"),
+        ({"sweep_var": SWEEP_BDPR, "values": (math.nan,)}, "values"),
+        ({"sweep_var": SWEEP_BDPR, "fixed_bdpr_db": -20.0}, "fixed_bdpr_db"),
+    ], ids=["nan", "-inf", "above-bound", "huge", "sweep-above-bound", "sweep-nan",
+            "pinned-in-bdpr-sweep"])
+    def test_bad_bdpr_rejected_before_any_channel_is_drawn(self, paper_params,
+                                                           monkeypatch, changes, field):
+        def no_draw(*args):
+            raise AssertionError("channel table drawn")
+        monkeypatch.setattr(mc, "_channel_table", no_draw)
+        with pytest.raises(ConfigError) as ei:
+            spec = SweepSpec(**{"scenario": paper_params, "sweep_var": SWEEP_PS,
+                                "values": (0.0,), **changes})
+            run_sweep(spec)
+        assert ei.value.fields == (field,)
+
+    def test_bdpr_bounds_are_inclusive(self, paper_params):
+        SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS, values=(0.0,),
+                  fixed_bdpr_db=-200.0)
+        SweepSpec(scenario=paper_params, sweep_var=SWEEP_BDPR, values=(-200.0, 200.0))
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +362,7 @@ class TestPilotSweep:
         for frac, pt in zip(fractions, points):
             k = round(frac * 200)
             stats = pilot_statistics(energies[0, :, :k], PilotPlan(k))
-            errs = [relative_threshold_error(
-                        t_true, estimated_threshold(moments_from_statistics(*row)))
+            errs = [relative_threshold_error(t_true, estimated_threshold(*row))
                     for row in zip(*stats)]
             assert (pt.k_train, pt.frames, pt.failures) == (k, 30, 0)
             assert (pt.r_mean, pt.r_median, pt.r_p90) == (
@@ -360,6 +383,17 @@ class TestPilotSweep:
                         n_frames=n_frames, master_seed=3, workers=1)
         assert max(symbols) <= mc.BLOCK_SYMBOLS
         assert sum(symbols) == n_realizations * n_frames * 40
+
+
+def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_params,
+                                                                        monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("channel table drawn")
+    monkeypatch.setattr(mc, "_channel_table", no_draw)
+    with pytest.raises(ConfigError) as ei:
+        run_pilot_sweep(paper_params, (0.2,), "amp", n_realizations=1, n_frames=1,
+                        master_seed=0)
+    assert ei.value.fields == ("mode",)
 
 
 class TestPool:
