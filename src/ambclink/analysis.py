@@ -21,10 +21,8 @@ class HypothesisMoments:
     var1: float     # variance under H1, watts^2
 
     def __post_init__(self):
-        finite = all(
-            math.isfinite(v) for v in (self.delta0, self.delta1, self.var0, self.var1)
-        )
-        if not (finite and self.var0 > 0 and self.var1 > 0):
+        if not (math.isfinite(self.delta0) and math.isfinite(self.delta1)
+                and 0 < self.var0 < math.inf and 0 < self.var1 < math.inf):
             raise ModelValidityError(
                 f"hypothesis variances must be finite and positive, "
                 f"got ({self.var0}, {self.var1})"
@@ -99,9 +97,12 @@ def hypothesis_moments(
     return HypothesisMoments(delta0=d0, delta1=d1, var0=v0, var1=v1)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x), via the complementary error function."""
-    return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
+    return 0.5 * math.erfc(float(x) / _SQRT2)
 
 
 def ber_closed_form(m: HypothesisMoments, threshold: float) -> float:
@@ -131,11 +132,17 @@ def _pdf(mean: float, var: float, t: float) -> float:
     return math.exp(-((t - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
-def _pdf_residual_ok(m: HypothesisMoments, t: float, rel_tol: float = 1e-9) -> bool:
+def _pdf_gap(m: HypothesisMoments, t: float):
+    """(|f0 - f1|, max(f0, f1)) of the two Gaussian PDFs at t."""
     f0 = _pdf(m.delta0, m.var0, t)
     f1 = _pdf(m.delta1, m.var1, t)
-    peak = max(f0, f1)
-    return peak > 0 and abs(f0 - f1) <= rel_tol * peak
+    return abs(f0 - f1), max(f0, f1)
+
+
+def _gap_within(gap, rel_tol: float) -> bool:
+    """Whether the PDFs agree at a root to `rel_tol` of the larger one."""
+    diff, peak = gap
+    return peak > 0 and diff <= rel_tol * peak
 
 
 def _root_of_pdf_equality(m: HypothesisMoments) -> float:
@@ -175,13 +182,15 @@ def near_optimal_threshold(m: HypothesisMoments) -> float:
     if disc >= 0:
         root = math.sqrt(disc)
         t_plus = (m.delta0 * c - m.delta1 + root) / (c - 1.0)
-        if _pdf_residual_ok(m, t_plus) and lo <= t_plus <= hi:
+        gap_plus = _pdf_gap(m, t_plus)   # each root's PDFs are evaluated once
+        if _gap_within(gap_plus, 1e-9) and lo <= t_plus <= hi:
             return t_plus
         # Both quadratic roots are genuine PDF crossings; when the primary one
         # leaves the means interval (possible for inverted mean/variance
         # orderings) take whichever crossing yields the lower BER.
         t_minus = (m.delta0 * c - m.delta1 - root) / (c - 1.0)
-        candidates = [t for t in (t_plus, t_minus) if _pdf_residual_ok(m, t, 1e-6)]
+        candidates = [t for t, gap in ((t_plus, gap_plus), (t_minus, _pdf_gap(m, t_minus)))
+                      if _gap_within(gap, 1e-6)]
         inside = [t for t in candidates if lo <= t <= hi]
         if inside:
             return inside[0]

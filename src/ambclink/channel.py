@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class ChannelRealization:
     p0: float
     p1: float
 
-    @property
+    @cached_property
     def htr_abs2(self) -> float:
         return abs(self.htr) ** 2
 
@@ -51,17 +52,24 @@ def _compose(params: SystemParams, h0: complex, hst: complex, htr: complex) -> C
     )
 
 
-def _draw_cn(rng: np.random.Generator, variance: float) -> complex:
-    scale = math.sqrt(variance / 2.0)
-    return complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
-
-
 def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw h0, hst, htr independently from CN(0, r^-v)."""
-    h0 = _draw_cn(rng, params.r0 ** -params.v0)
-    hst = _draw_cn(rng, params.rst ** -params.vst)
-    htr = _draw_cn(rng, params.rtr ** -params.vtr)
-    return _compose(params, h0, hst, htr)
+    """Draw h0, hst, htr independently from CN(0, r^-v): real, then imaginary
+    part of each, scaled from one call of six standard normals (the values of
+    six `rng.normal(0, s)` calls, which compute 0 + s*z)."""
+    x0, y0, xst, yst, xtr, ytr = rng.standard_normal(6).tolist()
+    s0, sst, s_tr = (math.sqrt(r ** -v / 2.0) for r, v in
+                     ((params.r0, params.v0), (params.rst, params.vst), (params.rtr, params.vtr)))
+    return _compose(params, complex(s0 * x0, s0 * y0), complex(sst * xst, sst * yst),
+                    complex(s_tr * xtr, s_tr * ytr))
+
+
+def aligned_channel(params: SystemParams, direct_gain: float) -> ChannelRealization:
+    """A channel with |h0|^2 at `direct_gain` times its mean r0^-v0, |htr|^2 at
+    its mean rtr^-vtr and hst = 1, all in phase: rescaled to a BDPR by
+    at_operating_point, it carries the largest |h1| that BDPR allows at that
+    |h0|."""
+    h0 = complex(math.sqrt(direct_gain * params.r0 ** -params.v0))
+    return _compose(params, h0, 1 + 0j, complex(math.sqrt(params.rtr ** -params.vtr)))
 
 
 def bdpr(real: ChannelRealization, params: SystemParams) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -57,7 +58,8 @@ MIN_ALPHA_DB = -300.0
 # With v > 0 that is r >= 1 m, checked on r because r^-v overflows for tiny r.
 MIN_DISTANCE_M = 1.0
 # A pinned or swept BDPR rescales hst by 10^(BDPR/20). At the paper's defaults
-# sweeps ran clean up to 200 dB; from about 280 dB (less at high Ps) they fail.
+# sweeps ran clean up to 200 dB; from about 280 dB they fail. At high Ps the
+# reach is lower, and SweepSpec checks it per point.
 MAX_BDPR_DB = 200.0
 # A sweep holds whole frames of K symbols, the LNA sampler at least one
 # symbol's N exponentials, and the sample-level generate_frame several arrays
@@ -131,25 +133,27 @@ class SystemParams:
                 f"invalid parameter value(s): {', '.join(bad)}{need}", fields=bad
             )
 
-    # Derived linear-scale quantities
-    @property
+    # Derived linear-scale quantities, each computed once per instance (the
+    # sweeps read them per realization); `replace` builds a new instance, so a
+    # cached value cannot go stale.
+    @cached_property
     def alpha_amp(self) -> float:
         """Tag amplitude multiplier (alpha_db read as a power gain)."""
         return db_to_amplitude_gain(self.alpha_db)
 
-    @property
+    @cached_property
     def ps(self) -> float:
         return dbm_to_watts(self.ps_dbm)
 
-    @property
+    @cached_property
     def n_ar(self) -> float:
         return dbm_to_watts(self.n_ar_dbm)
 
-    @property
+    @cached_property
     def n_at(self) -> float:
         return dbm_to_watts(self.n_at_dbm)
 
-    @property
+    @cached_property
     def n_cov(self) -> float:
         return dbm_to_watts(self.n_cov_dbm)
 

@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .analysis import (
     near_optimal_threshold,
     noise_power,
 )
-from .channel import draw_channels, draw_nonzero_channels
+from .channel import aligned_channel, draw_channels, draw_nonzero_channels
 from .config import MAX_BDPR_DB, MODES, SystemParams, valid_pilot_count
-from .errors import AmbclinkError, ConfigError, EstimationError
+from .errors import AmbclinkError, ConfigError, EstimationError, ModelValidityError
 from .estimation import (
     PilotPlan,
     estimated_threshold,
@@ -45,6 +46,10 @@ SWEEP_BDPR = "bdpr_db"
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 BLOCK_SYMBOLS = 2 ** 14          # symbols per sampler call of a block, bounding its memory
+# A sweep with a BDPR target is checked at load on a channel whose |h0|^2 is
+# this many times its mean r0^-v0. Under Rayleigh fading that ratio is Exp(1),
+# so a draw exceeds it with probability exp(-50), about 2e-22.
+PROBE_DIRECT_GAIN = 50.0
 
 
 def detect(energies, threshold, delta0, delta1) -> np.ndarray:
@@ -93,14 +98,16 @@ def _estimated_thresholds(energies, plan):
     """Per-frame moments and thresholds estimated from the pilots. A frame
     whose estimate or threshold is degenerate is marked failed."""
     stats = pilot_statistics(energies, plan)
-    threshold = np.full(stats[0].shape, math.nan)
-    failed = np.zeros(stats[0].shape, dtype=bool)
-    for idx in np.ndindex(threshold.shape):
+    threshold, failed = [], []
+    for frame in zip(*(s.ravel().tolist() for s in stats)):
         try:
-            threshold[idx] = estimated_threshold(*(s[idx] for s in stats))
+            threshold.append(estimated_threshold(*frame))
+            failed.append(False)
         except AmbclinkError:
-            failed[idx] = True
-    return stats, threshold, failed
+            threshold.append(math.nan)
+            failed.append(True)
+    shape = stats[0].shape
+    return stats, np.array(threshold, float).reshape(shape), np.array(failed, bool).reshape(shape)
 
 
 def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generator,
@@ -196,6 +203,40 @@ class SweepSpec:
             raise ConfigError(f"bdpr must be finite and within +-{MAX_BDPR_DB:g} dB, got "
                               f"{field} {bad[0]!r}", fields=(field,))
         _check_counts(self.n_frames, self.n_realizations)
+        points = self.operating_points   # a Ps out of range raises here, before any draw
+        if bdprs:
+            _check_bdpr_reach(self.scenario, points, self.modes, field)
+
+    @cached_property
+    def operating_points(self) -> list:
+        """(params, bdpr_db) of each sweep value: the scenario at the point's
+        Ps, and the BDPR target (None keeps each draw's own)."""
+        if self.sweep_var == SWEEP_PS:
+            return [(replace(self.scenario, ps_dbm=float(v)), self.fixed_bdpr_db)
+                    for v in self.values]
+        return [(self.scenario, float(v)) for v in self.values]
+
+
+def _check_bdpr_reach(scenario, points, modes, field) -> None:
+    """Reject a BDPR target whose closed forms fail on the probe channel,
+    aligned_channel at PROBE_DIRECT_GAIN. At a fixed BDPR the moments grow
+    with |h0|. With the LNA the variance grows like p^6, so the threshold's
+    discriminant c (v1 - v0) ~ p1^12 / p0^6 grows with Ps + 2 BDPR (in dB)
+    until it overflows. At the paper's defaults 200 draws fail from
+    Ps + 2 BDPR = 580-583 dBm on, the probe from 572 dBm. A point the probe
+    passes, every weaker draw passes too."""
+    probe = aligned_channel(scenario, PROBE_DIRECT_GAIN)
+    for params, bdpr_db in points:
+        real = probe.at_operating_point(params, bdpr_db)
+        for mode in modes:
+            try:
+                near_optimal_threshold(hypothesis_moments(params, real, mode))
+            except ModelValidityError as exc:
+                raise ConfigError(
+                    f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
+                    f"closed forms' numeric range on a direct path {PROBE_DIRECT_GAIN:g} "
+                    f"times its mean gain ({exc}); lower the bdpr or the ps, got {field} "
+                    f"{bdpr_db!r}", fields=(field,)) from exc
 
 
 @dataclass(frozen=True)
@@ -336,16 +377,12 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
-    # each point's scenario first: a power out of range fails before any draw
-    at_points = [(replace(spec.scenario, ps_dbm=float(value)), spec.fixed_bdpr_db)
-                 if spec.sweep_var == SWEEP_PS else (spec.scenario, float(value))
-                 for value in spec.values]
     with_bdpr = spec.sweep_var == SWEEP_BDPR or spec.fixed_bdpr_db is not None
     table = _channel_table(spec.scenario, with_bdpr, spec.n_realizations, spec.master_seed)
     blocks = _blocks(table, spec.n_frames * spec.scenario.k_symbols)
     groups = [[(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames, spec.master_seed,
                 (pi, mi), r0, drawn) for r0, drawn in blocks]
-              for pi, (params, bdpr_db) in enumerate(at_points)
+              for pi, (params, bdpr_db) in enumerate(spec.operating_points)
               for mi, mode in enumerate(spec.modes)]
     points = ((value, mode) for value in spec.values for mode in spec.modes)
     return [_ber_point(spec, value, mode, results) for (value, mode), results

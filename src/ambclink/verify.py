@@ -75,8 +75,8 @@ def check_moments_vs_montecarlo(
     while done < n_samples_mc:
         take = min(chunk, n_samples_mc - done)
         pc = replace(p, k_symbols=take)
-        frame = generate_frame(pc, real, np.ones(take, dtype=np.int64), rng, LNA)
-        e = np.abs(frame.samples) ** 2
+        # at N = 1 each symbol energy is one sample's |y|^2
+        e = generate_frame(pc, real, np.ones(take, dtype=np.int64), rng, LNA).energies
         sq_sum += float(np.sum(e))
         quad_sum += float(np.sum(e * e))
         done += take

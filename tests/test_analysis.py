@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from ambclink.analysis import (
     q_function,
 )
 from ambclink.channel import draw_channels
+from ambclink.config import MODES
 from ambclink.oracles import (
     exp_moment_mean_var,
     grid_min_threshold,
@@ -264,6 +266,49 @@ class TestThreshold:
         d1 = d0 * 10.0 ** log_ratio
         m = HypothesisMoments(d0, d1, f0 * d0 * d0 / n, f1 * d1 * d1 / n)
         assert 0.0 <= ber_closed_form(m, near_optimal_threshold(m)) <= 0.5
+
+
+def _float_digest(values) -> str:
+    return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+class TestExactBits:
+    """The closed forms' exact bits, as sha256 over float.hex. Every CSV's
+    closed-form columns rest on these bits, so a faster evaluation must keep
+    the digests. They were taken on x86-64 Linux with CPython 3.11 and
+    numpy 2.4, whose libm and random streams they assume."""
+
+    def test_threshold_and_ber_on_random_moments(self):
+        # 2000 tuples cover all three branches of near_optimal_threshold:
+        # the primary root (940), the other root inside the means (977) and
+        # the lower-BER of two crossings (83)
+        rng = np.random.default_rng(0)
+        values = []
+        for _ in range(2000):
+            m = random_valid_moments(rng)
+            t = near_optimal_threshold(m)
+            values += [t, ber_closed_form(m, t)]
+        assert _float_digest(values) == (
+            "cfa38d0a77a21542679d79b11407b3ef8c1fbd8a37a030e2aa756cc2d854133c")
+
+    def test_fading_averaged_curve_grid(self, paper_params):
+        """The closed_form_curve benchmark's grid (Ps -60..30 dBm, both modes)
+        on 40 channels: the draws, moments, thresholds and BERs, where the
+        lower-BER branch serves most evaluations."""
+        values = []
+        for r in range(40):
+            real = draw_channels(paper_params,
+                                 np.random.default_rng(np.random.SeedSequence((7, r, 1))))
+            for ps in range(-60, 31, 5):
+                p = replace(paper_params, ps_dbm=float(ps))
+                at = real.at_operating_point(p)
+                for mode in MODES:
+                    m = hypothesis_moments(p, at, mode)
+                    t = near_optimal_threshold(m)
+                    values += [at.p0, at.p1, m.delta0, m.delta1, m.var0, m.var1, t,
+                               ber_closed_form(m, t)]
+        assert _float_digest(values) == (
+            "23bc05ac8b9dd4c919e536142ebf91cb62b517485f91cdc589de7b38f53d2df0")
 
 
 class TestDeflection:

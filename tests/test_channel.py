@@ -15,6 +15,12 @@ from ambclink.channel import (
 N_DRAWS = 200_000  # 1% tolerance targets leave ~3x headroom at this size
 
 
+def _bits(x):
+    """The exact bits of a float or of a complex's two parts."""
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
 def _draw_many(params, seed, n=N_DRAWS):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return [draw_channels(params, rng) for _ in range(n)]
@@ -67,6 +73,29 @@ class TestDrawChannels:
             r = draw_channels(p, rng)
             assert r.h1 == pytest.approx(r.h0, rel=1e-12)
             assert r.p1 == pytest.approx(r.p0, rel=1e-12)
+
+    @pytest.mark.parametrize("scenario", [{}, {"r0": 7.0, "v0": 2.2, "rst": 3.0, "vst": 3.7,
+                                           "rtr": 1.0, "vtr": 1.5, "alpha_db": -13.0}],
+                             ids=["paper", "other-gains"])
+    def test_stream_is_six_scalar_normal_draws(self, paper_params, scenario):
+        """draw_channels takes one call of six standard normals: bit for bit
+        the values of six rng.normal(0, s) calls, h0, hst, htr in turn, real
+        part first, and the generator is left in the same state."""
+        p = replace(paper_params, **scenario)
+        for seed in range(150):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            real = draw_channels(p, rng)
+            parts = []
+            for r, v in ((p.r0, p.v0), (p.rst, p.vst), (p.rtr, p.vtr)):
+                s = math.sqrt(r ** -v / 2.0)
+                parts.append(complex(ref.normal(0.0, s), ref.normal(0.0, s)))
+            h0, hst, htr = parts
+            h1 = h0 + p.alpha_amp * hst * htr
+            expected = (h0, hst, htr, h1, abs(h0) ** 2 * p.ps, abs(h1) ** 2 * p.ps)
+            got = (real.h0, real.hst, real.htr, real.h1, real.p0, real.p1)
+            assert [_bits(x) for x in got] == [_bits(x) for x in expected]
+            assert real.htr_abs2 == abs(htr) ** 2
+            assert rng.random() == ref.random()
 
     def test_deterministic_for_seed(self, paper_params):
         a = _draw_many(paper_params, 55, n=50)

@@ -183,12 +183,18 @@ class TestPilotSweep:
     ("ber-sweep", ["--bdpr", "300"], "bdpr"),
     ("ber-sweep", ["--sweep", "bdpr:1e308:1e308:1"], "bdpr"),
     ("ber-sweep", ["--sweep", "bdpr:-30:-10:10", "--bdpr", "-20"], "bdpr"),
+    ("ber-sweep", ["--sweep", "ps:200:200:1", "--bdpr", "200"], "bdpr"),
+    ("ber-sweep", ["--sweep", "ps:250:250:1", "--bdpr", "170"], "bdpr"),
+    ("ber-sweep", ["--sweep", "ps:300:300:1", "--bdpr", "150"], "bdpr"),
+    ("ber-sweep", ["--sweep", "bdpr:-200:200:100", "--ps", "300"], "bdpr"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
         "pilot-ps-override-too-high", "ber-ps-grid-too-high", "ber-bdpr-nan",
         "ber-bdpr-inf", "ber-bdpr-overflow", "ber-bdpr-too-high",
-        "ber-bdpr-grid-overflow", "ber-bdpr-pinned-in-bdpr-sweep"])
+        "ber-bdpr-grid-overflow", "ber-bdpr-pinned-in-bdpr-sweep",
+        "ber-bdpr-200-at-ps-200", "ber-bdpr-170-at-ps-250", "ber-bdpr-150-at-ps-300",
+        "ber-bdpr-sweep-at-ps-300"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):
@@ -202,6 +208,18 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("ps, bdpr", [(300, 120), (250, 150), (200, 170)])
+def test_high_power_bdpr_within_reach_runs(tmp_path, ps, bdpr):
+    """The BDPR reach check rejects only where draws fail: these points, 20-30
+    dB of BDPR below failing ones at the same Ps, pass it and run without
+    failures."""
+    out = str(tmp_path / "x.csv")
+    rc = main(["ber-sweep", "--paper-defaults", "--sweep", f"ps:{ps}:{ps}:1",
+               "--bdpr", str(bdpr), "--realizations", "20", "--out", out, *FAST])
+    assert rc == EXIT_OK
+    assert [row.split(b",")[-1] for row in _read(out).splitlines()[-2:]] == [b"0", b"0"]
 
 
 @pytest.mark.parametrize("command", ["ber-sweep", "pilot-sweep", "verify"])

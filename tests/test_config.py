@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,28 @@ class TestSystemParams:
         assert paper_params.n_ar == pytest.approx(1e-13, rel=1e-12)
         assert paper_params.n_cov == pytest.approx(1e-10, rel=1e-12)
         assert paper_params.alpha_amp == pytest.approx(10 ** (-1.1 / 20), rel=1e-12)
+
+    @pytest.mark.parametrize("name, convert, source", [
+        ("ps", dbm_to_watts, "ps_dbm"),
+        ("n_ar", dbm_to_watts, "n_ar_dbm"),
+        ("n_at", dbm_to_watts, "n_at_dbm"),
+        ("n_cov", dbm_to_watts, "n_cov_dbm"),
+        ("alpha_amp", db_to_amplitude_gain, "alpha_db"),
+    ])
+    def test_cached_powers(self, paper_params, name, convert, source):
+        """Each derived power is computed once per instance, equals its dB
+        conversion bit for bit, is computed afresh for a replaced field, and
+        survives pickling (the process pool ships params that way)."""
+        p = replace(paper_params, **{source: -20.5})
+        value = getattr(p, name)
+        assert value == convert(-20.5)
+        assert getattr(p, name) is value   # cached, not recomputed
+        q = replace(p, **{source: -33.0})
+        assert getattr(q, name) == convert(-33.0) != value
+        assert getattr(p, name) == value
+        for params in (p, replace(p)):    # pickled with and without the cache
+            back = pickle.loads(pickle.dumps(params))
+            assert back == params and getattr(back, name) == getattr(params, name)
 
     def test_immutable(self, paper_params):
         with pytest.raises(Exception):

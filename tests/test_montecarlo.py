@@ -15,7 +15,7 @@ from ambclink.analysis import (
     near_optimal_threshold,
 )
 from ambclink.channel import ChannelRealization, draw_channels
-from ambclink.errors import ConfigError
+from ambclink.errors import ConfigError, ModelValidityError
 from ambclink.estimation import (
     PilotPlan,
     estimated_threshold,
@@ -198,6 +198,43 @@ class TestSweepSpec:
                                 "values": (0.0,), **changes})
             run_sweep(spec)
         assert ei.value.fields == (field,)
+
+    @pytest.mark.parametrize("ps, bdpr, reachable", [
+        (200.0, 200.0, False), (250.0, 170.0, False), (300.0, 150.0, False),
+        (300.0, 120.0, True), (250.0, 150.0, True), (200.0, 170.0, True),
+    ])
+    def test_bdpr_beyond_the_closed_forms_rejected_at_load(self, paper_params, monkeypatch,
+                                                           ps, bdpr, reachable):
+        """A BDPR target whose closed forms would fail on a strong draw is
+        rejected before any channel is drawn, naming the BDPR field, for a
+        pinned BDPR and for a bdpr sweep alike. The rejected points do fail on
+        the draws of a 200-realization table; the accepted ones do not."""
+        table = mc._channel_table(paper_params, True, 200, 1)
+        p = replace(paper_params, ps_dbm=ps)
+
+        def fails(real):
+            real = real.at_operating_point(p, bdpr)
+            try:
+                near_optimal_threshold(hypothesis_moments(p, real, LNA))
+            except ModelValidityError:
+                return True
+            return False
+
+        assert any(fails(real) for real in table) is not reachable
+
+        def no_draw(*args):
+            raise AssertionError("channel table drawn")
+        monkeypatch.setattr(mc, "_channel_table", no_draw)
+        for changes, field in (({"values": (ps,), "fixed_bdpr_db": bdpr}, "fixed_bdpr_db"),
+                               ({"scenario": p, "sweep_var": SWEEP_BDPR,
+                                 "values": (0.0, bdpr)}, "values")):
+            spec = {"scenario": paper_params, "sweep_var": SWEEP_PS, **changes}
+            if reachable:
+                SweepSpec(**spec)
+                continue
+            with pytest.raises(ConfigError, match="bdpr") as ei:
+                SweepSpec(**spec)
+            assert ei.value.fields == (field,)
 
     def test_bdpr_bounds_are_inclusive(self, paper_params):
         SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS, values=(0.0,),
