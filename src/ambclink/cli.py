@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .config import MODES, SystemParams, load_scenario, read_scenario
+from .config import MODES, SystemParams, check_counts, load_scenario, read_scenario
 from .errors import AmbclinkError, ConfigError
 from .montecarlo import (
     POLICIES,
@@ -185,6 +185,7 @@ def _pilot_sweep(args, params: SystemParams):
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     params = _load_params(args)
+    check_counts(workers=args.workers)   # verify runs serially; the flag is still checked
     results = run_all_checks(params, seed=args.seed)
     width = max(len(r.name) for r in results)
     all_ok = True

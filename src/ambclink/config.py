@@ -69,6 +69,20 @@ MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7
 
 
+def check_counts(**counts: int) -> None:
+    """Reject a count below 1 (frames, realizations, workers), naming it."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}", fields=(name,))
+
+
+def check_seed(seed: int, field: str = "seed") -> None:
+    """Reject a negative master seed, naming it: numpy's SeedSequence takes
+    only nonnegative integers, and would refuse it only once a draw starts."""
+    if seed < 0:
+        raise ConfigError(f"{field} must be >= 0, got {seed}", fields=(field,))
+
+
 def valid_pilot_count(k_train: int) -> bool:
     """The pilot estimator needs two pilots of each bit value: an even count >= 4."""
     return k_train >= 4 and k_train % 2 == 0

@@ -25,7 +25,7 @@ from .analysis import (
     noise_power,
 )
 from .channel import aligned_channel, draw_channels, draw_nonzero_channels
-from .config import MAX_BDPR_DB, MODES, SystemParams, valid_pilot_count
+from .config import MAX_BDPR_DB, MODES, SystemParams, check_counts, check_seed, valid_pilot_count
 from .errors import AmbclinkError, ConfigError, EstimationError, ModelValidityError
 from .estimation import (
     PilotPlan,
@@ -155,12 +155,6 @@ def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generat
     return BlockResult(errors, n_bits, threshold, closed, failed)
 
 
-def _check_counts(n_frames: int, n_realizations: int) -> None:
-    for name, value in (("n_frames", n_frames), ("n_realizations", n_realizations)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}", fields=(name,))
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: a sweep variable, modes, and trial counts."""
@@ -202,7 +196,8 @@ class SweepSpec:
         if bad:
             raise ConfigError(f"bdpr must be finite and within +-{MAX_BDPR_DB:g} dB, got "
                               f"{field} {bad[0]!r}", fields=(field,))
-        _check_counts(self.n_frames, self.n_realizations)
+        check_counts(n_frames=self.n_frames, n_realizations=self.n_realizations)
+        check_seed(self.master_seed, "master_seed")
         points = self.operating_points   # a Ps out of range raises here, before any draw
         if bdprs:
             _check_bdpr_reach(self.scenario, points, self.modes, field)
@@ -377,6 +372,7 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
+    check_counts(workers=workers)
     with_bdpr = spec.sweep_var == SWEEP_BDPR or spec.fixed_bdpr_db is not None
     table = _channel_table(spec.scenario, with_bdpr, spec.n_realizations, spec.master_seed)
     blocks = _blocks(table, spec.n_frames * spec.scenario.k_symbols)
@@ -420,7 +416,8 @@ def run_pilot_sweep(
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}", fields=("mode",))
-    _check_counts(n_frames, n_realizations)
+    check_counts(n_frames=n_frames, n_realizations=n_realizations, workers=workers)
+    check_seed(master_seed, "master_seed")
     if not fractions or any(frac <= 0 for frac in fractions):  # 0 reads as "no pilots"
         raise ConfigError("pilot fractions must be a nonempty list of values > 0",
                           fields=("pilot_fraction",))

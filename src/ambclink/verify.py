@@ -12,9 +12,9 @@ import numpy as np
 from . import analysis, oracles
 from .analysis import HypothesisMoments, dc_noise_powers, hypothesis_moments
 from .channel import draw_channels
-from .config import LNA, MAX_DBM, MODES, NO_LNA, SystemParams, watts_to_dbm
+from .config import LNA, MAX_DBM, MODES, NO_LNA, SystemParams, check_seed, watts_to_dbm
 from .errors import ModelValidityError
-from .frontend import frame_energies, generate_frame
+from .frontend import SAMPLER_CHUNK, frame_energies, generate_frame
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,13 @@ def check_moments_vs_montecarlo(
     params: SystemParams, seed: int = 1, n_samples_mc: int = 2_000_000,
     mean_tol: float = 0.02, var_tol: float = 0.08,
 ) -> CheckResult:
-    """Closed-form LNA moments against simulated sample moments at H1."""
+    """Closed-form LNA moments against simulated sample moments at H1.
+
+    The samples are drawn in frames of SAMPLER_CHUNK, so the check's memory
+    does not grow with n_samples_mc; the frame size fixes which normals feed
+    each sample, so changing it changes the draws."""
+    if n_samples_mc < 2:
+        raise ValueError(f"n_samples_mc must be >= 2 for a sample variance, got {n_samples_mc}")
     rng = np.random.default_rng(seed)
     real = draw_channels(params, rng)
     n_aw = analysis.noise_power(params, real.htr_abs2, 1, LNA)
@@ -71,9 +77,8 @@ def check_moments_vs_montecarlo(
     sq_sum = 0.0
     quad_sum = 0.0
     done = 0
-    chunk = 500_000
     while done < n_samples_mc:
-        take = min(chunk, n_samples_mc - done)
+        take = min(SAMPLER_CHUNK, n_samples_mc - done)
         pc = replace(p, k_symbols=take)
         # at N = 1 each symbol energy is one sample's |y|^2
         e = generate_frame(pc, real, np.ones(take, dtype=np.int64), rng, LNA).energies
@@ -304,6 +309,7 @@ def check_model_validity_guard(params: SystemParams) -> CheckResult:
 
 
 def run_all_checks(params: SystemParams, seed: int = 0) -> list[CheckResult]:
+    check_seed(seed)
     return [
         check_moments_vs_expansion(seed=seed),
         check_moments_vs_montecarlo(params, seed=seed + 1),

@@ -187,6 +187,12 @@ class TestPilotSweep:
     ("ber-sweep", ["--sweep", "ps:250:250:1", "--bdpr", "170"], "bdpr"),
     ("ber-sweep", ["--sweep", "ps:300:300:1", "--bdpr", "150"], "bdpr"),
     ("ber-sweep", ["--sweep", "bdpr:-200:200:100", "--ps", "300"], "bdpr"),
+    ("ber-sweep", ["--seed", "-1"], "seed"),
+    ("pilot-sweep", ["--seed", "-1"], "seed"),
+    ("ber-sweep", ["--workers", "0"], "workers"),
+    ("ber-sweep", ["--workers", "-1"], "workers"),
+    ("pilot-sweep", ["--workers", "0"], "workers"),
+    ("pilot-sweep", ["--workers", "-1"], "workers"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
@@ -194,7 +200,9 @@ class TestPilotSweep:
         "ber-bdpr-inf", "ber-bdpr-overflow", "ber-bdpr-too-high",
         "ber-bdpr-grid-overflow", "ber-bdpr-pinned-in-bdpr-sweep",
         "ber-bdpr-200-at-ps-200", "ber-bdpr-170-at-ps-250", "ber-bdpr-150-at-ps-300",
-        "ber-bdpr-sweep-at-ps-300"])
+        "ber-bdpr-sweep-at-ps-300", "ber-seed-negative", "pilot-seed-negative",
+        "ber-workers-0", "ber-workers-negative", "pilot-workers-0",
+        "pilot-workers-negative"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):
@@ -323,6 +331,20 @@ class TestVerify:
         assert rc == EXIT_VALIDATION
         assert captured.err.startswith("error: ") and "beta1" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bad_args, field", [
+        (["--seed", "-1"], "seed"), (["--workers", "0"], "workers"),
+    ], ids=["seed-negative", "workers-0"])
+    def test_bad_seed_or_workers_rejected_before_any_check(self, capsys, monkeypatch,
+                                                            bad_args, field):
+        def no_check(*args, **kwargs):
+            raise AssertionError("check ran")
+        monkeypatch.setattr(ambclink.verify, "check_moments_vs_expansion", no_check)
+        rc = main(["verify", "--paper-defaults", *bad_args])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert captured.err.startswith("error: ") and field in captured.err
         assert captured.out == ""
 
     def test_attenuating_front_end_fails_checks(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from ambclink.frontend import (
     generate_frame,
     symbol_energies,
 )
-from ambclink.verify import check_sampler_equivalence
+from ambclink.verify import check_moments_vs_montecarlo, check_sampler_equivalence
 
 
 def _clone_draws(params, total, seed):
@@ -252,3 +252,38 @@ class TestFrameEnergies:
         res = verify.check_sampler_equivalence(paper_params, seed=5)
         assert not res.passed
         assert "compression lna" in res.detail
+
+
+class TestMomentsVsMonteCarlo:
+    def test_default_check_memory_is_bounded(self, paper_params):
+        """The 2M-sample check draws in SAMPLER_CHUNK frames; in frames of
+        500 000 its traced peak was 76 MB."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            res = check_moments_vs_montecarlo(paper_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed, res.detail
+        assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_draws_exactly_the_requested_count(self, paper_params, monkeypatch):
+        import ambclink.verify as verify
+
+        sizes = []
+
+        def counting(params, real, bits, rng, mode):
+            sizes.append(bits.size)
+            return generate_frame(params, real, bits, rng, mode)
+
+        monkeypatch.setattr(verify, "generate_frame", counting)
+        verify.check_moments_vs_montecarlo(paper_params, n_samples_mc=100_001)
+        assert sum(sizes) == 100_001
+        assert sizes == [SAMPLER_CHUNK] * 3 + [100_001 - 3 * SAMPLER_CHUNK]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples_rejected(self, paper_params, n):
+        with pytest.raises(ValueError, match="n_samples_mc"):
+            check_moments_vs_montecarlo(paper_params, n_samples_mc=n)
