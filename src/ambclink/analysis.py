@@ -213,34 +213,21 @@ def deflection_lna_full(
     p0: float, p1: float, beta1: float, beta3: float, n_aw: float, n_samples: int
 ) -> float:
     """Exact deflection coefficient with the LNA: squared difference of the
-    closed-form means over the H0 closed-form variance."""
+    closed-form means over the H0 closed-form variance of lna_moments. The
+    mean difference is taken on P, term by term, so it keeps its precision
+    when p1 is close to p0."""
     b1, b3 = beta1, beta3
+    var0 = lna_moments(p0, b1, b3, n_aw, n_samples)[1]
     try:
-        num = (
+        return (
             b1**2 * (p1 - p0)
             + 6 * b3**2 * (p1**3 - p0**3)
             + 4 * b1 * b3 * (p1**2 - p0**2)
-        ) ** 2
-        den = (
-            b1**4 * p0**2
-            + 16 * b1**3 * b3 * p0**3
-            + 116 * b1**2 * b3**2 * p0**4
-            + 432 * b1 * b3**3 * p0**5
-            + 684 * b3**4 * p0**6
-            + 2 * b1**2 * p0 * n_aw
-            + 8 * b1 * b3 * p0**2 * n_aw
-            + 12 * b3**2 * p0**3 * n_aw
-            + n_aw**2
-        )
+        ) ** 2 / var0
     except OverflowError as exc:
         raise ModelValidityError(
-            f"deflection polynomial overflowed at P0={p0}"
+            f"deflection polynomial overflowed at P1={p1}"
         ) from exc
-    if den <= 0:
-        raise ModelValidityError(
-            f"H0 variance polynomial {den} <= 0 at P0={p0}: beyond the model's range"
-        )
-    return n_samples * num / den
 
 
 def deflection_lna_approx(

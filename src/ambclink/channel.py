@@ -81,11 +81,10 @@ def bdpr(real: ChannelRealization, params: SystemParams) -> float:
     return 10.0 * math.log10(back / direct)
 
 
-def draw_nonzero_channels(params: SystemParams, rng: np.random.Generator,
-                          max_retries: int = 16) -> ChannelRealization:
-    """The first of up to `max_retries` draw_channels draws whose h0, hst and
-    htr are all nonzero, so that its BDPR is defined and can be rescaled."""
-    for _ in range(max_retries):
+def draw_nonzero_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
+    """The first of up to 16 draw_channels draws whose h0, hst and htr are
+    all nonzero, so that its BDPR is defined and can be rescaled."""
+    for _ in range(16):
         real = draw_channels(params, rng)
         if abs(real.h0) > 0 and abs(real.hst) > 0 and abs(real.htr) > 0:
             return real

@@ -67,6 +67,12 @@ MAX_BDPR_DB = 200.0
 MAX_K_SYMBOLS = 10 ** 6
 MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7
+# A sweep draws its whole channel table before the first block runs, at 350 B
+# and 29 us per entry (paper defaults, 2-vCPU Xeon): 350 MB and 29 s at the
+# realization cap. The LNA sampler draws about 1 M symbols/s (N = 75; 0.9 to
+# 1.1 M measured), so the symbol cap is 15 to 20 minutes of sampling per worker.
+MAX_REALIZATIONS = 10 ** 6
+MAX_SWEEP_SYMBOLS = 10 ** 9
 
 
 def check_counts(**counts: int) -> None:
@@ -74,6 +80,22 @@ def check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}", fields=(name,))
+
+
+def check_trials(n_realizations: int, n_frames: int, frame_symbols: int, runs: int = 1) -> None:
+    """Reject a sweep beyond the trial caps, naming the fields: more than
+    MAX_REALIZATIONS channel draws, or more than MAX_SWEEP_SYMBOLS symbols in
+    `runs` passes (sweep points x modes) over n_realizations x n_frames
+    frames of frame_symbols symbols."""
+    if n_realizations > MAX_REALIZATIONS:
+        raise ConfigError(f"n_realizations must be <= {MAX_REALIZATIONS}, got {n_realizations}",
+                          fields=("n_realizations",))
+    symbols = runs * n_realizations * n_frames * frame_symbols
+    if symbols > MAX_SWEEP_SYMBOLS:
+        raise ConfigError(
+            f"the sweep would draw {symbols} symbols, more than {MAX_SWEEP_SYMBOLS}: lower "
+            f"n_frames ({n_frames}) or n_realizations ({n_realizations})",
+            fields=("n_frames", "n_realizations"))
 
 
 def check_seed(seed: int, field: str = "seed") -> None:

@@ -25,7 +25,15 @@ from .analysis import (
     noise_power,
 )
 from .channel import aligned_channel, draw_channels, draw_nonzero_channels
-from .config import MAX_BDPR_DB, MODES, SystemParams, check_counts, check_seed, valid_pilot_count
+from .config import (
+    MAX_BDPR_DB,
+    MODES,
+    SystemParams,
+    check_counts,
+    check_seed,
+    check_trials,
+    valid_pilot_count,
+)
 from .errors import AmbclinkError, ConfigError, EstimationError, ModelValidityError
 from .estimation import (
     PilotPlan,
@@ -174,9 +182,10 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep variable {self.sweep_var!r}", fields=("sweep_var",))
         if not self.values:
             raise ConfigError("sweep values must be nonempty", fields=("values",))
-        if not self.modes or not all(m in MODES for m in self.modes):
-            raise ConfigError(f"modes must be a nonempty subset of {MODES}, got {self.modes!r}",
-                              fields=("modes",))
+        if (not self.modes or not all(m in MODES for m in self.modes)
+                or len(set(self.modes)) < len(self.modes)):
+            raise ConfigError(f"modes must be a nonempty subset of {MODES} without repeats, "
+                              f"got {self.modes!r}", fields=("modes",))
         if self.threshold_policy not in POLICIES:
             raise ConfigError(f"unknown threshold policy {self.threshold_policy!r}",
                               fields=("threshold_policy",))
@@ -197,6 +206,8 @@ class SweepSpec:
             raise ConfigError(f"bdpr must be finite and within +-{MAX_BDPR_DB:g} dB, got "
                               f"{field} {bad[0]!r}", fields=(field,))
         check_counts(n_frames=self.n_frames, n_realizations=self.n_realizations)
+        check_trials(self.n_realizations, self.n_frames, self.scenario.k_symbols,
+                     runs=len(self.values) * len(self.modes))
         check_seed(self.master_seed, "master_seed")
         points = self.operating_points   # a Ps out of range raises here, before any draw
         if bdprs:
@@ -251,10 +262,11 @@ class BerPoint:
     unreliable: bool    # fewer than 10 observed errors
 
 
-def wilson_halfwidth(errors: int, bits: int, z: float = _WILSON_Z) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(errors: int, bits: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if bits == 0:
         return math.nan
+    z = _WILSON_Z
     p = errors / bits
     denom = 1.0 + z * z / bits
     return (z / denom) * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits))
@@ -418,11 +430,14 @@ def run_pilot_sweep(
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}", fields=("mode",))
     check_counts(n_frames=n_frames, n_realizations=n_realizations, workers=workers)
     check_seed(master_seed, "master_seed")
-    if not fractions or any(frac <= 0 for frac in fractions):  # 0 reads as "no pilots"
-        raise ConfigError("pilot fractions must be a nonempty list of values > 0",
-                          fields=("pilot_fraction",))
+    # 0 reads as "no pilots"; a repeat would write two rows under one key
+    if (not fractions or any(frac <= 0 for frac in fractions)
+            or len(set(fractions)) < len(fractions)):
+        raise ConfigError("pilot fractions must be a nonempty list of distinct values > 0, "
+                          f"got pilot_fraction {tuple(fractions)!r}", fields=("pilot_fraction",))
     per_fraction = [replace(params, pilot_fraction=float(frac)) for frac in fractions]
     k_trains = tuple(p.k_train for p in per_fraction)
+    check_trials(n_realizations, n_frames, max(k_trains))
     table = _channel_table(params, False, n_realizations, master_seed)
     tasks = [(params, mode, k_trains, n_frames, master_seed, r0, reals)
              for r0, reals in _blocks(table, n_frames * max(k_trains))]

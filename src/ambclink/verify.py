@@ -235,8 +235,9 @@ def check_deflection(params: SystemParams, seed: int = 4) -> CheckResult:
     plus three additions, so it carries a relative error of at most about
     5 eps. The difference then carries 5 eps (|m0| + |m1|), a relative
     5 eps cond, and squaring doubles that to 10 eps cond. The exact form
-    takes its differences on P before the polynomial and, like the
-    division by var0, adds only a few eps, covered by the 1e-12 floor.
+    takes its differences on P before the polynomial, adding only a few
+    eps, covered by the 1e-12 floor, and divides by the same var0, the
+    lna_moments variance at p0, so the division adds no error between them.
     Hence the tolerance 1e-12 + 10 eps cond; the observed error stays
     below 2.2 eps cond, and a well-conditioned draw keeps the 1e-12 bound.
     """

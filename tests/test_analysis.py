@@ -30,7 +30,13 @@ from ambclink.oracles import (
     pdf_equality_root,
     q_integral,
 )
-from ambclink.verify import random_moment_tuple, random_valid_moments
+from ambclink.verify import (
+    check_linear_reduction,
+    check_model_validity_guard,
+    check_moments_vs_expansion,
+    check_threshold_near_optimality,
+    random_valid_moments,
+)
 
 from conftest import rel_err
 
@@ -52,20 +58,13 @@ class TestMoments:
         assert mean == pytest.approx(3e-13)
         assert var == pytest.approx(9e-26 / 50)
 
-    def test_linear_reduction_exact(self):
-        for p in (0.0, 1e-12, 1e-9, 1e-6):
-            for n_w in (1e-13, 1e-10):
-                assert lna_moments(p, 1.0, 0.0, n_w, 75) == nolna_moments(p, n_w, 75)
+    def test_linear_reduction_exact(self, paper_params):
+        res = check_linear_reduction(paper_params)
+        assert res.passed, res.detail
 
     def test_matches_expansion_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            beta1, beta3, p, n_aw = random_moment_tuple(rng)
-            n = int(rng.integers(1, 200))
-            got = lna_moments(p, beta1, beta3, n_aw, n)
-            want = exp_moment_mean_var(p, beta1, beta3, n_aw, n)
-            assert rel_err(got[0], want[0]) <= 1e-12
-            assert rel_err(got[1], want[1]) <= 1e-12
+        res = check_moments_vs_expansion(seed=17, n_tuples=200)
+        assert res.passed, res.detail
 
     @settings(max_examples=200, deadline=None)
     @given(beta1=st.floats(1.0, 100.0), log_p=st.floats(-12.0, -6.0),
@@ -92,9 +91,8 @@ class TestMoments:
             nolna_moments(-1.0, 1.0, 1)
 
     def test_out_of_range_power_trips_guard(self, paper_params):
-        with pytest.raises(ModelValidityError):
-            for p in (1e20, 1e40, 1e60, 1e80, 1e120):
-                lna_moments(p, paper_params.beta1, paper_params.beta3, 0.0, 75)
+        res = check_model_validity_guard(paper_params)
+        assert res.passed, res.detail
 
 
 class TestNoisePower:
@@ -228,12 +226,8 @@ class TestThreshold:
             near_optimal_threshold(m)
 
     def test_near_grid_minimum(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            m = random_valid_moments(rng)
-            t = near_optimal_threshold(m)
-            _, ber_grid = grid_min_threshold(m)
-            assert ber_closed_form(m, t) <= ber_grid + 1e-6
+        res = check_threshold_near_optimality(seed=29, n_tuples=100)
+        assert res.passed, res.detail
 
     def test_no_separation(self):
         with pytest.raises(NoSeparationError):
@@ -318,6 +312,12 @@ class TestDeflection:
         assert deflection_lna_full(1e-10, 1e-10, paper_params.beta1,
                                    paper_params.beta3, n_aw, 75) == 0.0
         assert deflection_lna_approx(1e-10, 1e-10, paper_params.beta1, n_aw, 75) == 0.0
+
+    def test_full_rejects_negative_power(self, paper_params):
+        # the H0 variance comes from lna_moments, which refuses P < 0
+        with pytest.raises(ModelValidityError, match="nonnegative"):
+            deflection_lna_full(-1e-12, 1e-12, paper_params.beta1, paper_params.beta3,
+                                1e-10, 75)
 
     def test_no_lna_by_hand(self):
         assert deflection_no_lna(1.0, 2.0, 1.0, 100) == pytest.approx(25.0, rel=1e-12)

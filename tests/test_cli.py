@@ -193,6 +193,12 @@ class TestPilotSweep:
     ("ber-sweep", ["--workers", "-1"], "workers"),
     ("pilot-sweep", ["--workers", "0"], "workers"),
     ("pilot-sweep", ["--workers", "-1"], "workers"),
+    ("ber-sweep", ["--modes", "lna,lna"], "modes"),
+    ("pilot-sweep", ["--fractions", "0.1,0.1"], "pilot_fraction"),
+    ("ber-sweep", ["--realizations", "1000000000"], "n_realizations"),
+    ("pilot-sweep", ["--realizations", "1000000000"], "n_realizations"),
+    ("ber-sweep", ["--frames", "1000000"], "n_frames"),
+    ("pilot-sweep", ["--frames", "1000000000"], "n_frames"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
@@ -202,7 +208,9 @@ class TestPilotSweep:
         "ber-bdpr-200-at-ps-200", "ber-bdpr-170-at-ps-250", "ber-bdpr-150-at-ps-300",
         "ber-bdpr-sweep-at-ps-300", "ber-seed-negative", "pilot-seed-negative",
         "ber-workers-0", "ber-workers-negative", "pilot-workers-0",
-        "pilot-workers-negative"])
+        "pilot-workers-negative", "ber-modes-repeated", "pilot-fractions-repeated",
+        "ber-realizations-over-cap", "pilot-realizations-over-cap",
+        "ber-symbols-over-cap", "pilot-symbols-over-cap"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):

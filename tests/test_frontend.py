@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,19 @@ class TestMomentsVsMonteCarlo:
         verify.check_moments_vs_montecarlo(paper_params, n_samples_mc=100_001)
         assert sum(sizes) == 100_001
         assert sizes == [SAMPLER_CHUNK] * 3 + [100_001 - 3 * SAMPLER_CHUNK]
+
+    def test_each_tolerance_bounds_its_error(self, paper_params):
+        """The check fails once a tolerance drops below the error it measured,
+        each tolerance gating its own moment."""
+        def run(mean_tol=1.0, var_tol=1.0):
+            return check_moments_vs_montecarlo(paper_params, seed=3, n_samples_mc=5000,
+                                               mean_tol=mean_tol, var_tol=var_tol)
+
+        loose = run()
+        assert loose.passed, loose.detail
+        err_m, err_v = (float(x) for x in re.findall(r"rel err (\S+)", loose.detail))
+        assert not run(mean_tol=err_m / 2).passed
+        assert not run(var_tol=err_v / 2).passed
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_samples_rejected(self, paper_params, n):

@@ -15,6 +15,7 @@ from ambclink.analysis import (
     near_optimal_threshold,
 )
 from ambclink.channel import ChannelRealization, draw_channels
+from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
 from ambclink.errors import ConfigError, ModelValidityError
 from ambclink.estimation import (
     PilotPlan,
@@ -236,6 +237,32 @@ class TestSweepSpec:
                 SweepSpec(**spec)
             assert ei.value.fields == (field,)
 
+    @pytest.mark.parametrize("changes, fields", [
+        ({"modes": (LNA, LNA)}, ("modes",)),
+        ({"n_realizations": MAX_REALIZATIONS + 1}, ("n_realizations",)),
+        ({"n_frames": MAX_SWEEP_SYMBOLS // 100 + 1}, ("n_frames", "n_realizations")),
+        ({"values": (0.0, 10.0), "n_frames": MAX_SWEEP_SYMBOLS // 200 + 1},
+         ("n_frames", "n_realizations")),
+    ], ids=["repeated-mode", "realizations-over-cap", "symbols-over-cap",
+            "symbols-over-cap-by-points"])
+    def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
+            self, paper_params, monkeypatch, changes, fields):
+        def no_draw(*args):
+            raise AssertionError("channel table drawn")
+        monkeypatch.setattr(mc, "_channel_table", no_draw)
+        with pytest.raises(ConfigError) as ei:
+            run_sweep(SweepSpec(**{"scenario": paper_params, "sweep_var": SWEEP_PS,
+                                   "values": (0.0,), "modes": (LNA,), **changes}))
+        assert ei.value.fields == fields
+
+    def test_trial_caps_are_inclusive(self, paper_params):
+        # K = 100: one point and one mode reach the symbol cap exactly
+        assert paper_params.k_symbols == 100
+        SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS, values=(0.0,), modes=(LNA,),
+                  n_realizations=MAX_REALIZATIONS)
+        SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS, values=(0.0,), modes=(LNA,),
+                  n_frames=MAX_SWEEP_SYMBOLS // 100)
+
     def test_bdpr_bounds_are_inclusive(self, paper_params):
         SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS, values=(0.0,),
                   fixed_bdpr_db=-200.0)
@@ -431,6 +458,23 @@ def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_p
         run_pilot_sweep(paper_params, (0.2,), "amp", n_realizations=1, n_frames=1,
                         master_seed=0)
     assert ei.value.fields == ("mode",)
+
+
+@pytest.mark.parametrize("fractions, n_realizations, n_frames, fields", [
+    ((0.1, 0.2, 0.1), 1, 1, ("pilot_fraction",)),
+    ((0.2,), MAX_REALIZATIONS + 1, 1, ("n_realizations",)),
+    ((0.1, 0.2), 1, MAX_SWEEP_SYMBOLS // 20 + 1, ("n_frames", "n_realizations")),
+], ids=["repeated-fraction", "realizations-over-cap", "symbols-over-cap"])
+def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
+        paper_params, monkeypatch, fractions, n_realizations, n_frames, fields):
+    # K = 100: the largest fraction, 0.2, draws 20 pilots per frame
+    def no_draw(*args):
+        raise AssertionError("channel table drawn")
+    monkeypatch.setattr(mc, "_channel_table", no_draw)
+    with pytest.raises(ConfigError) as ei:
+        run_pilot_sweep(paper_params, fractions, LNA, n_realizations=n_realizations,
+                        n_frames=n_frames, master_seed=0)
+    assert ei.value.fields == fields
 
 
 class TestPool:
