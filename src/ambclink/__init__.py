@@ -37,7 +37,6 @@ from .errors import (
 )
 from .estimation import (
     PilotPlan,
-    estimated_threshold,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "detect",
     "draw_channels",
     "draw_nonzero_channels",
-    "estimated_threshold",
     "frame_energies",
     "generate_frame",
     "hypothesis_moments",

@@ -132,19 +132,6 @@ def _pdf(mean: float, var: float, t: float) -> float:
     return math.exp(-((t - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
-def _pdf_gap(m: HypothesisMoments, t: float):
-    """(|f0 - f1|, max(f0, f1)) of the two Gaussian PDFs at t."""
-    f0 = _pdf(m.delta0, m.var0, t)
-    f1 = _pdf(m.delta1, m.var1, t)
-    return abs(f0 - f1), max(f0, f1)
-
-
-def _gap_within(gap, rel_tol: float) -> bool:
-    """Whether the PDFs agree at a root to `rel_tol` of the larger one."""
-    diff, peak = gap
-    return peak > 0 and diff <= rel_tol * peak
-
-
 def _root_of_pdf_equality(m: HypothesisMoments) -> float:
     from scipy.optimize import brentq   # rare fallback: keeps scipy off the import path
 
@@ -152,50 +139,45 @@ def _root_of_pdf_equality(m: HypothesisMoments) -> float:
     s = max(math.sqrt(m.var0), math.sqrt(m.var1))
     brackets = [(lo, hi), (lo - 3 * s, hi + 3 * s), (lo - 10 * s, hi + 10 * s)]
     for a, b in brackets:
-        fa, fb = _log_pdf_diff(m, a), _log_pdf_diff(m, b)
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb < 0:
-            try:
+        try:
+            fa, fb = _log_pdf_diff(m, a), _log_pdf_diff(m, b)
+            if fa == 0.0:
+                return a
+            if fb == 0.0:
+                return b
+            if fa * fb < 0:
                 return float(brentq(lambda t: _log_pdf_diff(m, t), a, b, xtol=1e-300, rtol=1e-15))
-            except RuntimeError as exc:   # brentq ran out of iterations
-                raise ModelValidityError(f"PDF-equality root did not converge: {exc}") from exc
+        except (RuntimeError, ValueError, OverflowError) as exc:   # iterations, NaN, overflow
+            raise ModelValidityError(f"PDF-equality root did not converge: {exc}") from exc
     raise ModelValidityError("PDF-equality root not bracketable for these moments")
 
 
 def near_optimal_threshold(m: HypothesisMoments) -> float:
-    """Detection threshold at the crossing of the two Gaussian PDFs.
-
-    Closed form with the positive root; equal-variance limit is the midpoint
-    of the means. A numeric root of the PDF equality guards against
-    floating-point degeneracy of the closed form.
-    """
+    """Detection threshold at the crossing of the two Gaussian PDFs where the
+    BER, of slope (f1 - f0)/2 for delta0 < delta1, is least: f0 - f1 falls
+    through zero at the + root of the PDF equality and rises at the - root, so
+    that is the + root for delta0 < delta1 and the - root otherwise. Equal
+    variances give the midpoint; a numeric root guards the closed form."""
     if m.delta0 == m.delta1:
         raise NoSeparationError("delta0 == delta1: hypotheses are not separable")
+    # the crossing lies a few standard deviations of the narrower PDF off its mean;
+    # below 2^-40 of that mean (2^12 float spacings) the floats cannot resolve it
+    narrow_var, narrow_mean = min((m.var0, m.delta0), (m.var1, m.delta1))
+    if math.sqrt(narrow_var) < 2.0 ** -40 * abs(narrow_mean):
+        raise ModelValidityError(f"PDF crossing finer than the floats beside a mean for {m}")
     c = m.var1 / m.var0
     if abs(c - 1.0) < 1e-9:
         return 0.5 * (m.delta0 + m.delta1)
-    disc = c * (m.delta0 - m.delta1) ** 2 + c * (m.var1 - m.var0) * math.log(c)
-    lo, hi = min(m.delta0, m.delta1), max(m.delta0, m.delta1)
-    if disc >= 0:
-        root = math.sqrt(disc)
-        t_plus = (m.delta0 * c - m.delta1 + root) / (c - 1.0)
-        gap_plus = _pdf_gap(m, t_plus)   # each root's PDFs are evaluated once
-        if _gap_within(gap_plus, 1e-9) and lo <= t_plus <= hi:
-            return t_plus
-        # Both quadratic roots are genuine PDF crossings; when the primary one
-        # leaves the means interval (possible for inverted mean/variance
-        # orderings) take whichever crossing yields the lower BER.
-        t_minus = (m.delta0 * c - m.delta1 - root) / (c - 1.0)
-        candidates = [t for t, gap in ((t_plus, gap_plus), (t_minus, _pdf_gap(m, t_minus)))
-                      if _gap_within(gap, 1e-6)]
-        inside = [t for t in candidates if lo <= t <= hi]
-        if inside:
-            return inside[0]
-        if candidates:
-            return min(candidates, key=lambda t: ber_closed_form(m, t))
+    try:
+        # both terms are >= 0, so the discriminant is too (or NaN)
+        root = math.sqrt(c * (m.delta0 - m.delta1) ** 2 + c * (m.var1 - m.var0) * math.log(c))
+        t = (m.delta0 * c - m.delta1 + (root if m.delta0 < m.delta1 else -root)) / (c - 1.0)
+        f0, f1 = _pdf(m.delta0, m.var0, t), _pdf(m.delta1, m.var1, t)
+    except (OverflowError, ValueError) as exc:   # a square beyond float range, or c == 0
+        raise ModelValidityError(f"threshold closed form out of float range: {exc}") from exc
+    peak = max(f0, f1)
+    if peak > 0 and abs(f0 - f1) <= 1e-6 * peak:
+        return t
     return _root_of_pdf_equality(m)
 
 

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .config import MODES, SystemParams, check_counts, load_scenario, read_scenario
+from .config import MODES, SystemParams, load_scenario, read_scenario
 from .errors import AmbclinkError, ConfigError
 from .montecarlo import (
     POLICIES,
@@ -185,7 +185,6 @@ def _pilot_sweep(args, params: SystemParams):
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     params = _load_params(args)
-    check_counts(workers=args.workers)   # verify runs serially; the flag is still checked
     results = run_all_checks(params, seed=args.seed)
     width = max(len(r.name) for r in results)
     all_ok = True
@@ -206,16 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, sweep=True):
         p.add_argument("--scenario", help="path to a JSON scenario file")
         p.add_argument("--paper-defaults", action="store_true",
                        help="use the published parameter set")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (does not affect results)")
         p.add_argument("--ps", type=float, default=None,
                        help="override source power in dBm")
-        if needs_out:
+        if sweep:
+            p.add_argument("--workers", type=int, default=1,
+                           help="parallel workers (does not affect results)")
             p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("ber-sweep", help="BER versus a swept variable")
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=partial(_sweep_command, sweep=_pilot_sweep, failure_noun="frame"))
 
     p = sub.add_parser("verify", help="run all oracle cross-checks")
-    common(p, needs_out=False)
+    common(p, sweep=False)
     p.set_defaults(func=cmd_verify)
 
     return parser

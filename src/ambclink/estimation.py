@@ -1,4 +1,5 @@
-"""Pilot-based estimation of the energy-statistic moments and threshold."""
+"""Pilot-based estimation of the energy-statistic moments, and the
+threshold-error metric."""
 
 from __future__ import annotations
 
@@ -6,9 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import HypothesisMoments, near_optimal_threshold
 from .config import valid_pilot_count
-from .errors import EstimationError, ModelValidityError
+from .errors import EstimationError
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,6 @@ def pilot_statistics(energies: np.ndarray, plan: PilotPlan):
         means.append(mean)
         variances.append((2.0 / (k - 2)) * ((group - mean[..., None]) ** 2).sum(axis=-1))
     return means[0], means[1], variances[0], variances[1]
-
-
-def estimated_threshold(delta0, delta1, var0, var1) -> float:
-    """Near-optimal threshold at the moments one frame's pilot statistics
-    estimate (see `pilot_statistics`). A zero group variance, or moments
-    with no defined threshold, is a degenerate estimate."""
-    try:
-        return near_optimal_threshold(HypothesisMoments(
-            delta0=float(delta0), delta1=float(delta1), var0=float(var0), var1=float(var1)))
-    except ModelValidityError as exc:
-        raise EstimationError(f"degenerate estimate: {exc}") from exc
 
 
 def relative_threshold_error(t_true: float, t_est: float) -> float:

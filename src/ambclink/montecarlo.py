@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import (
+    HypothesisMoments,
     ber_closed_form,
     hypothesis_moments,
     near_optimal_threshold,
@@ -37,7 +38,6 @@ from .config import (
 from .errors import AmbclinkError, ConfigError, EstimationError, ModelValidityError
 from .estimation import (
     PilotPlan,
-    estimated_threshold,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -109,7 +109,7 @@ def _estimated_thresholds(energies, plan):
     threshold, failed = [], []
     for frame in zip(*(s.ravel().tolist() for s in stats)):
         try:
-            threshold.append(estimated_threshold(*frame))
+            threshold.append(near_optimal_threshold(HypothesisMoments(*frame)))
             failed.append(False)
         except AmbclinkError:
             threshold.append(math.nan)

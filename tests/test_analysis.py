@@ -242,12 +242,62 @@ class TestThreshold:
             assert near_optimal_threshold(m) == pytest.approx(t0 + shift, rel=1e-12)
 
     def test_inverted_ordering_still_near_optimal(self):
-        # larger mean with smaller variance: the primary closed-form root can
-        # leave the means interval; the result must still beat the grid
+        # larger mean with smaller variance: the + root leaves the means
+        # interval, and the - root is the BER minimum
         m = HypothesisMoments(2.0, 1.0, 0.01, 0.25)
         t = near_optimal_threshold(m)
         _, ber_grid = grid_min_threshold(m)
         assert ber_closed_form(m, t) <= ber_grid + 1e-6
+
+    def test_matches_pdf_equality_oracle(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            m = random_valid_moments(rng)
+            assert near_optimal_threshold(m) == pytest.approx(pdf_equality_root(m), rel=1e-9)
+
+    def test_extreme_variance_ratio_takes_the_ber_minimum(self):
+        # var1/var0 ~ 1e36: both PDF crossings lie within 1e-13 of delta0,
+        # and the + root is the BER maximum (0.75)
+        m = HypothesisMoments(1.9573577084307967e-06, 4.923566230907227e-08,
+                              1.217131888351243e-30, 1111789.5100164565)
+        _, ber_grid = grid_min_threshold(m)
+        assert ber_closed_form(m, near_optimal_threshold(m)) <= ber_grid + 1e-6
+
+    @pytest.mark.parametrize("m", [
+        HypothesisMoments(1.0, 2.0, 1e300, 1e-300),
+        HypothesisMoments(1e160, -1e160, 1.0, 2.0),
+        HypothesisMoments(1e-10, -1e-8, 1e300, 1e-34),
+        HypothesisMoments(1e154, -1e154, 1e300, 2e300),
+        HypothesisMoments(-1e-26, -1e-25, 1e-23, 1e307),
+        HypothesisMoments(1.0, 10.0, 10.0, 1e-31),
+        HypothesisMoments(1.0, 2.0, 1e-300, 1e300),
+    ], ids=["variance-ratio-underflow", "mean-gap-overflow", "log-of-zero-ratio",
+            "square-overflow", "fallback-overflow", "sub-ulp-crossing",
+            "sub-ulp-crossing-ratio-overflow"])
+    def test_out_of_float_range_is_a_model_validity_error(self, m):
+        # beyond the float range of the closed form or of the numeric root, or
+        # a crossing finer than the floats beside a mean, where the threshold
+        # would land on that PDF's peak
+        with pytest.raises(ModelValidityError):
+            near_optimal_threshold(m)
+
+    def test_variance_ratio_overflow_falls_back_to_the_root(self):
+        # var1/var0 overflows to inf, so the closed form gives NaN
+        m = HypothesisMoments(1.0, 2.0, 1e-10, 1e300)
+        t = near_optimal_threshold(m)
+        assert t == pytest.approx(pdf_equality_root(m), rel=1e-12)
+        assert ber_closed_form(m, t) <= grid_min_threshold(m)[1] + 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_d0=st.floats(-15.0, 5.0), log_d1=st.floats(-15.0, 5.0),
+           log_v0=st.floats(-35.0, 10.0), log_v1=st.floats(-35.0, 10.0))
+    def test_never_above_the_grid_minimum(self, log_d0, log_d1, log_v0, log_v1):
+        m = HypothesisMoments(10.0 ** log_d0, 10.0 ** log_d1, 10.0 ** log_v0, 10.0 ** log_v1)
+        try:
+            t = near_optimal_threshold(m)
+        except (ModelValidityError, NoSeparationError):
+            return
+        assert ber_closed_form(m, t) <= grid_min_threshold(m)[1] + 1e-6
 
 
     @settings(max_examples=300, deadline=None)
@@ -273,9 +323,8 @@ class TestExactBits:
     numpy 2.4, whose libm and random streams they assume."""
 
     def test_threshold_and_ber_on_random_moments(self):
-        # 2000 tuples cover all three branches of near_optimal_threshold:
-        # the primary root (940), the other root inside the means (977) and
-        # the lower-BER of two crossings (83)
+        # 2000 tuples cover both closed-form roots of near_optimal_threshold:
+        # the + root for delta0 < delta1 (980) and the - root otherwise (1020)
         rng = np.random.default_rng(0)
         values = []
         for _ in range(2000):
@@ -287,8 +336,8 @@ class TestExactBits:
 
     def test_fading_averaged_curve_grid(self, paper_params):
         """The closed_form_curve benchmark's grid (Ps -60..30 dBm, both modes)
-        on 40 channels: the draws, moments, thresholds and BERs, where the
-        lower-BER branch serves most evaluations."""
+        on 40 channels: the draws, moments, thresholds and BERs; the + root
+        serves 892 evaluations and the - root 628."""
         values = []
         for r in range(40):
             real = draw_channels(paper_params,

@@ -252,7 +252,7 @@ def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, comma
     out = str(tmp_path / "x.csv")
     extra = {"ber-sweep": ["--sweep", "ps:0:10:10", "--out", out],
              "pilot-sweep": ["--out", out], "verify": []}[command]
-    rc = main([command, "--scenario", scenario, *FAST, *extra])
+    rc = main([command, "--scenario", scenario, "--seed", "4", *extra])
     captured = capsys.readouterr()
     assert rc == EXIT_VALIDATION
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
@@ -341,9 +341,8 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("bad_args, field", [
-        (["--seed", "-1"], "seed"), (["--workers", "0"], "workers"),
-    ], ids=["seed-negative", "workers-0"])
+    @pytest.mark.parametrize("bad_args, field", [(["--seed", "-1"], "seed")],
+                             ids=["seed-negative"])
     def test_bad_seed_or_workers_rejected_before_any_check(self, capsys, monkeypatch,
                                                             bad_args, field):
         def no_check(*args, **kwargs):
@@ -364,3 +363,38 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_CHECK_FAILURE
         assert "FAIL" in out
+
+    def test_workers_is_not_a_verify_option(self, capsys):
+        # verify runs its checks serially in the calling process
+        with pytest.raises(SystemExit):
+            main(["verify", "--paper-defaults", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
+
+
+class TestReadmeOutputs:
+    """sha256 of the CSVs the README commands write, run through cli.main: the
+    automated form of the byte-identity check a change that must not move any
+    CSV cell is held to. The bytes carry the numpy version line and rest on
+    numpy's random streams and the C library's erfc, exp, log and sqrt; the
+    digests were taken on x86-64 Linux with CPython 3.11 and numpy 2.4.6."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["ber-sweep", "--paper-defaults", "--sweep", "ps:-10:30:5", "--modes", "lna,no_lna",
+          "--realizations", "200", "--seed", "7"],
+         "9975a71255c2d85ff5f51aa366227244bcab63a19b71a4a345fd1edc5d8494fe"),
+        (["ber-sweep", "--paper-defaults", "--sweep", "bdpr:-30:-10:10", "--ps", "5",
+          "--modes", "lna", "--realizations", "200", "--seed", "7"],
+         "2724fd6a4fe935e09a238afb003dff1c7cf26375977e217c8e0de6f9bada515d"),
+        (["pilot-sweep", "--scenario", "k200.json", "--fractions", "0.05,0.1,0.2,0.4",
+          "--mode", "lna", "--frames", "50", "--realizations", "20", "--seed", "7"],
+         "09c00fab5c021ce77ada3dff31a2140fcdd01fe8c2a80f2c803f71a95909bddb"),
+        (["ber-sweep", "--paper-defaults", "--sweep", "ps:0:20:10", "--threshold-policy",
+          "estimated", "--frames", "5", "--realizations", "20", "--seed", "3"],
+         "ec0a676dfffaf19a3dd2c6076a181e094982a05e1b0cac095beb8e738596e554"),
+    ], ids=["ber-ps", "ber-bdpr", "pilot-k200", "ber-estimated"])
+    def test_csv_digest(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k200.json").write_text(json.dumps({"paper_defaults": True,
+                                                        "k_symbols": 200}))
+        assert main([*argv, "--out", "out.csv"]) == EXIT_OK
+        assert hashlib.sha256(_read("out.csv")).hexdigest() == digest

@@ -4,21 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ambclink import LNA, EstimationError
-from ambclink.analysis import (
-    HypothesisMoments,
-    hypothesis_moments,
-    near_optimal_threshold,
-)
+from ambclink import LNA, EstimationError, ModelValidityError
+from ambclink.analysis import HypothesisMoments
 from ambclink.estimation import (
     PilotPlan,
-    estimated_threshold,
     pilot_statistics,
     relative_threshold_error,
 )
 from ambclink.frontend import generate_frame
 from ambclink.montecarlo import run_pilot_sweep
-from ambclink.oracles import grouped_mean_var, pdf_equality_root
+from ambclink.oracles import grouped_mean_var
 
 
 class TestPilotPlan:
@@ -43,8 +38,9 @@ class TestEstimateMoments:
         assert v1 == pytest.approx(2.0, rel=1e-12)
 
     def test_constant_energies_degenerate(self):
-        with pytest.raises(EstimationError):
-            estimated_threshold(*pilot_statistics(np.full(8, 3.0), PilotPlan(8)))
+        # zero group variances: no Gaussian moments, so no threshold
+        with pytest.raises(ModelValidityError):
+            HypothesisMoments(*pilot_statistics(np.full(8, 3.0), PilotPlan(8)))
 
     def test_too_few_energies(self):
         with pytest.raises(EstimationError):
@@ -92,29 +88,6 @@ class TestEstimateMoments:
         assert means[1] < 4 * math.sqrt(truth.var1 / (group * 300))
         assert means[2] < 0.01 * truth.var0
         assert means[3] < 0.01 * truth.var1
-
-
-class TestEstimatedThreshold:
-    def test_equals_true_threshold_on_true_moments(self, paper_params, fixed_realization):
-        m_true = hypothesis_moments(paper_params, fixed_realization, LNA)
-        assert estimated_threshold(m_true.delta0, m_true.delta1, m_true.var0,
-                                   m_true.var1) == near_optimal_threshold(m_true)
-
-    def test_midpoint_case(self):
-        assert estimated_threshold(1.0, 3.0, 0.25, 0.25) == pytest.approx(2.0, rel=1e-12)
-
-    def test_matches_pdf_equality_oracle(self):
-        rng = np.random.default_rng(47)
-        from ambclink.verify import random_valid_moments
-        for _ in range(50):
-            m = random_valid_moments(rng)
-            t = estimated_threshold(m.delta0, m.delta1, m.var0, m.var1)
-            assert t == pytest.approx(pdf_equality_root(m), rel=1e-9)
-
-    def test_no_separation_propagates(self):
-        from ambclink import NoSeparationError
-        with pytest.raises(NoSeparationError):
-            estimated_threshold(1.0, 1.0, 0.5, 0.5)
 
 
 class TestRelativeThresholdError:

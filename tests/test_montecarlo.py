@@ -19,7 +19,6 @@ from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
 from ambclink.errors import ConfigError, ModelValidityError
 from ambclink.estimation import (
     PilotPlan,
-    estimated_threshold,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -426,8 +425,9 @@ class TestPilotSweep:
         for frac, pt in zip(fractions, points):
             k = round(frac * 200)
             stats = pilot_statistics(energies[0, :, :k], PilotPlan(k))
-            errs = [relative_threshold_error(t_true, estimated_threshold(*row))
-                    for row in zip(*stats)]
+            errs = [relative_threshold_error(
+                        t_true, near_optimal_threshold(HypothesisMoments(*row)))
+                    for row in zip(*(s.tolist() for s in stats))]
             assert (pt.k_train, pt.frames, pt.failures) == (k, 30, 0)
             assert (pt.r_mean, pt.r_median, pt.r_p90) == (
                 float(np.mean(errs)), float(np.median(errs)), float(np.percentile(errs, 90)))
