@@ -15,7 +15,7 @@ from .analysis import (
     nolna_moments,
     q_function,
 )
-from .channel import ChannelRealization, bdpr, draw_channels, draw_nonzero_channels
+from .channel import ChannelRealization, bdpr, draw_channels
 from .config import (
     LNA,
     NO_LNA,
@@ -79,7 +79,6 @@ __all__ = [
     "deflection_no_lna",
     "detect",
     "draw_channels",
-    "draw_nonzero_channels",
     "frame_energies",
     "generate_frame",
     "hypothesis_moments",

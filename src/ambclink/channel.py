@@ -73,20 +73,13 @@ def aligned_channel(params: SystemParams, direct_gain: float) -> ChannelRealizat
 
 
 def bdpr(real: ChannelRealization, params: SystemParams) -> float:
-    """Backscatter-to-direct-link power ratio in dB."""
+    """Backscatter-to-direct-link power ratio in dB. Raises
+    UndefinedRatioError when either gain is 0."""
     direct = abs(real.h0) ** 2
     if direct == 0.0:
         raise UndefinedRatioError("BDPR undefined: |h0| = 0")
     back = params.alpha_amp ** 2 * abs(real.hst) ** 2 * abs(real.htr) ** 2
+    if back == 0.0:
+        raise UndefinedRatioError("BDPR undefined: the backscatter gain is 0")
     return 10.0 * math.log10(back / direct)
-
-
-def draw_nonzero_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
-    """The first of up to 16 draw_channels draws whose h0, hst and htr are
-    all nonzero, so that its BDPR is defined and can be rescaled."""
-    for _ in range(16):
-        real = draw_channels(params, rng)
-        if abs(real.h0) > 0 and abs(real.hst) > 0 and abs(real.htr) > 0:
-            return real
-    raise UndefinedRatioError("could not draw nonzero channels for BDPR rescaling")
 

@@ -25,7 +25,7 @@ from .analysis import (
     near_optimal_threshold,
     noise_power,
 )
-from .channel import aligned_channel, draw_channels, draw_nonzero_channels
+from .channel import aligned_channel, draw_channels
 from .config import (
     MAX_BDPR_DB,
     MODES,
@@ -42,12 +42,10 @@ from .estimation import (
     relative_threshold_error,
 )
 from .frontend import draw_energies
-from .oracles import grid_min_threshold
 
 CLOSED_FORM_TRUE = "closed_form_true"
 ESTIMATED_POLICY = "estimated"
-NUMERIC_ORACLE = "numeric_oracle"
-POLICIES = (CLOSED_FORM_TRUE, ESTIMATED_POLICY, NUMERIC_ORACLE)
+POLICIES = (CLOSED_FORM_TRUE, ESTIMATED_POLICY)
 
 SWEEP_PS = "ps_dbm"
 SWEEP_BDPR = "bdpr_db"
@@ -134,10 +132,7 @@ def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generat
     true_m = [hypothesis_moments(params, real, mode) for real in reals]
     plan = PilotPlan(params.k_train) if policy == ESTIMATED_POLICY else None
     if plan is None:
-        if policy == CLOSED_FORM_TRUE:
-            true_t = [near_optimal_threshold(m) for m in true_m]
-        else:
-            true_t = [grid_min_threshold(m)[0] for m in true_m]
+        true_t = [near_optimal_threshold(m) for m in true_m]
         true_cf = [ber_closed_form(m, t) for m, t in zip(true_m, true_t)]
         delta0 = np.array([m.delta0 for m in true_m])[:, None]
         delta1 = np.array([m.delta1 for m in true_m])[:, None]
@@ -189,12 +184,13 @@ class SweepSpec:
         if self.threshold_policy not in POLICIES:
             raise ConfigError(f"unknown threshold policy {self.threshold_policy!r}",
                               fields=("threshold_policy",))
+        k_train, k_symbols = self.scenario.k_train, self.scenario.k_symbols
         if (self.threshold_policy == ESTIMATED_POLICY
-                and not valid_pilot_count(self.scenario.k_train)):
+                and not (valid_pilot_count(k_train) and k_train < k_symbols)):
             raise ConfigError(
-                f"the {ESTIMATED_POLICY} policy needs an even pilot count >= 4, got "
-                f"k_train={self.scenario.k_train} (pilot_fraction="
-                f"{self.scenario.pilot_fraction})", fields=("pilot_fraction",))
+                f"the {ESTIMATED_POLICY} policy needs an even pilot count >= 4 and a data "
+                f"symbol after the pilots, got k_train={k_train} of k_symbols={k_symbols} "
+                f"(pilot_fraction={self.scenario.pilot_fraction})", fields=("pilot_fraction",))
         pinned = () if self.fixed_bdpr_db is None else (self.fixed_bdpr_db,)
         if pinned and self.sweep_var == SWEEP_BDPR:
             raise ConfigError("fixed_bdpr_db pins the BDPR of a ps sweep, not of a bdpr sweep",
@@ -272,16 +268,14 @@ def wilson_halfwidth(errors: int, bits: int) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits))
 
 
-def _channel_table(params, with_bdpr, n_realizations, master_seed) -> list:
+def _channel_table(params, n_realizations, master_seed) -> list:
     """Realization r of every point and mode of a sweep, drawn once from seed
     (master, r, 1) under `params`. The seed excludes the mode and the point,
     so modes are compared on identical fading and curves are paired across
-    points (common random numbers). With a BDPR target, an entry is the
-    first all-nonzero draw (draw_nonzero_channels); blocks rescale it to
-    their target with at_operating_point."""
-    draw = draw_nonzero_channels if with_bdpr else draw_channels
-    return [draw(params, np.random.default_rng(np.random.SeedSequence((master_seed, r, 1))))
-            for r in range(n_realizations)]
+    points (common random numbers). Blocks compose an entry at their point,
+    rescaled to a BDPR target if they have one, with at_operating_point."""
+    seeds = (np.random.SeedSequence((master_seed, r, 1)) for r in range(n_realizations))
+    return [draw_channels(params, np.random.default_rng(seed)) for seed in seeds]
 
 
 def _blocks(table, symbols: int) -> list:
@@ -292,30 +286,33 @@ def _blocks(table, symbols: int) -> list:
     return [(r0, tuple(table[r0:r0 + size])) for r0 in range(0, len(table), size)]
 
 
+def _frame_rng(master_seed: int, r0: int) -> np.random.Generator:
+    """The frames of the block from realization r0, shared by every point, mode and fraction."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, r0, 2)))
+
+
 def _ber_task(task) -> BlockResult:
     """One BER block: a (sweep point, mode) and a run of realizations of the
     channel table, with all their frames. A pure function of the task, so
-    results do not depend on the worker count. The frames share one
-    generator seeded (master, *point_key, r0, 2), with r0 the first
-    realization."""
-    params, mode, policy, bdpr_db, n_frames, master_seed, point_key, r0, drawn = task
+    results depend neither on the worker count nor on the other points and
+    modes of the sweep."""
+    params, mode, policy, bdpr_db, n_frames, master_seed, r0, drawn = task
     reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, *point_key, r0, 2)))
-    return ber_block(params, reals, n_frames, rng, mode, policy)
+    return ber_block(params, reals, n_frames, _frame_rng(master_seed, r0), mode, policy)
 
 
 def _pilot_task(task):
     """One pilot-study block, for every pilot count in `k_trains` at once:
     the true threshold once per realization, then per frame only the pilots
-    of the largest count, drawn from one generator seeded (master, r0, 2).
-    The pilot bits alternate 0/1, so the first k of them are exactly the
-    plan of count k, and each count estimates from that prefix of the same
-    energies. Returns the true thresholds and the estimated thresholds and
-    failure flags, of shape (len(k_trains), realizations, frames)."""
+    of the largest count, drawn from _frame_rng. The pilot bits alternate 0/1,
+    so the first k of them are exactly the plan of count k, and each count
+    estimates from that prefix of the same energies. Returns the true
+    thresholds and the estimated thresholds and failure flags, of shape
+    (len(k_trains), realizations, frames)."""
     params, mode, k_trains, n_frames, master_seed, r0, reals = task
     t_true = [near_optimal_threshold(hypothesis_moments(params, real, mode))
               for real in reals]
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, r0, 2)))
+    rng = _frame_rng(master_seed, r0)
     plans = [PilotPlan(k) for k in k_trains]
     threshold = np.empty((len(plans), len(reals), n_frames))
     failed = np.empty(threshold.shape, dtype=bool)
@@ -346,24 +343,13 @@ def _map_blocks(fn, groups: list, workers: int) -> list:
 
 
 def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
-    errors = bits = failures = ok = 0
-    thr_sum = cf_sum = 0.0
-    for frames in blocks:
-        errors += int(frames.errors.sum())
-        bits += int(frames.bits.sum())
-        failures += int(frames.failed.sum())
-        for thr, cf, failed in zip(frames.threshold.tolist(),
-                                   frames.ber_closed_form.tolist(), frames.failed.tolist()):
-            # sum per realization first, frame by frame; the CSV's last bits
-            # depend on this order
-            thr_part = cf_part = 0.0
-            for t, c, f in zip(thr, cf, failed):
-                if not f:
-                    thr_part += t
-                    cf_part += c
-                    ok += 1
-            thr_sum += thr_part
-            cf_sum += cf_part
+    """One (point, mode)'s row. Its means are correctly rounded sums (fsum) over
+    the frames that did not fail, so neither block layout nor order moves them."""
+    errors = sum(int(b.errors.sum()) for b in blocks)
+    bits = sum(int(b.bits.sum()) for b in blocks)
+    failures = sum(int(b.failed.sum()) for b in blocks)
+    thr = [t for b in blocks for t in b.threshold[~b.failed].tolist()]
+    cf = [c for b in blocks for c in b.ber_closed_form[~b.failed].tolist()]
     return BerPoint(
         sweep_var=spec.sweep_var,
         value=float(value),
@@ -371,8 +357,8 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
         threshold_policy=spec.threshold_policy,
         ber_empirical=errors / bits if bits else math.nan,
         ber_ci_halfwidth=wilson_halfwidth(errors, bits),
-        ber_closed_form=cf_sum / ok if ok else math.nan,
-        threshold_mean=thr_sum / ok if ok else math.nan,
+        ber_closed_form=math.fsum(cf) / len(cf) if cf else math.nan,
+        threshold_mean=math.fsum(thr) / len(thr) if thr else math.nan,
         errors=errors,
         bits=bits,
         failures=failures,
@@ -385,13 +371,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
     check_counts(workers=workers)
-    with_bdpr = spec.sweep_var == SWEEP_BDPR or spec.fixed_bdpr_db is not None
-    table = _channel_table(spec.scenario, with_bdpr, spec.n_realizations, spec.master_seed)
+    table = _channel_table(spec.scenario, spec.n_realizations, spec.master_seed)
     blocks = _blocks(table, spec.n_frames * spec.scenario.k_symbols)
     groups = [[(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames, spec.master_seed,
-                (pi, mi), r0, drawn) for r0, drawn in blocks]
-              for pi, (params, bdpr_db) in enumerate(spec.operating_points)
-              for mi, mode in enumerate(spec.modes)]
+                r0, drawn) for r0, drawn in blocks]
+              for params, bdpr_db in spec.operating_points for mode in spec.modes]
     points = ((value, mode) for value in spec.values for mode in spec.modes)
     return [_ber_point(spec, value, mode, results) for (value, mode), results
             in zip(points, _map_blocks(_ber_task, groups, workers))]
@@ -438,7 +422,7 @@ def run_pilot_sweep(
     per_fraction = [replace(params, pilot_fraction=float(frac)) for frac in fractions]
     k_trains = tuple(p.k_train for p in per_fraction)
     check_trials(n_realizations, n_frames, max(k_trains))
-    table = _channel_table(params, False, n_realizations, master_seed)
+    table = _channel_table(params, n_realizations, master_seed)
     tasks = [(params, mode, k_trains, n_frames, master_seed, r0, reals)
              for r0, reals in _blocks(table, n_frames * max(k_trains))]
     (blocks,) = _map_blocks(_pilot_task, [tasks], workers)

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from ambclink import UndefinedRatioError
-from ambclink.channel import (
-    ChannelRealization,
-    bdpr,
-    draw_channels,
-    draw_nonzero_channels,
-)
+from ambclink.channel import ChannelRealization, bdpr, draw_channels
 
 N_DRAWS = 200_000  # 1% tolerance targets leave ~3x headroom at this size
 
@@ -127,10 +122,18 @@ class TestBdpr:
         with pytest.raises(UndefinedRatioError):
             bdpr(r, paper_params)
 
+    @pytest.mark.parametrize("hst, htr", [(0j, 1.0 + 0j), (1.0 + 0j, 0j)],
+                             ids=["hst", "htr"])
+    def test_zero_backscatter_gain_errors(self, paper_params, hst, htr):
+        # log10(0) would raise a bare ValueError: math domain error
+        r = self._real(paper_params, 1.0 + 0j, hst, htr)
+        with pytest.raises(UndefinedRatioError, match="backscatter"):
+            bdpr(r, paper_params)
+
 
 def _with_bdpr(params, target, rng):
-    """A draw with nonzero gains, its hst rescaled to the target BDPR."""
-    return draw_nonzero_channels(params, rng).at_operating_point(params, target)
+    """A draw, its hst rescaled to the target BDPR."""
+    return draw_channels(params, rng).at_operating_point(params, target)
 
 
 class TestChannelsWithBdpr:

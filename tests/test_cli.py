@@ -74,6 +74,35 @@ class TestBerSweep:
         assert main([*base, "--workers", "3", "--out", b]) == EXIT_OK
         assert _read(a) == _read(b)
 
+    def test_mode_order_does_not_change_rows(self, tmp_path):
+        # frames, like channels, are seeded apart from the point and the mode
+        scenario = _scenario_file(tmp_path, pilot_fraction=0.2)
+        rows = []
+        for modes in ("no_lna,lna", "lna,no_lna"):
+            out = str(tmp_path / f"{modes}.csv")
+            assert main(["ber-sweep", "--scenario", scenario, "--out", out, "--modes", modes,
+                         "--threshold-policy", "estimated", *SMALL_SWEEP, *FAST]) == EXIT_OK
+            rows.append(sorted(l for l in _read(out).decode().splitlines()
+                               if not l.startswith("#")))
+        assert rows[0] == rows[1]
+
+    def test_estimated_policy_without_data_symbols_rejected(self, tmp_path, capsys):
+        # K=10 at 95 % pilots rounds to 10 pilots, leaving no symbol to count
+        scenario = _scenario_file(tmp_path, k_symbols=10, pilot_fraction=0.95)
+        out = str(tmp_path / "x.csv")
+        rc = main(["ber-sweep", "--scenario", scenario, "--out", out, "--sweep", "ps:0:10:10",
+                   "--threshold-policy", "estimated", *FAST])
+        assert rc == EXIT_VALIDATION
+        assert "pilot_fraction" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_retired_policy_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["ber-sweep", "--paper-defaults", "--sweep", "ps:0:10:10",
+                  "--out", str(tmp_path / "x.csv"), "--threshold-policy", "numeric_oracle"])
+        assert ei.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_scenario_file_not_mutated(self, tmp_path):
         scenario = _scenario_file(tmp_path)
         before = hashlib.sha256(_read(scenario)).hexdigest()
@@ -262,8 +291,8 @@ def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, comma
 
 
 def test_scipy_stays_off_the_sweep_path(tmp_path):
-    """Importing the package and running closed-form and pilot sweeps load no
-    scipy; the numeric_oracle policy and verify load it when they run."""
+    """Importing the package and running BER and pilot sweeps load no scipy;
+    only verify loads it, when it runs."""
     code = textwrap.dedent("""
         import sys
         import ambclink, ambclink.cli
@@ -281,9 +310,8 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
                                   "0.2,0.4", "--frames", "2", "--realizations", "2",
                                   "--out", "pilot.csv"]) == 0
         assert not scipy_loaded(), "pilot-sweep"
-        assert ambclink.cli.main([*ber, "--threshold-policy", "numeric_oracle"]) == 0
-        assert scipy_loaded()
         assert ambclink.cli.main(["verify", "--paper-defaults"]) == 0
+        assert scipy_loaded()
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ambclink.__file__)))
     env = {**os.environ,
@@ -381,16 +409,16 @@ class TestReadmeOutputs:
     @pytest.mark.parametrize("argv, digest", [
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:-10:30:5", "--modes", "lna,no_lna",
           "--realizations", "200", "--seed", "7"],
-         "9975a71255c2d85ff5f51aa366227244bcab63a19b71a4a345fd1edc5d8494fe"),
+         "bd22d6caadeed9b2b8872f86bd271a4c6a40c1b74f0572cc3429f6ff827bfa05"),
         (["ber-sweep", "--paper-defaults", "--sweep", "bdpr:-30:-10:10", "--ps", "5",
           "--modes", "lna", "--realizations", "200", "--seed", "7"],
-         "2724fd6a4fe935e09a238afb003dff1c7cf26375977e217c8e0de6f9bada515d"),
+         "4f7bebda26fdf5825461b10250c13f0f5169398985935b08f24465b73f887caf"),
         (["pilot-sweep", "--scenario", "k200.json", "--fractions", "0.05,0.1,0.2,0.4",
           "--mode", "lna", "--frames", "50", "--realizations", "20", "--seed", "7"],
          "09c00fab5c021ce77ada3dff31a2140fcdd01fe8c2a80f2c803f71a95909bddb"),
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:0:20:10", "--threshold-policy",
           "estimated", "--frames", "5", "--realizations", "20", "--seed", "3"],
-         "ec0a676dfffaf19a3dd2c6076a181e094982a05e1b0cac095beb8e738596e554"),
+         "94278bc565655d412a7128a61ce60b6fa6a4350c047bc2ac7a72c4cfab37051d"),
     ], ids=["ber-ps", "ber-bdpr", "pilot-k200", "ber-estimated"])
     def test_csv_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
