@@ -118,46 +118,12 @@ def ber_closed_form(m: HypothesisMoments, threshold: float) -> float:
     )
 
 
-def _log_pdf_diff(m: HypothesisMoments, t: float) -> float:
-    # ln f(t|H0) - ln f(t|H1) for the Gaussian approximations
-    return (
-        -((t - m.delta0) ** 2) / (2 * m.var0)
-        - 0.5 * math.log(m.var0)
-        + ((t - m.delta1) ** 2) / (2 * m.var1)
-        + 0.5 * math.log(m.var1)
-    )
-
-
-def _pdf(mean: float, var: float, t: float) -> float:
-    return math.exp(-((t - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-
-
-def _root_of_pdf_equality(m: HypothesisMoments) -> float:
-    from scipy.optimize import brentq   # rare fallback: keeps scipy off the import path
-
-    lo, hi = min(m.delta0, m.delta1), max(m.delta0, m.delta1)
-    s = max(math.sqrt(m.var0), math.sqrt(m.var1))
-    brackets = [(lo, hi), (lo - 3 * s, hi + 3 * s), (lo - 10 * s, hi + 10 * s)]
-    for a, b in brackets:
-        try:
-            fa, fb = _log_pdf_diff(m, a), _log_pdf_diff(m, b)
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-            if fa * fb < 0:
-                return float(brentq(lambda t: _log_pdf_diff(m, t), a, b, xtol=1e-300, rtol=1e-15))
-        except (RuntimeError, ValueError, OverflowError) as exc:   # iterations, NaN, overflow
-            raise ModelValidityError(f"PDF-equality root did not converge: {exc}") from exc
-    raise ModelValidityError("PDF-equality root not bracketable for these moments")
-
-
 def near_optimal_threshold(m: HypothesisMoments) -> float:
     """Detection threshold at the crossing of the two Gaussian PDFs where the
     BER, of slope (f1 - f0)/2 for delta0 < delta1, is least: f0 - f1 falls
     through zero at the + root of the PDF equality and rises at the - root, so
     that is the + root for delta0 < delta1 and the - root otherwise. Equal
-    variances give the midpoint; a numeric root guards the closed form."""
+    variances give the midpoint."""
     if m.delta0 == m.delta1:
         raise NoSeparationError("delta0 == delta1: hypotheses are not separable")
     # the crossing lies a few standard deviations of the narrower PDF off its mean;
@@ -172,13 +138,11 @@ def near_optimal_threshold(m: HypothesisMoments) -> float:
         # both terms are >= 0, so the discriminant is too (or NaN)
         root = math.sqrt(c * (m.delta0 - m.delta1) ** 2 + c * (m.var1 - m.var0) * math.log(c))
         t = (m.delta0 * c - m.delta1 + (root if m.delta0 < m.delta1 else -root)) / (c - 1.0)
-        f0, f1 = _pdf(m.delta0, m.var0, t), _pdf(m.delta1, m.var1, t)
     except (OverflowError, ValueError) as exc:   # a square beyond float range, or c == 0
         raise ModelValidityError(f"threshold closed form out of float range: {exc}") from exc
-    peak = max(f0, f1)
-    if peak > 0 and abs(f0 - f1) <= 1e-6 * peak:
-        return t
-    return _root_of_pdf_equality(m)
+    if not math.isfinite(t):   # the variance ratio or the discriminant overflowed to inf
+        raise ModelValidityError(f"threshold closed form out of float range for {m}")
+    return t
 
 
 def deflection_no_lna(p0: float, p1: float, n_w: float, n_samples: int) -> float:

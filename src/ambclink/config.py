@@ -57,6 +57,11 @@ MIN_ALPHA_DB = -300.0
 # A passive link adds no gain either: each path gain r^-v is at most 1 (0 dB).
 # With v > 0 that is r >= 1 m, checked on r because r^-v overflows for tiny r.
 MIN_DISTANCE_M = 1.0
+# Below -300 dB a link carries no usable signal either, and far below it the
+# gain underflows to 0, where the hypotheses merge and BDPR is undefined (the
+# paper's links sit at -76 dB). Checked as v * log10(r) <= 30, so nothing is
+# raised to a power.
+MIN_PATH_GAIN_DB = -300.0
 # A pinned or swept BDPR rescales hst by 10^(BDPR/20). At the paper's defaults
 # sweeps ran clean up to 200 dB; from about 280 dB they fail. At high Ps the
 # reach is lower, and SweepSpec checks it per point.
@@ -155,6 +160,11 @@ class SystemParams:
         for name in ("v0", "vst", "vtr"):
             if not getattr(self, name) > 0:
                 bad.append(name)
+        for r, v in (("r0", "v0"), ("rst", "vst"), ("rtr", "vtr")):
+            if (r not in bad and v not in bad
+                    and getattr(self, v) * math.log10(getattr(self, r)) > -MIN_PATH_GAIN_DB / 10):
+                bad += [r, v]
+                limits.append(f"path gain {r}^-{v} >= {MIN_PATH_GAIN_DB:g} dB")
         if not 0.0 <= self.pilot_fraction < 1.0:
             bad.append("pilot_fraction")
         elif (self.pilot_fraction > 0.0 and "k_symbols" not in bad

@@ -166,6 +166,10 @@ def test_criterion_5_lna_advantage(params, averaged_sweep):
     assert dc.passed, dc.detail
 
 
+def _noise_free(params):
+    return replace(params, n_ar_dbm=-300.0, n_at_dbm=-300.0, n_cov_dbm=-300.0)
+
+
 def _successive_ratios(curve):
     return [curve[i + 1] / curve[i] for i in range(len(curve) - 1)]
 
@@ -188,8 +192,7 @@ def test_criterion_6_error_floor(averaged_spec, averaged_sweep):
     # noise, so the shape test is deterministic. The floor reruns the same
     # spec with the noise powers far below the signal, which keeps the
     # channel pairing.
-    quiet = replace(averaged_spec.scenario, n_ar_dbm=-300.0, n_at_dbm=-300.0,
-                    n_cov_dbm=-300.0)
+    quiet = _noise_free(averaged_spec.scenario)
     floor_sweep = run_sweep(replace(averaged_spec, scenario=quiet, modes=(LNA,)),
                             workers=1)
     curve = [p.ber_closed_form for p in averaged_sweep if p.mode == LNA]
@@ -230,22 +233,41 @@ def _first_flatten(curve, values, bound=0.9):
     return math.inf
 
 
+def _first_within(excess, bounds, values):
+    for i in range(len(excess)):
+        if all(e <= b for e, b in zip(excess[i:], bounds[i:])):
+            return values[i]
+    return math.inf
+
+
 def test_criterion_7_bdpr_invariance(params):
+    # The gate reads the onset off raw successive ratios. At BDPR -30 and -20
+    # dB every raw ratio is >= 0.9, so that onset sits at the grid's first
+    # step; the diagnostic onsets read the excess over criterion 6's
+    # noise-free floor, rerun at each BDPR, and do not enter the gate.
     t0 = time.monotonic()
-    flatten = {}
+    quiet = _noise_free(params)
+    flatten, relative, absolute = {}, {}, {}
     for b in (-30.0, -20.0, -10.0):
         spec = SweepSpec(scenario=params, sweep_var=SWEEP_PS, values=SWEEP_VALUES,
                          modes=(LNA,), threshold_policy=CLOSED_FORM_TRUE,
                          n_frames=1, n_realizations=200, master_seed=SWEEP_SEED,
                          fixed_bdpr_db=b)
-        pts = run_sweep(spec, workers=1)
-        flatten[b] = _first_flatten([p.ber_closed_form for p in pts], SWEEP_VALUES)
+        curve = [p.ber_closed_form for p in run_sweep(spec, workers=1)]
+        floor = [p.ber_closed_form
+                 for p in run_sweep(replace(spec, scenario=quiet), workers=1)]
+        flatten[b] = _first_flatten(curve, SWEEP_VALUES)
+        excess = [c - f for c, f in zip(curve, floor)]
+        relative[b] = _first_within(excess, [0.01 * f for f in floor], SWEEP_VALUES)
+        absolute[b] = _first_within(excess, [1e-3] * len(floor), SWEEP_VALUES)
     spread = max(flatten.values()) - min(flatten.values())
     dt = time.monotonic() - t0
     ok = spread <= 5.0
     _report(7, "bdpr_invariance", ok,
             f"error-floor onset Ps by BDPR: {flatten} dBm, spread {spread:.1f} dB "
-            f"(<= one 5 dB grid step), {dt:.0f}s")
+            f"(<= one 5 dB grid step), {dt:.0f}s; diagnostic onsets on the excess "
+            f"over the noise-free floor: <= 1% of the floor {relative} dBm, "
+            f"<= 1e-3 {absolute} dBm")
     assert spread <= 5.0
 
 

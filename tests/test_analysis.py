@@ -217,14 +217,6 @@ class TestThreshold:
         assert 1.0 <= t <= 3.0
         assert t == pytest.approx(pdf_equality_root(m), rel=1e-10)
 
-    def test_unconverged_fallback_root_is_a_model_validity_error(self):
-        # moments far apart in scale: the closed form's discriminant
-        # overflows, and brentq runs out of iterations on the fallback bracket
-        m = HypothesisMoments(delta0=3.2481729156742285e-05, delta1=3.6564856250845187e+74,
-                              var0=1.4067348907434611e-11, var1=3.3870380720339295e+148)
-        with pytest.raises(ModelValidityError, match="did not converge"):
-            near_optimal_threshold(m)
-
     def test_near_grid_minimum(self):
         res = check_threshold_near_optimality(seed=29, n_tuples=100)
         assert res.passed, res.detail
@@ -271,22 +263,28 @@ class TestThreshold:
         HypothesisMoments(-1e-26, -1e-25, 1e-23, 1e307),
         HypothesisMoments(1.0, 10.0, 10.0, 1e-31),
         HypothesisMoments(1.0, 2.0, 1e-300, 1e300),
+        # moments far apart in scale: c * (delta0 - delta1)^2 overflows to inf
+        HypothesisMoments(3.2481729156742285e-05, 3.6564856250845187e+74,
+                          1.4067348907434611e-11, 3.3870380720339295e+148),
+        HypothesisMoments(1.0, 2.0, 1e-10, 1e300),
     ], ids=["variance-ratio-underflow", "mean-gap-overflow", "log-of-zero-ratio",
-            "square-overflow", "fallback-overflow", "sub-ulp-crossing",
-            "sub-ulp-crossing-ratio-overflow"])
+            "square-overflow", "ratio-overflow-negative-means", "sub-ulp-crossing",
+            "sub-ulp-crossing-ratio-overflow", "discriminant-overflow",
+            "variance-ratio-overflow"])
     def test_out_of_float_range_is_a_model_validity_error(self, m):
-        # beyond the float range of the closed form or of the numeric root, or
-        # a crossing finer than the floats beside a mean, where the threshold
+        # beyond the float range of the closed form (var1/var0 or the
+        # discriminant overflows to inf, so the root is not finite), or a
+        # crossing finer than the floats beside a mean, where the threshold
         # would land on that PDF's peak
         with pytest.raises(ModelValidityError):
             near_optimal_threshold(m)
 
-    def test_variance_ratio_overflow_falls_back_to_the_root(self):
-        # var1/var0 overflows to inf, so the closed form gives NaN
-        m = HypothesisMoments(1.0, 2.0, 1e-10, 1e300)
-        t = near_optimal_threshold(m)
-        assert t == pytest.approx(pdf_equality_root(m), rel=1e-12)
-        assert ber_closed_form(m, t) <= grid_min_threshold(m)[1] + 1e-6
+    def test_both_pdfs_underflowing_at_the_crossing_keeps_the_closed_form(self):
+        # both PDFs underflow to 0.0 at the crossing; the closed form still
+        # takes the BER minimum
+        m = HypothesisMoments(442.7111714361245, 3.7822054451280614e-10,
+                              1.6481075805794583, 1.086381776477637e-33)
+        assert ber_closed_form(m, near_optimal_threshold(m)) <= grid_min_threshold(m)[1] + 1e-6
 
     @settings(max_examples=300, deadline=None)
     @given(log_d0=st.floats(-15.0, 5.0), log_d1=st.floats(-15.0, 5.0),

@@ -274,7 +274,9 @@ def test_high_power_bdpr_within_reach_runs(tmp_path, ps, bdpr):
     ({"k_symbols": 10 ** 9, "n_samples": 10 ** 6}, ("k_symbols", "n_samples")),
     ({"r0": 1e-40}, ("r0",)),
     ({"alpha_db": -4000}, ("alpha_db",)),
-], ids=["ps-dbm", "noise-dbm", "frame-size", "path-gain", "tag-gain-floor"])
+    ({"rtr": 1e200}, ("rtr",)),
+], ids=["ps-dbm", "noise-dbm", "frame-size", "path-gain", "tag-gain-floor",
+        "path-gain-underflow"])
 def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, command, doc,
                                                          named):
     scenario = _scenario_file(tmp_path, **{"k_symbols": 200, **doc})
@@ -292,9 +294,10 @@ def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, comma
 
 def test_scipy_stays_off_the_sweep_path(tmp_path):
     """Importing the package and running BER and pilot sweeps load no scipy;
-    only verify loads it, when it runs."""
+    only verify loads it, when it runs. The K=200 pilot sweep with 4 pilots
+    meets moment sets whose two PDFs both underflow to 0 at the threshold."""
     code = textwrap.dedent("""
-        import sys
+        import json, sys
         import ambclink, ambclink.cli
 
         def scipy_loaded():
@@ -309,6 +312,11 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
         assert ambclink.cli.main(["pilot-sweep", "--paper-defaults", "--fractions",
                                   "0.2,0.4", "--frames", "2", "--realizations", "2",
                                   "--out", "pilot.csv"]) == 0
+        with open("k200.json", "w") as fh:
+            json.dump({"paper_defaults": True, "k_symbols": 200, "ps_dbm": 30}, fh)
+        assert ambclink.cli.main(["pilot-sweep", "--scenario", "k200.json", "--fractions",
+                                  "0.02", "--mode", "lna", "--realizations", "20",
+                                  "--frames", "100", "--seed", "3", "--out", "k200.csv"]) == 0
         assert not scipy_loaded(), "pilot-sweep"
         assert ambclink.cli.main(["verify", "--paper-defaults"]) == 0
         assert scipy_loaded()

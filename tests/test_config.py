@@ -15,6 +15,7 @@ from ambclink.config import (
     MAX_N_SAMPLES,
     MIN_ALPHA_DB,
     MIN_DISTANCE_M,
+    MIN_PATH_GAIN_DB,
     PAPER_DEFAULTS,
     db_to_amplitude_gain,
     db_to_power_gain,
@@ -248,6 +249,18 @@ class TestSystemParams:
             assert tuple(ei.value.fields) == (distance,)
             assert f"{distance} >= {MIN_DISTANCE_M:g}" in str(ei.value)
 
+    def test_path_gain_at_least_minus_300_db(self, paper_params):
+        # vtr = 2.5: rtr = 1e12 m is a gain of exactly -300 dB
+        at_bound = replace(paper_params, rtr=1e12)
+        assert at_bound.rtr ** -at_bound.vtr == pytest.approx(1e-30)
+        # at 1e200 m r^-v underflows to 0: no tag signal at all;
+        # at the paper's rtr = 10 m, vtr = 31 is -310 dB
+        for doc in ({"rtr": 1e13}, {"rtr": 1e200}, {"vtr": 31.0}):
+            with pytest.raises(ConfigError) as ei:
+                replace(paper_params, **doc)
+            assert tuple(ei.value.fields) == ("rtr", "vtr")
+            assert f"rtr^-vtr >= {MIN_PATH_GAIN_DB:g} dB" in str(ei.value)
+
     def test_frame_size_capped(self):
         base = {"paper_defaults": True, "pilot_fraction": 0.0}
         load_scenario({**base, "k_symbols": MAX_K_SYMBOLS, "n_samples": 10})
@@ -309,7 +322,8 @@ def test_load_rejects_or_returns_finite_in_range_fields(doc):
     assert MIN_ALPHA_DB <= p.alpha_db <= MAX_ALPHA_DB
     for distance, exponent in (("r0", "v0"), ("rst", "vst"), ("rtr", "vtr")):
         assert getattr(p, distance) >= MIN_DISTANCE_M
-        assert getattr(p, distance) ** -getattr(p, exponent) <= 1.0
+        # 1 - 1e-12: r ** -v and the load check's v * log10(r) round apart
+        assert 1e-30 * (1 - 1e-12) <= getattr(p, distance) ** -getattr(p, exponent) <= 1.0
     assert 1 <= p.k_symbols <= MAX_K_SYMBOLS and 1 <= p.n_samples <= MAX_N_SAMPLES
     assert p.k_symbols * p.n_samples <= MAX_FRAME_SAMPLES
     for linear in (p.ps, p.n_ar, p.n_at, p.n_cov, p.alpha_amp):

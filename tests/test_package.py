@@ -1,5 +1,6 @@
 import ast
 import inspect
+from pathlib import Path
 
 import ambclink
 
@@ -16,3 +17,10 @@ def test_exports_match_the_package_imports():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names}
     assert set(ambclink.__all__) == imported
+
+
+def test_only_the_oracles_and_verify_mention_scipy():
+    # the sweeps load no scipy for any input, not only those a run reaches
+    package = Path(ambclink.__file__).parent
+    assert sorted(path.name for path in package.glob("*.py")
+                  if "scipy" in path.read_text(encoding="utf-8")) == ["oracles.py", "verify.py"]
