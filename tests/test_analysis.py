@@ -270,7 +270,7 @@ class TestThreshold:
     ], ids=["variance-ratio-underflow", "mean-gap-overflow", "log-of-zero-ratio",
             "square-overflow", "ratio-overflow-negative-means", "sub-ulp-crossing",
             "sub-ulp-crossing-ratio-overflow", "discriminant-overflow",
-            "variance-ratio-overflow"])
+            "overflowing-variance-ratio"])
     def test_out_of_float_range_is_a_model_validity_error(self, m):
         # beyond the float range of the closed form (var1/var0 or the
         # discriminant overflows to inf, so the root is not finite), or a
