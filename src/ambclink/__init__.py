@@ -35,11 +35,7 @@ from .errors import (
     NoSeparationError,
     UndefinedRatioError,
 )
-from .estimation import (
-    PilotPlan,
-    pilot_statistics,
-    relative_threshold_error,
-)
+from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import SymbolFrame, frame_energies, generate_frame, symbol_energies
 from .montecarlo import (
     BerPoint,
@@ -65,7 +61,6 @@ __all__ = [
     "LNA",
     "NO_LNA",
     "PAPER_DEFAULTS",
-    "PilotPlan",
     "SweepSpec",
     "SymbolFrame",
     "SystemParams",
@@ -86,6 +81,7 @@ __all__ = [
     "load_scenario",
     "near_optimal_threshold",
     "nolna_moments",
+    "pilot_bits",
     "pilot_statistics",
     "q_function",
     "read_scenario",

@@ -40,12 +40,17 @@ def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> flo
     return b1sq * params.n_ar + params.n_cov + b1sq * tag
 
 
-def lna_moments(p: float, beta1: float, beta3: float, n_aw: float, n_samples: int):
-    """Mean and variance of the energy statistic behind an LNA front end."""
+def _check_moment_inputs(p: float, n_samples: int) -> None:
+    """The inputs both moment functions share: a power >= 0 and N >= 1."""
     if p < 0:
         raise ModelValidityError(f"received power must be nonnegative, got {p}")
     if n_samples < 1:
         raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
+
+
+def lna_moments(p: float, beta1: float, beta3: float, n_aw: float, n_samples: int):
+    """Mean and variance of the energy statistic behind an LNA front end."""
+    _check_moment_inputs(p, n_samples)
     b1, b3 = beta1, beta3
     try:
         mean = b1**2 * p + 6 * b3**2 * p**3 + 4 * b1 * b3 * p**2 + n_aw
@@ -74,8 +79,7 @@ def lna_moments(p: float, beta1: float, beta3: float, n_aw: float, n_samples: in
 
 def nolna_moments(p: float, n_w: float, n_samples: int):
     """Mean and variance of the energy statistic without an LNA."""
-    if p < 0:
-        raise ModelValidityError(f"received power must be nonnegative, got {p}")
+    _check_moment_inputs(p, n_samples)
     mean = p + n_w
     var = (p**2 + 2 * p * n_w + n_w**2) / n_samples
     return mean, var

@@ -244,15 +244,19 @@ _FLOORS = {"alpha_db": MIN_ALPHA_DB, "r0": MIN_DISTANCE_M, "rst": MIN_DISTANCE_M
 def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:
     """Build validated SystemParams from a flat key-value document.
 
-    Unknown keys are rejected. With `paper_defaults` (flag or a truthy
-    "paper_defaults" key in the document) missing keys fall back to the
-    published values; otherwise every field must be present.
+    Unknown keys are rejected. With `paper_defaults` (flag, or a
+    "paper_defaults" key in the document, which must be a boolean) missing
+    keys fall back to the published values; otherwise every field must be
+    present.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
     doc = dict(doc)
-    if doc.pop("paper_defaults", False):
-        paper_defaults = True
+    flag = doc.pop("paper_defaults", False)
+    if not isinstance(flag, bool):
+        raise ConfigError(f"paper_defaults must be true or false, got {flag!r}",
+                          fields=("paper_defaults",))
+    paper_defaults = paper_defaults or flag
 
     unknown = sorted(set(doc) - set(_FIELD_NAMES))
     if unknown:
@@ -292,6 +296,6 @@ def read_scenario(path: str, paper_defaults: bool = False) -> SystemParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return load_scenario(doc, paper_defaults=paper_defaults)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -35,12 +34,8 @@ from .config import (
     check_trials,
     valid_pilot_count,
 )
-from .errors import AmbclinkError, ConfigError, EstimationError, ModelValidityError
-from .estimation import (
-    PilotPlan,
-    pilot_statistics,
-    relative_threshold_error,
-)
+from .errors import AmbclinkError, ConfigError, ModelValidityError
+from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_energies
 
 CLOSED_FORM_TRUE = "closed_form_true"
@@ -78,14 +73,13 @@ class BlockResult:
     failed: np.ndarray
 
 
-def _frame_runs(params, reals, n_frames, rng, mode, plan, n_data):
+def _frame_runs(params, reals, n_frames, rng, mode, k_train, n_data):
     """Bits, then energies, of every (realization, frame, symbol) of a block,
     in runs of consecutive frames of at most BLOCK_SYMBOLS symbols (one frame
     per realization at least), each drawn in one sampler call: yields
     (bits, energies), each of shape (len(reals), frames in the run, symbols).
-    A frame holds the plan's k_train pilots (none without a plan), then
-    n_data random data bits. A block of several realizations holds one run."""
-    k_train = plan.k_train if plan is not None else 0
+    A frame holds k_train pilots (pilot_bits; none for 0), then n_data random
+    data bits. A block of several realizations holds one run."""
     # [d] is the (realization, 1, 1) column of the bit-d power and noise power
     power = np.array([(real.p0, real.p1) for real in reals]).T[:, :, None, None]
     noise = np.array([[noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
@@ -94,16 +88,16 @@ def _frame_runs(params, reals, n_frames, rng, mode, plan, n_data):
     for f0 in range(0, n_frames, run):
         shape = (len(reals), min(run, n_frames - f0))
         bits = rng.integers(0, 2, (*shape, n_data))
-        if plan is not None:
+        if k_train:
             bits = np.concatenate(
-                [np.broadcast_to(plan.pilot_bits, (*shape, k_train)), bits], axis=-1)
+                [np.broadcast_to(pilot_bits(k_train), (*shape, k_train)), bits], axis=-1)
         yield bits, draw_energies(params, bits, power, noise, rng, mode)
 
 
-def _estimated_thresholds(energies, plan):
-    """Per-frame moments and thresholds estimated from the pilots. A frame
-    whose estimate or threshold is degenerate is marked failed."""
-    stats = pilot_statistics(energies, plan)
+def _estimated_thresholds(energies, k_train):
+    """Per-frame moments and thresholds estimated from the k_train leading
+    pilots. A frame whose estimate or threshold is degenerate is marked failed."""
+    stats = pilot_statistics(energies, k_train)
     threshold, failed = [], []
     for frame in zip(*(s.ravel().tolist() for s in stats)):
         try:
@@ -130,26 +124,27 @@ def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generat
     if policy not in POLICIES:
         raise ValueError(f"unknown threshold policy {policy!r}")
     true_m = [hypothesis_moments(params, real, mode) for real in reals]
-    plan = PilotPlan(params.k_train) if policy == ESTIMATED_POLICY else None
-    if plan is None:
+    estimated = policy == ESTIMATED_POLICY
+    k_train = params.k_train if estimated else 0
+    if not estimated:
         true_t = [near_optimal_threshold(m) for m in true_m]
         true_cf = [ber_closed_form(m, t) for m, t in zip(true_m, true_t)]
         delta0 = np.array([m.delta0 for m in true_m])[:, None]
         delta1 = np.array([m.delta1 for m in true_m])[:, None]
     runs = []
-    n_data = params.k_symbols - (plan.k_train if plan is not None else 0)
-    for bits, energies in _frame_runs(params, reals, n_frames, rng, mode, plan, n_data):
-        if plan is None:
+    n_data = params.k_symbols - k_train
+    for bits, energies in _frame_runs(params, reals, n_frames, rng, mode, k_train, n_data):
+        if not estimated:
             threshold = np.broadcast_to(np.array(true_t)[:, None], bits.shape[:2])
             failed = np.zeros(bits.shape[:2], dtype=bool)
         else:
-            (delta0, delta1, _, _), threshold, failed = _estimated_thresholds(energies, plan)
-            bits, energies = bits[..., plan.k_train:], energies[..., plan.k_train:]
+            (delta0, delta1, _, _), threshold, failed = _estimated_thresholds(energies, k_train)
+            bits, energies = bits[..., k_train:], energies[..., k_train:]
         decided = detect(energies, threshold[..., None], delta0[..., None], delta1[..., None])
         errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
         runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, failed))
     errors, n_bits, threshold, failed = (np.concatenate(x, axis=1) for x in zip(*runs))
-    if plan is None:
+    if not estimated:
         closed = np.broadcast_to(np.array(true_cf)[:, None], failed.shape)
     else:
         closed = np.full(failed.shape, math.nan)
@@ -304,26 +299,18 @@ def _ber_task(task) -> BlockResult:
 def _pilot_task(task):
     """One pilot-study block, for every pilot count in `k_trains` at once:
     the true threshold once per realization, then per frame only the pilots
-    of the largest count, drawn from _frame_rng. The pilot bits alternate 0/1,
-    so the first k of them are exactly the plan of count k, and each count
-    estimates from that prefix of the same energies. Returns the true
-    thresholds and the estimated thresholds and failure flags, of shape
-    (len(k_trains), realizations, frames)."""
+    of the largest count, drawn from _frame_rng. Each count k estimates from
+    the first k of those energies, which are its own pilots (pilot_bits).
+    Returns the relative threshold errors, of shape (len(k_trains),
+    realizations, frames): NaN where the frame failed or its estimate is 0."""
     params, mode, k_trains, n_frames, master_seed, r0, reals = task
-    t_true = [near_optimal_threshold(hypothesis_moments(params, real, mode))
-              for real in reals]
-    rng = _frame_rng(master_seed, r0)
-    plans = [PilotPlan(k) for k in k_trains]
-    threshold = np.empty((len(plans), len(reals), n_frames))
-    failed = np.empty(threshold.shape, dtype=bool)
-    f0 = 0
-    longest = PilotPlan(max(k_trains))
-    for _, energies in _frame_runs(params, reals, n_frames, rng, mode, longest, 0):
-        f1 = f0 + energies.shape[1]
-        for i, plan in enumerate(plans):
-            _, threshold[i, :, f0:f1], failed[i, :, f0:f1] = _estimated_thresholds(energies, plan)
-        f0 = f1
-    return t_true, threshold, failed
+    t_true = np.array([near_optimal_threshold(hypothesis_moments(params, real, mode))
+                       for real in reals])
+    runs = _frame_runs(params, reals, n_frames, _frame_rng(master_seed, r0), mode,
+                       max(k_trains), 0)
+    threshold = np.concatenate([[_estimated_thresholds(energies, k)[1] for k in k_trains]
+                                for _, energies in runs], axis=-1)
+    return relative_threshold_error(t_true[:, None], np.where(threshold == 0, np.nan, threshold))
 
 
 def _map_blocks(fn, groups: list, workers: int) -> list:
@@ -426,16 +413,11 @@ def run_pilot_sweep(
     tasks = [(params, mode, k_trains, n_frames, master_seed, r0, reals)
              for r0, reals in _blocks(table, n_frames * max(k_trains))]
     (blocks,) = _map_blocks(_pilot_task, [tasks], workers)
+    errors = np.concatenate(blocks, axis=1)
 
     points = []
-    for i, p in enumerate(per_fraction):
-        errs = []
-        for t_true, threshold, failed in blocks:
-            for t, thr, bad in zip(t_true, threshold[i], failed[i]):
-                for t_est in thr[~bad].tolist():
-                    with suppress(EstimationError):   # a failed frame
-                        errs.append(relative_threshold_error(t, t_est))
-        good = np.array(errs)
+    for p, err in zip(per_fraction, errors):
+        good = err[~np.isnan(err)]       # (realization, frame) order
         points.append(PilotPoint(
             pilot_fraction=p.pilot_fraction,
             k_train=p.k_train,

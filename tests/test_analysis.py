@@ -90,6 +90,16 @@ class TestMoments:
         with pytest.raises(ModelValidityError):
             nolna_moments(-1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("moments", [
+        lambda n: lna_moments(1.0, 1.0, 0.0, 1.0, n),
+        lambda n: nolna_moments(1.0, 1.0, n),
+    ], ids=["lna", "no_lna"])
+    def test_nonpositive_n_samples_rejected(self, moments, n_samples):
+        # one rule for both modes: no ZeroDivisionError, no negative variance
+        with pytest.raises(ModelValidityError, match=f"n_samples must be >= 1, got {n_samples}"):
+            moments(n_samples)
+
     def test_out_of_range_power_trips_guard(self, paper_params):
         res = check_model_validity_guard(paper_params)
         assert res.passed, res.detail

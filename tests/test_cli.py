@@ -292,6 +292,32 @@ def test_out_of_range_scenario_exits_1_naming_the_fields(tmp_path, capsys, comma
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["ber-sweep", "pilot-sweep", "verify"])
+def test_undecodable_scenario_file_exits_1_naming_it(tmp_path, capsys, command):
+    scenario = tmp_path / "utf16.json"
+    scenario.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x7B]))   # not UTF-8
+    out = str(tmp_path / "x.csv")
+    extra = {"ber-sweep": ["--sweep", "ps:0:10:10", "--out", out],
+             "pilot-sweep": ["--out", out], "verify": []}[command]
+    rc = main([command, "--scenario", str(scenario), "--seed", "4", *extra])
+    captured = capsys.readouterr()
+    assert rc == EXIT_VALIDATION
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert str(scenario) in captured.err
+    assert not os.path.exists(out)
+
+
+def test_string_paper_defaults_exits_1_naming_the_key(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"paper_defaults": "false"}))
+    out = str(tmp_path / "x.csv")
+    rc = main(["ber-sweep", "--scenario", str(scenario), "--sweep", "ps:0:0:1",
+               "--realizations", "2", "--out", out])
+    assert rc == EXIT_VALIDATION
+    assert "paper_defaults" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_scipy_stays_off_the_sweep_path(tmp_path):
     """Importing the package and running BER and pilot sweeps load no scipy;
     only verify loads it, when it runs. The K=200 pilot sweep with 4 pilots

@@ -82,6 +82,13 @@ class TestLoadScenario:
         assert p.ps_dbm == 5.0
         assert p.beta1 == 56.23
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_paper_defaults_key_must_be_a_boolean(self, flag):
+        # "false" is a truthy string: it must not load the published values
+        with pytest.raises(ConfigError, match="paper_defaults must be true or false") as ei:
+            load_scenario({"paper_defaults": flag})
+        assert ei.value.fields == ("paper_defaults",)
+
     def test_empty_document_lists_all_missing_keys(self):
         with pytest.raises(ConfigError) as ei:
             load_scenario({})

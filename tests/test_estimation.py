@@ -7,7 +7,7 @@ import pytest
 from ambclink import LNA, EstimationError, ModelValidityError
 from ambclink.analysis import HypothesisMoments
 from ambclink.estimation import (
-    PilotPlan,
+    pilot_bits,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -18,20 +18,19 @@ from ambclink.oracles import grouped_mean_var
 
 class TestPilotPlan:
     def test_alternating_balanced(self):
-        plan = PilotPlan(6)
-        assert list(plan.pilot_bits) == [0, 1, 0, 1, 0, 1]
-        assert int(plan.pilot_bits.sum()) == 3
+        assert list(pilot_bits(6)) == [0, 1, 0, 1, 0, 1]
+        assert int(pilot_bits(6).sum()) == 3
 
     @pytest.mark.parametrize("bad", [0, 2, 3, 5, 7])
     def test_invalid_counts_rejected(self, bad):
         with pytest.raises(EstimationError):
-            PilotPlan(bad)
+            pilot_bits(bad)
 
 
 class TestEstimateMoments:
     def test_arithmetic_by_hand(self):
         # pilot bits alternate 0,1,0,1: group 0 gets {1,3}, group 1 gets {2,4}
-        d0, d1, v0, v1 = pilot_statistics(np.array([1.0, 2.0, 3.0, 4.0]), PilotPlan(4))
+        d0, d1, v0, v1 = pilot_statistics(np.array([1.0, 2.0, 3.0, 4.0]), 4)
         assert d0 == pytest.approx(2.0, rel=1e-12)
         assert d1 == pytest.approx(3.0, rel=1e-12)
         assert v0 == pytest.approx(2.0, rel=1e-12)
@@ -40,28 +39,27 @@ class TestEstimateMoments:
     def test_constant_energies_degenerate(self):
         # zero group variances: no Gaussian moments, so no threshold
         with pytest.raises(ModelValidityError):
-            HypothesisMoments(*pilot_statistics(np.full(8, 3.0), PilotPlan(8)))
+            HypothesisMoments(*pilot_statistics(np.full(8, 3.0), 8))
 
     def test_too_few_energies(self):
         with pytest.raises(EstimationError):
-            pilot_statistics(np.ones(3), PilotPlan(4))
+            pilot_statistics(np.ones(3), 4)
 
     def test_within_group_permutation_invariance(self):
         e = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         swapped = np.array([3.0, 2.0, 1.0, 4.0, 5.0, 6.0])  # swap group-0 members
-        a = pilot_statistics(e, PilotPlan(6))
-        b = pilot_statistics(swapped, PilotPlan(6))
+        a = pilot_statistics(e, 6)
+        b = pilot_statistics(swapped, 6)
         assert (a[0], a[2]) == (b[0], b[2])
 
     def test_equals_brute_force_grouping(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.4)
-        plan = PilotPlan(p.k_train)
         rng = np.random.default_rng(41)
-        bits = np.concatenate([plan.pilot_bits,
-                               rng.integers(0, 2, p.k_symbols - plan.k_train)])
+        bits = np.concatenate([pilot_bits(p.k_train),
+                               rng.integers(0, 2, p.k_symbols - p.k_train)])
         frame = generate_frame(p, fixed_realization, bits, rng, LNA)
-        d0, d1, v0, v1 = pilot_statistics(frame.energies, plan)
-        oracle = grouped_mean_var(frame.energies[: plan.k_train], plan.pilot_bits)
+        d0, d1, v0, v1 = pilot_statistics(frame.energies, p.k_train)
+        oracle = grouped_mean_var(frame.energies[: p.k_train], pilot_bits(p.k_train))
         assert d0 == pytest.approx(oracle[0][0], rel=1e-14)
         assert v0 == pytest.approx(oracle[0][1], rel=1e-14)
         assert d1 == pytest.approx(oracle[1][0], rel=1e-14)
@@ -72,13 +70,12 @@ class TestEstimateMoments:
         truth = HypothesisMoments(1.0, 1.5, 0.04, 0.09)
         rng = np.random.default_rng(43)
         k_train = 2000
-        plan = PilotPlan(k_train)
         d_err = []
         for _ in range(300):
-            e = np.where(plan.pilot_bits == 0,
+            e = np.where(pilot_bits(k_train) == 0,
                          rng.normal(truth.delta0, math.sqrt(truth.var0), k_train),
                          rng.normal(truth.delta1, math.sqrt(truth.var1), k_train))
-            d0, d1, v0, v1 = pilot_statistics(e, plan)
+            d0, d1, v0, v1 = pilot_statistics(e, k_train)
             d_err.append((d0 - truth.delta0, d1 - truth.delta1,
                           v0 - truth.var0, v1 - truth.var1))
         means = np.abs(np.mean(d_err, axis=0))

@@ -16,9 +16,8 @@ from ambclink.analysis import (
 )
 from ambclink.channel import ChannelRealization, draw_channels
 from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
-from ambclink.errors import ConfigError, ModelValidityError
+from ambclink.errors import ConfigError, EstimationError, ModelValidityError
 from ambclink.estimation import (
-    PilotPlan,
     pilot_statistics,
     relative_threshold_error,
 )
@@ -105,11 +104,17 @@ class TestBerTrial:
         assert failed is False
         assert bits == 80
 
+    def test_estimated_policy_without_pilots_raises(self, paper_params, fixed_realization):
+        # a frame with no pilots has nothing to estimate from
+        p = replace(paper_params, k_symbols=100, pilot_fraction=0.0)
+        with pytest.raises(EstimationError):
+            _one_frame(p, fixed_realization, 7, LNA, ESTIMATED_POLICY)
+
     def test_degenerate_estimate_is_recorded_not_raised(self, paper_params,
                                                         fixed_realization,
                                                         monkeypatch):
-        def degenerate(energies, plan):
-            d0, d1, v0, v1 = pilot_statistics(energies, plan)
+        def degenerate(energies, k_train):
+            d0, d1, v0, v1 = pilot_statistics(energies, k_train)
             return d0, d1, np.zeros_like(v0), v1    # zero pilot-group variance
         monkeypatch.setattr(mc, "pilot_statistics", degenerate)
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
@@ -131,7 +136,7 @@ class TestBerTrial:
         bits = np.concatenate([np.arange(k0) % 2, rng.integers(0, 2, p.k_symbols - k0)])
         energies = frame_energies(p, fixed_realization, bits, rng, LNA)
         true_m = hypothesis_moments(p, fixed_realization, LNA)
-        m = (HypothesisMoments(*map(float, pilot_statistics(energies, PilotPlan(k0))))
+        m = (HypothesisMoments(*map(float, pilot_statistics(energies, k0)))
              if k0 else true_m)
         t = near_optimal_threshold(m)
         errors = int(np.sum(detect(energies[k0:], t, m.delta0, m.delta1) != bits[k0:]))
@@ -440,11 +445,49 @@ class TestPilotSweep:
         t_true = near_optimal_threshold(hypothesis_moments(k200, real, LNA))
         for frac, pt in zip(fractions, points):
             k = round(frac * 200)
-            stats = pilot_statistics(energies[0, :, :k], PilotPlan(k))
+            stats = pilot_statistics(energies[0, :, :k], k)
             errs = [relative_threshold_error(
                         t_true, near_optimal_threshold(HypothesisMoments(*row)))
                     for row in zip(*(s.tolist() for s in stats))]
             assert (pt.k_train, pt.frames, pt.failures) == (k, 30, 0)
+            assert (pt.r_mean, pt.r_median, pt.r_p90) == (
+                float(np.mean(errs)), float(np.median(errs)), float(np.percentile(errs, 90)))
+
+    def test_a_zero_estimated_threshold_counts_as_a_failure(self, k200, monkeypatch):
+        # the relative error |T - T_hat| / |T_hat| is undefined at T_hat = 0
+        drawn, estimated = [], []
+
+        def recording(*args):
+            drawn.append(draw_energies(*args))
+            return drawn[-1]
+
+        reals = [draw_channels(k200, np.random.default_rng(np.random.SeedSequence((12, r, 1))))
+                 for r in range(2)]
+        truths = [hypothesis_moments(k200, real, LNA) for real in reals]
+        zeroed = {3, 45, 70}   # estimated calls, by fraction, realization, frame
+
+        def zeroing(m):
+            if m in truths:
+                return near_optimal_threshold(m)
+            estimated.append(m)
+            return 0.0 if len(estimated) - 1 in zeroed else near_optimal_threshold(m)
+
+        monkeypatch.setattr(mc, "draw_energies", recording)
+        monkeypatch.setattr(mc, "near_optimal_threshold", zeroing)
+        fractions = (0.1, 0.2)
+        points = run_pilot_sweep(k200, fractions, LNA, n_realizations=2, n_frames=30,
+                                 master_seed=12, workers=1)
+        (energies,) = drawn
+        assert energies.shape == (2, 30, 40) and len(estimated) == 120
+        t_true = [near_optimal_threshold(m) for m in truths]
+        for i, (frac, pt) in enumerate(zip(fractions, points)):
+            k = round(frac * 200)
+            rows = zip(*(s.ravel().tolist() for s in pilot_statistics(energies, k)))
+            errs = [relative_threshold_error(
+                        t_true[j // 30], near_optimal_threshold(HypothesisMoments(*row)))
+                    for j, row in enumerate(rows) if 60 * i + j not in zeroed]
+            assert pt.frames + pt.failures == 2 * 30
+            assert (pt.frames, pt.failures) == (len(errs), [2, 1][i])
             assert (pt.r_mean, pt.r_median, pt.r_p90) == (
                 float(np.mean(errs)), float(np.median(errs)), float(np.percentile(errs, 90)))
 
