@@ -36,7 +36,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
-from .frontend import SymbolFrame, frame_energies, generate_frame, symbol_energies
+from .frontend import draw_energies, generate_frame, symbol_energies
 from .montecarlo import (
     BerPoint,
     BlockResult,
@@ -62,7 +62,6 @@ __all__ = [
     "NO_LNA",
     "PAPER_DEFAULTS",
     "SweepSpec",
-    "SymbolFrame",
     "SystemParams",
     "bdpr",
     "ber_block",
@@ -74,7 +73,7 @@ __all__ = [
     "deflection_no_lna",
     "detect",
     "draw_channels",
-    "frame_energies",
+    "draw_energies",
     "generate_frame",
     "hypothesis_moments",
     "lna_moments",

@@ -72,10 +72,12 @@ MAX_BDPR_DB = 200.0
 MAX_K_SYMBOLS = 10 ** 6
 MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7
-# A sweep draws its whole channel table before the first block runs, at 350 B
-# and 29 us per entry (paper defaults, 2-vCPU Xeon): 350 MB and 29 s at the
-# realization cap. The LNA sampler draws about 1 M symbols/s (N = 75; 0.9 to
-# 1.1 M measured), so the symbol cap is 15 to 20 minutes of sampling per worker.
+# Each block draws its own channels, 29 us per realization (paper defaults,
+# 2-vCPU Xeon), so the realization cap is 29 s of channel draws spread over
+# the blocks, with no table held. The LNA sampler draws about 1 M symbols/s
+# (N = 75; 0.9 to 1.1 M measured). The symbol cap counts every point and mode,
+# though a block draws once for all of them, so it bounds the sampling at 15 to
+# 20 minutes per worker, and the cheaper per-point arithmetic too.
 MAX_REALIZATIONS = 10 ** 6
 MAX_SWEEP_SYMBOLS = 10 ** 9
 

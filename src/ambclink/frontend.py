@@ -1,9 +1,12 @@
 """Per-symbol energy statistics for a frame of tag symbols.
 
 `draw_energies` draws each symbol's energy statistic directly from its exact
-distribution, for symbols of any shape; `frame_energies` is its one-frame
-entry point. `generate_frame` builds the same statistic from K*N baseband
-samples and is kept as the sample-level reference for it.
+distribution, for symbols of any shape. It draws the symbols' variates first
+(`draw_lna_variates`, or standard gammas without the LNA), which do not depend
+on the powers, and turns them into energies with `energies_from_variates`;
+the sweeps draw the variates once and take the energies at every point and
+mode. `generate_frame` builds the same statistic from K*N baseband samples
+and is kept as the sample-level reference for it.
 """
 
 from __future__ import annotations
@@ -13,19 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import noise_power
 from .channel import ChannelRealization
 from .config import MODES, NO_LNA, SystemParams
 
 SAMPLER_CHUNK = 2 ** 15  # exponential samples the LNA sampler holds at once
-
-
-@dataclass(frozen=True)
-class SymbolFrame:
-    """A generated frame: K*N complex samples and K energy statistics."""
-
-    samples: np.ndarray     # (K*N,) complex
-    energies: np.ndarray    # (K,) float, watts
 
 
 def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
@@ -39,19 +33,6 @@ def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
     return np.mean(np.abs(blocks) ** 2, axis=1)
 
 
-def _checked_bits(params: SystemParams, bits, mode: str) -> np.ndarray:
-    """The frame's bits as an int array, after the checks both samplers share."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size != params.k_symbols:
-        raise ValueError(f"bits must have length K={params.k_symbols}, got {bits.size}")
-    # checked before the cast, which would truncate 0.5 to a valid 0
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0/1 valued")
-    return bits.astype(np.int64, copy=False)
-
-
 def _draw_cn_block(rng: np.random.Generator, variance: float, shape) -> np.ndarray:
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -63,18 +44,26 @@ def generate_frame(
     bits: np.ndarray,
     rng: np.random.Generator,
     mode: str,
-) -> SymbolFrame:
-    """Generate the K*N received samples for one frame, channel held fixed.
+) -> np.ndarray:
+    """The K energy statistics of one frame, built from its K*N received
+    samples, channel held fixed.
 
     no_lna: y = g*s + (w_ar + w_cov + alpha*htr*d*w_at), g = h0 + alpha*hst*htr*d
     lna:    y = beta1*g*s + beta3*(g*s)|g*s|^2
                 + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
     The cubic distortion acts on the noiseless signal component only.
     """
-    bits = _checked_bits(params, bits, mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or bits.size != params.k_symbols:
+        raise ValueError(f"bits must have length K={params.k_symbols}, got {bits.size}")
+    # checked before the cast, which would truncate 0.5 to a valid 0
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0/1 valued")
     n = params.n_samples
     total = bits.size * n
-    d = np.repeat(bits, n)                   # sample-level tag symbol
+    d = np.repeat(bits.astype(np.int64, copy=False), n)   # sample-level tag symbol
     alpha = params.alpha_amp
     g = real.h0 + alpha * real.hst * real.htr * d
 
@@ -90,62 +79,109 @@ def generate_frame(
         y = (params.beta1 * x + params.beta3 * x * np.abs(x) ** 2
              + params.beta1 * w_ar + w_cov
              + params.beta1 * alpha * real.htr * d * w_at)
+    return symbol_energies(y, n)
 
-    return SymbolFrame(samples=y, energies=symbol_energies(y, n))
+
+@dataclass(frozen=True)
+class LnaVariates:
+    """What the LNA energy of symbols of some shape needs of their random
+    draws, each array of that shape: s1, s2, s3 the sums of e, e^2, e^3 over
+    the symbol's N standard exponentials e, g a standard Gamma(N - 1/2) and
+    z a standard normal."""
+
+    s1: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+    g: np.ndarray
+    z: np.ndarray
 
 
-def frame_energies(
-    params: SystemParams,
-    real: ChannelRealization,
-    bits: np.ndarray,
-    rng: np.random.Generator,
-    mode: str,
-) -> np.ndarray:
-    """The K energy statistics of one frame, drawn from exactly the
-    distribution of `generate_frame(...).energies` (see `draw_energies`)."""
-    bits = _checked_bits(params, bits, mode)
-    noise = [noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
-    return draw_energies(params, bits, (real.p0, real.p1), noise, rng, mode)
+def draw_lna_variates(n_samples: int, shape, rng: np.random.Generator) -> LnaVariates:
+    """The LNA variates of symbols of `shape`: first the exponentials, in
+    chunks of at most SAMPLER_CHUNK samples reduced to their sums in place,
+    so memory stays bounded and the draws do not depend on the chunk size;
+    then every g, then every z."""
+    sums = [np.empty(shape) for _ in range(3)]
+    s1, s2, s3 = (s.reshape(-1) for s in sums)
+    rows = max(1, SAMPLER_CHUNK // n_samples)
+    buf = np.empty((2, min(rows, s1.size), n_samples))
+    for start in range(0, s1.size, rows):
+        stop = min(start + rows, s1.size)
+        e = rng.standard_exponential(out=buf[0, :stop - start])
+        t = np.multiply(e, e, out=buf[1, :stop - start])
+        np.einsum("ij->i", e, out=s1[start:stop])
+        np.einsum("ij->i", t, out=s2[start:stop])
+        np.einsum("ij,ij->i", t, e, out=s3[start:stop])
+    buf = e = t = None      # frees the chunk buffers before g and z are drawn
+    return LnaVariates(*sums, rng.standard_gamma(n_samples - 0.5, shape),
+                       rng.standard_normal(shape))
+
+
+def energies_from_variates(params: SystemParams, bits: np.ndarray, power, noise,
+                           mode: str, variates) -> np.ndarray:
+    """Energy statistics of symbols `bits` (0/1, any shape), whose input
+    power and d-gated noise power under bit d are power[d] and noise[d]:
+    scalars, or arrays that broadcast against `bits`. `variates` are the
+    symbols' draws: standard Gamma(N) variates without the LNA, LnaVariates
+    with it.
+
+    With p_d the input power and n_d the noise power of symbol d:
+    no_lna: y is CN(0, p_d + n_d), so the energy is Gamma(N, (p_d + n_d)/N),
+            that scale times a standard Gamma(N) variate.
+    lna:    the phase of x = g*s does not matter (the noise is circular), so
+            Z_k = |x_k|^2 = p_d e_k with e_k standard exponential, and
+            A = sum_k Z_k (beta1 + beta3 Z_k)^2
+              = beta1^2 p_d s1 + 2 beta1 beta3 p_d^2 s2 + beta3^2 p_d^3 s3.
+            Given Z, sum_k |a_k + w_k|^2 with w ~ CN(0, n_d) is
+            (n_d/2) chi'^2_{2N}(2A/n_d), and chi'^2_{2N}(lam) is
+            2 g + (z + sqrt(lam))^2, so the energy is that over N.
+            Where 2A/n_d is not finite (n_d underflowed to 0 W) the energy
+            is its exact limit A/N.
+    The factors of p_d and n_d are formed before the per-symbol pick, on
+    the (realization, bit) levels; the no-LNA energies are then bit for bit
+    those of rng.gamma(N, scale) on the same generator."""
+    one = bits == 1
+    n = params.n_samples
+    if mode == NO_LNA:
+        scale = [(p + w) / n for p, w in zip(power, noise)]
+        return np.where(one, scale[1], scale[0]) * variates
+    b1, b3 = params.beta1, params.beta3
+
+    def pick(f):        # f of each bit's power, picked per symbol
+        return np.where(one, f(power[1]), f(power[0]))
+
+    # computed in place, beside the variates every case shares
+    a = pick(lambda p: b1 * b1 * p)
+    a *= variates.s1
+    for f, s in ((lambda p: 2.0 * b1 * b3 * (p * p), variates.s2),
+                 (lambda p: b3 * b3 * (p * p * p), variates.s3)):
+        term = pick(f)
+        term *= s
+        a += term
+    np.maximum(a, 0.0, out=a)   # the sum is >= 0; its cancellation may round below
+    noise = np.where(one, noise[1], noise[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        chi2 = a.copy()
+        chi2 *= 2.0
+        chi2 /= noise               # the noncentrality 2A/n
+    finite = np.isfinite(chi2)
+    np.copyto(chi2, 0.0, where=~finite)
+    np.sqrt(chi2, out=chi2)
+    chi2 += variates.z
+    chi2 *= chi2
+    chi2 += np.multiply(variates.g, 2.0, out=term)
+    noise /= 2 * n
+    chi2 *= noise
+    a /= n
+    np.copyto(chi2, a, where=~finite)
+    return chi2
 
 
 def draw_energies(params: SystemParams, bits: np.ndarray, power, noise,
                   rng: np.random.Generator, mode: str) -> np.ndarray:
-    """Energy statistics of symbols `bits` (0/1, any shape), whose input
-    power and d-gated noise power under bit d are power[d] and noise[d]:
-    scalars, or arrays that broadcast against `bits`.
-
-    With p_d the input power and n_d the noise power of symbol d:
-    no_lna: y is CN(0, p_d + n_d), so the energy is Gamma(N, (p_d + n_d)/N).
-    lna:    the phase of x = g*s does not matter (the noise is circular), so
-            draw Z_k = |x_k|^2 ~ Exp(p_d) and set A = sum_k Z_k (beta1 + beta3 Z_k)^2.
-            Given Z, sum_k |a_k + w_k|^2 with w ~ CN(0, n_d) is
-            (n_d/2) chi'^2_{2N}(2A/n_d), so the energy is that over N.
-            Where 2A/n_d is not finite (n_d underflowed to 0 W) the energy
-            is its exact limit A/N.
-    The exponentials are drawn in chunks of at most SAMPLER_CHUNK samples,
-    all before the chi-square draws, so memory stays bounded and the draws
-    do not depend on the chunk size.
-    """
-    one = bits == 1
-    power = np.where(one, power[1], power[0])
-    noise = np.where(one, noise[1], noise[0])
-    n = params.n_samples
-    if mode == NO_LNA:
-        return rng.gamma(n, (power + noise) / n)
-    a = np.empty(power.shape)
-    flat_power, flat_a = power.reshape(-1), a.reshape(-1)
-    rows = max(1, SAMPLER_CHUNK // n)
-    for start in range(0, flat_power.size, rows):
-        stop = min(start + rows, flat_power.size)
-        z = rng.standard_exponential((stop - start, n))
-        z *= flat_power[start:stop, None]
-        t = params.beta3 * z
-        t += params.beta1
-        t *= t
-        t *= z
-        t.sum(axis=1, out=flat_a[start:stop])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nonc = 2.0 * a / noise
-    finite = np.isfinite(nonc)
-    chi2 = rng.noncentral_chisquare(2 * n, np.where(finite, nonc, 0.0))
-    return np.where(finite, noise / (2 * n) * chi2, a / n)
+    """Energy statistics of symbols `bits`, as energies_from_variates takes
+    them, drawn from `rng`: their variates, then their energies."""
+    shape, n = np.shape(bits), params.n_samples
+    variates = (rng.standard_gamma(n, shape) if mode == NO_LNA
+                else draw_lna_variates(n, shape, rng))
+    return energies_from_variates(params, bits, power, noise, mode, variates)

@@ -1,11 +1,13 @@
 """Energy detection, end-to-end BER trials, and deterministic parallel sweeps.
 
-A sweep draws its channels once, into a table of realizations. The unit of
-Monte Carlo work is a block: a run of consecutive realizations of that table
-with all their frames, drawn from one generator in sampler calls of at most
-BLOCK_SYMBOLS symbols (one call unless a single realization's frames exceed
-it). A BER block serves one (sweep point, mode); a pilot-study block serves
-every pilot fraction at once.
+The unit of Monte Carlo work is a block: a run of consecutive realizations
+with all their frames, drawn once and shared by every sweep point and mode
+(a pilot-study block serves every pilot fraction at once). A block draws its
+own channels, seeded per realization, then its frames in runs of at most
+BLOCK_SYMBOLS symbols (one run unless a single realization's frames exceed
+it): the bits and the no-LNA standard gammas from the block's frame
+generator, the LNA variates from a generator of their own. Each point and
+mode then takes only arithmetic on those draws.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .analysis import (
 )
 from .channel import aligned_channel, draw_channels
 from .config import (
+    LNA,
     MAX_BDPR_DB,
     MODES,
+    NO_LNA,
     SystemParams,
     check_counts,
     check_seed,
@@ -36,7 +40,7 @@ from .config import (
 )
 from .errors import AmbclinkError, ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
-from .frontend import draw_energies
+from .frontend import draw_lna_variates, energies_from_variates
 
 CLOSED_FORM_TRUE = "closed_form_true"
 ESTIMATED_POLICY = "estimated"
@@ -46,7 +50,7 @@ SWEEP_PS = "ps_dbm"
 SWEEP_BDPR = "bdpr_db"
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-BLOCK_SYMBOLS = 2 ** 14          # symbols per sampler call of a block, bounding its memory
+BLOCK_SYMBOLS = 2 ** 14          # symbols per run of a block's frames, bounding its memory
 # A sweep with a BDPR target is checked at load on a channel whose |h0|^2 is
 # this many times its mean r0^-v0. Under Rayleigh fading that ratio is Exp(1),
 # so a draw exceeds it with probability exp(-50), about 2e-22.
@@ -73,25 +77,38 @@ class BlockResult:
     failed: np.ndarray
 
 
-def _frame_runs(params, reals, n_frames, rng, mode, k_train, n_data):
-    """Bits, then energies, of every (realization, frame, symbol) of a block,
-    in runs of consecutive frames of at most BLOCK_SYMBOLS symbols (one frame
-    per realization at least), each drawn in one sampler call: yields
-    (bits, energies), each of shape (len(reals), frames in the run, symbols).
-    A frame holds k_train pilots (pilot_bits; none for 0), then n_data random
-    data bits. A block of several realizations holds one run."""
-    # [d] is the (realization, 1, 1) column of the bit-d power and noise power
-    power = np.array([(real.p0, real.p1) for real in reals]).T[:, :, None, None]
-    noise = np.array([[noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
-                      for real in reals]).T[:, :, None, None]
-    run = max(1, BLOCK_SYMBOLS // (len(reals) * (k_train + n_data)))
+def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
+    """The draws of every (realization, frame, symbol) of a block, in runs of
+    consecutive frames of at most BLOCK_SYMBOLS symbols (one frame per
+    realization at least). Yields per run the bits, of shape (n_reals, frames
+    in the run, symbols), and their variates by mode, as energies_from_variates
+    takes them: from frame_rng the bits, then the no-LNA standard Gamma(N)
+    variates (None for an LNA-only run without data bits); from lna_rng,
+    unless it is None, the LNA variates. A frame holds k_train pilots
+    (pilot_bits; none for 0), then n_data random data bits. A block of
+    several realizations holds one run."""
+    n = params.n_samples
+    run = max(1, BLOCK_SYMBOLS // (n_reals * (k_train + n_data)))
     for f0 in range(0, n_frames, run):
-        shape = (len(reals), min(run, n_frames - f0))
-        bits = rng.integers(0, 2, (*shape, n_data))
+        shape = (n_reals, min(run, n_frames - f0))
+        bits = frame_rng.integers(0, 2, (*shape, n_data))
         if k_train:
             bits = np.concatenate(
                 [np.broadcast_to(pilot_bits(k_train), (*shape, k_train)), bits], axis=-1)
-        yield bits, draw_energies(params, bits, power, noise, rng, mode)
+        # the next run's bits follow the gammas, so an LNA-only sweep draws them too
+        gamma = frame_rng.standard_gamma(n, bits.shape) if n_data or lna_rng is None else None
+        yield bits, {NO_LNA: gamma,
+                     LNA: None if lna_rng is None else draw_lna_variates(n, bits.shape, lna_rng)}
+
+
+def _levels(params, reals, mode):
+    """(power, noise) of the realizations `reals` at their point, in `mode`:
+    [d] is the (realization, 1, 1) column of the bit-d input power and noise
+    power, as energies_from_variates takes them."""
+    power = np.array([(real.p0, real.p1) for real in reals]).T[:, :, None, None]
+    noise = np.array([[noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
+                      for real in reals]).T[:, :, None, None]
+    return power, noise
 
 
 def _estimated_thresholds(energies, k_train):
@@ -110,12 +127,59 @@ def _estimated_thresholds(energies, k_train):
     return stats, np.array(threshold, float).reshape(shape), np.array(failed, bool).reshape(shape)
 
 
-def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generator,
-              mode: str, policy: str = CLOSED_FORM_TRUE) -> BlockResult:
-    """Every frame of the realizations `reals`: draw bits and their energies,
-    pick a threshold per policy, detect, and count errors on data symbols.
-    The closed forms are taken once per realization, then per run of frames
-    come one sampler call and one vectorized detection pass.
+class _BerCase:
+    """One (point, mode) of a BER block: the levels and closed forms of its
+    realizations at the point, kept as arrays of a few floats per
+    realization (no realization objects, however many points and modes a
+    block serves), and the results of the runs so far."""
+
+    def __init__(self, params, mode, reals, estimated):
+        self.params, self.mode, self.estimated = params, mode, estimated
+        self.levels = _levels(params, reals, mode)
+        moments = [hypothesis_moments(params, real, mode) for real in reals]
+        # rows (delta0, delta1, var0, var1); HypothesisMoments(*row) rebuilds one
+        self.moments = np.array([(m.delta0, m.delta1, m.var0, m.var1) for m in moments])
+        if not estimated:
+            threshold = [near_optimal_threshold(m) for m in moments]
+            self.threshold = np.array(threshold)[:, None]
+            self.closed = np.array([ber_closed_form(m, t)
+                                    for m, t in zip(moments, threshold)])[:, None]
+        self.runs = []
+
+    def add_run(self, k_train, bits, variates):
+        """Detect a run's frames and count errors on their data symbols."""
+        energies = energies_from_variates(self.params, bits, *self.levels, self.mode,
+                                          variates[self.mode])
+        shape = bits.shape[:2]
+        if not self.estimated:
+            threshold, closed = (np.broadcast_to(x, shape) for x in (self.threshold, self.closed))
+            failed = np.zeros(shape, dtype=bool)
+            delta0, delta1 = self.moments[:, :1], self.moments[:, 1:2]
+        else:
+            (delta0, delta1, _, _), threshold, failed = _estimated_thresholds(energies, k_train)
+            bits, energies = bits[..., k_train:], energies[..., k_train:]
+            true_m = [HypothesisMoments(*row) for row in self.moments.tolist()]
+            closed = np.full(shape, math.nan)
+            for r, f in zip(*np.nonzero(~failed)):
+                closed[r, f] = ber_closed_form(true_m[r], float(threshold[r, f]))
+        decided = detect(energies, threshold[..., None], delta0[..., None], delta1[..., None])
+        errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
+        self.runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, closed, failed))
+
+    def result(self) -> BlockResult:
+        return BlockResult(*(np.concatenate(x, axis=1) for x in zip(*self.runs)))
+
+
+def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
+              lna_rng: np.random.Generator | None, policy: str = CLOSED_FORM_TRUE) -> list:
+    """Every frame of a block at each case (params, mode, reals): the
+    realizations `reals` composed at the point `params`. The cases differ
+    only in Ps or BDPR (they share K, N and the pilot fraction), so they
+    share one draw of the block's frames (_frame_runs; the LNA variates come
+    from lna_rng, drawn only if a case is LNA). Per run of frames each case takes
+    its energies, picks a threshold per policy, detects, and counts errors on
+    data symbols; the closed forms are taken once per realization. Returns
+    one BlockResult per case.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
@@ -123,34 +187,16 @@ def ber_block(params: SystemParams, reals, n_frames: int, rng: np.random.Generat
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown threshold policy {policy!r}")
-    true_m = [hypothesis_moments(params, real, mode) for real in reals]
     estimated = policy == ESTIMATED_POLICY
+    cases = [_BerCase(params, mode, reals, estimated) for params, mode, reals in cases]
+    params, n_reals = cases[0].params, len(cases[0].moments)
     k_train = params.k_train if estimated else 0
-    if not estimated:
-        true_t = [near_optimal_threshold(m) for m in true_m]
-        true_cf = [ber_closed_form(m, t) for m, t in zip(true_m, true_t)]
-        delta0 = np.array([m.delta0 for m in true_m])[:, None]
-        delta1 = np.array([m.delta1 for m in true_m])[:, None]
-    runs = []
-    n_data = params.k_symbols - k_train
-    for bits, energies in _frame_runs(params, reals, n_frames, rng, mode, k_train, n_data):
-        if not estimated:
-            threshold = np.broadcast_to(np.array(true_t)[:, None], bits.shape[:2])
-            failed = np.zeros(bits.shape[:2], dtype=bool)
-        else:
-            (delta0, delta1, _, _), threshold, failed = _estimated_thresholds(energies, k_train)
-            bits, energies = bits[..., k_train:], energies[..., k_train:]
-        decided = detect(energies, threshold[..., None], delta0[..., None], delta1[..., None])
-        errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
-        runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, failed))
-    errors, n_bits, threshold, failed = (np.concatenate(x, axis=1) for x in zip(*runs))
-    if not estimated:
-        closed = np.broadcast_to(np.array(true_cf)[:, None], failed.shape)
-    else:
-        closed = np.full(failed.shape, math.nan)
-        for r, f in zip(*np.nonzero(~failed)):
-            closed[r, f] = ber_closed_form(true_m[r], float(threshold[r, f]))
-    return BlockResult(errors, n_bits, threshold, closed, failed)
+    runs = _frame_runs(params, n_reals, n_frames, k_train, params.k_symbols - k_train,
+                       frame_rng, lna_rng if any(c.mode == LNA for c in cases) else None)
+    for bits, variates in runs:
+        for case in cases:
+            case.add_run(k_train, bits, variates)
+    return [case.result() for case in cases]
 
 
 @dataclass(frozen=True)
@@ -263,70 +309,72 @@ def wilson_halfwidth(errors: int, bits: int) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits))
 
 
-def _channel_table(params, n_realizations, master_seed) -> list:
-    """Realization r of every point and mode of a sweep, drawn once from seed
-    (master, r, 1) under `params`. The seed excludes the mode and the point,
-    so modes are compared on identical fading and curves are paired across
-    points (common random numbers). Blocks compose an entry at their point,
-    rescaled to a BDPR target if they have one, with at_operating_point."""
-    seeds = (np.random.SeedSequence((master_seed, r, 1)) for r in range(n_realizations))
-    return [draw_channels(params, np.random.default_rng(seed)) for seed in seeds]
-
-
-def _blocks(table, symbols: int) -> list:
-    """(r0, realizations) of each block: runs of consecutive entries of the
-    table, about BLOCK_SYMBOLS symbols in all at `symbols` per realization.
-    Their size follows from the sweep alone, never from the worker count."""
+def _blocks(realizations, symbols: int) -> list:
+    """(r0, realizations) of each block: runs of consecutive realizations
+    (a range), about BLOCK_SYMBOLS symbols in all at `symbols` per
+    realization. Their size follows from the sweep alone, never from the
+    worker count."""
     size = max(1, BLOCK_SYMBOLS // symbols)
-    return [(r0, tuple(table[r0:r0 + size])) for r0 in range(0, len(table), size)]
+    return [(r0, realizations[r0:r0 + size]) for r0 in range(0, len(realizations), size)]
 
 
-def _frame_rng(master_seed: int, r0: int) -> np.random.Generator:
-    """The frames of the block from realization r0, shared by every point, mode and fraction."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, r0, 2)))
+def _block_draws(params, master_seed: int, r0: int, realizations):
+    """A block's channels, drawn under `params`, and its two generators.
+    Channel r is seeded (master, r, 1), whatever the block, so modes are
+    compared on identical fading and curves are paired across points (common
+    random numbers). The frames of the block from realization r0 are seeded
+    (master, r0, 2) and its LNA variates (master, r0, 3): both are shared by
+    every point, mode and fraction."""
+    def rng(*key):
+        return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
+
+    return [draw_channels(params, rng(r, 1)) for r in realizations], rng(r0, 2), rng(r0, 3)
 
 
-def _ber_task(task) -> BlockResult:
-    """One BER block: a (sweep point, mode) and a run of realizations of the
-    channel table, with all their frames. A pure function of the task, so
-    results depend neither on the worker count nor on the other points and
-    modes of the sweep."""
-    params, mode, policy, bdpr_db, n_frames, master_seed, r0, drawn = task
-    reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
-    return ber_block(params, reals, n_frames, _frame_rng(master_seed, r0), mode, policy)
+def _ber_task(task) -> list:
+    """One BER block: a run of realizations with all their frames, at every
+    (sweep point, mode) of the spec. A pure function of the task, so results
+    depend neither on the worker count nor on the block layout of the other
+    blocks; each case's result depends only on its own point and mode."""
+    spec, r0, realizations = task
+    drawn, frame_rng, lna_rng = _block_draws(spec.scenario, spec.master_seed, r0, realizations)
+    # composed one case at a time: ber_block keeps arrays, not realizations
+    cases = ((params, mode, [real.at_operating_point(params, bdpr_db) for real in drawn])
+             for params, bdpr_db in spec.operating_points for mode in spec.modes)
+    return ber_block(cases, spec.n_frames, frame_rng, lna_rng, spec.threshold_policy)
 
 
 def _pilot_task(task):
     """One pilot-study block, for every pilot count in `k_trains` at once:
     the true threshold once per realization, then per frame only the pilots
-    of the largest count, drawn from _frame_rng. Each count k estimates from
+    of the largest count, drawn by _frame_runs. Each count k estimates from
     the first k of those energies, which are its own pilots (pilot_bits).
     Returns the relative threshold errors, of shape (len(k_trains),
     realizations, frames): NaN where the frame failed or its estimate is 0."""
-    params, mode, k_trains, n_frames, master_seed, r0, reals = task
+    params, mode, k_trains, n_frames, master_seed, r0, realizations = task
+    reals, frame_rng, lna_rng = _block_draws(params, master_seed, r0, realizations)
     t_true = np.array([near_optimal_threshold(hypothesis_moments(params, real, mode))
                        for real in reals])
-    runs = _frame_runs(params, reals, n_frames, _frame_rng(master_seed, r0), mode,
-                       max(k_trains), 0)
-    threshold = np.concatenate([[_estimated_thresholds(energies, k)[1] for k in k_trains]
-                                for _, energies in runs], axis=-1)
+    runs = _frame_runs(params, len(reals), n_frames, max(k_trains), 0, frame_rng,
+                       lna_rng if mode == LNA else None)
+    levels = _levels(params, reals, mode)
+    threshold = np.concatenate(
+        [[_estimated_thresholds(energies, k)[1] for k in k_trains]
+         for energies in (energies_from_variates(params, bits, *levels, mode, variates[mode])
+                          for bits, variates in runs)], axis=-1)
     return relative_threshold_error(t_true[:, None], np.where(threshold == 0, np.nan, threshold))
 
 
-def _map_blocks(fn, groups: list, workers: int) -> list:
-    """The results of `fn` for each group of tasks, group by group; the only
-    place a process pool is opened, and only for two tasks or more (tasks
-    are pure, so this cannot change a result). At least four chunks per
-    worker keep the load balanced when one worker runs slower than the
-    other."""
-    tasks = [task for group in groups for task in group]
+def _map_blocks(fn, tasks: list, workers: int) -> list:
+    """The results of `fn` for each task, in order; the only place a process
+    pool is opened, and only for two tasks or more (tasks are pure, so this
+    cannot change a result). At least four chunks per worker keep the load
+    balanced when one worker runs slower than the other."""
     if workers > 1 and len(tasks) > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = iter(list(pool.map(fn, tasks, chunksize=chunksize)))
-    else:
-        results = map(fn, tasks)
-    return [[next(results) for _ in group] for group in groups]
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return list(map(fn, tasks))
 
 
 def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
@@ -358,14 +406,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
     check_counts(workers=workers)
-    table = _channel_table(spec.scenario, spec.n_realizations, spec.master_seed)
-    blocks = _blocks(table, spec.n_frames * spec.scenario.k_symbols)
-    groups = [[(params, mode, spec.threshold_policy, bdpr_db, spec.n_frames, spec.master_seed,
-                r0, drawn) for r0, drawn in blocks]
-              for params, bdpr_db in spec.operating_points for mode in spec.modes]
+    tasks = [(spec, r0, realizations) for r0, realizations in
+             _blocks(range(spec.n_realizations), spec.n_frames * spec.scenario.k_symbols)]
+    per_case = zip(*_map_blocks(_ber_task, tasks, workers))
     points = ((value, mode) for value in spec.values for mode in spec.modes)
-    return [_ber_point(spec, value, mode, results) for (value, mode), results
-            in zip(points, _map_blocks(_ber_task, groups, workers))]
+    return [_ber_point(spec, value, mode, blocks)
+            for (value, mode), blocks in zip(points, per_case)]
 
 
 @dataclass(frozen=True)
@@ -401,18 +447,20 @@ def run_pilot_sweep(
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}", fields=("mode",))
     check_counts(n_frames=n_frames, n_realizations=n_realizations, workers=workers)
     check_seed(master_seed, "master_seed")
-    # 0 reads as "no pilots"; a repeat would write two rows under one key
-    if (not fractions or any(frac <= 0 for frac in fractions)
-            or len(set(fractions)) < len(fractions)):
-        raise ConfigError("pilot fractions must be a nonempty list of distinct values > 0, "
+    if not fractions or any(frac <= 0 for frac in fractions):    # 0 reads as "no pilots"
+        raise ConfigError("pilot fractions must be a nonempty list of values > 0, "
                           f"got pilot_fraction {tuple(fractions)!r}", fields=("pilot_fraction",))
     per_fraction = [replace(params, pilot_fraction=float(frac)) for frac in fractions]
     k_trains = tuple(p.k_train for p in per_fraction)
+    # the pilot count is what a fraction estimates from: two fractions of one
+    # count, repeated or only rounded together, would write one row twice
+    if len(set(k_trains)) < len(k_trains):
+        raise ConfigError(f"pilot fractions must give distinct pilot counts, got pilot_fraction "
+                          f"{tuple(fractions)!r} (k_train {k_trains})", fields=("pilot_fraction",))
     check_trials(n_realizations, n_frames, max(k_trains))
-    table = _channel_table(params, n_realizations, master_seed)
-    tasks = [(params, mode, k_trains, n_frames, master_seed, r0, reals)
-             for r0, reals in _blocks(table, n_frames * max(k_trains))]
-    (blocks,) = _map_blocks(_pilot_task, [tasks], workers)
+    tasks = [(params, mode, k_trains, n_frames, master_seed, r0, realizations)
+             for r0, realizations in _blocks(range(n_realizations), n_frames * max(k_trains))]
+    blocks = _map_blocks(_pilot_task, tasks, workers)
     errors = np.concatenate(blocks, axis=1)
 
     points = []

@@ -14,7 +14,7 @@ from .analysis import HypothesisMoments, dc_noise_powers, hypothesis_moments
 from .channel import draw_channels
 from .config import LNA, MAX_DBM, MODES, NO_LNA, SystemParams, check_seed, watts_to_dbm
 from .errors import ModelValidityError
-from .frontend import SAMPLER_CHUNK, frame_energies, generate_frame
+from .frontend import SAMPLER_CHUNK, draw_energies, generate_frame
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def check_moments_vs_montecarlo(
         take = min(SAMPLER_CHUNK, n_samples_mc - done)
         pc = replace(p, k_symbols=take)
         # at N = 1 each symbol energy is one sample's |y|^2
-        e = generate_frame(pc, real, np.ones(take, dtype=np.int64), rng, LNA).energies
+        e = generate_frame(pc, real, np.ones(take, dtype=np.int64), rng, LNA)
         sq_sum += float(np.sum(e))
         quad_sum += float(np.sum(e * e))
         done += take
@@ -119,7 +119,7 @@ def _moment_pvalues(a: np.ndarray, b: np.ndarray):
 def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResult:
     """The energy-domain sampler against the sample-level one, on one channel.
 
-    Per mode and per bit (alternating bits), the energies of frame_energies
+    Per mode and per bit (alternating bits), the energies of draw_energies
     and of generate_frame must agree in distribution (two-sample KS) and in
     mean and variance, each at p >= 1e-6. N = 4, so the statistic is far
     from Gaussian and its shape is tested, not only its first two moments.
@@ -159,10 +159,10 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
             stream += 1
             rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
             ref = np.concatenate([
-                generate_frame(point, real, chunk_bits, rng, mode).energies
-                for _ in range(k_ref // chunk)
+                generate_frame(point, real, chunk_bits, rng, mode) for _ in range(k_ref // chunk)
             ])
-            fast = frame_energies(replace(point, k_symbols=k_fast), real, fast_bits, rng, mode)
+            noise = [analysis.noise_power(point, real.htr_abs2, d, mode) for d in (0, 1)]
+            fast = draw_energies(point, fast_bits, (real.p0, real.p1), noise, rng, mode)
             for d in (0, 1):
                 a, b = ref[ref_bits == d], fast[fast_bits == d]
                 p_ks = _ks_2samp_pvalue(a, b)

@@ -6,6 +6,7 @@ so the printed table survives even when a criterion is red.
 
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -92,29 +93,39 @@ def test_criterion_3_threshold_optimality():
     assert dt < 30.0
 
 
+def _criterion_4_point(task):
+    """Errors on 10^5 sample-level LNA symbols at one (N, Ps), in frames of
+    10^4, with the point's closed-form BER: (n, errors, cf, n_symbols)."""
+    params, n, i, ps = task
+    n_symbols, chunk = 100_000, 10_000
+    p = replace(params, n_samples=n, ps_dbm=ps)
+    real = draw_channels(p, np.random.default_rng(np.random.SeedSequence(CHANNEL_SEED)))
+    m = hypothesis_moments(p, real, LNA)
+    t = near_optimal_threshold(m)
+    errors = 0
+    rng = np.random.default_rng(np.random.SeedSequence((1000 * n + i, 7)))
+    pc = replace(p, k_symbols=chunk)
+    for _ in range(n_symbols // chunk):
+        bits = rng.integers(0, 2, chunk)
+        energies = generate_frame(pc, real, bits, rng, LNA)
+        errors += int(np.sum(detect(energies, t, m.delta0, m.delta1) != bits))
+    return n, errors, ber_closed_form(m, t), n_symbols
+
+
 def test_criterion_4_ber_formula_vs_simulation(params):
+    # the 12 points are independent, each on its own seed: two processes
+    # run them, and each point's errors are those of a serial run
     t0 = time.monotonic()
-    n_symbols = 100_000
-    chunk = 10_000
+    tasks = [(params, n, i, ps) for n in (50, 75, 100)
+             for i, ps in enumerate((0.0, 5.0, 10.0, 15.0))]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(_criterion_4_point, tasks))
     maxdev = {}
     enough_errors = True
     all_within = True
     for n in (50, 75, 100):
         devs = []
-        for i, ps in enumerate((0.0, 5.0, 10.0, 15.0)):
-            p = replace(params, n_samples=n, ps_dbm=ps)
-            real = draw_channels(p, np.random.default_rng(
-                np.random.SeedSequence(CHANNEL_SEED)))
-            m = hypothesis_moments(p, real, LNA)
-            t = near_optimal_threshold(m)
-            cf = ber_closed_form(m, t)
-            errors = 0
-            rng = np.random.default_rng(np.random.SeedSequence((1000 * n + i, 7)))
-            pc = replace(p, k_symbols=chunk)
-            for _ in range(n_symbols // chunk):
-                bits = rng.integers(0, 2, chunk)
-                frame = generate_frame(pc, real, bits, rng, LNA)
-                errors += int(np.sum(detect(frame.energies, t, m.delta0, m.delta1) != bits))
+        for _, errors, cf, n_symbols in (r for r in results if r[0] == n):
             if errors < 10:
                 enough_errors = False
                 continue
@@ -291,9 +302,9 @@ def test_criterion_8_pilot_estimation(params):
     for policy in (CLOSED_FORM_TRUE, ESTIMATED_POLICY):
         errors = bits = 0
         for f in range(600):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((PILOT_SEED, 0, 2, f, 9)))
-            res = ber_block(pe, [real], 1, rng, LNA, policy)
+            rng, lna_rng = (np.random.default_rng(
+                np.random.SeedSequence((PILOT_SEED, 0, i, f, 9))) for i in (2, 3))
+            (res,) = ber_block([(pe, LNA, [real])], 1, rng, lna_rng, policy)
             if not res.failed[0, 0]:
                 errors += int(res.errors[0, 0])
                 bits += int(res.bits[0, 0])

@@ -228,6 +228,7 @@ class TestPilotSweep:
     ("pilot-sweep", ["--realizations", "1000000000"], "n_realizations"),
     ("ber-sweep", ["--frames", "1000000"], "n_frames"),
     ("pilot-sweep", ["--frames", "1000000000"], "n_frames"),
+    ("pilot-sweep", ["--fractions", "0.05,0.05000000001"], "pilot_fraction"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
@@ -239,12 +240,12 @@ class TestPilotSweep:
         "ber-workers-0", "ber-workers-negative", "pilot-workers-0",
         "pilot-workers-negative", "ber-modes-repeated", "pilot-fractions-repeated",
         "ber-realizations-over-cap", "pilot-realizations-over-cap",
-        "ber-symbols-over-cap", "pilot-symbols-over-cap"])
+        "ber-symbols-over-cap", "pilot-symbols-over-cap", "pilot-fractions-of-one-count"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):
-        raise AssertionError("channel table drawn")
-    monkeypatch.setattr(ambclink.montecarlo, "_channel_table", no_draw)
+        raise AssertionError("channel drawn")
+    monkeypatch.setattr(ambclink.montecarlo, "draw_channels", no_draw)
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
     sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []
@@ -443,16 +444,16 @@ class TestReadmeOutputs:
     @pytest.mark.parametrize("argv, digest", [
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:-10:30:5", "--modes", "lna,no_lna",
           "--realizations", "200", "--seed", "7"],
-         "bd22d6caadeed9b2b8872f86bd271a4c6a40c1b74f0572cc3429f6ff827bfa05"),
+         "e23a4857813288b869bceabf064d224032708ed6d83d80166e5880c7bb41b0b4"),
         (["ber-sweep", "--paper-defaults", "--sweep", "bdpr:-30:-10:10", "--ps", "5",
           "--modes", "lna", "--realizations", "200", "--seed", "7"],
-         "4f7bebda26fdf5825461b10250c13f0f5169398985935b08f24465b73f887caf"),
+         "efa933b729d33bf0da034134cba66c8ee413bd42ea054c6106f266db72806c87"),
         (["pilot-sweep", "--scenario", "k200.json", "--fractions", "0.05,0.1,0.2,0.4",
           "--mode", "lna", "--frames", "50", "--realizations", "20", "--seed", "7"],
-         "09c00fab5c021ce77ada3dff31a2140fcdd01fe8c2a80f2c803f71a95909bddb"),
+         "bf5b610a5ca1f9b200d35d1f02b2e3da5978673d8cb660d54364d52ef0101051"),
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:0:20:10", "--threshold-policy",
           "estimated", "--frames", "5", "--realizations", "20", "--seed", "3"],
-         "94278bc565655d412a7128a61ce60b6fa6a4350c047bc2ac7a72c4cfab37051d"),
+         "0cd3a01d0350da0f4371b1e14c5db9a86267bf96b32ea58c6bca89c74671c90a"),
     ], ids=["ber-ps", "ber-bdpr", "pilot-k200", "ber-estimated"])
     def test_csv_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)

@@ -57,9 +57,9 @@ class TestEstimateMoments:
         rng = np.random.default_rng(41)
         bits = np.concatenate([pilot_bits(p.k_train),
                                rng.integers(0, 2, p.k_symbols - p.k_train)])
-        frame = generate_frame(p, fixed_realization, bits, rng, LNA)
-        d0, d1, v0, v1 = pilot_statistics(frame.energies, p.k_train)
-        oracle = grouped_mean_var(frame.energies[: p.k_train], pilot_bits(p.k_train))
+        energies = generate_frame(p, fixed_realization, bits, rng, LNA)
+        d0, d1, v0, v1 = pilot_statistics(energies, p.k_train)
+        oracle = grouped_mean_var(energies[: p.k_train], pilot_bits(p.k_train))
         assert d0 == pytest.approx(oracle[0][0], rel=1e-14)
         assert v0 == pytest.approx(oracle[0][1], rel=1e-14)
         assert d1 == pytest.approx(oracle[1][0], rel=1e-14)

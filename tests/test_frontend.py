@@ -1,9 +1,12 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambclink import LNA, NO_LNA
 from ambclink.analysis import lna_moments, noise_power, nolna_moments
@@ -11,13 +14,21 @@ from ambclink.channel import draw_channels
 import ambclink.frontend as frontend
 from ambclink.frontend import (
     SAMPLER_CHUNK,
+    LnaVariates,
     _draw_cn_block,
     draw_energies,
-    frame_energies,
+    draw_lna_variates,
+    energies_from_variates,
     generate_frame,
     symbol_energies,
 )
 from ambclink.verify import check_moments_vs_montecarlo, check_sampler_equivalence
+
+
+def frame_energies(params, real, bits, rng, mode):
+    """draw_energies for the K symbols of one frame on the channel `real`."""
+    noise = [noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
+    return draw_energies(params, bits, (real.p0, real.p1), noise, rng, mode)
 
 
 def _clone_draws(params, total, seed):
@@ -46,15 +57,19 @@ class TestSymbolEnergies:
             symbol_energies(np.ones(10, dtype=complex), 4)
 
     def test_recomputable_from_frame(self, paper_params, fixed_realization):
+        # the LNA samples rebuilt from the same draws, in generate_frame's order
         p = replace(paper_params, k_symbols=20, pilot_fraction=0.0)
-        rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, 20)
-        frame = generate_frame(p, fixed_realization, bits, rng, LNA)
-        assert np.array_equal(
-            frame.energies, symbol_energies(frame.samples, p.n_samples)
-        )
-        assert frame.samples.size == p.k_symbols * p.n_samples
-        assert np.all(frame.energies >= 0)
+        bits = np.random.default_rng(4).integers(0, 2, 20)
+        energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(3), LNA)
+        s, w_ar, w_cov, w_at = _clone_draws(p, p.k_symbols * p.n_samples, 3)
+        d = np.repeat(bits, p.n_samples)
+        real, alpha = fixed_realization, p.alpha_amp
+        x = (real.h0 + alpha * real.hst * real.htr * d) * s
+        y = (p.beta1 * x + p.beta3 * x * np.abs(x) ** 2 + p.beta1 * w_ar + w_cov
+             + p.beta1 * alpha * real.htr * d * w_at)
+        assert np.array_equal(energies, symbol_energies(y, p.n_samples))
+        assert energies.shape == (p.k_symbols,)
+        assert np.all(energies >= 0)
 
 
 class TestGenerateFrame:
@@ -64,9 +79,10 @@ class TestGenerateFrame:
                     n_ar_dbm=-400.0, n_cov_dbm=-400.0, n_at_dbm=-400.0,
                     k_symbols=10)
         bits = np.zeros(10, dtype=np.int64)
-        frame = generate_frame(p, fixed_realization, bits, np.random.default_rng(5), LNA)
+        energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(5), LNA)
         s, _, _, _ = _clone_draws(p, bits.size * p.n_samples, 5)
-        assert np.allclose(frame.samples, fixed_realization.h0 * s, rtol=1e-12)
+        assert np.allclose(energies, symbol_energies(fixed_realization.h0 * s, p.n_samples),
+                           rtol=1e-12)
 
     def test_linear_lna_equals_no_lna_bitwise(self, paper_params, fixed_realization):
         p = replace(paper_params, beta1=1.0, beta3=0.0, pilot_fraction=0.0,
@@ -75,8 +91,7 @@ class TestGenerateFrame:
         fa = generate_frame(p, fixed_realization, bits, np.random.default_rng(9), LNA)
         fb = generate_frame(p, fixed_realization, bits, np.random.default_rng(9), NO_LNA)
         # identical draw order, beta3 |x|^2 term contributes exactly zero
-        assert np.array_equal(fa.samples, fb.samples)
-        assert np.array_equal(fa.energies, fb.energies)
+        assert np.array_equal(fa, fb)
 
     def test_no_lna_bit_difference_is_backscatter_path(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=12, pilot_fraction=0.0)
@@ -84,11 +99,13 @@ class TestGenerateFrame:
         zeros = np.zeros(12, dtype=np.int64)
         f1 = generate_frame(p, fixed_realization, ones, np.random.default_rng(21), NO_LNA)
         f0 = generate_frame(p, fixed_realization, zeros, np.random.default_rng(21), NO_LNA)
-        s, _, _, w_at = _clone_draws(p, 12 * p.n_samples, 21)
+        s, w_ar, w_cov, w_at = _clone_draws(p, 12 * p.n_samples, 21)
         a = p.alpha_amp
-        expected = a * fixed_realization.hst * fixed_realization.htr * s \
+        y0 = fixed_realization.h0 * s + w_ar + w_cov
+        backscatter = a * fixed_realization.hst * fixed_realization.htr * s \
             + a * fixed_realization.htr * w_at
-        assert np.allclose(f1.samples - f0.samples, expected, rtol=1e-10)
+        assert np.allclose(f0, symbol_energies(y0, p.n_samples), rtol=1e-10)
+        assert np.allclose(f1, symbol_energies(y0 + backscatter, p.n_samples), rtol=1e-10)
 
     def test_bits_validated(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=4, pilot_fraction=0.0)
@@ -109,9 +126,9 @@ class TestStatisticalProperties:
         for mode in (NO_LNA, LNA):
             for d in (0, 1):
                 bits = np.full(p.k_symbols, d, dtype=np.int64)
-                frame = generate_frame(p, fixed_realization, bits,
-                                       np.random.default_rng(30 + d), mode)
-                var = float(np.mean(np.abs(frame.samples) ** 2))
+                energies = generate_frame(p, fixed_realization, bits,
+                                          np.random.default_rng(30 + d), mode)
+                var = float(np.mean(energies))     # mean |y|^2 over all samples
                 target = noise_power(p, fixed_realization.htr_abs2, d, mode)
                 assert var == pytest.approx(target, rel=0.01)
 
@@ -121,26 +138,25 @@ class TestStatisticalProperties:
         mean_c, var_c = lna_moments(fixed_realization.p1, p.beta1, p.beta3,
                                     n_aw, p.n_samples)
         bits = np.ones(p.k_symbols, dtype=np.int64)
-        frame = generate_frame(p, fixed_realization, bits, np.random.default_rng(31), LNA)
-        assert float(np.mean(frame.energies)) == pytest.approx(mean_c, rel=0.01)
-        assert float(np.var(frame.energies)) == pytest.approx(var_c, rel=0.08)
+        energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(31), LNA)
+        assert float(np.mean(energies)) == pytest.approx(mean_c, rel=0.01)
+        assert float(np.var(energies)) == pytest.approx(var_c, rel=0.08)
 
     def test_no_lna_energy_mean_matches_closed_form(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=20_000, n_samples=50, pilot_fraction=0.0)
         n_w = noise_power(p, fixed_realization.htr_abs2, 0, NO_LNA)
         mean_c, var_c = nolna_moments(fixed_realization.p0, n_w, p.n_samples)
         bits = np.zeros(p.k_symbols, dtype=np.int64)
-        frame = generate_frame(p, fixed_realization, bits, np.random.default_rng(32), NO_LNA)
-        assert float(np.mean(frame.energies)) == pytest.approx(mean_c, rel=0.01)
-        assert float(np.var(frame.energies)) == pytest.approx(var_c, rel=0.08)
+        energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(32), NO_LNA)
+        assert float(np.mean(energies)) == pytest.approx(mean_c, rel=0.01)
+        assert float(np.var(energies)) == pytest.approx(var_c, rel=0.08)
 
     def test_energy_statistic_approximately_gaussian(self, paper_params, fixed_realization):
         # CLT shape check at N=75: standardized energies have small skew and
         # excess kurtosis
         p = replace(paper_params, k_symbols=5_000, pilot_fraction=0.0)
         bits = np.ones(p.k_symbols, dtype=np.int64)
-        frame = generate_frame(p, fixed_realization, bits, np.random.default_rng(33), LNA)
-        e = frame.energies
+        e = generate_frame(p, fixed_realization, bits, np.random.default_rng(33), LNA)
         z = (e - e.mean()) / e.std()
         skew = float(np.mean(z ** 3))
         ex_kurt = float(np.mean(z ** 4)) - 3.0
@@ -150,7 +166,7 @@ class TestStatisticalProperties:
 
 
 class TestFrameEnergies:
-    @pytest.mark.parametrize("sampler", [generate_frame, frame_energies])
+    @pytest.mark.parametrize("sampler", [generate_frame])
     def test_bad_inputs_rejected_alike(self, paper_params, fixed_realization, sampler):
         p = replace(paper_params, k_symbols=4, pilot_fraction=0.0)
         rng = np.random.default_rng(1)
@@ -196,17 +212,23 @@ class TestFrameEnergies:
     def test_underflowed_noise_gives_the_noise_free_limit(self, paper_params,
                                                           fixed_realization):
         # -4000 dBm is 0 W in floating point: the LNA energy is then exactly
-        # A/N with A = sum_k Z_k (beta1 + beta3 Z_k)^2, never NaN
+        # A/N with A = beta1^2 p s1 + 2 beta1 beta3 p^2 s2 + beta3^2 p^3 s3,
+        # never NaN, and A is the per-sample sum z (beta1 + beta3 z)^2
         p = replace(paper_params, n_ar_dbm=-4000.0, n_at_dbm=-4000.0, n_cov_dbm=-4000.0)
         assert noise_power(p, fixed_realization.htr_abs2, 1, LNA) == 0.0
         bits = np.arange(p.k_symbols) % 2
         e = frame_energies(p, fixed_realization, bits, np.random.default_rng(13), LNA)
         power = np.where(bits == 1, fixed_realization.p1, fixed_realization.p0)
-        z = power[:, None] * np.random.default_rng(13).standard_exponential(
-            (p.k_symbols, p.n_samples))
-        a = np.sum(z * (p.beta1 + p.beta3 * z) ** 2, axis=1)
+        v = draw_lna_variates(p.n_samples, bits.shape, np.random.default_rng(13))
+        b1, b3 = p.beta1, p.beta3
+        a = (b1 * b1 * power * v.s1 + 2.0 * b1 * b3 * (power * power) * v.s2
+             + b3 * b3 * (power * power * power) * v.s3)
         assert not np.any(np.isnan(e))
         assert np.array_equal(e, a / p.n_samples)
+        z = power[:, None] * np.random.default_rng(13).standard_exponential(
+            (p.k_symbols, p.n_samples))
+        per_sample = np.sum(z * (b1 + b3 * z) ** 2, axis=1)
+        assert np.allclose(e, per_sample / p.n_samples, rtol=1e-14, atol=0.0)
 
     def test_draws_do_not_depend_on_the_chunk(self, paper_params, fixed_realization,
                                               monkeypatch):
@@ -247,12 +269,82 @@ class TestFrameEnergies:
         import ambclink.verify as verify
 
         def linear_lna(params, *args):
-            return frame_energies(replace(params, beta3=0.0), *args)
+            return draw_energies(replace(params, beta3=0.0), *args)
 
-        monkeypatch.setattr(verify, "frame_energies", linear_lna)
+        monkeypatch.setattr(verify, "draw_energies", linear_lna)
         res = verify.check_sampler_equivalence(paper_params, seed=5)
         assert not res.passed
         assert "compression lna" in res.detail
+
+
+class TestLnaSumForm:
+    """The LNA sampler takes A = sum_k z_k (beta1 + beta3 z_k)^2 over a
+    symbol's samples z = p e as beta1^2 p S1 + 2 beta1 beta3 p^2 S2 +
+    beta3^2 p^3 S3, with S_j the sum of e^j. A is read as N times the energy
+    at zero noise, the A/N branch."""
+
+    @staticmethod
+    def _sum_form(params, power, variates):
+        bits = np.ones(np.shape(variates.s1), dtype=np.int64)
+        energies = energies_from_variates(params, bits, (power, power), (0.0, 0.0), LNA,
+                                          variates)
+        return energies * params.n_samples
+
+    # N from 25, as in the paper's sweeps: over few samples, samples near
+    # beta1 + beta3 z = 0 can cancel A far below its terms; the next test
+    # bounds that case absolutely at N = 1
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(25, 200), log_ratio=st.floats(-6.0, 6.0), beta1=st.floats(1.0, 100.0),
+           beta3=st.floats(1e-3, 1e5), sign=st.sampled_from([-1.0, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_sample_sum(self, paper_params, n, log_ratio, beta1, beta3, sign,
+                                        seed):
+        params = replace(paper_params, beta1=beta1, beta3=sign * beta3, n_samples=n)
+        power = 10.0 ** log_ratio * beta1 / beta3      # |beta3| p / beta1 = 10^log_ratio
+        z = power * np.random.default_rng(seed).standard_exponential((16, n))
+        per_sample = np.sum(z * (params.beta1 + params.beta3 * z) ** 2, axis=1)
+        got = self._sum_form(params, power,
+                             draw_lna_variates(n, (16,), np.random.default_rng(seed)))
+        assert np.max(np.abs(got - per_sample) / per_sample) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(beta1=st.floats(1.0, 100.0), beta3=st.floats(-1e5, -1e-3), e=st.floats(1e-3, 20.0),
+           delta=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)))
+    def test_one_sample_cancellation_is_bounded_by_the_terms(self, paper_params, beta1, beta3,
+                                                             e, delta):
+        # z within delta of -beta1/beta3, where beta1 + beta3 z is about 0
+        params = replace(paper_params, beta1=beta1, beta3=beta3, n_samples=1)
+        power = beta1 / -beta3 / e * (1.0 + delta)
+        # draw_lna_variates at N = 1: S1 = e, S2 = e*e, S3 = (e*e)*e
+        variates = LnaVariates(*(np.array([x]) for x in (e, e * e, e * e * e, 0.0, 0.0)))
+        (got,) = self._sum_form(params, power, variates)
+        z = Fraction(power) * Fraction(e)
+        exact = z * (Fraction(beta1) + Fraction(beta3) * z) ** 2
+        terms = (beta1 ** 2 * power * e + 2 * abs(beta1 * beta3) * power ** 2 * e ** 2
+                 + beta3 ** 2 * power ** 3 * e ** 3)
+        assert got >= 0.0
+        assert abs(Fraction(float(got)) - exact) <= 4 * Fraction(np.finfo(float).eps * terms)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 100), noise=st.sampled_from([0.0, 1e-320]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_underflowed_noise_gives_a_over_n(self, paper_params, n, noise, seed):
+        # 2A/noise is not finite: the energy is A/N, the noise-free limit
+        params = replace(paper_params, n_samples=n)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (3, 40))
+        power = [np.array([[0.0], [1e-9], [1e-4]]) * (1 + d) for d in (0, 1)]
+        variates = draw_lna_variates(n, bits.shape, np.random.default_rng([seed, 1]))
+        e = energies_from_variates(params, bits, power, (noise, noise), LNA, variates)
+        if noise:
+            e = e[1:]                   # at p = 0, 2A/noise = 0 is finite
+        else:
+            assert np.array_equal(e[0], np.zeros(40))
+        z = (np.where(bits == 1, power[1], power[0])[..., None]
+             * np.random.default_rng([seed, 1]).standard_exponential((3, 40, n)))
+        a = np.sum(z * (params.beta1 + params.beta3 * z) ** 2, axis=-1)[-len(e):]
+        assert np.all(np.isfinite(e))
+        assert np.allclose(e, a / n, rtol=1e-14, atol=0.0)
 
 
 class TestMomentsVsMonteCarlo:

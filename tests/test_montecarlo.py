@@ -13,6 +13,7 @@ from ambclink.analysis import (
     ber_closed_form,
     hypothesis_moments,
     near_optimal_threshold,
+    noise_power,
 )
 from ambclink.channel import ChannelRealization, draw_channels
 from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
@@ -21,7 +22,7 @@ from ambclink.estimation import (
     pilot_statistics,
     relative_threshold_error,
 )
-from ambclink.frontend import draw_energies, frame_energies
+from ambclink.frontend import draw_energies, draw_lna_variates, energies_from_variates
 from ambclink.montecarlo import (
     CLOSED_FORM_TRUE,
     ESTIMATED_POLICY,
@@ -70,8 +71,11 @@ class TestWilson:
 
 
 def _one_frame(params, real, seed, mode, policy):
-    """ber_block's single frame of a single realization, read at [0, 0]."""
-    res = ber_block(params, [real], 1, np.random.default_rng(seed), mode, policy)
+    """ber_block's single frame of a single realization, read at [0, 0]: its
+    frames drawn from default_rng(seed), its LNA variates from
+    default_rng([seed, 3])."""
+    (res,) = ber_block([(params, mode, [real])], 1, np.random.default_rng(seed),
+                       np.random.default_rng([seed, 3]), policy)
     return (int(res.errors[0, 0]), int(res.bits[0, 0]), float(res.threshold[0, 0]),
             float(res.ber_closed_form[0, 0]), bool(res.failed[0, 0]))
 
@@ -127,14 +131,17 @@ class TestBerTrial:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_is_the_one_frame_case_of_a_block(self, paper_params, fixed_realization,
                                                policy):
-        # equals one frame drawn by frame_energies and detected by hand
+        # equals one frame drawn by draw_energies and detected by hand: the
+        # bits from the frame generator, the energies from the LNA variates'
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
         res = _one_frame(p, fixed_realization, 21, LNA, policy)
 
         rng = np.random.default_rng(21)
         k0 = p.k_train if policy == ESTIMATED_POLICY else 0
         bits = np.concatenate([np.arange(k0) % 2, rng.integers(0, 2, p.k_symbols - k0)])
-        energies = frame_energies(p, fixed_realization, bits, rng, LNA)
+        noise = [noise_power(p, fixed_realization.htr_abs2, d, LNA) for d in (0, 1)]
+        energies = draw_energies(p, bits, (fixed_realization.p0, fixed_realization.p1), noise,
+                                 np.random.default_rng([21, 3]), LNA)
         true_m = hypothesis_moments(p, fixed_realization, LNA)
         m = (HypothesisMoments(*map(float, pilot_statistics(energies, k0)))
              if k0 else true_m)
@@ -144,8 +151,8 @@ class TestBerTrial:
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
         with pytest.raises(ValueError, match="unknown threshold policy"):
-            ber_block(paper_params, [fixed_realization], 1, np.random.default_rng(1),
-                      LNA, "oracle")
+            ber_block([(paper_params, LNA, [fixed_realization])], 1, np.random.default_rng(1),
+                      np.random.default_rng(2), "oracle")
 
 
 class TestSweepSpec:
@@ -184,8 +191,8 @@ class TestSweepSpec:
     def test_bad_bdpr_rejected_before_any_channel_is_drawn(self, paper_params,
                                                            monkeypatch, changes, field):
         def no_draw(*args):
-            raise AssertionError("channel table drawn")
-        monkeypatch.setattr(mc, "_channel_table", no_draw)
+            raise AssertionError("channel drawn")
+        monkeypatch.setattr(mc, "draw_channels", no_draw)
         with pytest.raises(ConfigError) as ei:
             spec = SweepSpec(**{"scenario": paper_params, "sweep_var": SWEEP_PS,
                                 "values": (0.0,), **changes})
@@ -201,7 +208,7 @@ class TestSweepSpec:
         """A BDPR target whose closed forms would fail on a strong draw is
         rejected before any channel is drawn, naming the BDPR field, for a
         pinned BDPR and for a bdpr sweep alike. The rejected points do fail on
-        the draws of a 200-realization table; the accepted ones do not."""
+        some of 200 realizations; the accepted ones on none."""
         seeds = (np.random.SeedSequence((1, r, 1)) for r in range(200))
         table = [draw_channels(paper_params, np.random.default_rng(seed)) for seed in seeds]
         p = replace(paper_params, ps_dbm=ps)
@@ -217,8 +224,8 @@ class TestSweepSpec:
         assert any(fails(real) for real in table) is not reachable
 
         def no_draw(*args):
-            raise AssertionError("channel table drawn")
-        monkeypatch.setattr(mc, "_channel_table", no_draw)
+            raise AssertionError("channel drawn")
+        monkeypatch.setattr(mc, "draw_channels", no_draw)
         for changes, field in (({"values": (ps,), "fixed_bdpr_db": bdpr}, "fixed_bdpr_db"),
                                ({"scenario": p, "sweep_var": SWEEP_BDPR,
                                  "values": (0.0, bdpr)}, "values")):
@@ -241,8 +248,8 @@ class TestSweepSpec:
     def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
             self, paper_params, monkeypatch, changes, fields):
         def no_draw(*args):
-            raise AssertionError("channel table drawn")
-        monkeypatch.setattr(mc, "_channel_table", no_draw)
+            raise AssertionError("channel drawn")
+        monkeypatch.setattr(mc, "draw_channels", no_draw)
         with pytest.raises(ConfigError) as ei:
             run_sweep(SweepSpec(**{"scenario": paper_params, "sweep_var": SWEEP_PS,
                                    "values": (0.0,), "modes": (LNA,), **changes}))
@@ -355,11 +362,11 @@ class TestBlocks:
         p = replace(paper_params, k_symbols=4000, n_samples=4, pilot_fraction=0.01)
         shapes = []
 
-        def recording(params, bits, *args):
-            shapes.append(bits.shape)
-            return draw_energies(params, bits, *args)
+        def recording(n_samples, shape, rng):
+            shapes.append(shape)
+            return draw_lna_variates(n_samples, shape, rng)
 
-        monkeypatch.setattr(mc, "draw_energies", recording)
+        monkeypatch.setattr(mc, "draw_lna_variates", recording)
         spec = SweepSpec(scenario=p, sweep_var=SWEEP_PS, values=(5.0,), modes=(LNA,),
                          threshold_policy=ESTIMATED_POLICY, n_frames=6,
                          n_realizations=2, master_seed=6)
@@ -420,6 +427,51 @@ def test_a_row_depends_only_on_its_point_and_mode(paper_params, sweep, policy, w
     assert repr(alone) == repr([row])
 
 
+class TestSharedDraws:
+    """A block draws its frames and variates once for every point and mode."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("layout", ["blocks-of-realizations", "runs-of-frames"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_mode_sweep_writes_the_two_mode_rows(self, paper_params, policy, layout,
+                                                     workers):
+        # runs-of-frames: F*K = 6 * 4000 > BLOCK_SYMBOLS, so each realization
+        # is a block of two runs, and an LNA-only sweep still draws the
+        # no-LNA gammas the second run's bits follow
+        if layout == "runs-of-frames":
+            p = replace(paper_params, k_symbols=4000, n_samples=4, pilot_fraction=0.01)
+            assert 6 * p.k_symbols > mc.BLOCK_SYMBOLS
+            counts = {"n_frames": 6, "n_realizations": 3}
+        else:
+            p = replace(paper_params, k_symbols=100, n_samples=10, pilot_fraction=0.2)
+            counts = {"n_frames": 2, "n_realizations": 90}    # blocks of 81 realizations
+        spec = SweepSpec(scenario=p, sweep_var=SWEEP_PS, values=(0.0, 20.0),
+                         modes=(LNA, NO_LNA), threshold_policy=policy, master_seed=19,
+                         **counts)
+        both = run_sweep(spec, workers=workers)
+        for mode in (LNA, NO_LNA):
+            alone = run_sweep(replace(spec, modes=(mode,)), workers=workers)
+            assert repr(alone) == repr([pt for pt in both if pt.mode == mode])
+
+    def test_readme_ber_sweep_draws_the_lna_variates_once_per_block(self, paper_params,
+                                                                     monkeypatch):
+        # ps:-10:30:5, both modes, 200 realizations: two blocks of K=100 frames,
+        # each drawing its LNA variates once for the nine points
+        shapes = []
+
+        def recording(n_samples, shape, rng):
+            shapes.append(shape)
+            return draw_lna_variates(n_samples, shape, rng)
+
+        monkeypatch.setattr(mc, "draw_lna_variates", recording)
+        spec = SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS,
+                         values=tuple(float(v) for v in range(-10, 31, 5)),
+                         modes=(LNA, NO_LNA), n_realizations=200, master_seed=7)
+        points = run_sweep(spec, workers=1)
+        assert len(points) == 18
+        assert shapes == [(163, 1, 100), (37, 1, 100)]
+
+
 class TestPilotSweep:
     """All fractions share one draw: per frame the pilots of the largest
     fraction, of which each fraction reads a prefix."""
@@ -432,10 +484,10 @@ class TestPilotSweep:
         drawn = []
 
         def recording(*args):
-            drawn.append(draw_energies(*args))
+            drawn.append(energies_from_variates(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(mc, "draw_energies", recording)
+        monkeypatch.setattr(mc, "energies_from_variates", recording)
         fractions = (0.05, 0.2, 0.1)
         points = run_pilot_sweep(k200, fractions, LNA, n_realizations=1, n_frames=30,
                                  master_seed=12, workers=1)
@@ -458,7 +510,7 @@ class TestPilotSweep:
         drawn, estimated = [], []
 
         def recording(*args):
-            drawn.append(draw_energies(*args))
+            drawn.append(energies_from_variates(*args))
             return drawn[-1]
 
         reals = [draw_channels(k200, np.random.default_rng(np.random.SeedSequence((12, r, 1))))
@@ -472,7 +524,7 @@ class TestPilotSweep:
             estimated.append(m)
             return 0.0 if len(estimated) - 1 in zeroed else near_optimal_threshold(m)
 
-        monkeypatch.setattr(mc, "draw_energies", recording)
+        monkeypatch.setattr(mc, "energies_from_variates", recording)
         monkeypatch.setattr(mc, "near_optimal_threshold", zeroing)
         fractions = (0.1, 0.2)
         points = run_pilot_sweep(k200, fractions, LNA, n_realizations=2, n_frames=30,
@@ -497,11 +549,11 @@ class TestPilotSweep:
                                                      n_realizations, n_frames):
         symbols = []
 
-        def counting(params, bits, *args):
-            symbols.append(bits.size)
-            return draw_energies(params, bits, *args)
+        def counting(n_samples, shape, rng):
+            symbols.append(math.prod(shape))
+            return draw_lna_variates(n_samples, shape, rng)
 
-        monkeypatch.setattr(mc, "draw_energies", counting)
+        monkeypatch.setattr(mc, "draw_lna_variates", counting)
         run_pilot_sweep(k200, (0.05, 0.2, 0.1), LNA, n_realizations=n_realizations,
                         n_frames=n_frames, master_seed=3, workers=1)
         assert max(symbols) <= mc.BLOCK_SYMBOLS
@@ -511,8 +563,8 @@ class TestPilotSweep:
 def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_params,
                                                                         monkeypatch):
     def no_draw(*args):
-        raise AssertionError("channel table drawn")
-    monkeypatch.setattr(mc, "_channel_table", no_draw)
+        raise AssertionError("channel drawn")
+    monkeypatch.setattr(mc, "draw_channels", no_draw)
     with pytest.raises(ConfigError) as ei:
         run_pilot_sweep(paper_params, (0.2,), "amp", n_realizations=1, n_frames=1,
                         master_seed=0)
@@ -523,13 +575,16 @@ def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_p
     ((0.1, 0.2, 0.1), 1, 1, ("pilot_fraction",)),
     ((0.2,), MAX_REALIZATIONS + 1, 1, ("n_realizations",)),
     ((0.1, 0.2), 1, MAX_SWEEP_SYMBOLS // 20 + 1, ("n_frames", "n_realizations")),
-], ids=["repeated-fraction", "realizations-over-cap", "symbols-over-cap"])
+    ((0.1, 0.1000000001), 1, 1, ("pilot_fraction",)),
+], ids=["repeated-fraction", "realizations-over-cap", "symbols-over-cap",
+        "fractions-of-one-pilot-count"])
 def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
         paper_params, monkeypatch, fractions, n_realizations, n_frames, fields):
-    # K = 100: the largest fraction, 0.2, draws 20 pilots per frame
+    # K = 100: the largest fraction, 0.2, draws 20 pilots per frame; 0.1 and
+    # 0.1000000001 are distinct fractions of one pilot count, 10
     def no_draw(*args):
-        raise AssertionError("channel table drawn")
-    monkeypatch.setattr(mc, "_channel_table", no_draw)
+        raise AssertionError("channel drawn")
+    monkeypatch.setattr(mc, "draw_channels", no_draw)
     with pytest.raises(ConfigError) as ei:
         run_pilot_sweep(paper_params, fractions, LNA, n_realizations=n_realizations,
                         n_frames=n_frames, master_seed=0)
@@ -550,12 +605,13 @@ class TestPool:
         assert run_pilot_sweep(*args, workers=2) == serial
 
     def test_single_task_ber_sweep_opens_no_pool(self, small_spec, monkeypatch):
-        spec = replace(small_spec, values=(0.0,), modes=(LNA,))
-        serial = run_sweep(spec, workers=1)
+        # one block serves both points and both modes: one task
+        serial = run_sweep(small_spec, workers=1)
         self._no_pool(monkeypatch)
-        assert run_sweep(spec, workers=2) == serial
+        assert run_sweep(small_spec, workers=2) == serial
 
     def test_two_tasks_open_a_pool(self, small_spec, monkeypatch):
+        # 100 symbols per realization: blocks of 163 realizations, so 200 make two
         self._no_pool(monkeypatch)
         with pytest.raises(AssertionError, match="pool"):
-            run_sweep(replace(small_spec, modes=(LNA,)), workers=2)
+            run_sweep(replace(small_spec, modes=(LNA,), n_realizations=200), workers=2)
