@@ -1,32 +1,55 @@
 """Closed-form detection results: energy-statistic moments, BER, near-optimal
-threshold, and deflection coefficients."""
+threshold, and deflection coefficients.
+
+The moments, the threshold and the BER each take Python floats or numpy
+arrays (one value per element, e.g. per realization or per frame) through
+one text. Their arithmetic is +, -, *, / and sqrt alone, which IEEE 754
+rounds correctly, so an array element gets the bits of the float call on
+its values; powers are written as products. Only the steps that are not
+operators look at the type: sqrt (math or numpy), log and erfc (math, once
+per element of an array), the threshold's midpoint, and failure: where a
+float call raises ModelValidityError or NoSeparationError, an array call
+marks the element NaN.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .channel import ChannelRealization
 from .config import LNA, MODES, NO_LNA, SystemParams
 from .errors import ModelValidityError, NoSeparationError
 
 
-@dataclass(frozen=True)
-class HypothesisMoments:
-    """Mean/variance of the energy statistic under each tag hypothesis."""
-
+class _Moments(NamedTuple):
     delta0: float   # mean under H0, watts
     delta1: float   # mean under H1, watts
     var0: float     # variance under H0, watts^2
     var1: float     # variance under H1, watts^2
 
-    def __post_init__(self):
-        if not (math.isfinite(self.delta0) and math.isfinite(self.delta1)
-                and 0 < self.var0 < math.inf and 0 < self.var1 < math.inf):
+
+class HypothesisMoments(_Moments):
+    """Mean/variance of the energy statistic under each tag hypothesis:
+    floats, which must be finite with positive variances, or arrays of one
+    value per element, where an element that is not is marked NaN."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta0, delta1, var0, var1):
+        if isinstance(delta0, np.ndarray):
+            ok = (np.isfinite(delta0) & np.isfinite(delta1) & np.isfinite(var0)
+                  & np.isfinite(var1) & (var0 > 0) & (var1 > 0))
+            delta0, delta1, var0, var1 = (np.where(ok, x, np.nan)
+                                          for x in (delta0, delta1, var0, var1))
+        elif not (math.isfinite(delta0) and math.isfinite(delta1)
+                  and 0 < var0 < math.inf and 0 < var1 < math.inf):
             raise ModelValidityError(
-                f"hypothesis variances must be finite and positive, "
-                f"got ({self.var0}, {self.var1})"
+                f"hypothesis variances must be finite and positive, got ({var0}, {var1})"
             )
+        return super().__new__(cls, delta0, delta1, var0, var1)
 
 
 def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> float:
@@ -40,49 +63,69 @@ def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> flo
     return b1sq * params.n_ar + params.n_cov + b1sq * tag
 
 
-def _check_moment_inputs(p: float, n_samples: int) -> None:
-    """The inputs both moment functions share: a power >= 0 and N >= 1."""
+def _checked_moments(p, n_samples: int, mean, var_sum):
+    """(mean, var_sum / N) at power p, for both moment forms. A float call
+    raises where p < 0 or the moments are not finite with var > 0; an array
+    call marks such an element NaN. Either raises where N < 1."""
+    if isinstance(mean, np.ndarray):
+        if n_samples < 1:
+            raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
+        var = var_sum / n_samples
+        ok = (p >= 0) & np.isfinite(mean) & np.isfinite(var) & (var > 0)
+        return np.where(ok, mean, np.nan), np.where(ok, var, np.nan)
     if p < 0:
         raise ModelValidityError(f"received power must be nonnegative, got {p}")
     if n_samples < 1:
         raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
-
-
-def lna_moments(p: float, beta1: float, beta3: float, n_aw: float, n_samples: int):
-    """Mean and variance of the energy statistic behind an LNA front end."""
-    _check_moment_inputs(p, n_samples)
-    b1, b3 = beta1, beta3
-    try:
-        mean = b1**2 * p + 6 * b3**2 * p**3 + 4 * b1 * b3 * p**2 + n_aw
-        var = (
-            b1**4 * p**2
-            + 16 * b1**3 * b3 * p**3
-            + 116 * b1**2 * b3**2 * p**4
-            + 432 * b1 * b3**3 * p**5
-            + 684 * b3**4 * p**6
-            + 2 * b1**2 * p * n_aw
-            + 8 * b1 * b3 * p**2 * n_aw
-            + 12 * b3**2 * p**3 * n_aw
-            + n_aw**2
-        ) / n_samples
-    except OverflowError as exc:
-        raise ModelValidityError(
-            f"moment polynomial overflowed at P={p}: beyond the model's numeric range"
-        ) from exc
+    var = var_sum / n_samples
     if not (math.isfinite(mean) and math.isfinite(var) and var > 0):
         raise ModelValidityError(
             f"moments ({mean}, {var}) invalid at P={p}: "
-            "input power beyond the cubic model's numeric range"
+            "input power beyond the model's numeric range"
         )
     return mean, var
 
 
-def nolna_moments(p: float, n_w: float, n_samples: int):
+def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
+    """Mean and variance of the energy statistic behind an LNA front end."""
+    b1, b3 = beta1, beta3
+    b1sq, b3sq = b1 * b1, b3 * b3
+    b1cu, b3cu = b1sq * b1, b3sq * b3
+    p2 = p * p
+    p3 = p2 * p
+    p4 = p3 * p
+    p5 = p4 * p
+    return _checked_moments(
+        p, n_samples,
+        b1sq * p + 6 * b3sq * p3 + 4 * b1 * b3 * p2 + n_aw,
+        b1cu * b1 * p2
+        + 16 * b1cu * b3 * p3
+        + 116 * b1sq * b3sq * p4
+        + 432 * b1 * b3cu * p5
+        + 684 * (b3cu * b3) * (p5 * p)
+        + 2 * b1sq * p * n_aw
+        + 8 * b1 * b3 * p2 * n_aw
+        + 12 * b3sq * p3 * n_aw
+        + n_aw * n_aw)
+
+
+def nolna_moments(p, n_w, n_samples: int):
     """Mean and variance of the energy statistic without an LNA."""
-    _check_moment_inputs(p, n_samples)
-    mean = p + n_w
-    var = (p**2 + 2 * p * n_w + n_w**2) / n_samples
-    return mean, var
+    return _checked_moments(p, n_samples, p + n_w, p * p + 2 * p * n_w + n_w * n_w)
+
+
+def level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:
+    """Closed-form moments of both hypotheses at the input power power[d]
+    and the d-gated noise power noise[d] of bit d: floats, or arrays of one
+    value per realization."""
+    b1, b3, n = params.beta1, params.beta3, params.n_samples
+    if mode == LNA:
+        d0, v0 = lna_moments(power[0], b1, b3, noise[0], n)
+        d1, v1 = lna_moments(power[1], b1, b3, noise[1], n)
+    else:
+        d0, v0 = nolna_moments(power[0], noise[0], n)
+        d1, v1 = nolna_moments(power[1], noise[1], n)
+    return HypothesisMoments(d0, d1, v0, v1)
 
 
 def hypothesis_moments(
@@ -90,63 +133,88 @@ def hypothesis_moments(
 ) -> HypothesisMoments:
     """Closed-form moments for both hypotheses of one channel realization."""
     ht2 = real.htr_abs2
-    n0 = noise_power(params, ht2, 0, mode)
-    n1 = noise_power(params, ht2, 1, mode)
-    if mode == LNA:
-        d0, v0 = lna_moments(real.p0, params.beta1, params.beta3, n0, params.n_samples)
-        d1, v1 = lna_moments(real.p1, params.beta1, params.beta3, n1, params.n_samples)
-    else:
-        d0, v0 = nolna_moments(real.p0, n0, params.n_samples)
-        d1, v1 = nolna_moments(real.p1, n1, params.n_samples)
-    return HypothesisMoments(delta0=d0, delta1=d1, var0=v0, var1=v1)
+    return level_moments(params, (real.p0, real.p1),
+                         (noise_power(params, ht2, 0, mode), noise_power(params, ht2, 1, mode)),
+                         mode)
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def q_function(x: float) -> float:
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """The math function f of each element of x, as an array of its shape."""
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def q_function(x):
     """Gaussian tail probability Q(x), via the complementary error function."""
-    return 0.5 * math.erfc(float(x) / _SQRT2)
+    if isinstance(x, np.ndarray):
+        return 0.5 * _each(math.erfc, x / _SQRT2)
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
-def ber_closed_form(m: HypothesisMoments, threshold: float) -> float:
+def ber_closed_form(m: HypothesisMoments, threshold):
     """BER of the energy detector at a given threshold, each hypothesis mean
-    paired with its own variance."""
-    if m.delta0 <= m.delta1:
-        lo, s_lo, hi, s_hi = m.delta0, m.var0, m.delta1, m.var1
-    else:
-        lo, s_lo, hi, s_hi = m.delta1, m.var1, m.delta0, m.var0
-    return float(
-        0.5 * q_function((threshold - lo) / math.sqrt(s_lo))
-        + 0.5 * q_function((hi - threshold) / math.sqrt(s_hi))
-    )
+    paired with its own variance. The moments and the threshold may be
+    arrays that broadcast together (e.g. one threshold per frame)."""
+    d0, d1 = m.delta0, m.delta1
+    # each tail measured away from the other mean: s = -1 where delta0 > delta1
+    s = 1.0 - 2.0 * (d1 < d0)
+    x0, x1 = s * (threshold - d0), s * (d1 - threshold)
+    sqrt = np.sqrt if isinstance(x0, np.ndarray) else math.sqrt
+    return 0.5 * q_function(x0 / sqrt(m.var0)) + 0.5 * q_function(x1 / sqrt(m.var1))
 
 
-def near_optimal_threshold(m: HypothesisMoments) -> float:
+def near_optimal_threshold(m: HypothesisMoments):
     """Detection threshold at the crossing of the two Gaussian PDFs where the
     BER, of slope (f1 - f0)/2 for delta0 < delta1, is least: f0 - f1 falls
     through zero at the + root of the PDF equality and rises at the - root, so
     that is the + root for delta0 < delta1 and the - root otherwise. Equal
-    variances give the midpoint."""
-    if m.delta0 == m.delta1:
-        raise NoSeparationError("delta0 == delta1: hypotheses are not separable")
-    # the crossing lies a few standard deviations of the narrower PDF off its mean;
-    # below 2^-40 of that mean (2^12 float spacings) the floats cannot resolve it
-    narrow_var, narrow_mean = min((m.var0, m.delta0), (m.var1, m.delta1))
-    if math.sqrt(narrow_var) < 2.0 ** -40 * abs(narrow_mean):
-        raise ModelValidityError(f"PDF crossing finer than the floats beside a mean for {m}")
-    c = m.var1 / m.var0
-    if abs(c - 1.0) < 1e-9:
-        return 0.5 * (m.delta0 + m.delta1)
-    try:
-        # both terms are >= 0, so the discriminant is too (or NaN)
-        root = math.sqrt(c * (m.delta0 - m.delta1) ** 2 + c * (m.var1 - m.var0) * math.log(c))
-        t = (m.delta0 * c - m.delta1 + (root if m.delta0 < m.delta1 else -root)) / (c - 1.0)
-    except (OverflowError, ValueError) as exc:   # a square beyond float range, or c == 0
-        raise ModelValidityError(f"threshold closed form out of float range: {exc}") from exc
-    if not math.isfinite(t):   # the variance ratio or the discriminant overflowed to inf
-        raise ModelValidityError(f"threshold closed form out of float range for {m}")
-    return t
+    variances give the midpoint. Over arrays, NaN marks each element whose
+    float call raises."""
+    if isinstance(m.delta0, np.ndarray):
+        with np.errstate(all="ignore"):     # a failed element may compute inf or NaN
+            return _threshold(m, True)
+    return _threshold(m, False)
+
+
+# below this fraction of a mean (2^12 float spacings) the floats cannot
+# resolve a PDF crossing beside it
+_RESOLUTION = 2.0 ** -40
+
+
+def _threshold(m: HypothesisMoments, arrays: bool):
+    d0, d1, v0, v1 = m.delta0, m.delta1, m.var0, m.var1
+    sqrt = np.sqrt if arrays else math.sqrt
+    # the crossing lies a few standard deviations of the narrower PDF, the
+    # least (var, mean), off its mean
+    narrow0 = (v0 < v1) | (v0 == v1) & (d0 <= d1)
+    narrow1 = (v1 < v0) | (v0 == v1) & (d1 < d0)
+    unresolved = (narrow0 & (sqrt(v0) < _RESOLUTION * abs(d0))
+                  | narrow1 & (sqrt(v1) < _RESOLUTION * abs(d1)))
+    c = v1 / v0
+    midpoint = abs(c - 1.0) < 1e-9
+    if not arrays:
+        if d0 == d1:
+            raise NoSeparationError("delta0 == delta1: hypotheses are not separable")
+        if unresolved:
+            raise ModelValidityError(f"PDF crossing finer than the floats beside a mean for {m}")
+        if midpoint:
+            return 0.5 * (d0 + d1)
+        log_c = math.log(c) if c > 0 else math.nan
+    else:
+        log_c = _each(math.log, np.where(c > 0, c, np.nan))
+    # both terms are >= 0, so the discriminant is too (or NaN, or inf); the
+    # root's sign is +1.0 for delta0 < delta1 and -1.0 otherwise
+    root = sqrt(c * ((d0 - d1) * (d0 - d1)) + c * (v1 - v0) * log_c)
+    t = (d0 * c - d1 + (2.0 * (d0 < d1) - 1.0) * root) / (c - 1.0)
+    if not arrays:
+        if not math.isfinite(t):   # the variance ratio or the discriminant overflowed
+            raise ModelValidityError(f"threshold closed form out of float range for {m}")
+        return t
+    # moments marked NaN give a NaN t, away from the midpoint
+    failed = (d0 == d1) | unresolved | ~(midpoint | np.isfinite(t))
+    return np.where(failed, np.nan, np.where(midpoint, 0.5 * (d0 + d1), t))
 
 
 def deflection_no_lna(p0: float, p1: float, n_w: float, n_samples: int) -> float:

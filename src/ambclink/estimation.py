@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import HypothesisMoments
 from .config import valid_pilot_count
 from .errors import EstimationError
 
@@ -17,13 +18,15 @@ def pilot_bits(k_train: int) -> np.ndarray:
     return np.arange(k_train, dtype=np.int64) % 2
 
 
-def pilot_statistics(energies: np.ndarray, k_train: int):
+def pilot_statistics(energies: np.ndarray, k_train: int) -> HypothesisMoments:
     """Grouped sample mean/variance of the k_train leading pilot energies
     along the last axis, for any leading axes (frames, realizations).
 
     delta_i = (2/K_train) sum A_k, var_i = (2/(K_train-2)) sum (A_k - delta_i)^2
-    over the pilots whose known bit is i. Returns (delta0, delta1, var0, var1),
-    each of shape energies.shape[:-1].
+    over the pilots whose known bit is i. Returns the estimated
+    HypothesisMoments (delta0, delta1, var0, var1), each of shape
+    energies.shape[:-1]: floats for one frame, which must be valid moments,
+    and otherwise arrays, NaN in a frame whose estimate is degenerate.
     """
     energies = np.asarray(energies, dtype=float)
     bits = pilot_bits(k_train)
@@ -36,7 +39,7 @@ def pilot_statistics(energies: np.ndarray, k_train: int):
         mean = (2.0 / k_train) * group.sum(axis=-1)
         means.append(mean)
         variances.append((2.0 / (k_train - 2)) * ((group - mean[..., None]) ** 2).sum(axis=-1))
-    return means[0], means[1], variances[0], variances[1]
+    return HypothesisMoments(means[0], means[1], variances[0], variances[1])
 
 
 def relative_threshold_error(t_true, t_est):

@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import (
-    HypothesisMoments,
     ber_closed_form,
     hypothesis_moments,
+    level_moments,
     near_optimal_threshold,
     noise_power,
 )
@@ -38,7 +38,7 @@ from .config import (
     check_trials,
     valid_pilot_count,
 )
-from .errors import AmbclinkError, ConfigError, ModelValidityError
+from .errors import ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_lna_variates, energies_from_variates
 
@@ -103,66 +103,63 @@ def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
 
 def _levels(params, reals, mode):
     """(power, noise) of the realizations `reals` at their point, in `mode`:
-    [d] is the (realization, 1, 1) column of the bit-d input power and noise
-    power, as energies_from_variates takes them."""
-    power = np.array([(real.p0, real.p1) for real in reals]).T[:, :, None, None]
-    noise = np.array([[noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
-                      for real in reals]).T[:, :, None, None]
-    return power, noise
+    arrays of shape (2, realizations, 1) whose [d] holds the bit-d input
+    power and noise power of each realization."""
+    p0, p1, ht2 = np.array([(real.p0, real.p1, real.htr_abs2) for real in reals]).T[..., None]
+    return np.stack([p0, p1]), np.stack([noise_power(params, ht2, d, mode) for d in (0, 1)])
 
 
-def _estimated_thresholds(energies, k_train):
-    """Per-frame moments and thresholds estimated from the k_train leading
-    pilots. A frame whose estimate or threshold is degenerate is marked failed."""
-    stats = pilot_statistics(energies, k_train)
-    threshold, failed = [], []
-    for frame in zip(*(s.ravel().tolist() for s in stats)):
-        try:
-            threshold.append(near_optimal_threshold(HypothesisMoments(*frame)))
-            failed.append(False)
-        except AmbclinkError:
-            threshold.append(math.nan)
-            failed.append(True)
-    shape = stats[0].shape
-    return stats, np.array(threshold, float).reshape(shape), np.array(failed, bool).reshape(shape)
+def _raise_first_failure(values, items, float_call) -> None:
+    """Batch closed forms mark NaN where the float call raises. Re-take the
+    first of `items` (one per row of `values`) whose row holds a NaN as
+    float_call(item), which raises the error a loop over `items` met first."""
+    failed = np.isnan(values).reshape(len(items), -1).any(axis=1)
+    if failed.any():
+        float_call(items[int(np.argmax(failed))])
+
+
+def _true_thresholds(params, mode, reals, moments):
+    """The near-optimal threshold of each realization from its true moments,
+    raising as the float calls do."""
+    threshold = near_optimal_threshold(moments)
+    _raise_first_failure(threshold, reals, lambda real: near_optimal_threshold(
+        hypothesis_moments(params, real, mode)))
+    return threshold
 
 
 class _BerCase:
     """One (point, mode) of a BER block: the levels and closed forms of its
-    realizations at the point, kept as arrays of a few floats per
-    realization (no realization objects, however many points and modes a
-    block serves), and the results of the runs so far."""
+    realizations at the point, kept as arrays of shape (realizations, 1) (no
+    realization objects, however many points and modes a block serves), and
+    the results of the runs so far."""
 
     def __init__(self, params, mode, reals, estimated):
         self.params, self.mode, self.estimated = params, mode, estimated
         self.levels = _levels(params, reals, mode)
-        moments = [hypothesis_moments(params, real, mode) for real in reals]
-        # rows (delta0, delta1, var0, var1); HypothesisMoments(*row) rebuilds one
-        self.moments = np.array([(m.delta0, m.delta1, m.var0, m.var1) for m in moments])
+        self.moments = level_moments(params, *self.levels, mode)
+        _raise_first_failure(self.moments.var0, reals,
+                             lambda real: hypothesis_moments(params, real, mode))
         if not estimated:
-            threshold = [near_optimal_threshold(m) for m in moments]
-            self.threshold = np.array(threshold)[:, None]
-            self.closed = np.array([ber_closed_form(m, t)
-                                    for m, t in zip(moments, threshold)])[:, None]
+            self.threshold = _true_thresholds(params, mode, reals, self.moments)
+            self.closed = ber_closed_form(self.moments, self.threshold)
         self.runs = []
 
     def add_run(self, k_train, bits, variates):
         """Detect a run's frames and count errors on their data symbols."""
-        energies = energies_from_variates(self.params, bits, *self.levels, self.mode,
-                                          variates[self.mode])
+        energies = energies_from_variates(self.params, bits, *(x[..., None] for x in self.levels),
+                                          self.mode, variates[self.mode])
         shape = bits.shape[:2]
         if not self.estimated:
             threshold, closed = (np.broadcast_to(x, shape) for x in (self.threshold, self.closed))
-            failed = np.zeros(shape, dtype=bool)
-            delta0, delta1 = self.moments[:, :1], self.moments[:, 1:2]
+            m = self.moments
         else:
-            (delta0, delta1, _, _), threshold, failed = _estimated_thresholds(energies, k_train)
+            # estimated per frame from its pilots: NaN where the frame failed
+            m = pilot_statistics(energies, k_train)
+            threshold = near_optimal_threshold(m)
             bits, energies = bits[..., k_train:], energies[..., k_train:]
-            true_m = [HypothesisMoments(*row) for row in self.moments.tolist()]
-            closed = np.full(shape, math.nan)
-            for r, f in zip(*np.nonzero(~failed)):
-                closed[r, f] = ber_closed_form(true_m[r], float(threshold[r, f]))
-        decided = detect(energies, threshold[..., None], delta0[..., None], delta1[..., None])
+            closed = ber_closed_form(self.moments, threshold)
+        failed = np.isnan(threshold)
+        decided = detect(energies, threshold[..., None], m.delta0[..., None], m.delta1[..., None])
         errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
         self.runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, closed, failed))
 
@@ -189,7 +186,7 @@ def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
         raise ValueError(f"unknown threshold policy {policy!r}")
     estimated = policy == ESTIMATED_POLICY
     cases = [_BerCase(params, mode, reals, estimated) for params, mode, reals in cases]
-    params, n_reals = cases[0].params, len(cases[0].moments)
+    params, n_reals = cases[0].params, len(cases[0].moments.delta0)
     k_train = params.k_train if estimated else 0
     runs = _frame_runs(params, n_reals, n_frames, k_train, params.k_symbols - k_train,
                        frame_rng, lna_rng if any(c.mode == LNA for c in cases) else None)
@@ -269,17 +266,25 @@ def _check_bdpr_reach(scenario, points, modes, field) -> None:
     Ps + 2 BDPR = 580-583 dBm on, the probe from 572 dBm. A point the probe
     passes, every weaker draw passes too."""
     probe = aligned_channel(scenario, PROBE_DIRECT_GAIN)
-    for params, bdpr_db in points:
-        real = probe.at_operating_point(params, bdpr_db)
-        for mode in modes:
-            try:
-                near_optimal_threshold(hypothesis_moments(params, real, mode))
-            except ModelValidityError as exc:
-                raise ConfigError(
-                    f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
-                    f"closed forms' numeric range on a direct path {PROBE_DIRECT_GAIN:g} "
-                    f"times its mean gain ({exc}); lower the bdpr or the ps, got {field} "
-                    f"{bdpr_db!r}", fields=(field,)) from exc
+    reals = [probe.at_operating_point(params, bdpr_db) for params, bdpr_db in points]
+    # the points differ in Ps alone, which their channels carry, so one batch
+    # per mode takes every point: shape (points, modes)
+    threshold = np.hstack([near_optimal_threshold(
+        level_moments(scenario, *_levels(scenario, reals, mode), mode)) for mode in modes])
+
+    def check(case):
+        (params, bdpr_db), real, mode = case
+        try:
+            near_optimal_threshold(hypothesis_moments(params, real, mode))
+        except ModelValidityError as exc:
+            raise ConfigError(
+                f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
+                f"closed forms' numeric range on a direct path {PROBE_DIRECT_GAIN:g} "
+                f"times its mean gain ({exc}); lower the bdpr or the ps, got {field} "
+                f"{bdpr_db!r}", fields=(field,)) from exc
+
+    _raise_first_failure(threshold, [(point, real, mode) for point, real in zip(points, reals)
+                                     for mode in modes], check)
 
 
 @dataclass(frozen=True)
@@ -353,16 +358,16 @@ def _pilot_task(task):
     realizations, frames): NaN where the frame failed or its estimate is 0."""
     params, mode, k_trains, n_frames, master_seed, r0, realizations = task
     reals, frame_rng, lna_rng = _block_draws(params, master_seed, r0, realizations)
-    t_true = np.array([near_optimal_threshold(hypothesis_moments(params, real, mode))
-                       for real in reals])
+    levels = _levels(params, reals, mode)
+    t_true = _true_thresholds(params, mode, reals, level_moments(params, *levels, mode))
     runs = _frame_runs(params, len(reals), n_frames, max(k_trains), 0, frame_rng,
                        lna_rng if mode == LNA else None)
-    levels = _levels(params, reals, mode)
     threshold = np.concatenate(
-        [[_estimated_thresholds(energies, k)[1] for k in k_trains]
-         for energies in (energies_from_variates(params, bits, *levels, mode, variates[mode])
+        [[near_optimal_threshold(pilot_statistics(energies, k)) for k in k_trains]
+         for energies in (energies_from_variates(params, bits, *(x[..., None] for x in levels),
+                                                 mode, variates[mode])
                           for bits, variates in runs)], axis=-1)
-    return relative_threshold_error(t_true[:, None], np.where(threshold == 0, np.nan, threshold))
+    return relative_threshold_error(t_true, np.where(threshold == 0, np.nan, threshold))
 
 
 def _map_blocks(fn, tasks: list, workers: int) -> list:

@@ -16,6 +16,7 @@ from ambclink.analysis import (
     deflection_lna_full,
     deflection_no_lna,
     hypothesis_moments,
+    level_moments,
     lna_moments,
     near_optimal_threshold,
     noise_power,
@@ -83,6 +84,47 @@ class TestMoments:
         oracle = exp_moment_mean_var(p, beta1, beta3, noise, n)
         assert rel_err(closed[0], oracle[0]) <= 1e-12
         assert rel_err(closed[1], oracle[1]) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_p=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=12),
+           negative=st.lists(st.booleans(), min_size=12, max_size=12),
+           beta1=st.floats(1.0, 100.0), beta3=st.floats(-1e4, 1e4),
+           log_noise=st.floats(-14.0, -8.0), n=st.integers(1, 200), lna=st.booleans())
+    def test_batch_gives_the_float_bits_and_fails_where_floats_raise(
+            self, log_p, negative, beta1, beta3, log_noise, n, lna):
+        # powers up to 1e60 W overflow the LNA polynomials, and a power < 0
+        # is refused; a batch marks those elements NaN
+        p = [-10.0 ** x if neg else 10.0 ** x for x, neg in zip(log_p, negative)]
+        noise = 10.0 ** log_noise
+
+        def moments(power):
+            return (lna_moments(power, beta1, beta3, noise, n) if lna
+                    else nolna_moments(power, noise, n))
+
+        def float_call(power):
+            try:
+                return moments(power)
+            except ModelValidityError:
+                return math.nan, math.nan
+
+        with np.errstate(all="ignore"):     # the overflowing elements warn
+            mean, var = moments(np.array(p))
+        expected = [float_call(power) for power in p]
+        assert _bits(mean) == _bits(e[0] for e in expected)
+        assert _bits(var) == _bits(e[1] for e in expected)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_level_moments_over_realizations_give_the_float_bits(self, paper_params, mode):
+        # the batch the Monte Carlo takes: one array element per realization
+        reals = [draw_channels(paper_params, np.random.default_rng(np.random.SeedSequence((9, r))))
+                 for r in range(50)]
+        power = [np.array([getattr(real, p) for real in reals]) for p in ("p0", "p1")]
+        ht2 = np.array([real.htr_abs2 for real in reals])
+        noise = [noise_power(paper_params, ht2, d, mode) for d in (0, 1)]
+        batch = level_moments(paper_params, power, noise, mode)
+        for i, real in enumerate(reals):
+            m = hypothesis_moments(paper_params, real, mode)
+            assert _bits(m) == _bits(x[i] for x in batch)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ModelValidityError):
@@ -216,6 +258,35 @@ class TestBerClosedForm:
             HypothesisMoments(0.0, 1.0, 1.0, math.nan)
 
 
+# moments beyond the float range of the threshold's closed form
+OUT_OF_RANGE = [
+    (1.0, 2.0, 1e300, 1e-300),
+    (1e160, -1e160, 1.0, 2.0),
+    (1e-10, -1e-8, 1e300, 1e-34),
+    (1e154, -1e154, 1e300, 2e300),
+    (-1e-26, -1e-25, 1e-23, 1e307),
+    (1.0, 10.0, 10.0, 1e-31),
+    (1.0, 2.0, 1e-300, 1e300),
+    # moments far apart in scale: c * (delta0 - delta1)^2 overflows to inf
+    (3.2481729156742285e-05, 3.6564856250845187e+74, 1.4067348907434611e-11,
+     3.3870380720339295e+148),
+    (1.0, 2.0, 1e-10, 1e300),
+]
+OUT_OF_RANGE_IDS = ["variance-ratio-underflow", "mean-gap-overflow", "log-of-zero-ratio",
+                    "square-overflow", "ratio-overflow-negative-means", "sub-ulp-crossing",
+                    "sub-ulp-crossing-ratio-overflow", "discriminant-overflow",
+                    "overflowing-variance-ratio"]
+
+
+def _batch(rows) -> HypothesisMoments:
+    """The moments of `rows` (delta0, delta1, var0, var1) as one batch of arrays."""
+    return HypothesisMoments(*(np.array(column, dtype=float) for column in zip(*rows)))
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
 class TestThreshold:
     def test_equal_variance_midpoint(self):
         m = HypothesisMoments(1.0, 3.0, 0.25, 0.25)
@@ -234,6 +305,7 @@ class TestThreshold:
     def test_no_separation(self):
         with pytest.raises(NoSeparationError):
             near_optimal_threshold(HypothesisMoments(1.0, 1.0, 0.5, 0.5))
+        assert np.isnan(near_optimal_threshold(_batch([(1.0, 1.0, 0.5, 0.5)]))).all()
 
     def test_translation_monotonicity(self):
         # equal variances: T tracks the midpoint under translation
@@ -265,29 +337,16 @@ class TestThreshold:
         _, ber_grid = grid_min_threshold(m)
         assert ber_closed_form(m, near_optimal_threshold(m)) <= ber_grid + 1e-6
 
-    @pytest.mark.parametrize("m", [
-        HypothesisMoments(1.0, 2.0, 1e300, 1e-300),
-        HypothesisMoments(1e160, -1e160, 1.0, 2.0),
-        HypothesisMoments(1e-10, -1e-8, 1e300, 1e-34),
-        HypothesisMoments(1e154, -1e154, 1e300, 2e300),
-        HypothesisMoments(-1e-26, -1e-25, 1e-23, 1e307),
-        HypothesisMoments(1.0, 10.0, 10.0, 1e-31),
-        HypothesisMoments(1.0, 2.0, 1e-300, 1e300),
-        # moments far apart in scale: c * (delta0 - delta1)^2 overflows to inf
-        HypothesisMoments(3.2481729156742285e-05, 3.6564856250845187e+74,
-                          1.4067348907434611e-11, 3.3870380720339295e+148),
-        HypothesisMoments(1.0, 2.0, 1e-10, 1e300),
-    ], ids=["variance-ratio-underflow", "mean-gap-overflow", "log-of-zero-ratio",
-            "square-overflow", "ratio-overflow-negative-means", "sub-ulp-crossing",
-            "sub-ulp-crossing-ratio-overflow", "discriminant-overflow",
-            "overflowing-variance-ratio"])
+    @pytest.mark.parametrize("m", [HypothesisMoments(*row) for row in OUT_OF_RANGE],
+                             ids=OUT_OF_RANGE_IDS)
     def test_out_of_float_range_is_a_model_validity_error(self, m):
         # beyond the float range of the closed form (var1/var0 or the
         # discriminant overflows to inf, so the root is not finite), or a
         # crossing finer than the floats beside a mean, where the threshold
-        # would land on that PDF's peak
+        # would land on that PDF's peak; a batch marks the element NaN
         with pytest.raises(ModelValidityError):
             near_optimal_threshold(m)
+        assert np.isnan(near_optimal_threshold(_batch([m]))).all()
 
     def test_both_pdfs_underflowing_at_the_crossing_keeps_the_closed_form(self):
         # both PDFs underflow to 0.0 at the crossing; the closed form still
@@ -319,6 +378,41 @@ class TestThreshold:
         m = HypothesisMoments(d0, d1, f0 * d0 * d0 / n, f1 * d1 * d1 / n)
         assert 0.0 <= ber_closed_form(m, near_optimal_threshold(m)) <= 0.5
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(-15.0, 5.0), st.floats(-15.0, 5.0),
+                                   st.floats(-35.0, 10.0), st.floats(-35.0, 10.0),
+                                   st.sampled_from(["free", "equal-means", "equal-variances",
+                                                    "negative-mean", "zero-variance"])),
+                         min_size=1, max_size=12),
+           out_of_range=st.lists(st.sampled_from(OUT_OF_RANGE), max_size=4))
+    def test_batch_gives_the_float_bits_and_fails_where_floats_raise(self, rows, out_of_range):
+        """A batch of moments gives, element by element, the bits of the
+        float calls of the threshold and the BER at it, and NaN exactly where
+        building the moments or taking the threshold raises. The ranges are
+        those of test_never_above_the_grid_minimum, with ties (no separation,
+        the midpoint), invalid variances and the out-of-range cases mixed in."""
+        moments = []
+        for log_d0, log_d1, log_v0, log_v1, kind in rows:
+            d0, d1, v0, v1 = 10.0 ** log_d0, 10.0 ** log_d1, 10.0 ** log_v0, 10.0 ** log_v1
+            d1 = d0 if kind == "equal-means" else -d1 if kind == "negative-mean" else d1
+            v1 = v0 if kind == "equal-variances" else 0.0 if kind == "zero-variance" else v1
+            moments.append((d0, d1, v0, v1))
+        moments += out_of_range
+
+        def float_calls(row):
+            try:
+                m = HypothesisMoments(*row)
+                t = near_optimal_threshold(m)
+            except (ModelValidityError, NoSeparationError):
+                return math.nan, math.nan
+            return t, ber_closed_form(m, t)
+
+        expected = [float_calls(row) for row in moments]
+        batch = _batch(moments)
+        t = near_optimal_threshold(batch)
+        assert _bits(t) == _bits(e[0] for e in expected)
+        assert _bits(ber_closed_form(batch, t)) == _bits(e[1] for e in expected)
+
 
 def _float_digest(values) -> str:
     return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
@@ -340,7 +434,7 @@ class TestExactBits:
             t = near_optimal_threshold(m)
             values += [t, ber_closed_form(m, t)]
         assert _float_digest(values) == (
-            "cfa38d0a77a21542679d79b11407b3ef8c1fbd8a37a030e2aa756cc2d854133c")
+            "a6945f665c938f5e0afad044439fc342125ce90ee9d8f46a664f3157c48d8775")
 
     def test_fading_averaged_curve_grid(self, paper_params):
         """The closed_form_curve benchmark's grid (Ps -60..30 dBm, both modes)
@@ -359,7 +453,7 @@ class TestExactBits:
                     values += [at.p0, at.p1, m.delta0, m.delta1, m.var0, m.var1, t,
                                ber_closed_form(m, t)]
         assert _float_digest(values) == (
-            "23bc05ac8b9dd4c919e536142ebf91cb62b517485f91cdc589de7b38f53d2df0")
+            "31dacdcd662387da12d9d82bda7a17e35a104d26c98db91752bcba69bde11a99")
 
 
 class TestDeflection:
