@@ -316,11 +316,15 @@ def wilson_halfwidth(errors: int, bits: int) -> float:
 
 def _blocks(realizations, symbols: int) -> list:
     """(r0, realizations) of each block: runs of consecutive realizations
-    (a range), about BLOCK_SYMBOLS symbols in all at `symbols` per
-    realization. Their size follows from the sweep alone, never from the
-    worker count."""
-    size = max(1, BLOCK_SYMBOLS // symbols)
-    return [(r0, realizations[r0:r0 + size]) for r0 in range(0, len(realizations), size)]
+    (a range) in as few blocks of at most BLOCK_SYMBOLS symbols, at
+    `symbols` per realization, as hold them all (one realization at least),
+    and of sizes within one of each other, so that no block holds most of the
+    work. Their sizes follow from the sweep alone, never from the worker
+    count."""
+    n = len(realizations)
+    count = -(-n // max(1, BLOCK_SYMBOLS // symbols))
+    bounds = [n * i // count for i in range(count)] + [n]
+    return [(r0, realizations[r0:r1]) for r0, r1 in zip(bounds, bounds[1:])]
 
 
 def _block_draws(params, master_seed: int, r0: int, realizations):

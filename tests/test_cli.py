@@ -444,10 +444,10 @@ class TestReadmeOutputs:
     @pytest.mark.parametrize("argv, digest", [
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:-10:30:5", "--modes", "lna,no_lna",
           "--realizations", "200", "--seed", "7"],
-         "e23a4857813288b869bceabf064d224032708ed6d83d80166e5880c7bb41b0b4"),
+         "2818e915d9dc3a74d8d2c21f9dce4d7a31212696ba98d86bf61158c1d05f5898"),
         (["ber-sweep", "--paper-defaults", "--sweep", "bdpr:-30:-10:10", "--ps", "5",
           "--modes", "lna", "--realizations", "200", "--seed", "7"],
-         "efa933b729d33bf0da034134cba66c8ee413bd42ea054c6106f266db72806c87"),
+         "fa1b28f828e11d825723775095b64de33f507556023b7dc9c53d6bdd73f51dcd"),
         (["pilot-sweep", "--scenario", "k200.json", "--fractions", "0.05,0.1,0.2,0.4",
           "--mode", "lna", "--frames", "50", "--realizations", "20", "--seed", "7"],
          "bf5b610a5ca1f9b200d35d1f02b2e3da5978673d8cb660d54364d52ef0101051"),

@@ -327,8 +327,8 @@ class TestRunSweep:
 
 
 class TestBlocks:
-    """Blocks hold max(1, BLOCK_SYMBOLS // (F*K)) realizations: at K=400 and
-    F=4 that is 10, so 12 realizations span two blocks."""
+    """Blocks hold at most max(1, BLOCK_SYMBOLS // (F*K)) realizations: at
+    K=400 and F=4 that is 10, so 12 realizations span two blocks of 6."""
 
     @pytest.fixture(scope="class")
     def block_params(self, paper_params):
@@ -336,7 +336,7 @@ class TestBlocks:
 
     def test_two_blocks(self, block_params):
         blocks = mc._blocks(range(12), 4 * block_params.k_symbols)
-        assert [(r0, len(reals)) for r0, reals in blocks] == [(0, 10), (10, 2)]
+        assert [(r0, len(reals)) for r0, reals in blocks] == [(0, 6), (6, 6)]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sweep_worker_invariance_across_blocks(self, block_params, policy):
@@ -455,8 +455,8 @@ class TestSharedDraws:
 
     def test_readme_ber_sweep_draws_the_lna_variates_once_per_block(self, paper_params,
                                                                      monkeypatch):
-        # ps:-10:30:5, both modes, 200 realizations: two blocks of K=100 frames,
-        # each drawing its LNA variates once for the nine points
+        # ps:-10:30:5, both modes, 200 realizations: two equal blocks of K=100
+        # frames, each drawing its LNA variates once for the nine points
         shapes = []
 
         def recording(n_samples, shape, rng):
@@ -469,7 +469,7 @@ class TestSharedDraws:
                          modes=(LNA, NO_LNA), n_realizations=200, master_seed=7)
         points = run_sweep(spec, workers=1)
         assert len(points) == 18
-        assert shapes == [(163, 1, 100), (37, 1, 100)]
+        assert shapes == [(100, 1, 100), (100, 1, 100)]
 
 
 class TestPilotSweep:
@@ -611,7 +611,7 @@ class TestPool:
         assert run_sweep(small_spec, workers=2) == serial
 
     def test_two_tasks_open_a_pool(self, small_spec, monkeypatch):
-        # 100 symbols per realization: blocks of 163 realizations, so 200 make two
+        # 100 symbols per realization: blocks of at most 163 realizations, so 200 make two
         self._no_pool(monkeypatch)
         with pytest.raises(AssertionError, match="pool"):
             run_sweep(replace(small_spec, modes=(LNA,), n_realizations=200), workers=2)
