@@ -1,21 +1,18 @@
 """Closed-form detection results: energy-statistic moments, BER, near-optimal
 threshold, and deflection coefficients.
 
-The moments, the threshold and the BER each take Python floats or numpy
-arrays (one value per element, e.g. per realization or per frame) through
-one text. Their arithmetic is +, -, *, / and sqrt alone, which IEEE 754
-rounds correctly, so an array element gets the bits of the float call on
-its values; powers are written as products. Only the steps that are not
-operators look at the type: sqrt (math or numpy), log and erfc (math, once
-per element of an array), the threshold's midpoint, and failure: where a
-float call raises ModelValidityError or NoSeparationError, an array call
-marks the element NaN.
+The moments, the threshold and the BER take Python floats or numpy arrays
+alike, through one text of +, -, *, / and sqrt, which IEEE 754 rounds
+correctly: an array element gets the bits of the float call on its values.
+Powers are products; log and erfc run through math, once per element of an
+array. Where a float call raises ModelValidityError or NoSeparationError,
+an array call marks the element NaN.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,15 +21,8 @@ from .config import LNA, MODES, NO_LNA, SystemParams
 from .errors import ModelValidityError, NoSeparationError
 
 
-class _Moments(NamedTuple):
-    delta0: float   # mean under H0, watts
-    delta1: float   # mean under H1, watts
-    var0: float     # variance under H0, watts^2
-    var1: float     # variance under H1, watts^2
-
-
-class HypothesisMoments(_Moments):
-    """Mean/variance of the energy statistic under each tag hypothesis:
+class HypothesisMoments(namedtuple("HypothesisMoments", "delta0 delta1 var0 var1")):
+    """Means (W) and variances (W^2) of the energy statistic under H0 and H1:
     floats, which must be finite with positive variances, or arrays of one
     value per element, where an element that is not is marked NaN."""
 
@@ -47,9 +37,12 @@ class HypothesisMoments(_Moments):
         elif not (math.isfinite(delta0) and math.isfinite(delta1)
                   and 0 < var0 < math.inf and 0 < var1 < math.inf):
             raise ModelValidityError(
-                f"hypothesis variances must be finite and positive, got ({var0}, {var1})"
-            )
+                f"hypothesis variances must be finite and positive, got ({var0}, {var1})")
         return super().__new__(cls, delta0, delta1, var0, var1)
+
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through it: check the new values too
+        return cls(*iterable)
 
 
 def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> float:
@@ -64,25 +57,20 @@ def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> flo
 
 
 def _checked_moments(p, n_samples: int, mean, var_sum):
-    """(mean, var_sum / N) at power p, for both moment forms. A float call
-    raises where p < 0 or the moments are not finite with var > 0; an array
-    call marks such an element NaN. Either raises where N < 1."""
+    """(mean, var_sum / N) at power p, for both moment forms: a float call
+    raises where p < 0 or they are not finite with var > 0, an array call
+    marks such an element NaN, and both raise where N < 1."""
+    if n_samples < 1:
+        raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
+    var = var_sum / n_samples
     if isinstance(mean, np.ndarray):
-        if n_samples < 1:
-            raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
-        var = var_sum / n_samples
         ok = (p >= 0) & np.isfinite(mean) & np.isfinite(var) & (var > 0)
         return np.where(ok, mean, np.nan), np.where(ok, var, np.nan)
     if p < 0:
         raise ModelValidityError(f"received power must be nonnegative, got {p}")
-    if n_samples < 1:
-        raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
-    var = var_sum / n_samples
     if not (math.isfinite(mean) and math.isfinite(var) and var > 0):
-        raise ModelValidityError(
-            f"moments ({mean}, {var}) invalid at P={p}: "
-            "input power beyond the model's numeric range"
-        )
+        raise ModelValidityError(f"moments ({mean}, {var}) invalid at P={p}: "
+                                 "input power beyond the model's numeric range")
     return mean, var
 
 
@@ -95,9 +83,8 @@ def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
     p3 = p2 * p
     p4 = p3 * p
     p5 = p4 * p
-    return _checked_moments(
-        p, n_samples,
-        b1sq * p + 6 * b3sq * p3 + 4 * b1 * b3 * p2 + n_aw,
+    mean = b1sq * p + 6 * b3sq * p3 + 4 * b1 * b3 * p2 + n_aw
+    var_sum = (
         b1cu * b1 * p2
         + 16 * b1cu * b3 * p3
         + 116 * b1sq * b3sq * p4
@@ -106,7 +93,9 @@ def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
         + 2 * b1sq * p * n_aw
         + 8 * b1 * b3 * p2 * n_aw
         + 12 * b3sq * p3 * n_aw
-        + n_aw * n_aw)
+        + n_aw * n_aw
+    )
+    return _checked_moments(p, n_samples, mean, var_sum)
 
 
 def nolna_moments(p, n_w, n_samples: int):
@@ -115,9 +104,8 @@ def nolna_moments(p, n_w, n_samples: int):
 
 
 def level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:
-    """Closed-form moments of both hypotheses at the input power power[d]
-    and the d-gated noise power noise[d] of bit d: floats, or arrays of one
-    value per realization."""
+    """Closed-form moments of both hypotheses at input power power[d] and
+    d-gated noise power noise[d] under bit d, floats or arrays."""
     b1, b3, n = params.beta1, params.beta3, params.n_samples
     if mode == LNA:
         d0, v0 = lna_moments(power[0], b1, b3, noise[0], n)
@@ -178,16 +166,14 @@ def near_optimal_threshold(m: HypothesisMoments):
     return _threshold(m, False)
 
 
-# below this fraction of a mean (2^12 float spacings) the floats cannot
-# resolve a PDF crossing beside it
-_RESOLUTION = 2.0 ** -40
+_RESOLUTION = 2.0 ** -40    # of a mean: 2^12 float spacings, the finest crossing resolved
 
 
 def _threshold(m: HypothesisMoments, arrays: bool):
     d0, d1, v0, v1 = m.delta0, m.delta1, m.var0, m.var1
     sqrt = np.sqrt if arrays else math.sqrt
-    # the crossing lies a few standard deviations of the narrower PDF, the
-    # least (var, mean), off its mean
+    # the crossing lies a few standard deviations of the narrower PDF, the least
+    # (var, mean), off its mean
     narrow0 = (v0 < v1) | (v0 == v1) & (d0 <= d1)
     narrow1 = (v1 < v0) | (v0 == v1) & (d1 < d0)
     unresolved = (narrow0 & (sqrt(v0) < _RESOLUTION * abs(d0))
@@ -251,11 +237,9 @@ def deflection_lna_full(
 def deflection_lna_approx(
     p0: float, p1: float, beta1: float, n_aw: float, n_samples: int
 ) -> float:
-    """Small-power approximation of the LNA deflection coefficient."""
-    den = p0 + n_aw / beta1**2
-    if den <= 0:
-        raise ModelValidityError("p0 + n_aw/beta1^2 must be positive")
-    return n_samples * ((p1 - p0) / den) ** 2
+    """Small-power approximation of the LNA deflection coefficient: the
+    conventional receiver's, with the noise referred to the LNA input."""
+    return deflection_no_lna(p0, p1, n_aw / beta1**2, n_samples)
 
 
 def dc_noise_powers(params: SystemParams, htr_abs2: float):

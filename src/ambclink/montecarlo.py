@@ -7,7 +7,8 @@ own channels, seeded per realization, then its frames in runs of at most
 BLOCK_SYMBOLS symbols (one run unless a single realization's frames exceed
 it): the bits and the no-LNA standard gammas from the block's frame
 generator, the LNA variates from a generator of their own. Each point and
-mode then takes only arithmetic on those draws.
+mode then takes only arithmetic on those draws, and its closed forms in one
+batch call per block (analysis: NaN marks an element whose float call raises).
 """
 
 from __future__ import annotations
@@ -109,39 +110,27 @@ def _levels(params, reals, mode):
     return np.stack([p0, p1]), np.stack([noise_power(params, ht2, d, mode) for d in (0, 1)])
 
 
-def _raise_first_failure(values, items, float_call) -> None:
-    """Batch closed forms mark NaN where the float call raises. Re-take the
-    first of `items` (one per row of `values`) whose row holds a NaN as
-    float_call(item), which raises the error a loop over `items` met first."""
-    failed = np.isnan(values).reshape(len(items), -1).any(axis=1)
+def _retake(params, mode, levels, failed, threshold: bool = True) -> None:
+    """Batch closed forms mark NaN where the float call raises. Take the
+    first `failed` realization of `levels` (as _levels gives them) through
+    the float calls, which raise the error a loop over the realizations met
+    first: its moments, then with `threshold` its near-optimal threshold."""
     if failed.any():
-        float_call(items[int(np.argmax(failed))])
-
-
-def _true_thresholds(params, mode, reals, moments):
-    """The near-optimal threshold of each realization from its true moments,
-    raising as the float calls do."""
-    threshold = near_optimal_threshold(moments)
-    _raise_first_failure(threshold, reals, lambda real: near_optimal_threshold(
-        hypothesis_moments(params, real, mode)))
-    return threshold
+        i = int(np.argmax(failed))
+        m = level_moments(params, *(x[:, i, 0].tolist() for x in levels), mode)
+        if threshold:
+            near_optimal_threshold(m)
 
 
 class _BerCase:
-    """One (point, mode) of a BER block: the levels and closed forms of its
-    realizations at the point, kept as arrays of shape (realizations, 1) (no
-    realization objects, however many points and modes a block serves), and
-    the results of the runs so far."""
+    """One (point, mode) of a BER block: the levels of its realizations at
+    the point (no realization objects, however many points and modes a block
+    serves), their true closed forms (_true_closed_forms) and the results of
+    the runs so far."""
 
     def __init__(self, params, mode, reals, estimated):
         self.params, self.mode, self.estimated = params, mode, estimated
         self.levels = _levels(params, reals, mode)
-        self.moments = level_moments(params, *self.levels, mode)
-        _raise_first_failure(self.moments.var0, reals,
-                             lambda real: hypothesis_moments(params, real, mode))
-        if not estimated:
-            self.threshold = _true_thresholds(params, mode, reals, self.moments)
-            self.closed = ber_closed_form(self.moments, self.threshold)
         self.runs = []
 
     def add_run(self, k_train, bits, variates):
@@ -151,20 +140,54 @@ class _BerCase:
         shape = bits.shape[:2]
         if not self.estimated:
             threshold, closed = (np.broadcast_to(x, shape) for x in (self.threshold, self.closed))
-            m = self.moments
+            delta0, delta1 = self.means
         else:
             # estimated per frame from its pilots: NaN where the frame failed
             m = pilot_statistics(energies, k_train)
-            threshold = near_optimal_threshold(m)
+            threshold, delta0, delta1 = near_optimal_threshold(m), m.delta0, m.delta1
             bits, energies = bits[..., k_train:], energies[..., k_train:]
             closed = ber_closed_form(self.moments, threshold)
         failed = np.isnan(threshold)
-        decided = detect(energies, threshold[..., None], m.delta0[..., None], m.delta1[..., None])
+        decided = detect(energies, threshold[..., None], delta0[..., None], delta1[..., None])
         errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
         self.runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, closed, failed))
 
     def result(self) -> BlockResult:
         return BlockResult(*(np.concatenate(x, axis=1) for x in zip(*self.runs)))
+
+
+def _true_closed_forms(cases, estimated: bool) -> None:
+    """Give each case of a block its true closed forms, of shape
+    (realizations, 1): the moments under the estimated policy, and otherwise
+    the two means, the near-optimal thresholds and the closed-form BERs. One
+    batch call per mode takes every case in that mode, whose levels carry its
+    Ps and BDPR. A failure raises as the loop over the cases and their
+    realizations did: case by case, the moments before the thresholds."""
+    params, n, failed = cases[0].params, cases[0].levels[0].shape[1], False
+    for mode in MODES:
+        group = [case for case in cases if case.mode == mode]
+        if not group:
+            continue
+        moments = level_moments(params, *(np.concatenate(x, axis=1)
+                                          for x in zip(*(case.levels for case in group))), mode)
+        if not estimated:
+            threshold = near_optimal_threshold(moments)
+            closed = ber_closed_form(moments, threshold)
+        failed = failed or bool(np.isnan(moments.var0 if estimated else closed).any())
+        for j, case in enumerate(group):
+            rows = slice(j * n, (j + 1) * n)
+            if estimated:
+                case.moments = type(moments)(*(x[rows] for x in moments))
+            else:
+                case.means = moments.delta0[rows], moments.delta1[rows]
+                case.threshold, case.closed = threshold[rows], closed[rows]
+    if failed:   # take each case on its own, in order, to raise where the loop did
+        for case in cases:
+            moments = level_moments(case.params, *case.levels, case.mode)
+            _retake(case.params, case.mode, case.levels, np.isnan(moments.var0).ravel(), False)
+            if not estimated:
+                _retake(case.params, case.mode, case.levels,
+                        np.isnan(near_optimal_threshold(moments)).ravel())
 
 
 def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
@@ -175,8 +198,8 @@ def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
     share one draw of the block's frames (_frame_runs; the LNA variates come
     from lna_rng, drawn only if a case is LNA). Per run of frames each case takes
     its energies, picks a threshold per policy, detects, and counts errors on
-    data symbols; the closed forms are taken once per realization. Returns
-    one BlockResult per case.
+    data symbols; the true closed forms of every case take one batch call
+    per mode. Returns one BlockResult per case.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
@@ -186,7 +209,8 @@ def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
         raise ValueError(f"unknown threshold policy {policy!r}")
     estimated = policy == ESTIMATED_POLICY
     cases = [_BerCase(params, mode, reals, estimated) for params, mode, reals in cases]
-    params, n_reals = cases[0].params, len(cases[0].moments.delta0)
+    _true_closed_forms(cases, estimated)
+    params, n_reals = cases[0].params, cases[0].levels[0].shape[1]
     k_train = params.k_train if estimated else 0
     runs = _frame_runs(params, n_reals, n_frames, k_train, params.k_symbols - k_train,
                        frame_rng, lna_rng if any(c.mode == LNA for c in cases) else None)
@@ -268,23 +292,20 @@ def _check_bdpr_reach(scenario, points, modes, field) -> None:
     probe = aligned_channel(scenario, PROBE_DIRECT_GAIN)
     reals = [probe.at_operating_point(params, bdpr_db) for params, bdpr_db in points]
     # the points differ in Ps alone, which their channels carry, so one batch
-    # per mode takes every point: shape (points, modes)
-    threshold = np.hstack([near_optimal_threshold(
-        level_moments(scenario, *_levels(scenario, reals, mode), mode)) for mode in modes])
-
-    def check(case):
-        (params, bdpr_db), real, mode = case
+    # per mode takes every point; the first failure in (point, mode) order raises
+    failed = np.isnan(np.hstack([near_optimal_threshold(
+        level_moments(scenario, *_levels(scenario, reals, mode), mode)) for mode in modes]))
+    if failed.any():
+        i, j = divmod(int(np.argmax(failed)), len(modes))
+        (params, bdpr_db), mode = points[i], modes[j]
         try:
-            near_optimal_threshold(hypothesis_moments(params, real, mode))
+            near_optimal_threshold(hypothesis_moments(params, reals[i], mode))
         except ModelValidityError as exc:
             raise ConfigError(
                 f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
                 f"closed forms' numeric range on a direct path {PROBE_DIRECT_GAIN:g} "
                 f"times its mean gain ({exc}); lower the bdpr or the ps, got {field} "
                 f"{bdpr_db!r}", fields=(field,)) from exc
-
-    _raise_first_failure(threshold, [(point, real, mode) for point, real in zip(points, reals)
-                                     for mode in modes], check)
 
 
 @dataclass(frozen=True)
@@ -363,7 +384,8 @@ def _pilot_task(task):
     params, mode, k_trains, n_frames, master_seed, r0, realizations = task
     reals, frame_rng, lna_rng = _block_draws(params, master_seed, r0, realizations)
     levels = _levels(params, reals, mode)
-    t_true = _true_thresholds(params, mode, reals, level_moments(params, *levels, mode))
+    t_true = near_optimal_threshold(level_moments(params, *levels, mode))
+    _retake(params, mode, levels, np.isnan(t_true).ravel())
     runs = _frame_runs(params, len(reals), n_frames, max(k_trains), 0, frame_rng,
                        lna_rng if mode == LNA else None)
     threshold = np.concatenate(

@@ -256,6 +256,8 @@ class TestBerClosedForm:
             HypothesisMoments(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ModelValidityError):
             HypothesisMoments(0.0, 1.0, 1.0, math.nan)
+        with pytest.raises(ModelValidityError):
+            HypothesisMoments(0.0, 1.0, 1.0, 1.0)._replace(var0=0.0)
 
 
 # moments beyond the float range of the threshold's closed form
