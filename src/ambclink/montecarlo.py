@@ -177,7 +177,7 @@ def _true_closed_forms(cases, estimated: bool) -> None:
         for j, case in enumerate(group):
             rows = slice(j * n, (j + 1) * n)
             if estimated:
-                case.moments = type(moments)(*(x[rows] for x in moments))
+                case.moments = moments._make(x[rows] for x in moments)
             else:
                 case.means = moments.delta0[rows], moments.delta1[rows]
                 case.threshold, case.closed = threshold[rows], closed[rows]
