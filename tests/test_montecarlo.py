@@ -17,7 +17,8 @@ from ambclink.analysis import (
 )
 from ambclink.channel import ChannelRealization, draw_channels
 from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
-from ambclink.errors import ConfigError, EstimationError, ModelValidityError
+from ambclink.errors import (ConfigError, EstimationError, ModelValidityError,
+                             NoSeparationError)
 from ambclink.estimation import (
     pilot_statistics,
     relative_threshold_error,
@@ -148,6 +149,27 @@ class TestBerTrial:
         t = near_optimal_threshold(m)
         errors = int(np.sum(detect(energies[k0:], t, m.delta0, m.delta1) != bits[k0:]))
         assert res == (errors, p.k_symbols - k0, t, ber_closed_form(true_m, t), False)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_failing_true_closed_forms_raise_the_float_calls_error(self, paper_params,
+                                                                  fixed_realization, policy):
+        # the batches mark NaN where a float call raises; ber_block raises that
+        # call's error where the loop over the cases and their realizations
+        # met it first: the LNA case's overflowing moments before the no-LNA
+        # case's missing separation (no tag path, so equal means), though the
+        # no-LNA batch is taken first. The estimated policy takes no true
+        # threshold, so there only the moments fail, and in the same place.
+        p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
+        huge = _manual_realization(p, 1e30 + 0j, 1.0 + 0j, 1.0 + 0j)   # P^6 overflows
+        nosep = _manual_realization(p, 1e-3 + 0j, 0j, 0j)
+        with pytest.raises(ModelValidityError) as float_call:
+            hypothesis_moments(p, huge, LNA)
+        with pytest.raises(NoSeparationError):
+            near_optimal_threshold(hypothesis_moments(p, nosep, NO_LNA))
+        cases = [(p, LNA, [fixed_realization, huge]), (p, NO_LNA, [nosep, fixed_realization])]
+        with pytest.raises(ModelValidityError) as raised:
+            ber_block(cases, 1, np.random.default_rng(1), np.random.default_rng(2), policy)
+        assert str(raised.value) == str(float_call.value)
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
         with pytest.raises(ValueError, match="unknown threshold policy"):
@@ -504,6 +526,13 @@ class TestPilotSweep:
             assert (pt.k_train, pt.frames, pt.failures) == (k, 30, 0)
             assert (pt.r_mean, pt.r_median, pt.r_p90) == (
                 float(np.mean(errs)), float(np.median(errs)), float(np.percentile(errs, 90)))
+
+    def test_a_failing_true_threshold_raises(self, k200, monkeypatch):
+        # every channel without a tag path: equal means, so no true threshold
+        monkeypatch.setattr(mc, "draw_channels",
+                            lambda params, rng: _manual_realization(params, 1e-3 + 0j, 0j, 0j))
+        with pytest.raises(NoSeparationError):
+            run_pilot_sweep(k200, (0.1,), LNA, n_realizations=2, n_frames=3, master_seed=1)
 
     def test_a_zero_estimated_threshold_counts_as_a_failure(self, k200, monkeypatch):
         # the relative error |T - T_hat| / |T_hat| is undefined at T_hat = 0
