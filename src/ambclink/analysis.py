@@ -74,9 +74,8 @@ def _checked_moments(p, n_samples: int, mean, var_sum):
     return mean, var
 
 
-def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
-    """Mean and variance of the energy statistic behind an LNA front end."""
-    b1, b3 = beta1, beta3
+def _lna_sums(p, b1: float, b3: float, n_aw):
+    """The mean of lna_moments and N times its variance."""
     b1sq, b3sq = b1 * b1, b3 * b3
     b1cu, b3cu = b1sq * b1, b3sq * b3
     p2 = p * p
@@ -95,7 +94,15 @@ def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
         + 12 * b3sq * p3 * n_aw
         + n_aw * n_aw
     )
-    return _checked_moments(p, n_samples, mean, var_sum)
+    return mean, var_sum
+
+
+def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
+    """Mean and variance of the energy statistic behind an LNA front end."""
+    if isinstance(p, np.ndarray):   # an element that overflows is marked NaN, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _checked_moments(p, n_samples, *_lna_sums(p, beta1, beta3, n_aw))
+    return _checked_moments(p, n_samples, *_lna_sums(p, beta1, beta3, n_aw))
 
 
 def nolna_moments(p, n_w, n_samples: int):

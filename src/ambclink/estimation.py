@@ -27,6 +27,8 @@ def pilot_statistics(energies: np.ndarray, k_train: int) -> HypothesisMoments:
     HypothesisMoments (delta0, delta1, var0, var1), each of shape
     energies.shape[:-1]: floats for one frame, which must be valid moments,
     and otherwise arrays, NaN in a frame whose estimate is degenerate.
+    The sums run left to right, so a frame's estimate does not depend on its
+    batch (numpy's sum pairs a contiguous row's terms, not a strided row's).
     """
     energies = np.asarray(energies, dtype=float)
     bits = pilot_bits(k_train)
@@ -36,9 +38,10 @@ def pilot_statistics(energies: np.ndarray, k_train: int) -> HypothesisMoments:
     means, variances = [], []
     for b in (0, 1):
         group = pilots[..., bits == b]
-        mean = (2.0 / k_train) * group.sum(axis=-1)
+        mean = (2.0 / k_train) * np.add.accumulate(group, axis=-1)[..., -1]
         means.append(mean)
-        variances.append((2.0 / (k_train - 2)) * ((group - mean[..., None]) ** 2).sum(axis=-1))
+        squares = (group - mean[..., None]) ** 2
+        variances.append((2.0 / (k_train - 2)) * np.add.accumulate(squares, axis=-1)[..., -1])
     return HypothesisMoments(means[0], means[1], variances[0], variances[1])
 
 

@@ -6,9 +6,11 @@ with all their frames, drawn once and shared by every sweep point and mode
 own channels, seeded per realization, then its frames in runs of at most
 BLOCK_SYMBOLS symbols (one run unless a single realization's frames exceed
 it): the bits and the no-LNA standard gammas from the block's frame
-generator, the LNA variates from a generator of their own. Each point and
-mode then takes only arithmetic on those draws, and its closed forms in one
-batch call per block (analysis: NaN marks an element whose float call raises).
+generator, the LNA variates from a generator of their own. A BER block
+composes its channels once per BDPR target, and each mode's points then run
+stacked: one batch of closed forms (analysis: NaN marks an element whose
+float call raises), and per run one pass of arithmetic on the shared draws
+over at most STACK_SYMBOLS symbols.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ SWEEP_BDPR = "bdpr_db"
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 BLOCK_SYMBOLS = 2 ** 14          # symbols per run of a block's frames, bounding its memory
+STACK_SYMBOLS = 8 * BLOCK_SYMBOLS   # symbols of a BER pass over stacked cases, likewise
 # A sweep with a BDPR target is checked at load on a channel whose |h0|^2 is
 # this many times its mean r0^-v0. Under Rayleigh fading that ratio is Exp(1),
 # so a draw exceeds it with probability exp(-50), about 2e-22.
@@ -78,6 +81,12 @@ class BlockResult:
     failed: np.ndarray
 
 
+def _run_frames(n_reals, n_frames, frame_symbols) -> int:
+    """Frames per run of a block's frames: as many as BLOCK_SYMBOLS symbols
+    hold, one at least, all of them at most."""
+    return min(n_frames, max(1, BLOCK_SYMBOLS // (n_reals * frame_symbols)))
+
+
 def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
     """The draws of every (realization, frame, symbol) of a block, in runs of
     consecutive frames of at most BLOCK_SYMBOLS symbols (one frame per
@@ -89,7 +98,7 @@ def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
     (pilot_bits; none for 0), then n_data random data bits. A block of
     several realizations holds one run."""
     n = params.n_samples
-    run = max(1, BLOCK_SYMBOLS // (n_reals * (k_train + n_data)))
+    run = _run_frames(n_reals, n_frames, k_train + n_data)
     for f0 in range(0, n_frames, run):
         shape = (n_reals, min(run, n_frames - f0))
         bits = frame_rng.integers(0, 2, (*shape, n_data))
@@ -102,19 +111,28 @@ def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
                      LNA: None if lna_rng is None else draw_lna_variates(n, bits.shape, lna_rng)}
 
 
-def _levels(params, reals, mode):
-    """(power, noise) of the realizations `reals` at their point, in `mode`:
-    arrays of shape (2, realizations, 1) whose [d] holds the bit-d input
-    power and noise power of each realization."""
-    p0, p1, ht2 = np.array([(real.p0, real.p1, real.htr_abs2) for real in reals]).T[..., None]
-    return np.stack([p0, p1]), np.stack([noise_power(params, ht2, d, mode) for d in (0, 1)])
+def _gains(reals) -> np.ndarray:
+    """|h0|^2, |h1|^2 and |htr|^2 of each realization, of shape (3,
+    realizations): the floats _compose multiplies by Ps, so a gain times a
+    Ps is the power of the channel composed at that Ps, bit for bit."""
+    return np.array([(abs(r.h0) ** 2, abs(r.h1) ** 2, r.htr_abs2) for r in reals]).T
+
+
+def _levels(params, cases, mode):
+    """(power, noise) of stacked `cases` in `mode`, each a pair (ps, gains)
+    of a Ps (W) and the _gains of its realizations: arrays of shape (2,
+    cases, realizations, 1) whose [d] holds the bit-d input power and noise
+    power of each realization."""
+    power = np.stack([gains[:2] * ps for ps, gains in cases], axis=1)[..., None]
+    ht2 = np.stack([gains[2] for _, gains in cases])[..., None]
+    return power, np.stack([noise_power(params, ht2, d, mode) for d in (0, 1)])
 
 
 def _retake(params, mode, levels, failed, threshold: bool = True) -> None:
     """Batch closed forms mark NaN where the float call raises. Take the
-    first `failed` realization of `levels` (as _levels gives them) through
-    the float calls, which raise the error a loop over the realizations met
-    first: its moments, then with `threshold` its near-optimal threshold."""
+    first `failed` realization of one case's `levels`, (2, realizations, 1),
+    through the float calls, which raise the error a loop over the
+    realizations met first: its moments, then with `threshold` its threshold."""
     if failed.any():
         i = int(np.argmax(failed))
         m = level_moments(params, *(x[:, i, 0].tolist() for x in levels), mode)
@@ -122,25 +140,30 @@ def _retake(params, mode, levels, failed, threshold: bool = True) -> None:
             near_optimal_threshold(m)
 
 
-class _BerCase:
-    """One (point, mode) of a BER block: the levels of its realizations at
-    the point (no realization objects, however many points and modes a block
-    serves), their true closed forms (_true_closed_forms) and the results of
-    the runs so far."""
+class _ModeGroup:
+    """Consecutive cases of one mode of a BER block, stacked: their levels
+    (_levels), their true closed forms in one batch, of shape (cases,
+    realizations, 1), and per run of frames the results of one pass over
+    them all, of shape (cases, realizations, frames)."""
 
-    def __init__(self, params, mode, reals, estimated):
+    def __init__(self, params, mode, cases, estimated):
         self.params, self.mode, self.estimated = params, mode, estimated
-        self.levels = _levels(params, reals, mode)
+        self.levels = _levels(params, cases, mode)
+        self.moments = level_moments(params, *self.levels, mode)
+        if not estimated:
+            self.threshold = near_optimal_threshold(self.moments)
+            self.closed = ber_closed_form(self.moments, self.threshold)
         self.runs = []
 
     def add_run(self, k_train, bits, variates):
-        """Detect a run's frames and count errors on their data symbols."""
+        """Detect a run's frames at every case and count errors on their data
+        symbols; the cases broadcast against the bits and variates they share."""
         energies = energies_from_variates(self.params, bits, *(x[..., None] for x in self.levels),
                                           self.mode, variates[self.mode])
-        shape = bits.shape[:2]
         if not self.estimated:
-            threshold, closed = (np.broadcast_to(x, shape) for x in (self.threshold, self.closed))
-            delta0, delta1 = self.means
+            threshold, closed = (np.broadcast_to(x, energies.shape[:-1])
+                                 for x in (self.threshold, self.closed))
+            delta0, delta1 = self.moments.delta0, self.moments.delta1
         else:
             # estimated per frame from its pilots: NaN where the frame failed
             m = pilot_statistics(energies, k_train)
@@ -152,54 +175,19 @@ class _BerCase:
         errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
         self.runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, closed, failed))
 
-    def result(self) -> BlockResult:
-        return BlockResult(*(np.concatenate(x, axis=1) for x in zip(*self.runs)))
-
-
-def _true_closed_forms(cases, estimated: bool) -> None:
-    """Give each case of a block its true closed forms, of shape
-    (realizations, 1): the moments under the estimated policy, and otherwise
-    the two means, the near-optimal thresholds and the closed-form BERs. One
-    batch call per mode takes every case in that mode, whose levels carry its
-    Ps and BDPR. A failure raises as the loop over the cases and their
-    realizations did: case by case, the moments before the thresholds."""
-    params, n, failed = cases[0].params, cases[0].levels[0].shape[1], False
-    for mode in MODES:
-        group = [case for case in cases if case.mode == mode]
-        if not group:
-            continue
-        moments = level_moments(params, *(np.concatenate(x, axis=1)
-                                          for x in zip(*(case.levels for case in group))), mode)
-        if not estimated:
-            threshold = near_optimal_threshold(moments)
-            closed = ber_closed_form(moments, threshold)
-        failed = failed or bool(np.isnan(moments.var0 if estimated else closed).any())
-        for j, case in enumerate(group):
-            rows = slice(j * n, (j + 1) * n)
-            if estimated:
-                case.moments = moments._make(x[rows] for x in moments)
-            else:
-                case.means = moments.delta0[rows], moments.delta1[rows]
-                case.threshold, case.closed = threshold[rows], closed[rows]
-    if failed:   # take each case on its own, in order, to raise where the loop did
-        for case in cases:
-            moments = level_moments(case.params, *case.levels, case.mode)
-            _retake(case.params, case.mode, case.levels, np.isnan(moments.var0).ravel(), False)
-            if not estimated:
-                _retake(case.params, case.mode, case.levels,
-                        np.isnan(near_optimal_threshold(moments)).ravel())
-
 
 def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
               lna_rng: np.random.Generator | None, policy: str = CLOSED_FORM_TRUE) -> list:
     """Every frame of a block at each case (params, mode, reals): the
-    realizations `reals` composed at the point `params`. The cases differ
-    only in Ps or BDPR (they share K, N and the pilot fraction), so they
-    share one draw of the block's frames (_frame_runs; the LNA variates come
-    from lna_rng, drawn only if a case is LNA). Per run of frames each case takes
-    its energies, picks a threshold per policy, detects, and counts errors on
-    data symbols; the true closed forms of every case take one batch call
-    per mode. Returns one BlockResult per case.
+    realizations `reals` at the point `params`, whose Ps scales their |h0|^2
+    and |h1|^2 (cases that share one list read its gains once). The cases
+    differ only in Ps or BDPR (they share K, N and the pilot fraction), so
+    they share one draw of the block's frames (_frame_runs; the LNA variates
+    come from lna_rng, drawn only if a case is LNA). A mode's consecutive
+    cases are stacked in groups of at most STACK_SYMBOLS symbols per run
+    (one case at least), and per run each group takes its energies, picks a
+    threshold per policy, detects, and counts errors on data symbols in one
+    pass. Returns one BlockResult per case.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
@@ -208,16 +196,34 @@ def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
     if policy not in POLICIES:
         raise ValueError(f"unknown threshold policy {policy!r}")
     estimated = policy == ESTIMATED_POLICY
-    cases = [_BerCase(params, mode, reals, estimated) for params, mode, reals in cases]
-    _true_closed_forms(cases, estimated)
-    params, n_reals = cases[0].params, cases[0].levels[0].shape[1]
+    cases = list(cases)
+    params, n_reals, k = cases[0][0], len(cases[0][2]), cases[0][0].k_symbols
     k_train = params.k_train if estimated else 0
-    runs = _frame_runs(params, n_reals, n_frames, k_train, params.k_symbols - k_train,
-                       frame_rng, lna_rng if any(c.mode == LNA for c in cases) else None)
+    gains = {id(reals): reals for _, _, reals in cases}
+    gains = {key: _gains(reals) for key, reals in gains.items()}
+    stacked = max(1, STACK_SYMBOLS // (n_reals * k * _run_frames(n_reals, n_frames, k)))
+    groups, slots = [], [None] * len(cases)     # slots: (group, index in it) of each case
+    for mode in dict.fromkeys(mode for _, mode, _ in cases):
+        index = [i for i, case in enumerate(cases) if case[1] == mode]
+        for chunk in (index[s:s + stacked] for s in range(0, len(index), stacked)):
+            groups.append(_ModeGroup(params, mode, [(cases[i][0].ps, gains[id(cases[i][2])])
+                                                    for i in chunk], estimated))
+            for j, i in enumerate(chunk):
+                slots[i] = groups[-1], j
+    if any(np.isnan(g.moments.var0 if estimated else g.closed).any() for g in groups):
+        # raise where a loop over the cases did: case by case, moments before thresholds
+        for group, j in slots:
+            levels = [x[:, j] for x in group.levels]
+            _retake(params, group.mode, levels, np.isnan(group.moments.var0[j]).ravel(), False)
+            if not estimated:
+                _retake(params, group.mode, levels, np.isnan(group.threshold[j]).ravel())
+    runs = _frame_runs(params, n_reals, n_frames, k_train, k - k_train, frame_rng,
+                       lna_rng if any(case[1] == LNA for case in cases) else None)
     for bits, variates in runs:
-        for case in cases:
-            case.add_run(k_train, bits, variates)
-    return [case.result() for case in cases]
+        for group in groups:
+            group.add_run(k_train, bits, variates)
+    results = {group: [np.concatenate(x, axis=2) for x in zip(*group.runs)] for group in groups}
+    return [BlockResult(*(x[j] for x in results[group])) for group, j in slots]
 
 
 @dataclass(frozen=True)
@@ -291,10 +297,12 @@ def _check_bdpr_reach(scenario, points, modes, field) -> None:
     passes, every weaker draw passes too."""
     probe = aligned_channel(scenario, PROBE_DIRECT_GAIN)
     reals = [probe.at_operating_point(params, bdpr_db) for params, bdpr_db in points]
-    # the points differ in Ps alone, which their channels carry, so one batch
-    # per mode takes every point; the first failure in (point, mode) order raises
-    failed = np.isnan(np.hstack([near_optimal_threshold(
-        level_moments(scenario, *_levels(scenario, reals, mode), mode)) for mode in modes]))
+    cases = [(params.ps, _gains([real])) for (params, _), real in zip(points, reals)]
+    # the points differ in Ps and BDPR alone, which their cases carry, so one
+    # batch per mode takes every point; the first failure in (point, mode) order raises
+    failed = np.isnan(np.concatenate([near_optimal_threshold(
+        level_moments(scenario, *_levels(scenario, cases, mode), mode)) for mode in modes],
+        axis=1))
     if failed.any():
         i, j = divmod(int(np.argmax(failed)), len(modes))
         (params, bdpr_db), mode = points[i], modes[j]
@@ -368,9 +376,11 @@ def _ber_task(task) -> list:
     blocks; each case's result depends only on its own point and mode."""
     spec, r0, realizations = task
     drawn, frame_rng, lna_rng = _block_draws(spec.scenario, spec.master_seed, r0, realizations)
-    # composed one case at a time: ber_block keeps arrays, not realizations
-    cases = ((params, mode, [real.at_operating_point(params, bdpr_db) for real in drawn])
-             for params, bdpr_db in spec.operating_points for mode in spec.modes)
+    # composed once per BDPR target: ber_block scales their gains by each point's Ps
+    composed = {bdpr_db: [real.at_operating_point(spec.scenario, bdpr_db) for real in drawn]
+                for bdpr_db in {bdpr_db for _, bdpr_db in spec.operating_points}}
+    cases = [(params, mode, composed[bdpr_db])
+             for params, bdpr_db in spec.operating_points for mode in spec.modes]
     return ber_block(cases, spec.n_frames, frame_rng, lna_rng, spec.threshold_policy)
 
 
@@ -383,7 +393,7 @@ def _pilot_task(task):
     realizations, frames): NaN where the frame failed or its estimate is 0."""
     params, mode, k_trains, n_frames, master_seed, r0, realizations = task
     reals, frame_rng, lna_rng = _block_draws(params, master_seed, r0, realizations)
-    levels = _levels(params, reals, mode)
+    levels = [x[:, 0] for x in _levels(params, [(params.ps, _gains(reals))], mode)]
     t_true = near_optimal_threshold(level_moments(params, *levels, mode))
     _retake(params, mode, levels, np.isnan(t_true).ravel())
     runs = _frame_runs(params, len(reals), n_frames, max(k_trains), 0, frame_rng,

@@ -52,6 +52,16 @@ class TestEstimateMoments:
         b = pilot_statistics(swapped, 6)
         assert (a[0], a[2]) == (b[0], b[2])
 
+    @pytest.mark.parametrize("k_train", [4, 16, 40])
+    def test_a_frames_estimate_does_not_depend_on_its_batch(self, k_train):
+        # from 8 pilots a group on, numpy's sum of a contiguous row pairs its
+        # terms, and a batch's strided rows add them in order
+        energies = np.random.default_rng(4).gamma(75.0, 1e-9, size=(3, 4, 50))
+        batch = pilot_statistics(energies, k_train)
+        for i, j in np.ndindex(3, 4):
+            alone = pilot_statistics(energies[i, j], k_train)
+            assert tuple(float(x[i, j]) for x in batch) == tuple(alone)
+
     def test_equals_brute_force_grouping(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.4)
         rng = np.random.default_rng(41)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -492,6 +492,106 @@ class TestSharedDraws:
         points = run_sweep(spec, workers=1)
         assert len(points) == 18
         assert shapes == [(100, 1, 100), (100, 1, 100)]
+
+
+class TestStackedCases:
+    """A BER block runs each mode's cases as stacked passes over channels
+    composed once per BDPR target; every case gets the arrays it would get
+    alone."""
+
+    @staticmethod
+    def _alone(spec, r0, realizations, params, bdpr_db, mode):
+        """One case through ber_block on its own, its channels composed at its point."""
+        drawn, frame_rng, lna_rng = mc._block_draws(spec.scenario, spec.master_seed, r0,
+                                                    realizations)
+        reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
+        (res,) = ber_block([(params, mode, reals)], spec.n_frames, frame_rng, lna_rng,
+                           spec.threshold_policy)
+        return res
+
+    @staticmethod
+    def _degenerate_where_odd(monkeypatch):
+        # a frame whose first pilot energy has an odd last mantissa bit gets a
+        # zero H0 variance, so estimated frames fail (NaN) in scattered places
+        def degenerate(energies, k_train):
+            m = pilot_statistics(energies, k_train)
+            odd = energies[..., 0].view(np.int64) % 2 == 1
+            return m._replace(var0=np.where(odd, 0.0, m.var0))
+        monkeypatch.setattr(mc, "pilot_statistics", degenerate)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("sweep", ["ps", "pinned-bdpr", "bdpr"])
+    @pytest.mark.parametrize("runs", ["one-run", "several-runs", "one-frame"])
+    def test_every_case_equals_the_case_alone(self, paper_params, monkeypatch, policy, sweep,
+                                              runs):
+        # one-frame: a case alone estimates from one contiguous row of pilots,
+        # stacked from one row of a strided batch
+        p = replace(paper_params, k_symbols=40, n_samples=6, pilot_fraction=0.5, ps_dbm=5.0)
+        reals, frames = (1, 1) if runs == "one-frame" else (3, 5)
+        if runs == "several-runs":      # 3 realizations of 5 frames: runs of 2, 2 and 1 frames
+            monkeypatch.setattr(mc, "BLOCK_SYMBOLS", 3 * 2 * p.k_symbols)
+        if policy == ESTIMATED_POLICY:
+            self._degenerate_where_odd(monkeypatch)
+        spec = SweepSpec(scenario=p, sweep_var=SWEEP_BDPR if sweep == "bdpr" else SWEEP_PS,
+                         values=(-30.0, -20.0, -10.0) if sweep == "bdpr" else (-5.0, 10.0, 25.0),
+                         modes=(NO_LNA, LNA), threshold_policy=policy, n_frames=frames,
+                         n_realizations=reals, master_seed=23,
+                         fixed_bdpr_db=-20.0 if sweep == "pinned-bdpr" else None)
+        stacked = mc._ber_task((spec, 0, range(reals)))
+        cases = [(params, bdpr_db, mode) for params, bdpr_db in spec.operating_points
+                 for mode in spec.modes]
+        assert len(stacked) == len(cases) == 6
+        failed = 0
+        for res, case in zip(stacked, cases):
+            alone = self._alone(spec, 0, range(reals), *case)
+            assert res.errors.shape == (reals, frames)
+            for got, want in zip(astuple(res), astuple(alone)):
+                assert np.array_equal(got, want, equal_nan=True)
+            failed += int(res.failed.sum())
+        if runs != "one-frame":
+            assert (failed > 0) is (policy == ESTIMATED_POLICY)
+
+    @pytest.mark.parametrize("sweep, targets", [("pinned-bdpr", 1), ("bdpr", 3)])
+    def test_channels_are_composed_once_per_bdpr_target(self, paper_params, monkeypatch,
+                                                        sweep, targets):
+        composed = []
+        at_point = ChannelRealization.at_operating_point
+
+        def counting(real, params, target=None):
+            composed.append(target)
+            return at_point(real, params, target)
+
+        p = replace(paper_params, k_symbols=40, n_samples=6, pilot_fraction=0.0, ps_dbm=5.0)
+        spec = SweepSpec(scenario=p, sweep_var=SWEEP_BDPR if sweep == "bdpr" else SWEEP_PS,
+                         values=(-30.0, -20.0, -10.0) if sweep == "bdpr" else (-5.0, 10.0, 25.0),
+                         modes=(NO_LNA, LNA), n_frames=2, n_realizations=4, master_seed=5,
+                         fixed_bdpr_db=-20.0 if sweep == "pinned-bdpr" else None)
+        monkeypatch.setattr(ChannelRealization, "at_operating_point", counting)
+        run_sweep(spec, workers=1)
+        assert len(composed) == 4 * targets
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_pass_stacks_more_symbols_than_the_budget(self, paper_params, monkeypatch,
+                                                         policy):
+        # 4 realizations of 2 frames of K=40: runs of 320 symbols, so a budget
+        # of 960 stacks the 9 points of a mode in 3 passes of 3 cases
+        p = replace(paper_params, k_symbols=40, n_samples=6, pilot_fraction=0.2)
+        spec = SweepSpec(scenario=p, sweep_var=SWEEP_PS,
+                         values=tuple(float(v) for v in range(-10, 31, 5)),
+                         modes=(LNA, NO_LNA), threshold_policy=policy, n_frames=2,
+                         n_realizations=4, master_seed=17)
+        unchunked = run_sweep(spec, workers=1)
+        sizes = []
+
+        def recording(*args):
+            energies = energies_from_variates(*args)
+            sizes.append(energies.size)
+            return energies
+
+        monkeypatch.setattr(mc, "STACK_SYMBOLS", 3 * 320)
+        monkeypatch.setattr(mc, "energies_from_variates", recording)
+        assert repr(run_sweep(spec, workers=1)) == repr(unchunked)
+        assert sizes == [3 * 320] * 6
 
 
 class TestPilotSweep:
