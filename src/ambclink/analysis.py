@@ -56,12 +56,17 @@ def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> flo
     return b1sq * params.n_ar + params.n_cov + b1sq * tag
 
 
-def _checked_moments(p, n_samples: int, mean, var_sum):
-    """(mean, var_sum / N) at power p, for both moment forms: a float call
-    raises where p < 0 or they are not finite with var > 0, an array call
+def _checked_moments(p, n_samples: int, sums, *args):
+    """(mean, var_sum / N) of sums(p, *args) for both moment forms: a float
+    call raises where p < 0 or they are not finite with var > 0, an array call
     marks such an element NaN, and both raise where N < 1."""
     if n_samples < 1:
         raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
+    if isinstance(p, np.ndarray):   # an element that overflows is marked NaN, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, var_sum = sums(p, *args)
+    else:
+        mean, var_sum = sums(p, *args)
     var = var_sum / n_samples
     if isinstance(mean, np.ndarray):
         ok = (p >= 0) & np.isfinite(mean) & np.isfinite(var) & (var > 0)
@@ -99,15 +104,17 @@ def _lna_sums(p, b1: float, b3: float, n_aw):
 
 def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
     """Mean and variance of the energy statistic behind an LNA front end."""
-    if isinstance(p, np.ndarray):   # an element that overflows is marked NaN, quietly
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _checked_moments(p, n_samples, *_lna_sums(p, beta1, beta3, n_aw))
-    return _checked_moments(p, n_samples, *_lna_sums(p, beta1, beta3, n_aw))
+    return _checked_moments(p, n_samples, _lna_sums, beta1, beta3, n_aw)
+
+
+def _nolna_sums(p, n_w):
+    """The mean of nolna_moments and N times its variance."""
+    return p + n_w, p * p + 2 * p * n_w + n_w * n_w
 
 
 def nolna_moments(p, n_w, n_samples: int):
     """Mean and variance of the energy statistic without an LNA."""
-    return _checked_moments(p, n_samples, p + n_w, p * p + 2 * p * n_w + n_w * n_w)
+    return _checked_moments(p, n_samples, _nolna_sums, n_w)
 
 
 def level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:

@@ -1,13 +1,14 @@
 """Independent numeric oracles used to cross-validate the closed forms.
 
 Every function here recomputes a result by a route that shares no code with
-the implementation it checks: combinatorial moment expansion, quadrature,
-bisection, grid search, or brute-force grouping. Each imports the scipy
-routine it needs when it runs, so importing the package never loads scipy.
+the implementation it checks: moment expansion, Gauss-Legendre quadrature,
+root finding, grid search, or brute-force grouping. Each imports what it needs
+beyond numpy when it runs, so `import ambclink` loads no scipy or numpy.polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,13 +42,19 @@ def exp_moment_mean_var(p: float, beta1: float, beta3: float, n_aw: float, n_sam
     return ey2, (ey4 - ey2**2) / n_samples
 
 
-def q_integral(x: float) -> float:
-    """Q(x) by adaptive quadrature of the defining integral."""
-    from scipy.integrate import quad
+@functools.cache
+def _gauss_legendre():
+    from numpy.polynomial.legendre import leggauss   # loads numpy.polynomial on first use
+    return leggauss(20)
 
-    val, _ = quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-                  x, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
-    return val
+
+def q_integral(x: float) -> float:
+    """Q(x) for |x| <= 37, where Q is a normal float: phi(t) over [x, max(x, 0) + 40]
+    by Gauss-Legendre quadrature in 80 panels of 20 nodes."""
+    nodes, weights = _gauss_legendre()
+    half = (max(x, 0.0) + 40.0 - x) / 160.0     # half a panel
+    t = x + half * (np.arange(1.0, 160.0, 2.0)[:, None] + nodes)
+    return half * float(np.sum(np.exp(-0.5 * t * t) @ weights)) / math.sqrt(2.0 * math.pi)
 
 
 def pdf_equality_root(m: HypothesisMoments) -> float:

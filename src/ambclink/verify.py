@@ -1,6 +1,6 @@
 """Cross-validation suite: every closed form against an independent oracle.
 
-scipy is imported only inside the checks and oracles that use it."""
+Of scipy only scipy.special is imported, inside the checks and oracles that use it."""
 
 from __future__ import annotations
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambclink import LNA, NO_LNA, ModelValidityError, NoSeparationError
@@ -87,14 +87,17 @@ class TestMoments:
         assert rel_err(closed[1], oracle[1]) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
-    @given(log_p=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=12),
+    @given(log_p=st.lists(st.floats(-20.0, 200.0), min_size=1, max_size=12),
            negative=st.lists(st.booleans(), min_size=12, max_size=12),
            beta1=st.floats(1.0, 100.0), beta3=st.floats(-1e4, 1e4),
            log_noise=st.floats(-14.0, -8.0), n=st.integers(1, 200), lna=st.booleans())
+    @example(log_p=[200.0, 0.0], negative=[False] * 12, beta1=1.0, beta3=0.0,
+             log_noise=-10.0, n=75, lna=False)
     def test_batch_gives_the_float_bits_and_fails_where_floats_raise(
             self, log_p, negative, beta1, beta3, log_noise, n, lna):
-        # powers up to 1e60 W overflow the LNA polynomials, and a power < 0
-        # is refused; a batch marks those elements NaN
+        # the LNA polynomials overflow from about 1e60 W, the no-LNA p * p from
+        # about 1e154 W, and a power < 0 is refused; a batch marks those
+        # elements NaN
         p = [-10.0 ** x if neg else 10.0 ** x for x, neg in zip(log_p, negative)]
         noise = 10.0 ** log_noise
 
@@ -210,6 +213,19 @@ class TestQFunction:
         assert float(q_function(1.0)) == pytest.approx(0.158655, abs=5e-7)
         for x in (-6.0, -2.0, 0.5, 3.0, 7.5):
             assert rel_err(float(q_function(x)), q_integral(x)) <= 1e-12
+
+    def test_oracle_matches_adaptive_quadrature(self):
+        from scipy.integrate import quad
+
+        def reference(x):
+            return quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
+                        x, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+        rng = np.random.default_rng(2)     # check_q_function's points
+        xs = np.concatenate([np.linspace(-37.0, 37.0, 149), [0.0, 1.0, -1.0],
+                             rng.uniform(-8, 8, 50)])
+        worst = max(rel_err(q_integral(float(x)), reference(float(x))) for x in xs)
+        assert worst <= 1e-13
 
     def test_decreasing_and_chernoff_bound(self):
         xs = np.linspace(0.0, 8.0, 40)

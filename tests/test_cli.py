@@ -321,21 +321,24 @@ def test_string_paper_defaults_exits_1_naming_the_key(tmp_path, capsys):
 
 def test_scipy_stays_off_the_sweep_path(tmp_path):
     """Importing the package and running BER and pilot sweeps load no scipy;
-    only verify loads it, when it runs. The K=200 pilot sweep with 4 pilots
-    meets moment sets whose two PDFs both underflow to 0 at the threshold."""
+    only verify loads it, when it runs, and then only scipy.special. The K=200
+    pilot sweep with 4 pilots meets moment sets whose two PDFs both underflow
+    to 0 at the threshold."""
     code = textwrap.dedent("""
         import json, sys
         import ambclink, ambclink.cli
 
-        def scipy_loaded():
-            return any(name.split(".")[0] == "scipy" for name in sys.modules)
+        def loaded(package="scipy"):
+            return any(name == package or name.startswith(package + ".")
+                       for name in sys.modules)
 
-        assert not scipy_loaded(), "import"
+        assert not loaded(), "import"
+        assert not loaded("numpy.polynomial"), "import"
         ber = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:10:10",
                "--realizations", "2", "--out", "ber.csv"]
         assert ambclink.cli.main(ber) == 0
         assert ambclink.cli.main([*ber, "--threshold-policy", "estimated"]) == 0
-        assert not scipy_loaded(), "ber-sweep"
+        assert not loaded(), "ber-sweep"
         assert ambclink.cli.main(["pilot-sweep", "--paper-defaults", "--fractions",
                                   "0.2,0.4", "--frames", "2", "--realizations", "2",
                                   "--out", "pilot.csv"]) == 0
@@ -344,9 +347,11 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
         assert ambclink.cli.main(["pilot-sweep", "--scenario", "k200.json", "--fractions",
                                   "0.02", "--mode", "lna", "--realizations", "20",
                                   "--frames", "100", "--seed", "3", "--out", "k200.csv"]) == 0
-        assert not scipy_loaded(), "pilot-sweep"
+        assert not loaded(), "pilot-sweep"
         assert ambclink.cli.main(["verify", "--paper-defaults"]) == 0
-        assert scipy_loaded()
+        assert loaded("scipy.special"), "verify"
+        assert not loaded("scipy.integrate"), "verify"
+        assert not loaded("scipy.optimize"), "verify"
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ambclink.__file__)))
     env = {**os.environ,
