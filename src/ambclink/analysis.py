@@ -17,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import LNA, MODES, NO_LNA, SystemParams
+from .config import LNA, NO_LNA, SystemParams, check_mode
 from .errors import ModelValidityError, NoSeparationError
 
 
@@ -47,8 +47,7 @@ class HypothesisMoments(namedtuple("HypothesisMoments", "delta0 delta1 var0 var1
 
 def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> float:
     """Effective additive noise power; the tag-noise path is gated by d."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     tag = params.alpha_amp ** 2 * htr_abs2 * params.n_at * d
     if mode == NO_LNA:
         return params.n_ar + params.n_cov + tag
@@ -120,6 +119,7 @@ def nolna_moments(p, n_w, n_samples: int):
 def level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:
     """Closed-form moments of both hypotheses at input power power[d] and
     d-gated noise power noise[d] under bit d, floats or arrays."""
+    check_mode(mode)
     b1, b3, n = params.beta1, params.beta3, params.n_samples
     if mode == LNA:
         d0, v0 = lna_moments(power[0], b1, b3, noise[0], n)

@@ -72,8 +72,8 @@ def _parse_sweep(text: str):
         raise ConfigError(f"--sweep bounds must be finite in {text!r}", fields=("sweep",))
     if step <= 0 or stop < start:
         raise ConfigError(f"need start <= stop and step > 0 in {text!r}")
-    # count the points before building them; the quotient may overflow to inf
-    spans = (stop + 1e-9 - start) / step
+    # count the points first, with 1e-9 of a step as slack; the quotient may overflow to inf
+    spans = (stop - start) / step + 1e-9
     if not spans < MAX_SWEEP_POINTS:
         raise ConfigError(f"--sweep {text!r} has more than {MAX_SWEEP_POINTS} points",
                           fields=("sweep",))

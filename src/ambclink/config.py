@@ -82,6 +82,12 @@ MAX_REALIZATIONS = 10 ** 6
 MAX_SWEEP_SYMBOLS = 10 ** 9
 
 
+def check_mode(mode: str) -> None:
+    """Reject a receiver mode other than those of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def check_counts(**counts: int) -> None:
     """Reject a count below 1 (frames, realizations, workers), naming it."""
     for name, value in counts.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import MODES, NO_LNA, SystemParams
+from .config import NO_LNA, SystemParams, check_mode
 
 SAMPLER_CHUNK = 2 ** 15  # exponential samples the LNA sampler holds at once
 
@@ -53,8 +53,7 @@ def generate_frame(
                 + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
     The cubic distortion acts on the noiseless signal component only.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size != params.k_symbols:
         raise ValueError(f"bits must have length K={params.k_symbols}, got {bits.size}")
@@ -181,6 +180,7 @@ def draw_energies(params: SystemParams, bits: np.ndarray, power, noise,
                   rng: np.random.Generator, mode: str) -> np.ndarray:
     """Energy statistics of symbols `bits`, as energies_from_variates takes
     them, drawn from `rng`: their variates, then their energies."""
+    check_mode(mode)
     shape, n = np.shape(bits), params.n_samples
     variates = (rng.standard_gamma(n, shape) if mode == NO_LNA
                 else draw_lna_variates(n, shape, rng))

@@ -128,18 +128,6 @@ def _levels(params, cases, mode):
     return power, np.stack([noise_power(params, ht2, d, mode) for d in (0, 1)])
 
 
-def _retake(params, mode, levels, failed, threshold: bool = True) -> None:
-    """Batch closed forms mark NaN where the float call raises. Take the
-    first `failed` realization of one case's `levels`, (2, realizations, 1),
-    through the float calls, which raise the error a loop over the
-    realizations met first: its moments, then with `threshold` its threshold."""
-    if failed.any():
-        i = int(np.argmax(failed))
-        m = level_moments(params, *(x[:, i, 0].tolist() for x in levels), mode)
-        if threshold:
-            near_optimal_threshold(m)
-
-
 class _ModeGroup:
     """Consecutive cases of one mode of a BER block, stacked: their levels
     (_levels), their true closed forms in one batch, of shape (cases,
@@ -176,18 +164,18 @@ class _ModeGroup:
         self.runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, closed, failed))
 
 
-def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
+def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.Generator,
               lna_rng: np.random.Generator | None, policy: str = CLOSED_FORM_TRUE) -> list:
-    """Every frame of a block at each case (params, mode, reals): the
-    realizations `reals` at the point `params`, whose Ps scales their |h0|^2
-    and |h1|^2 (cases that share one list read its gains once). The cases
-    differ only in Ps or BDPR (they share K, N and the pilot fraction), so
-    they share one draw of the block's frames (_frame_runs; the LNA variates
-    come from lna_rng, drawn only if a case is LNA). A mode's consecutive
-    cases are stacked in groups of at most STACK_SYMBOLS symbols per run
-    (one case at least), and per run each group takes its energies, picks a
-    threshold per policy, detects, and counts errors on data symbols in one
-    pass. Returns one BlockResult per case.
+    """Every frame of a block at each case (ps, mode, reals) of the scenario
+    `params`: the realizations `reals` with their |h0|^2 and |h1|^2 scaled
+    by the Ps `ps` (W), in `mode` (cases that share one list read its gains
+    once). The cases share every parameter but Ps and the BDPR their
+    realizations carry, so they share one draw of the block's frames
+    (_frame_runs; the LNA variates come from lna_rng, drawn only if a case is
+    LNA). A mode's consecutive cases are stacked in groups of at most
+    STACK_SYMBOLS symbols per run (one case at least), and per run each group
+    takes its energies, picks a threshold per policy, detects, and counts
+    errors on data symbols in one pass. Returns one BlockResult per case.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
@@ -197,7 +185,7 @@ def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
         raise ValueError(f"unknown threshold policy {policy!r}")
     estimated = policy == ESTIMATED_POLICY
     cases = list(cases)
-    params, n_reals, k = cases[0][0], len(cases[0][2]), cases[0][0].k_symbols
+    n_reals, k = len(cases[0][2]), params.k_symbols
     k_train = params.k_train if estimated else 0
     gains = {id(reals): reals for _, _, reals in cases}
     gains = {key: _gains(reals) for key, reals in gains.items()}
@@ -206,17 +194,18 @@ def ber_block(cases, n_frames: int, frame_rng: np.random.Generator,
     for mode in dict.fromkeys(mode for _, mode, _ in cases):
         index = [i for i, case in enumerate(cases) if case[1] == mode]
         for chunk in (index[s:s + stacked] for s in range(0, len(index), stacked)):
-            groups.append(_ModeGroup(params, mode, [(cases[i][0].ps, gains[id(cases[i][2])])
+            groups.append(_ModeGroup(params, mode, [(cases[i][0], gains[id(cases[i][2])])
                                                     for i in chunk], estimated))
             for j, i in enumerate(chunk):
                 slots[i] = groups[-1], j
     if any(np.isnan(g.moments.var0 if estimated else g.closed).any() for g in groups):
         # raise where a loop over the cases did: case by case, moments before thresholds
         for group, j in slots:
-            levels = [x[:, j] for x in group.levels]
-            _retake(params, group.mode, levels, np.isnan(group.moments.var0[j]).ravel(), False)
+            levels = zip(*(x[:, j, :, 0].T.tolist() for x in group.levels))
+            moments = [level_moments(params, power, noise, group.mode) for power, noise in levels]
             if not estimated:
-                _retake(params, group.mode, levels, np.isnan(group.threshold[j]).ravel())
+                for m in moments:
+                    near_optimal_threshold(m)
     runs = _frame_runs(params, n_reals, n_frames, k_train, k - k_train, frame_rng,
                        lna_rng if any(case[1] == LNA for case in cases) else None)
     for bits, variates in runs:
@@ -243,8 +232,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.sweep_var not in (SWEEP_PS, SWEEP_BDPR):
             raise ConfigError(f"unknown sweep variable {self.sweep_var!r}", fields=("sweep_var",))
-        if not self.values:
-            raise ConfigError("sweep values must be nonempty", fields=("values",))
+        if not self.values or len(set(self.values)) < len(self.values):
+            raise ConfigError(f"sweep values must be nonempty without repeats, got "
+                              f"{self.values!r}", fields=("values",))
         if (not self.modes or not all(m in MODES for m in self.modes)
                 or len(set(self.modes)) < len(self.modes)):
             raise ConfigError(f"modes must be a nonempty subset of {MODES} without repeats, "
@@ -296,24 +286,17 @@ def _check_bdpr_reach(scenario, points, modes, field) -> None:
     Ps + 2 BDPR = 580-583 dBm on, the probe from 572 dBm. A point the probe
     passes, every weaker draw passes too."""
     probe = aligned_channel(scenario, PROBE_DIRECT_GAIN)
-    reals = [probe.at_operating_point(params, bdpr_db) for params, bdpr_db in points]
-    cases = [(params.ps, _gains([real])) for (params, _), real in zip(points, reals)]
-    # the points differ in Ps and BDPR alone, which their cases carry, so one
-    # batch per mode takes every point; the first failure in (point, mode) order raises
-    failed = np.isnan(np.concatenate([near_optimal_threshold(
-        level_moments(scenario, *_levels(scenario, cases, mode), mode)) for mode in modes],
-        axis=1))
-    if failed.any():
-        i, j = divmod(int(np.argmax(failed)), len(modes))
-        (params, bdpr_db), mode = points[i], modes[j]
-        try:
-            near_optimal_threshold(hypothesis_moments(params, reals[i], mode))
-        except ModelValidityError as exc:
-            raise ConfigError(
-                f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
-                f"closed forms' numeric range on a direct path {PROBE_DIRECT_GAIN:g} "
-                f"times its mean gain ({exc}); lower the bdpr or the ps, got {field} "
-                f"{bdpr_db!r}", fields=(field,)) from exc
+    for params, bdpr_db in points:
+        real = probe.at_operating_point(params, bdpr_db)
+        for mode in modes:
+            try:
+                near_optimal_threshold(hypothesis_moments(params, real, mode))
+            except ModelValidityError as exc:
+                raise ConfigError(
+                    f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
+                    f"closed forms' numeric range on a direct path {PROBE_DIRECT_GAIN:g} "
+                    f"times its mean gain ({exc}); lower the bdpr or the ps, got {field} "
+                    f"{bdpr_db!r}", fields=(field,)) from exc
 
 
 @dataclass(frozen=True)
@@ -379,9 +362,10 @@ def _ber_task(task) -> list:
     # composed once per BDPR target: ber_block scales their gains by each point's Ps
     composed = {bdpr_db: [real.at_operating_point(spec.scenario, bdpr_db) for real in drawn]
                 for bdpr_db in {bdpr_db for _, bdpr_db in spec.operating_points}}
-    cases = [(params, mode, composed[bdpr_db])
+    cases = [(params.ps, mode, composed[bdpr_db])
              for params, bdpr_db in spec.operating_points for mode in spec.modes]
-    return ber_block(cases, spec.n_frames, frame_rng, lna_rng, spec.threshold_policy)
+    return ber_block(spec.scenario, cases, spec.n_frames, frame_rng, lna_rng,
+                     spec.threshold_policy)
 
 
 def _pilot_task(task):
@@ -395,7 +379,9 @@ def _pilot_task(task):
     reals, frame_rng, lna_rng = _block_draws(params, master_seed, r0, realizations)
     levels = [x[:, 0] for x in _levels(params, [(params.ps, _gains(reals))], mode)]
     t_true = near_optimal_threshold(level_moments(params, *levels, mode))
-    _retake(params, mode, levels, np.isnan(t_true).ravel())
+    if np.isnan(t_true).any():      # raise the float call's error where a loop meets it first
+        for real in reals:
+            near_optimal_threshold(hypothesis_moments(params, real, mode))
     runs = _frame_runs(params, len(reals), n_frames, max(k_trains), 0, frame_rng,
                        lna_rng if mode == LNA else None)
     threshold = np.concatenate(

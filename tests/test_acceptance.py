@@ -304,7 +304,7 @@ def test_criterion_8_pilot_estimation(params):
         for f in range(600):
             rng, lna_rng = (np.random.default_rng(
                 np.random.SeedSequence((PILOT_SEED, 0, i, f, 9))) for i in (2, 3))
-            (res,) = ber_block([(pe, LNA, [real])], 1, rng, lna_rng, policy)
+            (res,) = ber_block(pe, [(pe.ps, LNA, [real])], 1, rng, lna_rng, policy)
             if not res.failed[0, 0]:
                 errors += int(res.errors[0, 0])
                 bits += int(res.bits[0, 0])

@@ -142,6 +142,12 @@ class TestBerSweep:
         assert time.monotonic() - t0 < 1.0
         assert len(values) == 513 and values[0] == 1e17 and values[-1] <= 1.0000000000000102e17
 
+    def test_grid_slack_is_a_fraction_of_the_step(self):
+        # the slack is a fraction of the step, so a step near 1e-9 takes no point past stop
+        assert _parse_sweep("ps:0:5e-9:1e-9") == (
+            "ps_dbm", (0.0, 1e-9, 2e-9, 3e-9, 4e-9, 5e-9))
+        assert _parse_sweep("ps:0:0.3:0.1") == ("ps_dbm", (0.0, 0.1, 0.2, 0.3))
+
     def test_unwritable_output_is_io_error_without_partial_file(self, tmp_path):
         scenario = _scenario_file(tmp_path)
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
@@ -229,6 +235,7 @@ class TestPilotSweep:
     ("ber-sweep", ["--frames", "1000000"], "n_frames"),
     ("pilot-sweep", ["--frames", "1000000000"], "n_frames"),
     ("pilot-sweep", ["--fractions", "0.05,0.05000000001"], "pilot_fraction"),
+    ("ber-sweep", ["--sweep", "ps:0:2e-10:1e-10"], "values"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
@@ -240,7 +247,8 @@ class TestPilotSweep:
         "ber-workers-0", "ber-workers-negative", "pilot-workers-0",
         "pilot-workers-negative", "ber-modes-repeated", "pilot-fractions-repeated",
         "ber-realizations-over-cap", "pilot-realizations-over-cap",
-        "ber-symbols-over-cap", "pilot-symbols-over-cap", "pilot-fractions-of-one-count"])
+        "ber-symbols-over-cap", "pilot-symbols-over-cap", "pilot-fractions-of-one-count",
+        "ber-sweep-values-repeated"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):

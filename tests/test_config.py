@@ -2,11 +2,13 @@ import math
 import pickle
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambclink import ConfigError, SystemParams, load_scenario, read_scenario
+from ambclink.analysis import hypothesis_moments, level_moments, noise_power
 from ambclink.config import (
     MAX_ALPHA_DB,
     MAX_DBM,
@@ -17,11 +19,13 @@ from ambclink.config import (
     MIN_DISTANCE_M,
     MIN_PATH_GAIN_DB,
     PAPER_DEFAULTS,
+    MODES,
     db_to_amplitude_gain,
     db_to_power_gain,
     dbm_to_watts,
     watts_to_dbm,
 )
+from ambclink.frontend import draw_energies, generate_frame
 
 
 class TestUnitConversions:
@@ -335,3 +339,27 @@ def test_load_rejects_or_returns_finite_in_range_fields(doc):
     assert p.k_symbols * p.n_samples <= MAX_FRAME_SAMPLES
     for linear in (p.ps, p.n_ar, p.n_at, p.n_cov, p.alpha_amp):
         assert math.isfinite(linear) and linear >= 0
+
+
+# every call that takes a receiver mode, on a fixed channel
+_MODE_CALLS = {
+    "noise_power": lambda p, real, mode: noise_power(p, real.htr_abs2, 1, mode),
+    "level_moments": lambda p, real, mode: level_moments(p, (real.p0, real.p1),
+                                                         (p.n_ar, p.n_ar), mode),
+    "hypothesis_moments": hypothesis_moments,
+    "draw_energies": lambda p, real, mode: draw_energies(
+        p, np.array([0, 1]), (real.p0, real.p1), (p.n_ar, p.n_ar), np.random.default_rng(0),
+        mode),
+    "generate_frame": lambda p, real, mode: generate_frame(
+        p, real, np.zeros(p.k_symbols, dtype=np.int64), np.random.default_rng(0), mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["LNA", "bogus"])
+@pytest.mark.parametrize("call", list(_MODE_CALLS))
+def test_one_rule_for_the_mode_name(paper_params, fixed_realization, call, mode):
+    # the one rule of config.check_mode: no call reads "LNA" as either mode
+    for good in MODES:
+        _MODE_CALLS[call](paper_params, fixed_realization, good)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        _MODE_CALLS[call](paper_params, fixed_realization, mode)

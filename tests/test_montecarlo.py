@@ -75,7 +75,7 @@ def _one_frame(params, real, seed, mode, policy):
     """ber_block's single frame of a single realization, read at [0, 0]: its
     frames drawn from default_rng(seed), its LNA variates from
     default_rng([seed, 3])."""
-    (res,) = ber_block([(params, mode, [real])], 1, np.random.default_rng(seed),
+    (res,) = ber_block(params, [(params.ps, mode, [real])], 1, np.random.default_rng(seed),
                        np.random.default_rng([seed, 3]), policy)
     return (int(res.errors[0, 0]), int(res.bits[0, 0]), float(res.threshold[0, 0]),
             float(res.ber_closed_form[0, 0]), bool(res.failed[0, 0]))
@@ -166,15 +166,16 @@ class TestBerTrial:
             hypothesis_moments(p, huge, LNA)
         with pytest.raises(NoSeparationError):
             near_optimal_threshold(hypothesis_moments(p, nosep, NO_LNA))
-        cases = [(p, LNA, [fixed_realization, huge]), (p, NO_LNA, [nosep, fixed_realization])]
+        cases = [(p.ps, LNA, [fixed_realization, huge]),
+                 (p.ps, NO_LNA, [nosep, fixed_realization])]
         with pytest.raises(ModelValidityError) as raised:
-            ber_block(cases, 1, np.random.default_rng(1), np.random.default_rng(2), policy)
+            ber_block(p, cases, 1, np.random.default_rng(1), np.random.default_rng(2), policy)
         assert str(raised.value) == str(float_call.value)
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
         with pytest.raises(ValueError, match="unknown threshold policy"):
-            ber_block([(paper_params, LNA, [fixed_realization])], 1, np.random.default_rng(1),
-                      np.random.default_rng(2), "oracle")
+            ber_block(paper_params, [(paper_params.ps, LNA, [fixed_realization])], 1,
+                      np.random.default_rng(1), np.random.default_rng(2), "oracle")
 
 
 class TestSweepSpec:
@@ -259,13 +260,23 @@ class TestSweepSpec:
                 SweepSpec(**spec)
             assert ei.value.fields == (field,)
 
+    def test_the_probe_names_the_first_failing_point_and_mode(self, paper_params):
+        # at Ps 200 dBm the LNA closed forms fail on the probe from BDPR 186 dB
+        # on, the no-LNA ones never: the second point fails first, in lna
+        spec = {"scenario": replace(paper_params, ps_dbm=200.0), "sweep_var": SWEEP_BDPR,
+                "values": (0.0, 190.0, 195.0), "modes": (NO_LNA, LNA)}
+        with pytest.raises(ConfigError, match=r"^bdpr 190 dB at ps_dbm 200 is beyond the lna "):
+            SweepSpec(**spec)
+        SweepSpec(**{**spec, "values": (0.0,)})
+
     @pytest.mark.parametrize("changes, fields", [
         ({"modes": (LNA, LNA)}, ("modes",)),
+        ({"values": (0.0, 5.0, 0.0)}, ("values",)),
         ({"n_realizations": MAX_REALIZATIONS + 1}, ("n_realizations",)),
         ({"n_frames": MAX_SWEEP_SYMBOLS // 100 + 1}, ("n_frames", "n_realizations")),
         ({"values": (0.0, 10.0), "n_frames": MAX_SWEEP_SYMBOLS // 200 + 1},
          ("n_frames", "n_realizations")),
-    ], ids=["repeated-mode", "realizations-over-cap", "symbols-over-cap",
+    ], ids=["repeated-mode", "repeated-value", "realizations-over-cap", "symbols-over-cap",
             "symbols-over-cap-by-points"])
     def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
             self, paper_params, monkeypatch, changes, fields):
@@ -505,7 +516,7 @@ class TestStackedCases:
         drawn, frame_rng, lna_rng = mc._block_draws(spec.scenario, spec.master_seed, r0,
                                                     realizations)
         reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
-        (res,) = ber_block([(params, mode, reals)], spec.n_frames, frame_rng, lna_rng,
+        (res,) = ber_block(params, [(params.ps, mode, reals)], spec.n_frames, frame_rng, lna_rng,
                            spec.threshold_policy)
         return res
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import ambclink
@@ -48,3 +49,13 @@ def test_the_shared_closed_forms_use_operators_and_sqrt_alone():
                              and isinstance(sub.value, ast.Name) and sub.value.id == "np")), \
                 (node.name, sub.lineno)
     assert found == shared
+
+
+def test_the_readme_python_blocks_run(capsys):
+    # the README's library code runs as written, so its API cannot drift from the code
+    readme = Path(__file__).parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out
