@@ -185,7 +185,13 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
         raise ValueError(f"unknown threshold policy {policy!r}")
     estimated = policy == ESTIMATED_POLICY
     cases = list(cases)
-    n_reals, k = len(cases[0][2]), params.k_symbols
+    counts = sorted({len(reals) for _, _, reals in cases})
+    if not counts:
+        raise ValueError("ber_block needs at least one case")
+    if len(counts) > 1 or counts[0] == 0:
+        raise ValueError("ber_block's cases need equally many realizations, at least one; "
+                         f"they hold {counts}")
+    n_reals, k = counts[0], params.k_symbols
     k_train = params.k_train if estimated else 0
     gains = {id(reals): reals for _, _, reals in cases}
     gains = {key: _gains(reals) for key, reals in gains.items()}

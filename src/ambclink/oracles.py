@@ -2,8 +2,8 @@
 
 Every function here recomputes a result by a route that shares no code with
 the implementation it checks: moment expansion, Gauss-Legendre quadrature,
-root finding, grid search, or brute-force grouping. Each imports what it needs
-beyond numpy when it runs, so `import ambclink` loads no scipy or numpy.polynomial.
+grid search, or brute-force grouping. Each imports what it needs beyond numpy
+when it runs, so `import ambclink` loads no scipy or numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -57,31 +57,18 @@ def q_integral(x: float) -> float:
     return half * float(np.sum(np.exp(-0.5 * t * t) @ weights)) / math.sqrt(2.0 * math.pi)
 
 
-def pdf_equality_root(m: HypothesisMoments) -> float:
-    """Crossing point of the two Gaussian PDFs by bracketed root finding on
-    the log-density difference."""
-    from scipy.optimize import brentq
-
-    def g(t: float) -> float:
-        return (
-            -((t - m.delta0) ** 2) / (2 * m.var0) - 0.5 * math.log(m.var0)
-            + ((t - m.delta1) ** 2) / (2 * m.var1) + 0.5 * math.log(m.var1)
-        )
-
-    lo, hi = min(m.delta0, m.delta1), max(m.delta0, m.delta1)
-    s = max(math.sqrt(m.var0), math.sqrt(m.var1))
-    for a, b in ((lo, hi), (lo - 3 * s, hi + 3 * s), (lo - 10 * s, hi + 10 * s)):
-        if g(a) * g(b) <= 0:
-            return float(brentq(g, a, b, rtol=1e-15))
-    raise ValueError("no bracketed PDF crossing for these moments")
-
-
 def grid_min_threshold(m: HypothesisMoments):
     """Threshold minimizing the closed-form BER over a grid of 10 000.
 
-    Grid spans [delta_min - 3 s_min, delta_max + 3 s_max]. Returns (T, BER).
-    Q comes from scipy's erfc, not from analysis.q_function, which this
-    oracle checks.
+    Grid spans [delta_min - 3 s_min, delta_max + 3 s_max]. Returns (T, BER)
+    at the first grid minimum. Q comes from scipy's erfc, not from
+    analysis.q_function, which this oracle checks.
+
+    Only cells of 33 grid steps that can hold the minimum are evaluated.
+    Q((g - lo)/s_lo) falls and Q((hi - g)/s_hi) rises along the grid, so their
+    halves at a cell's right and left ends bound its BER from below; a cell
+    whose bound exceeds the least BER at any cell end by more than 1e-12 (far
+    above erfc's rounding) holds no minimum. The answer is the full grid's.
     """
     from scipy.special import erfc
 
@@ -94,9 +81,16 @@ def grid_min_threshold(m: HypothesisMoments):
     def q(x):
         return 0.5 * erfc(x / math.sqrt(2.0))
 
-    bers = 0.5 * q((grid - lo_mean) / s_lo) + 0.5 * q((hi_mean - grid) / s_hi)
-    idx = int(np.argmin(bers))
-    return float(grid[idx]), float(bers[idx])
+    def halves(g):
+        return 0.5 * q((g - lo_mean) / s_lo), 0.5 * q((hi_mean - g) / s_hi)
+
+    falling, rising = halves(grid[::33])            # at the cell ends 0, 33, ..., 9999
+    # cells whose bound is not above the least end BER + 1e-12; a NaN keeps them all
+    cells = np.flatnonzero(~(falling[1:] + rising[:-1] > np.min(falling + rising) + 1e-12))
+    idx = (33 * cells[:, None] + np.arange(34)).ravel()  # ascending; shared ends twice
+    bers = np.add(*halves(grid[idx]))
+    i = int(np.argmin(bers))
+    return float(grid[idx[i]]), float(bers[i])
 
 
 def grouped_mean_var(energies, bits):

@@ -26,12 +26,7 @@ from ambclink.analysis import (
 )
 from ambclink.channel import draw_channels
 from ambclink.config import MODES
-from ambclink.oracles import (
-    exp_moment_mean_var,
-    grid_min_threshold,
-    pdf_equality_root,
-    q_integral,
-)
+from ambclink.oracles import exp_moment_mean_var, grid_min_threshold, q_integral
 from ambclink.verify import (
     check_linear_reduction,
     check_model_validity_guard,
@@ -41,6 +36,25 @@ from ambclink.verify import (
 )
 
 from conftest import rel_err
+
+
+def pdf_equality_root(m: HypothesisMoments) -> float:
+    """Crossing point of the two Gaussian PDFs by bracketed root finding on
+    the log-density difference."""
+    from scipy.optimize import brentq
+
+    def g(t: float) -> float:
+        return (
+            -((t - m.delta0) ** 2) / (2 * m.var0) - 0.5 * math.log(m.var0)
+            + ((t - m.delta1) ** 2) / (2 * m.var1) + 0.5 * math.log(m.var1)
+        )
+
+    lo, hi = min(m.delta0, m.delta1), max(m.delta0, m.delta1)
+    s = max(math.sqrt(m.var0), math.sqrt(m.var1))
+    for a, b in ((lo, hi), (lo - 3 * s, hi + 3 * s), (lo - 10 * s, hi + 10 * s)):
+        if g(a) * g(b) <= 0:
+            return float(brentq(g, a, b, rtol=1e-15))
+    raise ValueError("no bracketed PDF crossing for these moments")
 
 
 class TestMoments:
@@ -432,6 +446,58 @@ class TestThreshold:
         t = near_optimal_threshold(batch)
         assert _bits(t) == _bits(e[0] for e in expected)
         assert _bits(ber_closed_form(batch, t)) == _bits(e[1] for e in expected)
+
+
+def full_grid_min_threshold(m: HypothesisMoments):
+    """grid_min_threshold's reference: the BER at every one of the 10 000
+    grid points, and its first minimum."""
+    from scipy.special import erfc
+
+    if m.delta0 <= m.delta1:
+        lo_mean, s_lo, hi_mean, s_hi = m.delta0, math.sqrt(m.var0), m.delta1, math.sqrt(m.var1)
+    else:
+        lo_mean, s_lo, hi_mean, s_hi = m.delta1, math.sqrt(m.var1), m.delta0, math.sqrt(m.var0)
+    grid = np.linspace(lo_mean - 3 * s_lo, hi_mean + 3 * s_hi, 10_000)
+
+    def q(x):
+        return 0.5 * erfc(x / math.sqrt(2.0))
+
+    bers = 0.5 * q((grid - lo_mean) / s_lo) + 0.5 * q((hi_mean - grid) / s_hi)
+    idx = int(np.argmin(bers))
+    return float(grid[idx]), float(bers[idx])
+
+
+class TestGridOracle:
+    """The grid minimum skips cells that cannot hold it, and returns the
+    full grid's (T, BER) bit for bit."""
+
+    @pytest.mark.parametrize("m", [
+        HypothesisMoments(1.9573577084307967e-06, 4.923566230907227e-08,
+                          1.217131888351243e-30, 1111789.5100164565),
+        HypothesisMoments(442.7111714361245, 3.7822054451280614e-10,
+                          1.6481075805794583, 1.086381776477637e-33),
+        HypothesisMoments(2.0, 1.0, 0.01, 0.25),
+        HypothesisMoments(1.0, 3.0, 0.25, 0.25),
+        # the BER underflows to 0 over most of the grid, so the first 0 counts
+        HypothesisMoments(0.0, 1000.0, 1.0, 1.0),
+    ], ids=["variance-ratio-1e36", "both-pdfs-underflowing", "inverted-ordering",
+            "equal-variances", "separation-1000-sd"])
+    def test_edges(self, m):
+        assert grid_min_threshold(m) == full_grid_min_threshold(m)
+
+    @pytest.mark.parametrize("seed", [3, 13, 23])
+    def test_random_valid_moments(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            m = random_valid_moments(rng)
+            assert grid_min_threshold(m) == full_grid_min_threshold(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_d0=st.floats(-15.0, 5.0), log_d1=st.floats(-15.0, 5.0),
+           log_v0=st.floats(-35.0, 10.0), log_v1=st.floats(-35.0, 10.0))
+    def test_log_uniform_moments(self, log_d0, log_d1, log_v0, log_v1):
+        m = HypothesisMoments(10.0 ** log_d0, 10.0 ** log_d1, 10.0 ** log_v0, 10.0 ** log_v1)
+        assert grid_min_threshold(m) == full_grid_min_threshold(m)
 
 
 def _float_digest(values) -> str:

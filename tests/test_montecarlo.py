@@ -177,6 +177,19 @@ class TestBerTrial:
             ber_block(paper_params, [(paper_params.ps, LNA, [fixed_realization])], 1,
                       np.random.default_rng(1), np.random.default_rng(2), "oracle")
 
+    @pytest.mark.parametrize("modes, counts, match", [
+        ((), (), "at least one case"),
+        ((NO_LNA, LNA), (2, 3), r"equally many realizations, at least one; they hold \[2, 3\]"),
+        ((LNA, LNA), (2, 3), r"equally many realizations, at least one; they hold \[2, 3\]"),
+        ((LNA,), (0,), r"equally many realizations, at least one; they hold \[0\]"),
+    ], ids=["no-cases", "across-modes", "within-a-mode", "no-realizations"])
+    def test_cases_it_cannot_run_are_named(self, paper_params, fixed_realization, modes,
+                                           counts, match):
+        cases = [(paper_params.ps, mode, [fixed_realization] * n)
+                 for mode, n in zip(modes, counts)]
+        with pytest.raises(ValueError, match=match):
+            ber_block(paper_params, cases, 1, np.random.default_rng(1), np.random.default_rng(2))
+
 
 class TestSweepSpec:
     def test_validation(self, paper_params):
