@@ -1,7 +1,10 @@
 """Batch command-line front end: sweeps, pilot studies, and the verify suite.
 
 Output is CSV plot data plus a short human-readable summary on stdout.
-Exit statuses: 0 success, 1 validation error, 2 check failure, 3 I/O error.
+Exit statuses: 0 success, 1 validation error, 2 check failure (a failed
+verify check, or a closed form that fails during a run) or usage error (from
+argparse: a bad --mode or --threshold-policy choice, a non-integer count, a
+missing --out), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import tempfile
 import time
 from dataclasses import replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,6 +46,10 @@ MAX_SWEEP_POINTS = 1000
 BER_CSV_HEADER = ("sweep_var,value,mode,threshold_policy,ber_empirical,"
                   "ber_ci_halfwidth,ber_closed_form,threshold_mean,errors,bits,failures")
 PILOT_CSV_HEADER = "pilot_fraction,k_train,R_mean,R_median,R_p90,frames"
+# parsed options the digest leaves out: the payload hashes the loaded scenario
+# and the seed on their own, and the worker count and output path cannot
+# change the CSV
+UNHASHED_OPTIONS = {"command", "func", "scenario", "paper_defaults", "seed", "workers", "out"}
 
 
 def _load_params(args) -> SystemParams:
@@ -83,6 +91,15 @@ def _parse_sweep(text: str):
     return names[var], tuple(values)
 
 
+def _csv_rows(header: str, points) -> list:
+    """Each point's CSV row: the fields the header names (in lower case; they
+    are the leading fields of the point's dataclass, in order), floats by
+    repr and ints and strings by str."""
+    cells = attrgetter(*header.lower().split(","))
+    return [",".join([repr(float(x)) if isinstance(x, float) else str(x) for x in cells(p)])
+            for p in points]
+
+
 def _write_csv(path: str, header: str, rows, provenance: dict):
     """Write atomically: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -101,29 +118,25 @@ def _write_csv(path: str, header: str, rows, provenance: dict):
         raise
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _sweep_command(args, sweep, failure_noun: str) -> int:
     """Shared by ber-sweep and pilot-sweep: run `sweep(args, params)` for
-    (flags, header, rows, failures), write the CSV atomically under the digest
-    of scenario, flags and seed, and print one summary line."""
+    (header, points, failures), write the CSV atomically under the digest of
+    scenario, options (all but UNHASHED_OPTIONS) and seed, and print one
+    summary line."""
     t0 = time.monotonic()
     params = _load_params(args)
-    flags, header, rows, failures = sweep(args, params)
-    payload = json.dumps(
-        {"scenario": params.to_dict(), "flags": {**flags, "ps": args.ps}, "seed": args.seed},
-        sort_keys=True,
-    )
+    header, points, failures = sweep(args, params)
+    flags = {k: v for k, v in vars(args).items() if k not in UNHASHED_OPTIONS}
+    payload = json.dumps({"scenario": params.to_dict(), "flags": flags, "seed": args.seed},
+                         sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    _write_csv(args.out, header, rows, {
+    _write_csv(args.out, header, _csv_rows(header, points), {
         "tool_version": __version__,
         "numpy_version": np.__version__,
         "scenario_digest": digest,
         "master_seed": args.seed,
     })
-    print(f"{args.command}: {len(rows)} points -> {args.out} "
+    print(f"{args.command}: {len(points)} points -> {args.out} "
           f"({time.monotonic() - t0:.1f}s, {failures} {failure_noun} failures, "
           f"digest {digest[:12]})")
     return EXIT_OK
@@ -131,32 +144,13 @@ def _sweep_command(args, sweep, failure_noun: str) -> int:
 
 def _ber_sweep(args, params: SystemParams):
     sweep_var, values = _parse_sweep(args.sweep)
-    spec = SweepSpec(
-        scenario=params,
-        sweep_var=sweep_var,
-        values=values,
-        modes=tuple(m.strip() for m in args.modes.split(",")),
-        threshold_policy=args.threshold_policy,
-        n_frames=args.frames,
-        n_realizations=args.realizations,
-        master_seed=args.seed,
-        fixed_bdpr_db=args.bdpr,
-    )
+    spec = SweepSpec(scenario=params, sweep_var=sweep_var, values=values,
+                     modes=tuple(m.strip() for m in args.modes.split(",")),
+                     threshold_policy=args.threshold_policy, n_frames=args.frames,
+                     n_realizations=args.realizations, master_seed=args.seed,
+                     fixed_bdpr_db=args.bdpr)
     points = run_sweep(spec, workers=args.workers)
-    flags = {
-        "sweep": args.sweep, "modes": args.modes, "threshold_policy": args.threshold_policy,
-        "frames": args.frames, "realizations": args.realizations, "bdpr": args.bdpr,
-    }
-    rows = [
-        ",".join([
-            p.sweep_var, _format_float(p.value), p.mode, p.threshold_policy,
-            _format_float(p.ber_empirical), _format_float(p.ber_ci_halfwidth),
-            _format_float(p.ber_closed_form), _format_float(p.threshold_mean),
-            str(p.errors), str(p.bits), str(p.failures),
-        ])
-        for p in points
-    ]
-    return flags, BER_CSV_HEADER, rows, sum(p.failures for p in points)
+    return BER_CSV_HEADER, points, sum(p.failures for p in points)
 
 
 def _pilot_sweep(args, params: SystemParams):
@@ -164,22 +158,9 @@ def _pilot_sweep(args, params: SystemParams):
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError as exc:
         raise ConfigError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from exc
-    points = run_pilot_sweep(
-        params, fractions, mode=args.mode,
-        n_realizations=args.realizations, n_frames=args.frames,
-        master_seed=args.seed, workers=args.workers,
-    )
-    flags = {"fractions": args.fractions, "mode": args.mode,
-             "frames": args.frames, "realizations": args.realizations}
-    rows = [
-        ",".join([
-            _format_float(p.pilot_fraction), str(p.k_train),
-            _format_float(p.r_mean), _format_float(p.r_median),
-            _format_float(p.r_p90), str(p.frames),
-        ])
-        for p in points
-    ]
-    return flags, PILOT_CSV_HEADER, rows, sum(p.failures for p in points)
+    points = run_pilot_sweep(params, fractions, mode=args.mode, n_realizations=args.realizations,
+                             n_frames=args.frames, master_seed=args.seed, workers=args.workers)
+    return PILOT_CSV_HEADER, points, sum(p.failures for p in points)
 
 
 def cmd_verify(args) -> int:
@@ -249,12 +230,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except AmbclinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
+        return EXIT_VALIDATION if isinstance(exc, ConfigError) else EXIT_CHECK_FAILURE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -80,19 +80,29 @@ MAX_FRAME_SAMPLES = 10 ** 7
 # 20 minutes per worker, and the cheaper per-point arithmetic too.
 MAX_REALIZATIONS = 10 ** 6
 MAX_SWEEP_SYMBOLS = 10 ** 9
+# A sweep's process pool starts all its workers at its first task (on Linux it
+# forks them). 61 is the most ProcessPoolExecutor accepts on Windows.
+MAX_WORKERS = 61
 
 
-def check_mode(mode: str) -> None:
-    """Reject a receiver mode other than those of MODES."""
+def check_mode(mode: str, field: str = "mode") -> None:
+    """Reject a receiver mode other than those of MODES, naming the field."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"{field} must be one of {MODES}, got {mode!r}", fields=(field,))
 
 
 def check_counts(**counts: int) -> None:
-    """Reject a count below 1 (frames, realizations, workers), naming it."""
+    """Reject a count below 1 (frames, realizations), naming it."""
     for name, value in counts.items():
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}", fields=(name,))
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker count outside 1..MAX_WORKERS, naming it."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be in 1..{MAX_WORKERS}, got {workers}",
+                          fields=("workers",))
 
 
 def check_trials(n_realizations: int, n_frames: int, frame_symbols: int, runs: int = 1) -> None:

@@ -30,17 +30,8 @@ from .analysis import (
     noise_power,
 )
 from .channel import aligned_channel, draw_channels
-from .config import (
-    LNA,
-    MAX_BDPR_DB,
-    MODES,
-    NO_LNA,
-    SystemParams,
-    check_counts,
-    check_seed,
-    check_trials,
-    valid_pilot_count,
-)
+from .config import (LNA, MAX_BDPR_DB, MODES, NO_LNA, SystemParams, check_counts, check_mode,
+                     check_seed, check_trials, check_workers, valid_pilot_count)
 from .errors import ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_lna_variates, energies_from_variates
@@ -48,6 +39,14 @@ from .frontend import draw_lna_variates, energies_from_variates
 CLOSED_FORM_TRUE = "closed_form_true"
 ESTIMATED_POLICY = "estimated"
 POLICIES = (CLOSED_FORM_TRUE, ESTIMATED_POLICY)
+
+
+def check_policy(policy: str) -> None:
+    """Reject a threshold policy other than those of POLICIES, naming it."""
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown threshold policy {policy!r}: threshold_policy must be one "
+                          f"of {POLICIES}", fields=("threshold_policy",))
+
 
 SWEEP_PS = "ps_dbm"
 SWEEP_BDPR = "bdpr_db"
@@ -181,8 +180,7 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
     counting and the detector orders hypotheses by the estimated moments, so
     it never sees ground truth; its thresholds are taken per frame.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown threshold policy {policy!r}")
+    check_policy(policy)
     estimated = policy == ESTIMATED_POLICY
     cases = list(cases)
     counts = sorted({len(reals) for _, _, reals in cases})
@@ -238,16 +236,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.sweep_var not in (SWEEP_PS, SWEEP_BDPR):
             raise ConfigError(f"unknown sweep variable {self.sweep_var!r}", fields=("sweep_var",))
-        if not self.values or len(set(self.values)) < len(self.values):
-            raise ConfigError(f"sweep values must be nonempty without repeats, got "
-                              f"{self.values!r}", fields=("values",))
-        if (not self.modes or not all(m in MODES for m in self.modes)
-                or len(set(self.modes)) < len(self.modes)):
-            raise ConfigError(f"modes must be a nonempty subset of {MODES} without repeats, "
-                              f"got {self.modes!r}", fields=("modes",))
-        if self.threshold_policy not in POLICIES:
-            raise ConfigError(f"unknown threshold policy {self.threshold_policy!r}",
-                              fields=("threshold_policy",))
+        for mode in self.modes:
+            check_mode(mode, "modes")
+        for name, items in (("values", self.values), ("modes", self.modes)):
+            if not items or len(set(items)) < len(items):
+                raise ConfigError(f"{name} must be nonempty without repeats, got {items!r}",
+                                  fields=(name,))
+        check_policy(self.threshold_policy)
         k_train, k_symbols = self.scenario.k_train, self.scenario.k_symbols
         if (self.threshold_policy == ESTIMATED_POLICY
                 and not (valid_pilot_count(k_train) and k_train < k_symbols)):
@@ -400,10 +395,13 @@ def _pilot_task(task):
 
 def _map_blocks(fn, tasks: list, workers: int) -> list:
     """The results of `fn` for each task, in order; the only place a process
-    pool is opened, and only for two tasks or more (tasks are pure, so this
-    cannot change a result). At least four chunks per worker keep the load
-    balanced when one worker runs slower than the other."""
-    if workers > 1 and len(tasks) > 1:
+    pool is opened, only for two tasks or more and with at most one process
+    per task (tasks are pure, so this cannot change a result). At least four
+    chunks per worker keep the load balanced when one worker runs slower than
+    the other."""
+    check_workers(workers)
+    workers = min(workers, len(tasks))
+    if workers > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))
@@ -438,7 +436,6 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
-    check_counts(workers=workers)
     tasks = [(spec, r0, realizations) for r0, realizations in
              _blocks(range(spec.n_realizations), spec.n_frames * spec.scenario.k_symbols)]
     per_case = zip(*_map_blocks(_ber_task, tasks, workers))
@@ -476,9 +473,8 @@ def run_pilot_sweep(
     largest fraction (see _pilot_task). Frames carry pilots only: the data
     symbols play no part in the estimate and are not drawn.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}", fields=("mode",))
-    check_counts(n_frames=n_frames, n_realizations=n_realizations, workers=workers)
+    check_mode(mode)
+    check_counts(n_frames=n_frames, n_realizations=n_realizations)
     check_seed(master_seed, "master_seed")
     if not fractions or any(frac <= 0 for frac in fractions):    # 0 reads as "no pilots"
         raise ConfigError("pilot fractions must be a nonempty list of values > 0, "

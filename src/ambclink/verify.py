@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, oracles
-from .analysis import HypothesisMoments, dc_noise_powers, hypothesis_moments
+from .analysis import HypothesisMoments, dc_noise_powers
 from .channel import draw_channels
-from .config import LNA, MAX_DBM, MODES, NO_LNA, SystemParams, check_seed, watts_to_dbm
+from .config import LNA, MAX_DBM, MODES, SystemParams, check_seed, watts_to_dbm
 from .errors import ModelValidityError
 from .frontend import SAMPLER_CHUNK, draw_energies, generate_frame
 

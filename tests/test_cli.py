@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from ambclink.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     PILOT_CSV_HEADER,
+    UNHASHED_OPTIONS,
     _parse_sweep,
+    build_parser,
     main,
 )
-from ambclink.montecarlo import SWEEP_BDPR
+from ambclink.config import MAX_WORKERS
+from ambclink.montecarlo import SWEEP_BDPR, BerPoint, PilotPoint
 
 FAST = ["--seed", "4", "--workers", "1"]
 SMALL_SWEEP = ["--sweep", "ps:0:10:10", "--frames", "1", "--realizations", "4"]
@@ -236,6 +241,10 @@ class TestPilotSweep:
     ("pilot-sweep", ["--frames", "1000000000"], "n_frames"),
     ("pilot-sweep", ["--fractions", "0.05,0.05000000001"], "pilot_fraction"),
     ("ber-sweep", ["--sweep", "ps:0:2e-10:1e-10"], "values"),
+    ("ber-sweep", ["--workers", str(MAX_WORKERS + 1)], "workers"),
+    ("ber-sweep", ["--workers", "100000"], "workers"),
+    ("pilot-sweep", ["--workers", str(MAX_WORKERS + 1)], "workers"),
+    ("pilot-sweep", ["--workers", "100000"], "workers"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
@@ -248,12 +257,17 @@ class TestPilotSweep:
         "pilot-workers-negative", "ber-modes-repeated", "pilot-fractions-repeated",
         "ber-realizations-over-cap", "pilot-realizations-over-cap",
         "ber-symbols-over-cap", "pilot-symbols-over-cap", "pilot-fractions-of-one-count",
-        "ber-sweep-values-repeated"])
+        "ber-sweep-values-repeated", "ber-workers-over-cap", "ber-workers-huge",
+        "pilot-workers-over-cap", "pilot-workers-huge"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):
         raise AssertionError("channel drawn")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool built")
     monkeypatch.setattr(ambclink.montecarlo, "draw_channels", no_draw)
+    monkeypatch.setattr(ambclink.montecarlo, "ProcessPoolExecutor", no_pool)
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
     sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []
@@ -262,6 +276,84 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not os.path.exists(out)
+
+
+def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
+    # K = 200: 100 realizations make two blocks, so --workers 8 needs two processes
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    scenario = _scenario_file(tmp_path, k_symbols=200)
+    base = ["ber-sweep", "--scenario", scenario, "--sweep", "ps:0:10:10", "--modes", "lna",
+            "--realizations", "100", "--seed", "4"]
+    a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
+    assert main([*base, "--workers", "1", "--out", a]) == EXIT_OK
+    monkeypatch.setattr(ambclink.montecarlo, "ProcessPoolExecutor", InProcessPool)
+    assert main([*base, "--workers", "8", "--out", b]) == EXIT_OK
+    assert opened == [2]
+    assert _read(a) == _read(b)
+
+
+@pytest.mark.parametrize("header, row_type", [(BER_CSV_HEADER, BerPoint),
+                                              (PILOT_CSV_HEADER, PilotPoint)],
+                         ids=["ber", "pilot"])
+def test_csv_columns_are_the_leading_fields_of_the_row_type(header, row_type):
+    # a row's cells are the fields its header names, which must be the row
+    # type's leading fields in order: a field inserted out of place fails here
+    columns = header.lower().split(",")
+    assert columns == [f.name for f in fields(row_type)][:len(columns)]
+
+
+# per command: a valid value of every hashed option, then another valid one
+_DIGEST_OPTIONS = {
+    "ber-sweep": {
+        "sweep": ("ps:0:10:10", "ps:0:20:10"), "modes": ("no_lna,lna", "lna"),
+        "threshold_policy": ("closed_form_true", "estimated"), "frames": ("1", "2"),
+        "realizations": ("2", "3"), "bdpr": (None, "-20"), "ps": (None, "5"),
+    },
+    "pilot-sweep": {
+        "fractions": ("0.1,0.2", "0.1,0.4"), "mode": ("lna", "no_lna"), "frames": ("2", "3"),
+        "realizations": ("2", "3"), "ps": (None, "5"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(_DIGEST_OPTIONS))
+def test_the_digest_covers_every_option(tmp_path, command):
+    scenario = _scenario_file(tmp_path, pilot_fraction=0.2)
+    options = _DIGEST_OPTIONS[command]
+
+    def argv(out="x.csv", workers="1", **changes):
+        values = {name: pair[0] for name, pair in options.items()} | changes
+        flags = [x for name, value in values.items() if value is not None
+                 for x in ("--" + name.replace("_", "-"), value)]
+        return [command, "--scenario", scenario, "--seed", "4", "--workers", workers,
+                "--out", str(tmp_path / out), *flags]
+
+    def digest(**changes):
+        args = argv(**changes)
+        assert main(args) == EXIT_OK
+        text = _read(args[args.index("--out") + 1]).decode()
+        return re.search(r"^# scenario_digest=(\w+)$", text, re.M).group(1)
+
+    hashed = set(vars(build_parser().parse_args(argv()))) - UNHASHED_OPTIONS
+    assert hashed == set(options)
+    base = digest()
+    for name, (_, other) in options.items():
+        assert digest(**{name: other}) != base, name
+    assert digest(out="elsewhere.csv", workers="2") == base
 
 
 @pytest.mark.parametrize("ps, bdpr", [(300, 120), (250, 150), (200, 170)])

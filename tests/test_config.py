@@ -361,5 +361,6 @@ def test_one_rule_for_the_mode_name(paper_params, fixed_realization, call, mode)
     # the one rule of config.check_mode: no call reads "LNA" as either mode
     for good in MODES:
         _MODE_CALLS[call](paper_params, fixed_realization, good)
-    with pytest.raises(ValueError, match="mode must be one of"):
+    with pytest.raises(ValueError, match="mode must be one of") as ei:
         _MODE_CALLS[call](paper_params, fixed_realization, mode)
+    assert ei.value.fields == ("mode",)     # a ConfigError, as SweepSpec's "modes" rule

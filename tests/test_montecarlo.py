@@ -173,9 +173,10 @@ class TestBerTrial:
         assert str(raised.value) == str(float_call.value)
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
-        with pytest.raises(ValueError, match="unknown threshold policy"):
+        with pytest.raises(ValueError, match="unknown threshold policy") as ei:
             ber_block(paper_params, [(paper_params.ps, LNA, [fixed_realization])], 1,
                       np.random.default_rng(1), np.random.default_rng(2), "oracle")
+        assert ei.value.fields == ("threshold_policy",)    # SweepSpec's rule (check_policy)
 
     @pytest.mark.parametrize("modes, counts, match", [
         ((), (), "at least one case"),

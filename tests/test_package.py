@@ -21,6 +21,22 @@ def test_exports_match_the_package_imports():
     assert set(ambclink.__all__) == imported
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py is exempt: its imports are the package's exports
+    unused = []
+    for path in sorted(Path(ambclink.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def test_only_the_oracles_and_verify_mention_scipy():
     # the sweeps load no scipy for any input, not only those a run reaches
     package = Path(ambclink.__file__).parent
