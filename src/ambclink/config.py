@@ -67,8 +67,9 @@ MIN_PATH_GAIN_DB = -300.0
 # reach is lower, and SweepSpec checks it per point.
 MAX_BDPR_DB = 200.0
 # A sweep holds whole frames of K symbols, the LNA sampler at least one
-# symbol's N exponentials, and the sample-level generate_frame several arrays
-# of K*N complex samples (160 MB each at the cap).
+# symbol's N exponentials, and the sample-level generate_frame a few arrays of
+# K*N complex samples (the signal, the one noise block and their sum; 160 MB
+# each at the cap).
 MAX_K_SYMBOLS = 10 ** 6
 MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7

@@ -51,7 +51,11 @@ def generate_frame(
     no_lna: y = g*s + (w_ar + w_cov + alpha*htr*d*w_at), g = h0 + alpha*hst*htr*d
     lna:    y = beta1*g*s + beta3*(g*s)|g*s|^2
                 + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
-    The cubic distortion acts on the noiseless signal component only.
+    The cubic distortion acts on the noiseless signal component only. The
+    three noises are independent circular Gaussians, so their sum is drawn
+    as one, CN(0, a^2 (n_ar + alpha^2 |htr|^2 d n_at) + n_cov) with a = beta1
+    (a = 1 without the LNA): s first, then one unit CN block scaled per
+    sample, 4 normals a sample.
     """
     check_mode(mode)
     bits = np.asarray(bits)
@@ -66,18 +70,18 @@ def generate_frame(
     alpha = params.alpha_amp
     g = real.h0 + alpha * real.hst * real.htr * d
 
-    s = _draw_cn_block(rng, params.ps, total)
-    w_ar = _draw_cn_block(rng, params.n_ar, total)
-    w_cov = _draw_cn_block(rng, params.n_cov, total)
-    w_at = _draw_cn_block(rng, params.n_at, total)
+    a = 1.0 if mode == NO_LNA else params.beta1
+    tag = alpha * alpha * real.htr_abs2 * params.n_at
+    sigma = np.sqrt([a * a * (params.n_ar + tag * b) + params.n_cov for b in (0, 1)])
 
+    s = _draw_cn_block(rng, params.ps, total)
+    w = sigma[d] * _draw_cn_block(rng, 1.0, total)
+
+    x = g * s
     if mode == NO_LNA:
-        y = g * s + w_ar + w_cov + alpha * real.htr * d * w_at
+        y = x + w
     else:
-        x = g * s
-        y = (params.beta1 * x + params.beta3 * x * np.abs(x) ** 2
-             + params.beta1 * w_ar + w_cov
-             + params.beta1 * alpha * real.htr * d * w_at)
+        y = params.beta1 * x + params.beta3 * x * np.abs(x) ** 2 + w
     return symbol_energies(y, n)
 
 

@@ -62,8 +62,9 @@ def check_moments_vs_montecarlo(
     """Closed-form LNA moments against simulated sample moments at H1.
 
     The samples are drawn in frames of SAMPLER_CHUNK, so the check's memory
-    does not grow with n_samples_mc; the frame size fixes which normals feed
-    each sample, so changing it changes the draws."""
+    does not grow with n_samples_mc. Each frame draws its signal block, then
+    its one noise block, 4 normals a sample; the frame size fixes which
+    normals feed each sample, so changing it changes the draws."""
     if n_samples_mc < 2:
         raise ValueError(f"n_samples_mc must be >= 2 for a sample variance, got {n_samples_mc}")
     rng = np.random.default_rng(seed)

@@ -32,13 +32,27 @@ def frame_energies(params, real, bits, rng, mode):
 
 
 def _clone_draws(params, total, seed):
-    """Replicate generate_frame's draw order (s, w_ar, w_cov, w_at)."""
+    """Replicate generate_frame's draws: s, then one unit CN noise block.
+    The clone's generator is returned too, at the state generate_frame
+    should leave its own in."""
     rng = np.random.default_rng(seed)
     s = _draw_cn_block(rng, params.ps, total)
-    w_ar = _draw_cn_block(rng, params.n_ar, total)
-    w_cov = _draw_cn_block(rng, params.n_cov, total)
-    w_at = _draw_cn_block(rng, params.n_at, total)
-    return s, w_ar, w_cov, w_at
+    w = _draw_cn_block(rng, 1.0, total)
+    return s, w, rng
+
+
+def _noise_sd(params, real, mode):
+    """sigma_d for d = 0, 1 from the model equation: the sum of the receiver
+    noises is CN(0, a^2 (n_ar + alpha^2 |htr|^2 d n_at) + n_cov), with
+    a = beta1 in LNA mode and 1 without it."""
+    a = 1.0 if mode == NO_LNA else params.beta1
+    tag = params.alpha_amp * params.alpha_amp * real.htr_abs2 * params.n_at
+    return np.sqrt([a * a * (params.n_ar + tag * b) + params.n_cov for b in (0, 1)])
+
+
+def _assert_same_next_draw(rng, clone):
+    # generate_frame drew exactly the clone's 4*K*N normals
+    assert rng.standard_normal() == clone.standard_normal()
 
 
 class TestSymbolEnergies:
@@ -60,14 +74,16 @@ class TestSymbolEnergies:
         # the LNA samples rebuilt from the same draws, in generate_frame's order
         p = replace(paper_params, k_symbols=20, pilot_fraction=0.0)
         bits = np.random.default_rng(4).integers(0, 2, 20)
-        energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(3), LNA)
-        s, w_ar, w_cov, w_at = _clone_draws(p, p.k_symbols * p.n_samples, 3)
+        rng = np.random.default_rng(3)
+        energies = generate_frame(p, fixed_realization, bits, rng, LNA)
+        s, w, clone = _clone_draws(p, p.k_symbols * p.n_samples, 3)
         d = np.repeat(bits, p.n_samples)
         real, alpha = fixed_realization, p.alpha_amp
         x = (real.h0 + alpha * real.hst * real.htr * d) * s
-        y = (p.beta1 * x + p.beta3 * x * np.abs(x) ** 2 + p.beta1 * w_ar + w_cov
-             + p.beta1 * alpha * real.htr * d * w_at)
+        y = (p.beta1 * x + p.beta3 * x * np.abs(x) ** 2
+             + _noise_sd(p, real, LNA)[d] * w)
         assert np.array_equal(energies, symbol_energies(y, p.n_samples))
+        _assert_same_next_draw(rng, clone)
         assert energies.shape == (p.k_symbols,)
         assert np.all(energies >= 0)
 
@@ -79,10 +95,12 @@ class TestGenerateFrame:
                     n_ar_dbm=-400.0, n_cov_dbm=-400.0, n_at_dbm=-400.0,
                     k_symbols=10)
         bits = np.zeros(10, dtype=np.int64)
-        energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(5), LNA)
-        s, _, _, _ = _clone_draws(p, bits.size * p.n_samples, 5)
+        rng = np.random.default_rng(5)
+        energies = generate_frame(p, fixed_realization, bits, rng, LNA)
+        s, _, clone = _clone_draws(p, bits.size * p.n_samples, 5)
         assert np.allclose(energies, symbol_energies(fixed_realization.h0 * s, p.n_samples),
-                           rtol=1e-12)
+                           rtol=1e-12, atol=0.0)
+        _assert_same_next_draw(rng, clone)
 
     def test_linear_lna_equals_no_lna_bitwise(self, paper_params, fixed_realization):
         p = replace(paper_params, beta1=1.0, beta3=0.0, pilot_fraction=0.0,
@@ -97,15 +115,20 @@ class TestGenerateFrame:
         p = replace(paper_params, k_symbols=12, pilot_fraction=0.0)
         ones = np.ones(12, dtype=np.int64)
         zeros = np.zeros(12, dtype=np.int64)
-        f1 = generate_frame(p, fixed_realization, ones, np.random.default_rng(21), NO_LNA)
-        f0 = generate_frame(p, fixed_realization, zeros, np.random.default_rng(21), NO_LNA)
-        s, w_ar, w_cov, w_at = _clone_draws(p, 12 * p.n_samples, 21)
-        a = p.alpha_amp
-        y0 = fixed_realization.h0 * s + w_ar + w_cov
-        backscatter = a * fixed_realization.hst * fixed_realization.htr * s \
-            + a * fixed_realization.htr * w_at
-        assert np.allclose(f0, symbol_energies(y0, p.n_samples), rtol=1e-10)
-        assert np.allclose(f1, symbol_energies(y0 + backscatter, p.n_samples), rtol=1e-10)
+        real = fixed_realization
+        rngs = [np.random.default_rng(21) for _ in range(2)]
+        f1 = generate_frame(p, real, ones, rngs[1], NO_LNA)
+        f0 = generate_frame(p, real, zeros, rngs[0], NO_LNA)
+        s, w, _ = _clone_draws(p, 12 * p.n_samples, 21)
+        # bit 1 adds the backscatter path to the signal, and the tag noise
+        # alpha^2 |htr|^2 n_at to the noise power
+        sd0, sd1 = _noise_sd(p, real, NO_LNA)
+        y0 = real.h0 * s + sd0 * w
+        y1 = (real.h0 + p.alpha_amp * real.hst * real.htr) * s + sd1 * w
+        assert np.allclose(f0, symbol_energies(y0, p.n_samples), rtol=1e-10, atol=0.0)
+        assert np.allclose(f1, symbol_energies(y1, p.n_samples), rtol=1e-10, atol=0.0)
+        for rng in rngs:
+            _assert_same_next_draw(rng, _clone_draws(p, 12 * p.n_samples, 21)[2])
 
     def test_bits_validated(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=4, pilot_fraction=0.0)
@@ -130,7 +153,30 @@ class TestStatisticalProperties:
                                           np.random.default_rng(30 + d), mode)
                 var = float(np.mean(energies))     # mean |y|^2 over all samples
                 target = noise_power(p, fixed_realization.htr_abs2, d, mode)
-                assert var == pytest.approx(target, rel=0.01)
+                assert var == pytest.approx(target, rel=0.01, abs=0.0)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    @pytest.mark.parametrize("source", ["n_ar", "n_cov", "n_at"])
+    def test_each_noise_source_has_its_gain(self, paper_params, fixed_realization, mode,
+                                            source):
+        # the signal and two sources at -400 dBm: the mean energy is the one
+        # source left on times its gain in the model equation, so drawing the
+        # sum as one Gaussian hides no wrong gain or d-gate on any source
+        off = {f"{name}_dbm": -400.0 for name in ("n_ar", "n_cov", "n_at") if name != source}
+        p = replace(paper_params, ps_dbm=-400.0, k_symbols=20_000, n_samples=25,
+                    pilot_fraction=0.0, **off)
+        real = fixed_realization
+        a2 = 1.0 if mode == NO_LNA else p.beta1 ** 2
+        for d in (0, 1):
+            gains = {"n_ar": a2 * p.n_ar, "n_cov": p.n_cov,
+                     "n_at": a2 * p.alpha_amp ** 2 * real.htr_abs2 * d * p.n_at}
+            signal = a2 * abs(real.h0 + p.alpha_amp * real.hst * real.htr * d) ** 2 * p.ps
+            # the gated-off tag noise (n_at, d = 0) leaves the -400 dBm floor
+            assert gains[source] > 1e20 * signal or (source, d) == ("n_at", 0)
+            bits = np.full(p.k_symbols, d, dtype=np.int64)
+            e = generate_frame(p, real, bits, np.random.default_rng(60 + d), mode)
+            assert float(np.mean(e)) == pytest.approx(sum(gains.values()) + signal,
+                                                      rel=0.01, abs=0.0)
 
     def test_lna_energy_mean_matches_closed_form(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=20_000, n_samples=50, pilot_fraction=0.0)
@@ -139,8 +185,8 @@ class TestStatisticalProperties:
                                     n_aw, p.n_samples)
         bits = np.ones(p.k_symbols, dtype=np.int64)
         energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(31), LNA)
-        assert float(np.mean(energies)) == pytest.approx(mean_c, rel=0.01)
-        assert float(np.var(energies)) == pytest.approx(var_c, rel=0.08)
+        assert float(np.mean(energies)) == pytest.approx(mean_c, rel=0.01, abs=0.0)
+        assert float(np.var(energies)) == pytest.approx(var_c, rel=0.08, abs=0.0)
 
     def test_no_lna_energy_mean_matches_closed_form(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=20_000, n_samples=50, pilot_fraction=0.0)
@@ -148,8 +194,8 @@ class TestStatisticalProperties:
         mean_c, var_c = nolna_moments(fixed_realization.p0, n_w, p.n_samples)
         bits = np.zeros(p.k_symbols, dtype=np.int64)
         energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(32), NO_LNA)
-        assert float(np.mean(energies)) == pytest.approx(mean_c, rel=0.01)
-        assert float(np.var(energies)) == pytest.approx(var_c, rel=0.08)
+        assert float(np.mean(energies)) == pytest.approx(mean_c, rel=0.01, abs=0.0)
+        assert float(np.var(energies)) == pytest.approx(var_c, rel=0.08, abs=0.0)
 
     def test_energy_statistic_approximately_gaussian(self, paper_params, fixed_realization):
         # CLT shape check at N=75: standardized energies have small skew and
@@ -197,8 +243,8 @@ class TestFrameEnergies:
                              if mode == LNA else nolna_moments(power, n_d, p.n_samples))
             e = frame_energies(p, fixed_realization, np.full(p.k_symbols, d),
                                np.random.default_rng(40 + d), mode)
-            assert float(np.mean(e)) == pytest.approx(mean_c, rel=0.01)
-            assert float(np.var(e)) == pytest.approx(var_c, rel=0.05)
+            assert float(np.mean(e)) == pytest.approx(mean_c, rel=0.01, abs=0.0)
+            assert float(np.var(e)) == pytest.approx(var_c, rel=0.05, abs=0.0)
 
     @pytest.mark.parametrize("mode", [LNA, NO_LNA])
     def test_noise_free_floor_run_is_finite_and_positive(self, paper_params,
@@ -257,8 +303,8 @@ class TestFrameEnergies:
             mean_c, var_c = (lna_moments(real.p1, paper_params.beta1, paper_params.beta3,
                                          n_1, paper_params.n_samples) if mode == LNA
                              else nolna_moments(real.p1, n_1, paper_params.n_samples))
-            assert float(np.mean(e[r])) == pytest.approx(mean_c, rel=0.01)
-            assert float(np.var(e[r])) == pytest.approx(var_c, rel=0.05)
+            assert float(np.mean(e[r])) == pytest.approx(mean_c, rel=0.01, abs=0.0)
+            assert float(np.var(e[r])) == pytest.approx(var_c, rel=0.05, abs=0.0)
 
     def test_sampler_equivalence_check(self, paper_params):
         res = check_sampler_equivalence(paper_params, seed=5)
