@@ -24,7 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .config import MODES, SystemParams, load_scenario, read_scenario
+from .config import MODES, SystemParams, check_in, load_scenario, read_scenario
 from .errors import AmbclinkError, ConfigError
 from .montecarlo import (
     POLICIES,
@@ -59,7 +59,7 @@ def _load_params(args) -> SystemParams:
     elif args.paper_defaults:
         params = load_scenario({}, paper_defaults=True)
     else:
-        raise ConfigError("provide --scenario <path> or --paper-defaults")
+        raise ConfigError("provide --scenario <path> or --paper-defaults", fields=("scenario",))
     return params if args.ps is None else replace(params, ps_dbm=args.ps)
 
 
@@ -67,19 +67,19 @@ def _parse_sweep(text: str):
     """Parse `var:start:stop:step` into (sweep_var, values)."""
     parts = text.split(":")
     if len(parts) != 4:
-        raise ConfigError(f"sweep must look like var:start:stop:step, got {text!r}")
+        raise ConfigError(f"sweep must look like var:start:stop:step, got {text!r}",
+                          fields=("sweep",))
     var, start, stop, step = parts
     names = {"ps": SWEEP_PS, "bdpr": SWEEP_BDPR}
-    if var not in names:
-        raise ConfigError(f"sweep variable must be one of {sorted(names)}, got {var!r}")
+    check_in(var, names, "sweep")
     try:
         start, stop, step = float(start), float(stop), float(step)
     except ValueError as exc:
-        raise ConfigError(f"non-numeric sweep bounds in {text!r}") from exc
+        raise ConfigError(f"non-numeric sweep bounds in {text!r}", fields=("sweep",)) from exc
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ConfigError(f"--sweep bounds must be finite in {text!r}", fields=("sweep",))
     if step <= 0 or stop < start:
-        raise ConfigError(f"need start <= stop and step > 0 in {text!r}")
+        raise ConfigError(f"need start <= stop and step > 0 in {text!r}", fields=("sweep",))
     # count the points first, with 1e-9 of a step as slack; the quotient may overflow to inf
     spans = (stop - start) / step + 1e-9
     if not spans < MAX_SWEEP_POINTS:
@@ -157,7 +157,8 @@ def _pilot_sweep(args, params: SystemParams):
     try:
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError as exc:
-        raise ConfigError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from exc
+        raise ConfigError("--fractions must be comma-separated numbers, got pilot_fraction "
+                          f"{args.fractions!r}", fields=("pilot_fraction",)) from exc
     points = run_pilot_sweep(params, fractions, mode=args.mode, n_realizations=args.realizations,
                              n_frames=args.frames, master_seed=args.seed, workers=args.workers)
     return PILOT_CSV_HEADER, points, sum(p.failures for p in points)

@@ -86,47 +86,45 @@ MAX_SWEEP_SYMBOLS = 10 ** 9
 MAX_WORKERS = 61
 
 
+def check_in(value, allowed, field: str) -> None:
+    """Reject a value outside `allowed`, naming the field."""
+    if value not in allowed:
+        raise ConfigError(f"{field} must be one of {tuple(allowed)}, got {value!r}",
+                          fields=(field,))
+
+
 def check_mode(mode: str, field: str = "mode") -> None:
     """Reject a receiver mode other than those of MODES, naming the field."""
-    if mode not in MODES:
-        raise ConfigError(f"{field} must be one of {MODES}, got {mode!r}", fields=(field,))
+    check_in(mode, MODES, field)
 
 
-def check_counts(**counts: int) -> None:
-    """Reject a count below 1 (frames, realizations), naming it."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}", fields=(name,))
+def is_int_in(value, lo, hi) -> bool:
+    """True for an int (not a bool) in lo..hi: NaN, 2.5 and True are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
-def check_workers(workers: int) -> None:
-    """Reject a worker count outside 1..MAX_WORKERS, naming it."""
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ConfigError(f"workers must be in 1..{MAX_WORKERS}, got {workers}",
-                          fields=("workers",))
+def check_int(value, lo, hi, field: str) -> None:
+    """Reject anything but an int (not a bool) in lo..hi, naming the field.
+    A seed takes 0..math.inf: numpy's SeedSequence takes only nonnegative
+    integers, and would refuse any other only once a draw starts."""
+    if not is_int_in(value, lo, hi):
+        raise ConfigError(f"{field} must be an integer in {lo}..{hi}, got {value!r}",
+                          fields=(field,))
 
 
 def check_trials(n_realizations: int, n_frames: int, frame_symbols: int, runs: int = 1) -> None:
-    """Reject a sweep beyond the trial caps, naming the fields: more than
-    MAX_REALIZATIONS channel draws, or more than MAX_SWEEP_SYMBOLS symbols in
-    `runs` passes (sweep points x modes) over n_realizations x n_frames
-    frames of frame_symbols symbols."""
-    if n_realizations > MAX_REALIZATIONS:
-        raise ConfigError(f"n_realizations must be <= {MAX_REALIZATIONS}, got {n_realizations}",
-                          fields=("n_realizations",))
+    """Reject trial counts that are not integers >= 1, or a sweep beyond the
+    trial caps, naming the fields: more than MAX_REALIZATIONS channel draws,
+    or more than MAX_SWEEP_SYMBOLS symbols in `runs` passes (sweep points x
+    modes) over n_realizations x n_frames frames of frame_symbols symbols."""
+    check_int(n_frames, 1, MAX_SWEEP_SYMBOLS, "n_frames")
+    check_int(n_realizations, 1, MAX_REALIZATIONS, "n_realizations")
     symbols = runs * n_realizations * n_frames * frame_symbols
     if symbols > MAX_SWEEP_SYMBOLS:
         raise ConfigError(
             f"the sweep would draw {symbols} symbols, more than {MAX_SWEEP_SYMBOLS}: lower "
             f"n_frames ({n_frames}) or n_realizations ({n_realizations})",
             fields=("n_frames", "n_realizations"))
-
-
-def check_seed(seed: int, field: str = "seed") -> None:
-    """Reject a negative master seed, naming it: numpy's SeedSequence takes
-    only nonnegative integers, and would refuse it only once a draw starts."""
-    if seed < 0:
-        raise ConfigError(f"{field} must be >= 0, got {seed}", fields=(field,))
 
 
 def valid_pilot_count(k_train: int) -> bool:
@@ -168,8 +166,7 @@ class SystemParams:
                 bad.append(name)
                 limits.append(f"{name} >= {floor:g}")
         for name, cap in (("n_samples", MAX_N_SAMPLES), ("k_symbols", MAX_K_SYMBOLS)):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and 1 <= value <= cap):
+            if not is_int_in(getattr(self, name), 1, cap):
                 bad.append(name)
                 limits.append(f"integer 1 <= {name} <= {cap}")
         k, n = self.k_symbols, self.n_samples

@@ -30,8 +30,8 @@ from .analysis import (
     noise_power,
 )
 from .channel import aligned_channel, draw_channels
-from .config import (LNA, MAX_BDPR_DB, MODES, NO_LNA, SystemParams, check_counts, check_mode,
-                     check_seed, check_trials, check_workers, valid_pilot_count)
+from .config import (LNA, MAX_BDPR_DB, MAX_WORKERS, MODES, NO_LNA, SystemParams, check_in,
+                     check_int, check_mode, check_trials, valid_pilot_count)
 from .errors import ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_lna_variates, energies_from_variates
@@ -39,14 +39,6 @@ from .frontend import draw_lna_variates, energies_from_variates
 CLOSED_FORM_TRUE = "closed_form_true"
 ESTIMATED_POLICY = "estimated"
 POLICIES = (CLOSED_FORM_TRUE, ESTIMATED_POLICY)
-
-
-def check_policy(policy: str) -> None:
-    """Reject a threshold policy other than those of POLICIES, naming it."""
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown threshold policy {policy!r}: threshold_policy must be one "
-                          f"of {POLICIES}", fields=("threshold_policy",))
-
 
 SWEEP_PS = "ps_dbm"
 SWEEP_BDPR = "bdpr_db"
@@ -180,7 +172,7 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
     counting and the detector orders hypotheses by the estimated moments, so
     it never sees ground truth; its thresholds are taken per frame.
     """
-    check_policy(policy)
+    check_in(policy, POLICIES, "threshold_policy")
     estimated = policy == ESTIMATED_POLICY
     cases = list(cases)
     counts = sorted({len(reals) for _, _, reals in cases})
@@ -234,15 +226,14 @@ class SweepSpec:
     fixed_bdpr_db: float | None = None  # pin BDPR during a ps sweep
 
     def __post_init__(self):
-        if self.sweep_var not in (SWEEP_PS, SWEEP_BDPR):
-            raise ConfigError(f"unknown sweep variable {self.sweep_var!r}", fields=("sweep_var",))
+        check_in(self.sweep_var, (SWEEP_PS, SWEEP_BDPR), "sweep_var")
         for mode in self.modes:
             check_mode(mode, "modes")
         for name, items in (("values", self.values), ("modes", self.modes)):
             if not items or len(set(items)) < len(items):
                 raise ConfigError(f"{name} must be nonempty without repeats, got {items!r}",
                                   fields=(name,))
-        check_policy(self.threshold_policy)
+        check_in(self.threshold_policy, POLICIES, "threshold_policy")
         k_train, k_symbols = self.scenario.k_train, self.scenario.k_symbols
         if (self.threshold_policy == ESTIMATED_POLICY
                 and not (valid_pilot_count(k_train) and k_train < k_symbols)):
@@ -260,10 +251,9 @@ class SweepSpec:
         if bad:
             raise ConfigError(f"bdpr must be finite and within +-{MAX_BDPR_DB:g} dB, got "
                               f"{field} {bad[0]!r}", fields=(field,))
-        check_counts(n_frames=self.n_frames, n_realizations=self.n_realizations)
         check_trials(self.n_realizations, self.n_frames, self.scenario.k_symbols,
                      runs=len(self.values) * len(self.modes))
-        check_seed(self.master_seed, "master_seed")
+        check_int(self.master_seed, 0, math.inf, "master_seed")
         points = self.operating_points   # a Ps out of range raises here, before any draw
         if bdprs:
             _check_bdpr_reach(self.scenario, points, self.modes, field)
@@ -399,7 +389,7 @@ def _map_blocks(fn, tasks: list, workers: int) -> list:
     per task (tasks are pure, so this cannot change a result). At least four
     chunks per worker keep the load balanced when one worker runs slower than
     the other."""
-    check_workers(workers)
+    check_int(workers, 1, MAX_WORKERS, "workers")
     workers = min(workers, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
@@ -474,8 +464,7 @@ def run_pilot_sweep(
     symbols play no part in the estimate and are not drawn.
     """
     check_mode(mode)
-    check_counts(n_frames=n_frames, n_realizations=n_realizations)
-    check_seed(master_seed, "master_seed")
+    check_int(master_seed, 0, math.inf, "master_seed")
     if not fractions or any(frac <= 0 for frac in fractions):    # 0 reads as "no pilots"
         raise ConfigError("pilot fractions must be a nonempty list of values > 0, "
                           f"got pilot_fraction {tuple(fractions)!r}", fields=("pilot_fraction",))

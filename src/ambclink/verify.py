@@ -12,7 +12,7 @@ import numpy as np
 from . import analysis, oracles
 from .analysis import HypothesisMoments, dc_noise_powers
 from .channel import draw_channels
-from .config import LNA, MAX_DBM, MODES, SystemParams, check_seed, watts_to_dbm
+from .config import LNA, MAX_DBM, MODES, SystemParams, check_int, watts_to_dbm
 from .errors import ModelValidityError
 from .frontend import SAMPLER_CHUNK, draw_energies, generate_frame
 
@@ -311,7 +311,7 @@ def check_model_validity_guard(params: SystemParams) -> CheckResult:
 
 
 def run_all_checks(params: SystemParams, seed: int = 0) -> list[CheckResult]:
-    check_seed(seed)
+    check_int(seed, 0, math.inf, "seed")
     return [
         check_moments_vs_expansion(seed=seed),
         check_moments_vs_montecarlo(params, seed=seed + 1),

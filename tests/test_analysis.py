@@ -65,14 +65,14 @@ class TestMoments:
 
     def test_noise_only(self):
         mean, var = lna_moments(0.0, 56.23, -7497.33, 1e-10, 75)
-        assert mean == pytest.approx(1e-10, rel=1e-12)
-        assert var == pytest.approx(1e-20 / 75, rel=1e-12)
+        assert mean == pytest.approx(1e-10, rel=1e-12, abs=0.0)
+        assert var == pytest.approx(1e-20 / 75, rel=1e-12, abs=0.0)
 
     def test_nolna_by_hand(self):
         assert nolna_moments(1.0, 1.0, 4) == (pytest.approx(2.0), pytest.approx(1.0))
         mean, var = nolna_moments(0.0, 3e-13, 50)
-        assert mean == pytest.approx(3e-13)
-        assert var == pytest.approx(9e-26 / 50)
+        assert mean == pytest.approx(3e-13, rel=1e-6, abs=0.0)
+        assert var == pytest.approx(9e-26 / 50, rel=1e-6, abs=0.0)
 
     def test_linear_reduction_exact(self, paper_params):
         res = check_linear_reduction(paper_params)
@@ -172,13 +172,15 @@ class TestNoisePower:
         a2 = paper_params.alpha_amp ** 2
         n0 = noise_power(paper_params, ht2, 0, NO_LNA)
         n1 = noise_power(paper_params, ht2, 1, NO_LNA)
-        assert n0 == pytest.approx(paper_params.n_ar + paper_params.n_cov, rel=1e-12)
-        assert n1 - n0 == pytest.approx(a2 * ht2 * paper_params.n_at, rel=1e-12)
+        assert n0 == pytest.approx(paper_params.n_ar + paper_params.n_cov, rel=1e-12, abs=0.0)
+        # n1 - n0 (1.6e-15) would keep only the rounding of n0 (1e-10) beyond
+        # rel 1e-12, so the tag term is checked inside n1
+        assert n1 == pytest.approx(n0 + a2 * ht2 * paper_params.n_at, rel=1e-12, abs=0.0)
         b2 = paper_params.beta1 ** 2
         m0 = noise_power(paper_params, ht2, 0, LNA)
         m1 = noise_power(paper_params, ht2, 1, LNA)
-        assert m0 == pytest.approx(b2 * paper_params.n_ar + paper_params.n_cov, rel=1e-12)
-        assert m1 - m0 == pytest.approx(b2 * a2 * ht2 * paper_params.n_at, rel=1e-12)
+        assert m0 == pytest.approx(b2 * paper_params.n_ar + paper_params.n_cov, rel=1e-12, abs=0.0)
+        assert m1 - m0 == pytest.approx(b2 * a2 * ht2 * paper_params.n_at, rel=1e-12, abs=0.0)
 
     def test_hypothesis_moments_uses_gated_noise(self, paper_params, fixed_realization):
         m = hypothesis_moments(paper_params, fixed_realization, LNA)

@@ -32,7 +32,7 @@ class TestUnitConversions:
     def test_dbm_to_watts_known_values(self):
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
         assert dbm_to_watts(0.0) == pytest.approx(1.0e-3, rel=1e-12)
-        assert dbm_to_watts(-100.0) == pytest.approx(1.0e-13, rel=1e-12)
+        assert dbm_to_watts(-100.0) == pytest.approx(1.0e-13, rel=1e-12, abs=0.0)
 
     def test_db_to_power_gain_known_values(self):
         assert db_to_power_gain(0.0) == 1.0
@@ -173,8 +173,8 @@ class TestSystemParams:
 
     def test_derived_linear_quantities(self, paper_params):
         assert paper_params.ps == pytest.approx(dbm_to_watts(paper_params.ps_dbm))
-        assert paper_params.n_ar == pytest.approx(1e-13, rel=1e-12)
-        assert paper_params.n_cov == pytest.approx(1e-10, rel=1e-12)
+        assert paper_params.n_ar == pytest.approx(1e-13, rel=1e-12, abs=0.0)
+        assert paper_params.n_cov == pytest.approx(1e-10, rel=1e-12, abs=0.0)
         assert paper_params.alpha_amp == pytest.approx(10 ** (-1.1 / 20), rel=1e-12)
 
     @pytest.mark.parametrize("name, convert, source", [
@@ -239,7 +239,8 @@ class TestSystemParams:
 
     def test_tag_gain_bounded_below(self, paper_params):
         from dataclasses import replace
-        assert replace(paper_params, alpha_db=MIN_ALPHA_DB).alpha_amp == pytest.approx(1e-15)
+        assert (replace(paper_params, alpha_db=MIN_ALPHA_DB).alpha_amp
+                == pytest.approx(1e-15, rel=1e-6, abs=0.0))
         # -4000 dB once underflowed to a zero tag gain, and verify divided by it
         for bad in (math.nextafter(MIN_ALPHA_DB, -math.inf), -4000.0):
             with pytest.raises(ConfigError) as ei:
@@ -263,7 +264,7 @@ class TestSystemParams:
     def test_path_gain_at_least_minus_300_db(self, paper_params):
         # vtr = 2.5: rtr = 1e12 m is a gain of exactly -300 dB
         at_bound = replace(paper_params, rtr=1e12)
-        assert at_bound.rtr ** -at_bound.vtr == pytest.approx(1e-30)
+        assert at_bound.rtr ** -at_bound.vtr == pytest.approx(1e-30, rel=1e-6, abs=0.0)
         # at 1e200 m r^-v underflows to 0: no tag signal at all;
         # at the paper's rtr = 10 m, vtr = 31 is -310 dB
         for doc in ({"rtr": 1e13}, {"rtr": 1e200}, {"vtr": 31.0}):

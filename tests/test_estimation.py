@@ -70,10 +70,10 @@ class TestEstimateMoments:
         energies = generate_frame(p, fixed_realization, bits, rng, LNA)
         d0, d1, v0, v1 = pilot_statistics(energies, p.k_train)
         oracle = grouped_mean_var(energies[: p.k_train], pilot_bits(p.k_train))
-        assert d0 == pytest.approx(oracle[0][0], rel=1e-14)
-        assert v0 == pytest.approx(oracle[0][1], rel=1e-14)
-        assert d1 == pytest.approx(oracle[1][0], rel=1e-14)
-        assert v1 == pytest.approx(oracle[1][1], rel=1e-14)
+        assert d0 == pytest.approx(oracle[0][0], rel=1e-14, abs=0.0)
+        assert v0 == pytest.approx(oracle[0][1], rel=1e-14, abs=0.0)
+        assert d1 == pytest.approx(oracle[1][0], rel=1e-14, abs=0.0)
+        assert v1 == pytest.approx(oracle[1][1], rel=1e-14, abs=0.0)
 
     def test_consistency_with_growing_pilots(self):
         # sample energies straight from the hypothesis Gaussians

@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ambclink.montecarlo as mc
+import ambclink.verify
 from ambclink import LNA, NO_LNA
 from ambclink.analysis import (
     HypothesisMoments,
@@ -37,6 +39,12 @@ from ambclink.montecarlo import (
     run_sweep,
     wilson_halfwidth,
 )
+
+# a NaN, a fraction and a bool in each count and seed: none is an integer
+BAD_COUNTS = [({name: bad}, (name,)) for name in ("n_frames", "n_realizations", "master_seed")
+              for bad in (math.nan, 2.5, True)]
+BAD_COUNT_IDS = [f"{name}-{bad}" for name in ("frames", "realizations", "seed")
+                 for bad in ("nan", "float", "bool")]
 
 
 def _manual_realization(params, h0, hst, htr):
@@ -173,10 +181,10 @@ class TestBerTrial:
         assert str(raised.value) == str(float_call.value)
 
     def test_unknown_policy_rejected(self, paper_params, fixed_realization):
-        with pytest.raises(ValueError, match="unknown threshold policy") as ei:
+        with pytest.raises(ValueError, match="threshold_policy must be one of") as ei:
             ber_block(paper_params, [(paper_params.ps, LNA, [fixed_realization])], 1,
                       np.random.default_rng(1), np.random.default_rng(2), "oracle")
-        assert ei.value.fields == ("threshold_policy",)    # SweepSpec's rule (check_policy)
+        assert ei.value.fields == ("threshold_policy",)    # SweepSpec's rule (check_in)
 
     @pytest.mark.parametrize("modes, counts, match", [
         ((), (), "at least one case"),
@@ -290,16 +298,21 @@ class TestSweepSpec:
         ({"n_frames": MAX_SWEEP_SYMBOLS // 100 + 1}, ("n_frames", "n_realizations")),
         ({"values": (0.0, 10.0), "n_frames": MAX_SWEEP_SYMBOLS // 200 + 1},
          ("n_frames", "n_realizations")),
+        *BAD_COUNTS,
+        ({"workers": 2.5}, ("workers",)),
+        ({"workers": True}, ("workers",)),
     ], ids=["repeated-mode", "repeated-value", "realizations-over-cap", "symbols-over-cap",
-            "symbols-over-cap-by-points"])
+            "symbols-over-cap-by-points", *BAD_COUNT_IDS, "workers-float", "workers-bool"])
     def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
             self, paper_params, monkeypatch, changes, fields):
         def no_draw(*args):
             raise AssertionError("channel drawn")
         monkeypatch.setattr(mc, "draw_channels", no_draw)
+        changes = dict(changes)
+        workers = changes.pop("workers", 1)     # run_sweep's; the rest are the spec's
         with pytest.raises(ConfigError) as ei:
             run_sweep(SweepSpec(**{"scenario": paper_params, "sweep_var": SWEEP_PS,
-                                   "values": (0.0,), "modes": (LNA,), **changes}))
+                                   "values": (0.0,), "modes": (LNA,), **changes}), workers)
         assert ei.value.fields == fields
 
     def test_trial_caps_are_inclusive(self, paper_params):
@@ -725,23 +738,32 @@ def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_p
     assert ei.value.fields == ("mode",)
 
 
-@pytest.mark.parametrize("fractions, n_realizations, n_frames, fields", [
-    ((0.1, 0.2, 0.1), 1, 1, ("pilot_fraction",)),
-    ((0.2,), MAX_REALIZATIONS + 1, 1, ("n_realizations",)),
-    ((0.1, 0.2), 1, MAX_SWEEP_SYMBOLS // 20 + 1, ("n_frames", "n_realizations")),
-    ((0.1, 0.1000000001), 1, 1, ("pilot_fraction",)),
+def _pilot_sweep(fractions=(0.2,), n_realizations=1, n_frames=1, master_seed=0):
+    return partial(run_pilot_sweep, fractions=fractions, mode=LNA, n_realizations=n_realizations,
+                   n_frames=n_frames, master_seed=master_seed)
+
+
+@pytest.mark.parametrize("run, fields", [
+    (_pilot_sweep((0.1, 0.2, 0.1)), ("pilot_fraction",)),
+    (_pilot_sweep(n_realizations=MAX_REALIZATIONS + 1), ("n_realizations",)),
+    (_pilot_sweep((0.1, 0.2), n_frames=MAX_SWEEP_SYMBOLS // 20 + 1),
+     ("n_frames", "n_realizations")),
+    (_pilot_sweep((0.1, 0.1000000001)), ("pilot_fraction",)),
+    *[(_pilot_sweep(**changes), fields) for changes, fields in BAD_COUNTS],
+    (partial(ambclink.verify.run_all_checks, seed=math.nan), ("seed",)),
 ], ids=["repeated-fraction", "realizations-over-cap", "symbols-over-cap",
-        "fractions-of-one-pilot-count"])
+        "fractions-of-one-pilot-count", *BAD_COUNT_IDS, "verify-seed-nan"])
 def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
-        paper_params, monkeypatch, fractions, n_realizations, n_frames, fields):
+        paper_params, monkeypatch, run, fields):
     # K = 100: the largest fraction, 0.2, draws 20 pilots per frame; 0.1 and
-    # 0.1000000001 are distinct fractions of one pilot count, 10
+    # 0.1000000001 are distinct fractions of one pilot count, 10. verify's
+    # seed obeys the same rule as the sweeps' master_seed.
     def no_draw(*args):
         raise AssertionError("channel drawn")
     monkeypatch.setattr(mc, "draw_channels", no_draw)
+    monkeypatch.setattr(ambclink.verify, "draw_channels", no_draw)
     with pytest.raises(ConfigError) as ei:
-        run_pilot_sweep(paper_params, fractions, LNA, n_realizations=n_realizations,
-                        n_frames=n_frames, master_seed=0)
+        run(paper_params)
     assert ei.value.fields == fields
 
 

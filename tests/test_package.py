@@ -44,6 +44,17 @@ def test_only_the_oracles_and_verify_mention_scipy():
                   if "scipy" in path.read_text(encoding="utf-8")) == ["oracles.py", "verify.py"]
 
 
+def test_every_cli_and_sweep_rejection_names_its_field():
+    # the CLI reports each rejection by its field, so every ConfigError raised
+    # where options and sweep arguments are read passes fields=
+    package = Path(ambclink.__file__).parent
+    unnamed = [f"{name}:{node.lineno}" for name in ("cli.py", "montecarlo.py")
+               for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"
+               and not any(k.arg == "fields" for k in node.keywords)]
+    assert unnamed == []
+
+
 def test_the_shared_closed_forms_use_operators_and_sqrt_alone():
     # the closed forms that take floats and arrays alike give both the same
     # bits only through correctly rounded operators, so none may take a power
