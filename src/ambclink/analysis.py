@@ -17,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import LNA, NO_LNA, SystemParams, check_mode
+from .config import LNA, NO_LNA, SystemParams, check_mode, is_int_in
 from .errors import ModelValidityError, NoSeparationError
 
 
@@ -58,9 +58,9 @@ def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> flo
 def _checked_moments(p, n_samples: int, sums, *args):
     """(mean, var_sum / N) of sums(p, *args) for both moment forms: a float
     call raises where p < 0 or they are not finite with var > 0, an array call
-    marks such an element NaN, and both raise where N < 1."""
-    if n_samples < 1:
-        raise ModelValidityError(f"n_samples must be >= 1, got {n_samples}")
+    marks such an element NaN, and both raise where N is not an integer >= 1."""
+    if not is_int_in(n_samples, 1, math.inf):
+        raise ModelValidityError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if isinstance(p, np.ndarray):   # an element that overflows is marked NaN, quietly
         with np.errstate(over="ignore", invalid="ignore"):
             mean, var_sum = sums(p, *args)

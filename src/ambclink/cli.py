@@ -10,6 +10,7 @@ missing --out), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -100,57 +101,57 @@ def _csv_rows(header: str, points) -> list:
             for p in points]
 
 
-def _write_csv(path: str, header: str, rows, provenance: dict):
-    """Write atomically: temp file in the target directory, then rename."""
+@contextlib.contextmanager
+def _atomic_csv(path: str):
+    """A text file that replaces `path` when the block ends without error: a
+    temp file in the target directory, so a bad path fails before the
+    block's work, renamed into place, or removed on any failure."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in provenance.items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    finally:
+        if os.path.exists(tmp):     # still there only after a failure
             os.unlink(tmp)
-        raise
 
 
 def _sweep_command(args, sweep, failure_noun: str) -> int:
-    """Shared by ber-sweep and pilot-sweep: run `sweep(args, params)` for
-    (header, points, failures), write the CSV atomically under the digest of
-    scenario, options (all but UNHASHED_OPTIONS) and seed, and print one
-    summary line."""
+    """Shared by ber-sweep and pilot-sweep: open the CSV's temp file (a bad
+    --out fails there, before any work), run `sweep(args, params)` for
+    (header, points), write the CSV atomically under the digest of scenario,
+    options (all but UNHASHED_OPTIONS) and seed, and print one summary line."""
     t0 = time.monotonic()
     params = _load_params(args)
-    header, points, failures = sweep(args, params)
     flags = {k: v for k, v in vars(args).items() if k not in UNHASHED_OPTIONS}
     payload = json.dumps({"scenario": params.to_dict(), "flags": flags, "seed": args.seed},
                          sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    _write_csv(args.out, header, _csv_rows(header, points), {
-        "tool_version": __version__,
-        "numpy_version": np.__version__,
-        "scenario_digest": digest,
-        "master_seed": args.seed,
-    })
-    print(f"{args.command}: {len(points)} points -> {args.out} "
-          f"({time.monotonic() - t0:.1f}s, {failures} {failure_noun} failures, "
+    with _atomic_csv(args.out) as fh:
+        header, points = sweep(args, params)
+        for key, value in (("tool_version", __version__), ("numpy_version", np.__version__),
+                           ("scenario_digest", digest), ("master_seed", args.seed)):
+            fh.write(f"# {key}={value}\n")
+        for row in [header, *_csv_rows(header, points)]:
+            fh.write(row + "\n")
+    print(f"{args.command}: {len(points)} points -> {args.out} ({time.monotonic() - t0:.1f}s, "
+          f"{sum(p.failures for p in points)} {failure_noun} failures, "
           f"digest {digest[:12]})")
     return EXIT_OK
 
 
 def _ber_sweep(args, params: SystemParams):
     sweep_var, values = _parse_sweep(args.sweep)
+    if sweep_var == SWEEP_PS and args.ps is not None:
+        raise ConfigError("--ps sets the Ps of a bdpr sweep, not of a ps sweep, whose points "
+                          "set their own", fields=("ps",))
     spec = SweepSpec(scenario=params, sweep_var=sweep_var, values=values,
                      modes=tuple(m.strip() for m in args.modes.split(",")),
                      threshold_policy=args.threshold_policy, n_frames=args.frames,
                      n_realizations=args.realizations, master_seed=args.seed,
                      fixed_bdpr_db=args.bdpr)
-    points = run_sweep(spec, workers=args.workers)
-    return BER_CSV_HEADER, points, sum(p.failures for p in points)
+    return BER_CSV_HEADER, run_sweep(spec, workers=args.workers)
 
 
 def _pilot_sweep(args, params: SystemParams):
@@ -159,9 +160,9 @@ def _pilot_sweep(args, params: SystemParams):
     except ValueError as exc:
         raise ConfigError("--fractions must be comma-separated numbers, got pilot_fraction "
                           f"{args.fractions!r}", fields=("pilot_fraction",)) from exc
-    points = run_pilot_sweep(params, fractions, mode=args.mode, n_realizations=args.realizations,
-                             n_frames=args.frames, master_seed=args.seed, workers=args.workers)
-    return PILOT_CSV_HEADER, points, sum(p.failures for p in points)
+    return PILOT_CSV_HEADER, run_pilot_sweep(
+        params, fractions, mode=args.mode, n_realizations=args.realizations,
+        n_frames=args.frames, master_seed=args.seed, workers=args.workers)
 
 
 def cmd_verify(args) -> int:
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the published parameter set")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--ps", type=float, default=None,
-                       help="override source power in dBm")
+                       help="override source power in dBm (not with a ps sweep)")
         if sweep:
             p.add_argument("--workers", type=int, default=1,
                            help="parallel workers (does not affect results)")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -103,6 +104,18 @@ def is_int_in(value, lo, hi) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
+def is_finite_real(value) -> bool:
+    """True for a finite real number (not a bool) within the float range, a
+    numpy scalar too: NaN, inf, 10**400, True and "1" are not."""
+    if type(value) is float:    # the common case, ahead of the slower numbers.Real test
+        return math.isfinite(value)
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
 def check_int(value, lo, hi, field: str) -> None:
     """Reject anything but an int (not a bool) in lo..hi, naming the field.
     A seed takes 0..math.inf: numpy's SeedSequence takes only nonnegative
@@ -154,9 +167,15 @@ class SystemParams:
     pilot_fraction: float = 0.0
 
     def __post_init__(self):
-        bad = [f.name for f in fields(self)
-               if f.name not in _INT_FIELDS and not math.isfinite(getattr(self, f.name))]
-        limits = []
+        # the type rule of every scenario value, however the scenario is built
+        bad = [name for name in _FLOAT_FIELDS if not is_finite_real(getattr(self, name))]
+        limits = [f"finite real {', '.join(bad)}"] if bad else []
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if name in bad or type(value) is not float:
+                # an int or a numpy scalar is kept as its float, and a rejected value
+                # (this instance raises below) as NaN, which the range checks can compare
+                object.__setattr__(self, name, math.nan if name in bad else float(value))
         for name, cap in _DB_CAPS.items():
             if getattr(self, name) > cap:
                 bad.append(name)
@@ -173,7 +192,7 @@ class SystemParams:
         if isinstance(k, int) and isinstance(n, int) and k * n > MAX_FRAME_SAMPLES:
             bad += ["k_symbols", "n_samples"]
             limits.append(f"k_symbols * n_samples <= {MAX_FRAME_SAMPLES}")
-        for name in ("v0", "vst", "vtr"):
+        for name in ("beta1", "v0", "vst", "vtr"):
             if not getattr(self, name) > 0:
                 bad.append(name)
         for r, v in (("r0", "v0"), ("rst", "vst"), ("rtr", "vtr")):
@@ -186,14 +205,10 @@ class SystemParams:
         elif (self.pilot_fraction > 0.0 and "k_symbols" not in bad
               and not valid_pilot_count(self.k_train)):
             bad.append("pilot_fraction")
-        if not self.beta1 > 0:
-            bad.append("beta1")
         if bad:
             bad = list(dict.fromkeys(bad))
             need = f" (need {'; '.join(limits)})" if limits else ""
-            raise ConfigError(
-                f"invalid parameter value(s): {', '.join(bad)}{need}", fields=bad
-            )
+            raise ConfigError(f"invalid parameter value(s): {', '.join(bad)}{need}", fields=bad)
 
     # Derived linear-scale quantities, each computed once per instance (the
     # sweeps read them per realization); `replace` builds a new instance, so a
@@ -250,7 +265,8 @@ PAPER_DEFAULTS = {
 }
 
 _FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
-_INT_FIELDS = {"n_samples", "k_symbols"}
+_INT_FIELDS = ("n_samples", "k_symbols")
+_FLOAT_FIELDS = tuple(name for name in _FIELD_NAMES if name not in _INT_FIELDS)
 _DB_CAPS = {"n_ar_dbm": MAX_DBM, "n_at_dbm": MAX_DBM, "n_cov_dbm": MAX_DBM,
             "ps_dbm": MAX_DBM, "alpha_db": MAX_ALPHA_DB}
 _FLOORS = {"alpha_db": MIN_ALPHA_DB, "r0": MIN_DISTANCE_M, "rst": MIN_DISTANCE_M,
@@ -262,8 +278,8 @@ def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:
 
     Unknown keys are rejected. With `paper_defaults` (flag, or a
     "paper_defaults" key in the document, which must be a boolean) missing
-    keys fall back to the published values; otherwise every field must be
-    present.
+    keys fall back to the published values; otherwise every field but
+    pilot_fraction must be present. SystemParams judges every value.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario document must be a mapping, got {type(doc).__name__}")
@@ -283,27 +299,9 @@ def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:
     missing = sorted(set(_FIELD_NAMES) - set(values) - {"pilot_fraction"})
     if missing:
         raise ConfigError(f"missing scenario key(s): {', '.join(missing)}", fields=missing)
-    values.setdefault("pilot_fraction", 0.0)
-
-    bad_types = []
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            bad_types.append(name)
-        elif name in _INT_FIELDS:
-            if isinstance(value, float) and not value.is_integer():   # also nan, inf
-                bad_types.append(name)
-            else:
-                values[name] = int(value)
-        else:
-            try:
-                values[name] = float(value)
-            except OverflowError:   # an integer beyond the float range
-                values[name] = math.inf
-    if bad_types:
-        raise ConfigError(
-            f"wrong type for scenario key(s): {', '.join(sorted(bad_types))}",
-            fields=sorted(bad_types),
-        )
+    for name in _INT_FIELDS:    # a JSON number of an integer, e.g. 75.0 for N
+        if isinstance(values[name], float) and values[name].is_integer():
+            values[name] = int(values[name])
     return SystemParams(**values)
 
 

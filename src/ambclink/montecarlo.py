@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .channel import aligned_channel, draw_channels
 from .config import (LNA, MAX_BDPR_DB, MAX_WORKERS, MODES, NO_LNA, SystemParams, check_in,
-                     check_int, check_mode, check_trials, valid_pilot_count)
+                     check_int, check_mode, check_trials, is_finite_real, valid_pilot_count)
 from .errors import ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_lna_variates, energies_from_variates
@@ -229,10 +229,6 @@ class SweepSpec:
         check_in(self.sweep_var, (SWEEP_PS, SWEEP_BDPR), "sweep_var")
         for mode in self.modes:
             check_mode(mode, "modes")
-        for name, items in (("values", self.values), ("modes", self.modes)):
-            if not items or len(set(items)) < len(items):
-                raise ConfigError(f"{name} must be nonempty without repeats, got {items!r}",
-                                  fields=(name,))
         check_in(self.threshold_policy, POLICIES, "threshold_policy")
         k_train, k_symbols = self.scenario.k_train, self.scenario.k_symbols
         if (self.threshold_policy == ESTIMATED_POLICY
@@ -247,14 +243,18 @@ class SweepSpec:
                               fields=("fixed_bdpr_db",))
         field, bdprs = (("values", self.values) if self.sweep_var == SWEEP_BDPR
                         else ("fixed_bdpr_db", pinned))
-        bad = [b for b in bdprs if not (math.isfinite(b) and abs(b) <= MAX_BDPR_DB)]
+        bad = [b for b in bdprs if not (is_finite_real(b) and abs(b) <= MAX_BDPR_DB)]
         if bad:
             raise ConfigError(f"bdpr must be finite and within +-{MAX_BDPR_DB:g} dB, got "
                               f"{field} {bad[0]!r}", fields=(field,))
+        points = self.operating_points   # SystemParams judges each Ps here, before any draw
+        for name, items in (("values", self.values), ("modes", self.modes)):
+            if not items or len(set(items)) < len(items):
+                raise ConfigError(f"{name} must be nonempty without repeats, got {items!r}",
+                                  fields=(name,))
         check_trials(self.n_realizations, self.n_frames, self.scenario.k_symbols,
                      runs=len(self.values) * len(self.modes))
         check_int(self.master_seed, 0, math.inf, "master_seed")
-        points = self.operating_points   # a Ps out of range raises here, before any draw
         if bdprs:
             _check_bdpr_reach(self.scenario, points, self.modes, field)
 
@@ -263,8 +263,7 @@ class SweepSpec:
         """(params, bdpr_db) of each sweep value: the scenario at the point's
         Ps, and the BDPR target (None keeps each draw's own)."""
         if self.sweep_var == SWEEP_PS:
-            return [(replace(self.scenario, ps_dbm=float(v)), self.fixed_bdpr_db)
-                    for v in self.values]
+            return [(replace(self.scenario, ps_dbm=v), self.fixed_bdpr_db) for v in self.values]
         return [(self.scenario, float(v)) for v in self.values]
 
 
@@ -465,16 +464,15 @@ def run_pilot_sweep(
     """
     check_mode(mode)
     check_int(master_seed, 0, math.inf, "master_seed")
-    if not fractions or any(frac <= 0 for frac in fractions):    # 0 reads as "no pilots"
-        raise ConfigError("pilot fractions must be a nonempty list of values > 0, "
-                          f"got pilot_fraction {tuple(fractions)!r}", fields=("pilot_fraction",))
-    per_fraction = [replace(params, pilot_fraction=float(frac)) for frac in fractions]
+    per_fraction = [replace(params, pilot_fraction=frac) for frac in fractions]
     k_trains = tuple(p.k_train for p in per_fraction)
-    # the pilot count is what a fraction estimates from: two fractions of one
-    # count, repeated or only rounded together, would write one row twice
-    if len(set(k_trains)) < len(k_trains):
-        raise ConfigError(f"pilot fractions must give distinct pilot counts, got pilot_fraction "
-                          f"{tuple(fractions)!r} (k_train {k_trains})", fields=("pilot_fraction",))
+    # the pilot count is what a fraction estimates from: 0 pilots (a fraction
+    # of 0) estimate nothing, and two fractions of one count, repeated or only
+    # rounded together, would write one row twice
+    if not k_trains or 0 in k_trains or len(set(k_trains)) < len(k_trains):
+        raise ConfigError("pilot fractions must be a nonempty list of values > 0 of distinct "
+                          f"pilot counts, got pilot_fraction {tuple(fractions)!r} (k_train "
+                          f"{k_trains})", fields=("pilot_fraction",))
     check_trials(n_realizations, n_frames, max(k_trains))
     tasks = [(params, mode, k_trains, n_frames, master_seed, r0, realizations)
              for r0, realizations in _blocks(range(n_realizations), n_frames * max(k_trains))]

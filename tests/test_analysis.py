@@ -151,14 +151,16 @@ class TestMoments:
         with pytest.raises(ModelValidityError):
             nolna_moments(-1.0, 1.0, 1)
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, math.nan, True])
     @pytest.mark.parametrize("moments", [
         lambda n: lna_moments(1.0, 1.0, 0.0, 1.0, n),
         lambda n: nolna_moments(1.0, 1.0, n),
     ], ids=["lna", "no_lna"])
     def test_nonpositive_n_samples_rejected(self, moments, n_samples):
-        # one rule for both modes: no ZeroDivisionError, no negative variance
-        with pytest.raises(ModelValidityError, match=f"n_samples must be >= 1, got {n_samples}"):
+        # one rule for both modes (config.is_int_in): no ZeroDivisionError, no
+        # negative variance, no moments of a fractional N, a NaN N named as N
+        with pytest.raises(ModelValidityError,
+                           match=f"^n_samples must be an integer >= 1, got {n_samples!r}$"):
             moments(n_samples)
 
     def test_out_of_range_power_trips_guard(self, paper_params):

@@ -245,6 +245,7 @@ class TestPilotSweep:
     ("ber-sweep", ["--workers", "100000"], "workers"),
     ("pilot-sweep", ["--workers", str(MAX_WORKERS + 1)], "workers"),
     ("pilot-sweep", ["--workers", "100000"], "workers"),
+    ("ber-sweep", ["--ps", "5"], "--ps"),
 ], ids=["ber-realizations-0", "ber-frames-0", "ber-unknown-mode",
         "pilot-realizations-0", "pilot-frames-0", "pilot-fraction-0",
         "ber-estimated-without-pilots", "ber-ps-override-too-high",
@@ -258,7 +259,7 @@ class TestPilotSweep:
         "ber-realizations-over-cap", "pilot-realizations-over-cap",
         "ber-symbols-over-cap", "pilot-symbols-over-cap", "pilot-fractions-of-one-count",
         "ber-sweep-values-repeated", "ber-workers-over-cap", "ber-workers-huge",
-        "pilot-workers-over-cap", "pilot-workers-huge"])
+        "pilot-workers-over-cap", "pilot-workers-huge", "ber-ps-on-ps-sweep"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):
@@ -275,7 +276,26 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
-    assert not os.path.exists(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]   # no temp file
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "pilot-sweep"])
+def test_a_bad_out_fails_before_any_channel_is_drawn(tmp_path, capsys, monkeypatch, command):
+    def no_draw(*args):
+        raise AssertionError("channel drawn")
+    monkeypatch.setattr(ambclink.montecarlo, "draw_channels", no_draw)
+    scenario = _scenario_file(tmp_path, k_symbols=200)
+    base = [command, "--scenario", scenario, *FAST,
+            *(["--sweep", "ps:0:10:10"] if command == "ber-sweep" else [])]
+    missing = str(tmp_path / "no" / "x.csv")
+    assert main([*base, "--out", missing]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    # the scenario loads first: a bad value in it is still a validation error
+    assert main([*base, "--ps", "1e5", "--out", missing]) == EXIT_VALIDATION
+    # a run that fails mid-sweep leaves no temp file behind
+    with pytest.raises(AssertionError, match="channel drawn"):
+        main([*base, "--out", str(tmp_path / "x.csv")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
@@ -328,6 +348,8 @@ _DIGEST_OPTIONS = {
         "realizations": ("2", "3"), "ps": (None, "5"),
     },
 }
+# the other options an option's second value needs: --ps is rejected on a ps sweep
+_DIGEST_CONTEXT = {("ber-sweep", "ps"): {"sweep": "bdpr:-30:-10:20"}}
 
 
 @pytest.mark.parametrize("command", list(_DIGEST_OPTIONS))
@@ -352,7 +374,8 @@ def test_the_digest_covers_every_option(tmp_path, command):
     assert hashed == set(options)
     base = digest()
     for name, (_, other) in options.items():
-        assert digest(**{name: other}) != base, name
+        context = _DIGEST_CONTEXT.get((command, name), {})
+        assert digest(**context, **{name: other}) != (digest(**context) if context else base), name
     assert digest(out="elsewhere.csv", workers="2") == base
 
 

@@ -110,6 +110,11 @@ class TestLoadScenario:
         with pytest.raises(ConfigError) as ei:
             load_scenario({"paper_defaults": True, "beta1": "56.23"})
         assert "beta1" in ei.value.fields
+        # a value of the wrong type is named with every other bad value
+        with pytest.raises(ConfigError) as ei:
+            load_scenario({"paper_defaults": True, "beta1": "56.23", "k_symbols": "a",
+                           "r0": 0.5})
+        assert set(ei.value.fields) == {"beta1", "k_symbols", "r0"}
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
@@ -166,6 +171,9 @@ class TestSystemParams:
         for field, bad in (
             ("n_samples", 0), ("k_symbols", 0), ("r0", 0.0), ("v0", -1.0),
             ("pilot_fraction", 1.0), ("pilot_fraction", -0.1),
+            # the one type rule judges a replace() as it judges a load
+            ("ps_dbm", None), ("beta1", "56"), ("ps_dbm", 10 ** 400), ("beta3", 10 ** 400),
+            ("ps_dbm", True), ("pilot_fraction", np.bool_(False)), ("k_symbols", 100.0),
         ):
             with pytest.raises(ConfigError) as ei:
                 replace(paper_params, **{field: bad})
@@ -318,17 +326,36 @@ _SCALARS = st.one_of(
 )
 
 
+_DOCS = st.dictionaries(st.sampled_from([f.name for f in fields(SystemParams)]),
+                       st.one_of(_SCALARS, st.floats().map(np.float64),
+                                 st.integers(-5, 5).map(np.int64)), max_size=5)
+
+
 @settings(max_examples=300, deadline=None)
-@given(doc=st.dictionaries(st.sampled_from([f.name for f in fields(SystemParams)]),
-                           _SCALARS, max_size=5))
+@given(doc=_DOCS)
 def test_load_rejects_or_returns_finite_in_range_fields(doc):
     try:
         p = load_scenario({"paper_defaults": True, **doc})
     except ConfigError as exc:
         assert exc.fields
         return
+    _assert_finite_in_range(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_direct_construction_rejects_or_returns_finite_in_range_fields(doc):
+    try:
+        p = SystemParams(**{**PAPER_DEFAULTS, **doc})
+    except ConfigError as exc:
+        assert exc.fields
+        return
+    _assert_finite_in_range(p)
+
+
+def _assert_finite_in_range(p):
     for name in _FLOAT_FIELDS:
-        assert math.isfinite(getattr(p, name))
+        assert type(getattr(p, name)) is float and math.isfinite(getattr(p, name))
     for name in ("ps_dbm", "n_ar_dbm", "n_at_dbm", "n_cov_dbm"):
         assert getattr(p, name) <= MAX_DBM
     assert MIN_ALPHA_DB <= p.alpha_db <= MAX_ALPHA_DB

@@ -231,8 +231,12 @@ class TestSweepSpec:
         ({"sweep_var": SWEEP_BDPR, "values": (-10.0, 300.0)}, "values"),
         ({"sweep_var": SWEEP_BDPR, "values": (math.nan,)}, "values"),
         ({"sweep_var": SWEEP_BDPR, "fixed_bdpr_db": -20.0}, "fixed_bdpr_db"),
+        ({"fixed_bdpr_db": "x"}, "fixed_bdpr_db"),
+        ({"fixed_bdpr_db": True}, "fixed_bdpr_db"),
+        ({"sweep_var": SWEEP_BDPR, "values": ("a",)}, "values"),
+        ({"sweep_var": SWEEP_BDPR, "values": (0.0, 10 ** 400)}, "values"),
     ], ids=["nan", "-inf", "above-bound", "huge", "sweep-above-bound", "sweep-nan",
-            "pinned-in-bdpr-sweep"])
+            "pinned-in-bdpr-sweep", "str", "bool", "sweep-str", "sweep-huge-int"])
     def test_bad_bdpr_rejected_before_any_channel_is_drawn(self, paper_params,
                                                            monkeypatch, changes, field):
         def no_draw(*args):
@@ -301,8 +305,10 @@ class TestSweepSpec:
         *BAD_COUNTS,
         ({"workers": 2.5}, ("workers",)),
         ({"workers": True}, ("workers",)),
+        *[({"values": (0.0, bad)}, ("ps_dbm",)) for bad in ("a", None, 10 ** 400, True)],
     ], ids=["repeated-mode", "repeated-value", "realizations-over-cap", "symbols-over-cap",
-            "symbols-over-cap-by-points", *BAD_COUNT_IDS, "workers-float", "workers-bool"])
+            "symbols-over-cap-by-points", *BAD_COUNT_IDS, "workers-float", "workers-bool",
+            "ps-str", "ps-none", "ps-huge-int", "ps-bool"])
     def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
             self, paper_params, monkeypatch, changes, fields):
         def no_draw(*args):
@@ -751,8 +757,10 @@ def _pilot_sweep(fractions=(0.2,), n_realizations=1, n_frames=1, master_seed=0):
     (_pilot_sweep((0.1, 0.1000000001)), ("pilot_fraction",)),
     *[(_pilot_sweep(**changes), fields) for changes, fields in BAD_COUNTS],
     (partial(ambclink.verify.run_all_checks, seed=math.nan), ("seed",)),
+    *[(_pilot_sweep((0.2, bad)), ("pilot_fraction",)) for bad in ("a", None, 10 ** 400)],
 ], ids=["repeated-fraction", "realizations-over-cap", "symbols-over-cap",
-        "fractions-of-one-pilot-count", *BAD_COUNT_IDS, "verify-seed-nan"])
+        "fractions-of-one-pilot-count", *BAD_COUNT_IDS, "verify-seed-nan",
+        "fraction-str", "fraction-none", "fraction-huge-int"])
 def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
         paper_params, monkeypatch, run, fields):
     # K = 100: the largest fraction, 0.2, draws 20 pilots per frame; 0.1 and
@@ -765,6 +773,21 @@ def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
     with pytest.raises(ConfigError) as ei:
         run(paper_params)
     assert ei.value.fields == fields
+
+
+def test_numpy_scalars_give_the_rows_of_python_floats(paper_params):
+    # SystemParams keeps an accepted numpy scalar as its float: same rows
+    p = replace(paper_params, k_symbols=40, n_samples=25)
+    runs = {SWEEP_PS: np.arange(0.0, 20.0, 10.0), SWEEP_BDPR: np.arange(-30, -9, 10)}
+    for sweep_var, grid in runs.items():
+        rows = [repr(run_sweep(SweepSpec(scenario=p, sweep_var=sweep_var, values=values,
+                                         n_realizations=3, master_seed=5)))
+                for values in (tuple(grid), tuple(grid.tolist()))]
+        assert rows[0] == rows[1]
+    rows = [repr(run_pilot_sweep(p, fractions, LNA, n_realizations=2, n_frames=2,
+                                 master_seed=5))
+            for fractions in ((np.float64(0.1), np.float64(0.2)), (0.1, 0.2))]
+    assert rows[0] == rows[1]
 
 
 class TestPool:
