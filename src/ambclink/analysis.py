@@ -45,22 +45,23 @@ class HypothesisMoments(namedtuple("HypothesisMoments", "delta0 delta1 var0 var1
         return cls(*iterable)
 
 
-def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> float:
-    """Effective additive noise power; the tag-noise path is gated by d."""
+def noise_levels(params: SystemParams, htr_abs2, mode: str) -> tuple:
+    """Effective additive noise power under bits 0 and 1; the bit gates the tag noise."""
     check_mode(mode)
-    tag = params.alpha_amp ** 2 * htr_abs2 * params.n_at * d
-    if mode == NO_LNA:
-        return params.n_ar + params.n_cov + tag
-    b1sq = params.beta1 ** 2
-    return b1sq * params.n_ar + params.n_cov + b1sq * tag
+    a2 = 1.0 if mode == NO_LNA else params.beta1 ** 2     # the receiver's power gain
+    floor = a2 * params.n_ar + params.n_cov
+    tag = params.alpha_amp ** 2 * htr_abs2 * params.n_at   # times 0 keeps its shape, and NaN
+    return floor + a2 * (tag * 0), floor + a2 * (tag * 1)
+
+
+def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> float:
+    """Effective additive noise power under bit d, 0 or 1 (noise_levels)."""
+    return noise_levels(params, htr_abs2, mode)[d]
 
 
 def _checked_moments(p, n_samples: int, sums, *args):
-    """(mean, var_sum / N) of sums(p, *args) for both moment forms: a float
-    call raises where p < 0 or they are not finite with var > 0, an array call
-    marks such an element NaN, and both raise where N is not an integer >= 1."""
-    if not is_int_in(n_samples, 1, math.inf):
-        raise ModelValidityError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    """(mean, var_sum / N) of sums(p, *args) for both moment forms: a float call
+    raises where p < 0 or they are not finite with var > 0, an array call marks that element NaN."""
     if isinstance(p, np.ndarray):   # an element that overflows is marked NaN, quietly
         with np.errstate(over="ignore", invalid="ignore"):
             mean, var_sum = sums(p, *args)
@@ -76,6 +77,12 @@ def _checked_moments(p, n_samples: int, sums, *args):
         raise ModelValidityError(f"moments ({mean}, {var}) invalid at P={p}: "
                                  "input power beyond the model's numeric range")
     return mean, var
+
+
+def _checked_n(n_samples: int) -> int:     # SystemParams checks its own N
+    if not is_int_in(n_samples, 1, math.inf):
+        raise ModelValidityError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    return n_samples
 
 
 def _lna_sums(p, b1: float, b3: float, n_aw):
@@ -103,7 +110,7 @@ def _lna_sums(p, b1: float, b3: float, n_aw):
 
 def lna_moments(p, beta1: float, beta3: float, n_aw, n_samples: int):
     """Mean and variance of the energy statistic behind an LNA front end."""
-    return _checked_moments(p, n_samples, _lna_sums, beta1, beta3, n_aw)
+    return _checked_moments(p, _checked_n(n_samples), _lna_sums, beta1, beta3, n_aw)
 
 
 def _nolna_sums(p, n_w):
@@ -113,31 +120,31 @@ def _nolna_sums(p, n_w):
 
 def nolna_moments(p, n_w, n_samples: int):
     """Mean and variance of the energy statistic without an LNA."""
-    return _checked_moments(p, n_samples, _nolna_sums, n_w)
+    return _checked_moments(p, _checked_n(n_samples), _nolna_sums, n_w)
 
 
 def level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:
     """Closed-form moments of both hypotheses at input power power[d] and
     d-gated noise power noise[d] under bit d, floats or arrays."""
     check_mode(mode)
-    b1, b3, n = params.beta1, params.beta3, params.n_samples
-    if mode == LNA:
-        d0, v0 = lna_moments(power[0], b1, b3, noise[0], n)
-        d1, v1 = lna_moments(power[1], b1, b3, noise[1], n)
-    else:
-        d0, v0 = nolna_moments(power[0], noise[0], n)
-        d1, v1 = nolna_moments(power[1], noise[1], n)
-    return HypothesisMoments(d0, d1, v0, v1)
+    return _level_moments(params, power, noise, mode)
 
 
-def hypothesis_moments(
-    params: SystemParams, real: ChannelRealization, mode: str
-) -> HypothesisMoments:
+def _level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:
+    # level_moments, the mode checked by the caller
+    sums, gains = (_lna_sums, (params.beta1, params.beta3)) if mode == LNA else (_nolna_sums, ())
+    d0, v0 = _checked_moments(power[0], params.n_samples, sums, *gains, noise[0])
+    d1, v1 = _checked_moments(power[1], params.n_samples, sums, *gains, noise[1])
+    if isinstance(d0, np.ndarray):   # an element that fails under one bit fails under both
+        return HypothesisMoments(d0, d1, v0, v1)
+    return tuple.__new__(HypothesisMoments, (d0, d1, v0, v1))  # floats checked just now
+
+
+def hypothesis_moments(params: SystemParams, real: ChannelRealization,
+                       mode: str) -> HypothesisMoments:
     """Closed-form moments for both hypotheses of one channel realization."""
-    ht2 = real.htr_abs2
-    return level_moments(params, (real.p0, real.p1),
-                         (noise_power(params, ht2, 0, mode), noise_power(params, ht2, 1, mode)),
-                         mode)
+    return _level_moments(params, (real.p0, real.p1),
+                          noise_levels(params, real.htr_abs2, mode), mode)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -258,7 +265,4 @@ def deflection_lna_approx(
 
 def dc_noise_powers(params: SystemParams, htr_abs2: float):
     """(n_w, n_aw) for the deflection coefficients: tag-noise term ungated."""
-    return (
-        noise_power(params, htr_abs2, 1, NO_LNA),
-        noise_power(params, htr_abs2, 1, LNA),
-    )
+    return noise_levels(params, htr_abs2, NO_LNA)[1], noise_levels(params, htr_abs2, LNA)[1]

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,8 +11,7 @@ from .config import SystemParams
 from .errors import UndefinedRatioError
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(NamedTuple):
     """One coherence interval's channel state.
 
     h1 = h0 + alpha_amp * hst * htr; p_i = |h_i|^2 * Ps (watts).
@@ -26,7 +24,7 @@ class ChannelRealization:
     p0: float
     p1: float
 
-    @cached_property
+    @property
     def htr_abs2(self) -> float:
         return abs(self.htr) ** 2
 
@@ -46,19 +44,15 @@ class ChannelRealization:
 def _compose(params: SystemParams, h0: complex, hst: complex, htr: complex) -> ChannelRealization:
     h1 = h0 + params.alpha_amp * hst * htr
     ps = params.ps
-    return ChannelRealization(
-        h0=h0, hst=hst, htr=htr, h1=h1,
-        p0=abs(h0) ** 2 * ps, p1=abs(h1) ** 2 * ps,
-    )
+    return ChannelRealization(h0, hst, htr, h1, abs(h0) ** 2 * ps, abs(h1) ** 2 * ps)
 
 
 def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
     """Draw h0, hst, htr independently from CN(0, r^-v): real, then imaginary
-    part of each, scaled from one call of six standard normals (the values of
-    six `rng.normal(0, s)` calls, which compute 0 + s*z)."""
+    part of each, scaled by params.cn_scales from one call of six standard
+    normals (the values of six `rng.normal(0, s)` calls, which compute 0 + s*z)."""
     x0, y0, xst, yst, xtr, ytr = rng.standard_normal(6).tolist()
-    s0, sst, s_tr = (math.sqrt(r ** -v / 2.0) for r, v in
-                     ((params.r0, params.v0), (params.rst, params.vst), (params.rtr, params.vtr)))
+    s0, sst, s_tr = params.cn_scales
     return _compose(params, complex(s0 * x0, s0 * y0), complex(sst * xst, sst * yst),
                     complex(s_tr * xtr, s_tr * ytr))
 

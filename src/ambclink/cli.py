@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from functools import partial
@@ -106,8 +105,9 @@ def _atomic_csv(path: str):
     """A text file that replaces `path` when the block ends without error: a
     temp file in the target directory, so a bad path fails before the
     block's work, renamed into place, or removed on any failure."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.part")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"{os.urandom(8).hex()}.csv.part")
+    # created as open() creates a file, mode 0o666 less the umask (mkstemp's is 0o600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

@@ -74,12 +74,12 @@ MAX_BDPR_DB = 200.0
 MAX_K_SYMBOLS = 10 ** 6
 MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7
-# Each block draws its own channels, 29 us per realization (paper defaults,
-# 2-vCPU Xeon), so the realization cap is 29 s of channel draws spread over
-# the blocks, with no table held. The LNA sampler draws about 1 M symbols/s
-# (N = 75; 0.9 to 1.1 M measured). The symbol cap counts every point and mode,
-# though a block draws once for all of them, so it bounds the sampling at 15 to
-# 20 minutes per worker, and the cheaper per-point arithmetic too.
+# Each block draws its own channels, 19 us per realization seeded, drawn and
+# composed (paper defaults, 2-vCPU Xeon), so the realization cap is 19 s of
+# channel draws spread over the blocks, with no table held. The LNA sampler
+# draws about 1 M symbols/s (N = 75; 0.9 to 1.1 M measured). The symbol cap
+# counts every point and mode, though a block draws once for all of them, so it
+# bounds the sampling at 15 to 20 minutes per worker, and the per-point arithmetic.
 MAX_REALIZATIONS = 10 ** 6
 MAX_SWEEP_SYMBOLS = 10 ** 9
 # A sweep's process pool starts all its workers at its first task (on Linux it
@@ -233,6 +233,12 @@ class SystemParams:
     @cached_property
     def n_cov(self) -> float:
         return dbm_to_watts(self.n_cov_dbm)
+
+    @cached_property
+    def cn_scales(self) -> tuple:
+        """Scale of the real and imaginary parts of h0, hst, htr ~ CN(0, r^-v)."""
+        return tuple(math.sqrt(r ** -v / 2.0) for r, v in
+                     ((self.r0, self.v0), (self.rst, self.vst), (self.rtr, self.vtr)))
 
     @property
     def k_train(self) -> int:

@@ -27,7 +27,7 @@ from .analysis import (
     hypothesis_moments,
     level_moments,
     near_optimal_threshold,
-    noise_power,
+    noise_levels,
 )
 from .channel import aligned_channel, draw_channels
 from .config import (LNA, MAX_BDPR_DB, MAX_WORKERS, MODES, NO_LNA, SystemParams, check_in,
@@ -116,7 +116,7 @@ def _levels(params, cases, mode):
     power of each realization."""
     power = np.stack([gains[:2] * ps for ps, gains in cases], axis=1)[..., None]
     ht2 = np.stack([gains[2] for _, gains in cases])[..., None]
-    return power, np.stack([noise_power(params, ht2, d, mode) for d in (0, 1)])
+    return power, np.stack(noise_levels(params, ht2, mode))
 
 
 class _ModeGroup:
@@ -226,6 +226,9 @@ class SweepSpec:
     fixed_bdpr_db: float | None = None  # pin BDPR during a ps sweep
 
     def __post_init__(self):
+        for name, items in (("values", self.values), ("modes", self.modes)):
+            if not isinstance(items, (tuple, list)):    # a string would be read letter by letter
+                raise ConfigError(f"{name} must be a tuple or a list, got {items!r}", fields=(name,))
         check_in(self.sweep_var, (SWEEP_PS, SWEEP_BDPR), "sweep_var")
         for mode in self.modes:
             check_mode(mode, "modes")

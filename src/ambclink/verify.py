@@ -69,10 +69,8 @@ def check_moments_vs_montecarlo(
         raise ValueError(f"n_samples_mc must be >= 2 for a sample variance, got {n_samples_mc}")
     rng = np.random.default_rng(seed)
     real = draw_channels(params, rng)
-    n_aw = analysis.noise_power(params, real.htr_abs2, 1, LNA)
-    mean_c, var_c = analysis.lna_moments(
-        real.p1, params.beta1, params.beta3, n_aw, 1
-    )
+    n_aw = analysis.noise_levels(params, real.htr_abs2, LNA)[1]
+    mean_c, var_c = analysis.lna_moments(real.p1, params.beta1, params.beta3, n_aw, 1)
     # per-sample moments of |y|^2 with d[k] = 1 throughout
     p = replace(params, k_symbols=1, n_samples=1, pilot_fraction=0.0)
     sq_sum = 0.0
@@ -162,7 +160,7 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
             ref = np.concatenate([
                 generate_frame(point, real, chunk_bits, rng, mode) for _ in range(k_ref // chunk)
             ])
-            noise = [analysis.noise_power(point, real.htr_abs2, d, mode) for d in (0, 1)]
+            noise = analysis.noise_levels(point, real.htr_abs2, mode)
             fast = draw_energies(point, fast_bits, (real.p0, real.p1), noise, rng, mode)
             for d in (0, 1):
                 a, b = ref[ref_bits == d], fast[fast_bits == d]

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,18 @@ class TestDrawChannels:
         b = _draw_many(paper_params, 55, n=50)
         for ra, rb in zip(a, b):
             assert ra == rb
+
+
+def test_a_realization_is_an_immutable_value(paper_params):
+    # built by keyword, equal to its pickled copy, and neither a field nor the
+    # derived |htr|^2 can be set
+    real = draw_channels(paper_params, np.random.default_rng(3))
+    assert ChannelRealization(h0=real.h0, hst=real.hst, htr=real.htr, h1=real.h1,
+                              p0=real.p0, p1=real.p1) == real
+    assert pickle.loads(pickle.dumps(real)) == real
+    for name in ("h0", "p1", "htr_abs2", "other"):
+        with pytest.raises(AttributeError):
+            setattr(real, name, 0.0)
 
 
 class TestBdpr:

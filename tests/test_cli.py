@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -160,6 +161,19 @@ class TestBerSweep:
                    *SMALL_SWEEP, *FAST])
         assert rc == EXIT_IO
         assert not os.path.exists(out)
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_csv_takes_the_mode_open_gives(self, tmp_path):
+        # 0o666 less the umask, as open() creates a file, not mkstemp's 0o600
+        out = tmp_path / "ber.csv"
+        umask = os.umask(0o022)
+        try:
+            rc = main(["ber-sweep", "--scenario", _scenario_file(tmp_path), "--out", str(out),
+                       *SMALL_SWEEP, *FAST])
+        finally:
+            os.umask(umask)
+        assert rc == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_ps_override_with_bdpr_sweep(self, tmp_path):
         scenario = _scenario_file(tmp_path)

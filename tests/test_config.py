@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambclink import ConfigError, SystemParams, load_scenario, read_scenario
-from ambclink.analysis import hypothesis_moments, level_moments, noise_power
+from ambclink.analysis import hypothesis_moments, level_moments, noise_levels, noise_power
 from ambclink.config import (
     MAX_ALPHA_DB,
     MAX_DBM,
@@ -372,6 +372,7 @@ def _assert_finite_in_range(p):
 # every call that takes a receiver mode, on a fixed channel
 _MODE_CALLS = {
     "noise_power": lambda p, real, mode: noise_power(p, real.htr_abs2, 1, mode),
+    "noise_levels": lambda p, real, mode: noise_levels(p, real.htr_abs2, mode),
     "level_moments": lambda p, real, mode: level_moments(p, (real.p0, real.p1),
                                                          (p.n_ar, p.n_ar), mode),
     "hypothesis_moments": hypothesis_moments,

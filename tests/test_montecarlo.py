@@ -210,6 +210,8 @@ class TestSweepSpec:
             SweepSpec(**{**good, "values": ()})
         with pytest.raises(ValueError):
             SweepSpec(**{**good, "modes": ("amp",)})
+        with pytest.raises(ConfigError, match="^modes must be a tuple or a list, got 'lna'$"):
+            SweepSpec(**{**good, "modes": LNA})
         with pytest.raises(ValueError):
             SweepSpec(**{**good, "threshold_policy": "guess"})
         with pytest.raises(ValueError):
@@ -306,9 +308,13 @@ class TestSweepSpec:
         ({"workers": 2.5}, ("workers",)),
         ({"workers": True}, ("workers",)),
         *[({"values": (0.0, bad)}, ("ps_dbm",)) for bad in ("a", None, 10 ** 400, True)],
+        ({"values": np.arange(0.0, 20.0, 10.0)}, ("values",)),
+        ({"values": "05"}, ("values",)),
+        ({"modes": LNA}, ("modes",)),
     ], ids=["repeated-mode", "repeated-value", "realizations-over-cap", "symbols-over-cap",
             "symbols-over-cap-by-points", *BAD_COUNT_IDS, "workers-float", "workers-bool",
-            "ps-str", "ps-none", "ps-huge-int", "ps-bool"])
+            "ps-str", "ps-none", "ps-huge-int", "ps-bool", "values-array", "values-str",
+            "modes-str"])
     def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
             self, paper_params, monkeypatch, changes, fields):
         def no_draw(*args):

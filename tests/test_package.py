@@ -61,7 +61,7 @@ def test_the_shared_closed_forms_use_operators_and_sqrt_alone():
     # or numpy's log or exp. noise_power is not among them: its powers act on
     # the scalar parameters alone, the same floats on either path.
     shared = {"HypothesisMoments", "_checked_moments", "lna_moments", "nolna_moments",
-              "level_moments", "hypothesis_moments", "_each", "q_function",
+              "level_moments", "_level_moments", "hypothesis_moments", "_each", "q_function",
               "ber_closed_form", "near_optimal_threshold", "_threshold"}
     found = set()
     for node in ast.parse(inspect.getsource(analysis)).body:
