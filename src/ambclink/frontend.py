@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import noise_levels
 from .channel import ChannelRealization
 from .config import NO_LNA, SystemParams, check_mode
 
 SAMPLER_CHUNK = 2 ** 15  # exponential samples the LNA sampler holds at once
+FRAME_BLOCK = 2 ** 13    # samples generate_frame computes at once, so its arrays stay in cache
 
 
 def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
@@ -31,11 +33,6 @@ def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
         )
     blocks = samples.reshape(-1, n_samples)
     return np.mean(np.abs(blocks) ** 2, axis=1)
-
-
-def _draw_cn_block(rng: np.random.Generator, variance: float, shape) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def generate_frame(
@@ -53,9 +50,15 @@ def generate_frame(
                 + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
     The cubic distortion acts on the noiseless signal component only. The
     three noises are independent circular Gaussians, so their sum is drawn
-    as one, CN(0, a^2 (n_ar + alpha^2 |htr|^2 d n_at) + n_cov) with a = beta1
-    (a = 1 without the LNA): s first, then one unit CN block scaled per
-    sample, 4 normals a sample.
+    as one, CN(0, a^2 n_ar + n_cov + a^2 alpha^2 |htr|^2 d n_at) with
+    a = beta1 (a = 1 without the LNA), the level of analysis.noise_levels:
+    s first, then one unit CN block scaled per sample, 4 normals a sample.
+
+    The samples sit on a (K, N) layout: each bit's g and noise SD are taken
+    once and broadcast over its symbol's N samples, and the arithmetic runs
+    in place, FRAME_BLOCK samples at a time. Every float operation has the
+    operands, in the order, of the per-sample expressions above (numpy
+    rounds g*s and s*g differently).
     """
     check_mode(mode)
     bits = np.asarray(bits)
@@ -64,25 +67,43 @@ def generate_frame(
     # checked before the cast, which would truncate 0.5 to a valid 0
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0/1 valued")
-    n = params.n_samples
-    total = bits.size * n
-    d = np.repeat(bits.astype(np.int64, copy=False), n)   # sample-level tag symbol
-    alpha = params.alpha_amp
-    g = real.h0 + alpha * real.hst * real.htr * d
+    d = bits.astype(np.int64, copy=False)[:, None]
+    g = real.h0 + params.alpha_amp * real.hst * real.htr * np.arange(2)   # under bits 0, 1
+    sigma = np.sqrt(noise_levels(params, real.htr_abs2, mode))
 
-    a = 1.0 if mode == NO_LNA else params.beta1
-    tag = alpha * alpha * real.htr_abs2 * params.n_at
-    sigma = np.sqrt([a * a * (params.n_ar + tag * b) + params.n_cov for b in (0, 1)])
+    z = rng.standard_normal((4, bits.size, params.n_samples))  # s's re, im; w's re, im
+    rows = max(1, FRAME_BLOCK // params.n_samples)
+    return np.concatenate([
+        _block_energies(params, mode, z[:, k:k + rows], g[d[k:k + rows]], sigma[d[k:k + rows]])
+        for k in range(0, bits.size, rows)])
 
-    s = _draw_cn_block(rng, params.ps, total)
-    w = sigma[d] * _draw_cn_block(rng, 1.0, total)
 
-    x = g * s
+def _block_energies(params: SystemParams, mode: str, z: np.ndarray, g: np.ndarray,
+                    sigma: np.ndarray) -> np.ndarray:
+    """The energies of a block of generate_frame's symbols, from their
+    normals z (4, rows, N) and each symbol's gain g and noise SD sigma
+    (rows, 1). z[0] is overwritten."""
+    s, w = (_cn(scale, z[i], z[i + 1]) for scale, i in
+            ((math.sqrt(params.ps / 2.0), 0), (math.sqrt(1.0 / 2.0), 2)))
+    np.multiply(sigma, w, out=w)
+    x = np.multiply(g, s, out=s)
     if mode == NO_LNA:
-        y = x + w
+        y = np.add(x, w, out=x)
     else:
-        y = params.beta1 * x + params.beta3 * x * np.abs(x) ** 2 + w
-    return symbol_energies(y, n)
+        cubic = np.multiply(params.beta3, x)
+        x2 = np.square(np.abs(x, out=z[0]), out=z[0])
+        np.multiply(cubic, x2, out=cubic)
+        y = np.multiply(params.beta1, x, out=x)
+        np.add(y, cubic, out=y)
+        np.add(y, w, out=y)
+    return np.mean(np.square(np.abs(y, out=z[0]), out=z[0]), axis=1)
+
+
+def _cn(scale: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """scale * (re + 1j*im), the circular Gaussian of standard normals re, im."""
+    out = np.multiply(1j, im)
+    np.add(re, out, out=out)
+    return np.multiply(scale, out, out=out)
 
 
 @dataclass(frozen=True)

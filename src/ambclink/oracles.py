@@ -57,40 +57,71 @@ def q_integral(x: float) -> float:
     return half * float(np.sum(np.exp(-0.5 * t * t) @ weights)) / math.sqrt(2.0 * math.pi)
 
 
+GRID_POINTS, CELL = 10_000, 33    # 303 cells; the cell ends 0, 33, ..., 9999 hold both grid ends
+
+
 def grid_min_threshold(m: HypothesisMoments):
     """Threshold minimizing the closed-form BER over a grid of 10 000.
 
     Grid spans [delta_min - 3 s_min, delta_max + 3 s_max]. Returns (T, BER)
-    at the first grid minimum. Q comes from scipy's erfc, not from
-    analysis.q_function, which this oracle checks.
+    at the first grid minimum: floats for moments of floats, arrays of one
+    tuple per element for moments of arrays, each element bit for bit the
+    float call's. Q comes from scipy's erfc, not from analysis.q_function,
+    which this oracle checks. The grid points are np.linspace's, i*step +
+    start with the last at stop.
 
     Only cells of 33 grid steps that can hold the minimum are evaluated.
     Q((g - lo)/s_lo) falls and Q((hi - g)/s_hi) rises along the grid, so their
     halves at a cell's right and left ends bound its BER from below; a cell
     whose bound exceeds the least BER at any cell end by more than 1e-12 (far
     above erfc's rounding) holds no minimum. The answer is the full grid's.
+    An array call takes the cell ends of every tuple at once, then all their
+    candidate cells at once.
     """
     from scipy.special import erfc
 
-    if m.delta0 <= m.delta1:
-        lo_mean, s_lo, hi_mean, s_hi = m.delta0, math.sqrt(m.var0), m.delta1, math.sqrt(m.var1)
-    else:
-        lo_mean, s_lo, hi_mean, s_hi = m.delta1, math.sqrt(m.var1), m.delta0, math.sqrt(m.var0)
-    grid = np.linspace(lo_mean - 3 * s_lo, hi_mean + 3 * s_hi, 10_000)
+    moments = np.array(m, dtype=float).reshape(4, -1)    # one column per tuple
+    # lo mean, hi mean and their variances, as the float call orders them
+    lo_mean, hi_mean, var_lo, var_hi = np.where(moments[0] <= moments[1], moments,
+                                                moments[[1, 0, 3, 2]])
+    s_lo, s_hi = np.sqrt(var_lo), np.sqrt(var_hi)
+    start, stop = lo_mean - 3 * s_lo, hi_mean + 3 * s_hi
+    step = (stop - start) / (GRID_POINTS - 1)
 
-    def q(x):
-        return 0.5 * erfc(x / math.sqrt(2.0))
+    def half(x, s):     # 0.5 * Q(x / s), in place of x
+        x /= s
+        x /= math.sqrt(2.0)
+        erfc(x, out=x)
+        x *= 0.5
+        x *= 0.5
+        return x
 
-    def halves(g):
-        return 0.5 * q((g - lo_mean) / s_lo), 0.5 * q((hi_mean - g) / s_hi)
+    def halves(i, r):   # grid points i of tuples r, one column each, and the BER's halves there
+        g = i * step[r]
+        g += start[r]
+        np.copyto(g, stop[r], where=i == GRID_POINTS - 1)
+        return g, half(g - lo_mean[r], s_lo[r]), half(hi_mean[r] - g, s_hi[r])
 
-    falling, rising = halves(grid[::33])            # at the cell ends 0, 33, ..., 9999
-    # cells whose bound is not above the least end BER + 1e-12; a NaN keeps them all
-    cells = np.flatnonzero(~(falling[1:] + rising[:-1] > np.min(falling + rising) + 1e-12))
-    idx = (33 * cells[:, None] + np.arange(34)).ravel()  # ascending; shared ends twice
-    bers = np.add(*halves(grid[idx]))
-    i = int(np.argmin(bers))
-    return float(grid[idx[i]]), float(bers[i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, falling, rising = halves(np.arange(0.0, GRID_POINTS, CELL)[:, None], slice(None))
+        # cells whose bound is not above the least end BER + 1e-12; a NaN keeps them all
+        least_end = np.min(falling + rising, axis=0)
+        rows, cells = np.nonzero(~(falling[1:] + rising[:-1] > least_end + 1e-12).T)
+        # a column per candidate cell, tuple by tuple, ascending
+        grid, falling, rising = halves(CELL * cells + np.arange(CELL + 1.0)[:, None], rows)
+    bers = falling + rising
+    # each cell's first least BER, or its first NaN, as np.argmin picks; then
+    # each tuple's first cell holding its least BER, or a NaN
+    at, cols = np.argmin(bers, axis=0), np.arange(len(rows))
+    cell_least = bers[at, cols]
+    tuples = np.arange(len(lo_mean))
+    least = np.minimum.reduceat(cell_least, np.searchsorted(rows, tuples))   # NaN if any is
+    hits = np.flatnonzero((cell_least == least[rows]) | np.isnan(cell_least))
+    first = hits[np.searchsorted(rows[hits], tuples)]
+    t, ber = grid[at[first], first], cell_least[first]
+    if isinstance(m.delta0, np.ndarray):
+        return t.reshape(np.shape(m.delta0)), ber.reshape(np.shape(m.delta0))
+    return float(t[0]), float(ber[0])
 
 
 def grouped_mean_var(energies, bits):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambclink import LNA, NO_LNA, ModelValidityError, NoSeparationError
+from ambclink import LNA, NO_LNA, ConfigError, ModelValidityError, NoSeparationError
 from ambclink.analysis import (
     HypothesisMoments,
     ber_closed_form,
@@ -27,7 +27,9 @@ from ambclink.analysis import (
 from ambclink.channel import draw_channels
 from ambclink.config import MODES
 from ambclink.oracles import exp_moment_mean_var, grid_min_threshold, q_integral
+import ambclink.verify as verify
 from ambclink.verify import (
+    GRID_BATCH,
     check_linear_reduction,
     check_model_validity_guard,
     check_moments_vs_expansion,
@@ -81,6 +83,15 @@ class TestMoments:
     def test_matches_expansion_oracle(self):
         res = check_moments_vs_expansion(seed=17, n_tuples=200)
         assert res.passed, res.detail
+
+    @pytest.mark.parametrize("check", [check_moments_vs_expansion,
+                                       check_threshold_near_optimality])
+    @pytest.mark.parametrize("n_tuples", [0, -1, 2.5, True, "10"])
+    def test_tuple_count_is_judged_by_name(self, check, n_tuples):
+        # 0 tuples would pass both checks on no evidence
+        with pytest.raises(ConfigError) as info:
+            check(n_tuples=n_tuples)
+        assert info.value.fields == ("n_tuples",)
 
     @settings(max_examples=200, deadline=None)
     @given(beta1=st.floats(1.0, 100.0), log_p=st.floats(-12.0, -6.0),
@@ -471,30 +482,45 @@ def full_grid_min_threshold(m: HypothesisMoments):
     return float(grid[idx]), float(bers[idx])
 
 
+GRID_EDGES = [
+    HypothesisMoments(1.9573577084307967e-06, 4.923566230907227e-08,
+                      1.217131888351243e-30, 1111789.5100164565),
+    HypothesisMoments(442.7111714361245, 3.7822054451280614e-10,
+                      1.6481075805794583, 1.086381776477637e-33),
+    HypothesisMoments(2.0, 1.0, 0.01, 0.25),
+    HypothesisMoments(1.0, 3.0, 0.25, 0.25),
+    # the BER underflows to 0 over most of the grid, so the first 0 counts
+    HypothesisMoments(0.0, 1000.0, 1.0, 1.0),
+]
+GRID_EDGE_IDS = ["variance-ratio-1e36", "both-pdfs-underflowing", "inverted-ordering",
+                 "equal-variances", "separation-1000-sd"]
+
+
+def _assert_batch_is_each_float_call(moments):
+    """The array call over `moments` gives each tuple's float call and its
+    full-grid reference, bit for bit."""
+    expected = [full_grid_min_threshold(m) for m in moments]
+    assert [grid_min_threshold(m) for m in moments] == expected
+    t, ber = grid_min_threshold(_batch(moments))
+    assert t.shape == ber.shape == (len(moments),)
+    assert list(zip(t.tolist(), ber.tolist())) == expected
+
+
 class TestGridOracle:
     """The grid minimum skips cells that cannot hold it, and returns the
-    full grid's (T, BER) bit for bit."""
+    full grid's (T, BER) bit for bit, for one tuple or a batch."""
 
-    @pytest.mark.parametrize("m", [
-        HypothesisMoments(1.9573577084307967e-06, 4.923566230907227e-08,
-                          1.217131888351243e-30, 1111789.5100164565),
-        HypothesisMoments(442.7111714361245, 3.7822054451280614e-10,
-                          1.6481075805794583, 1.086381776477637e-33),
-        HypothesisMoments(2.0, 1.0, 0.01, 0.25),
-        HypothesisMoments(1.0, 3.0, 0.25, 0.25),
-        # the BER underflows to 0 over most of the grid, so the first 0 counts
-        HypothesisMoments(0.0, 1000.0, 1.0, 1.0),
-    ], ids=["variance-ratio-1e36", "both-pdfs-underflowing", "inverted-ordering",
-            "equal-variances", "separation-1000-sd"])
+    @pytest.mark.parametrize("m", GRID_EDGES, ids=GRID_EDGE_IDS)
     def test_edges(self, m):
-        assert grid_min_threshold(m) == full_grid_min_threshold(m)
+        _assert_batch_is_each_float_call([m])
+
+    def test_edges_in_one_batch(self):
+        _assert_batch_is_each_float_call(GRID_EDGES + GRID_EDGES[::-1])
 
     @pytest.mark.parametrize("seed", [3, 13, 23])
     def test_random_valid_moments(self, seed):
         rng = np.random.default_rng(seed)
-        for _ in range(200):
-            m = random_valid_moments(rng)
-            assert grid_min_threshold(m) == full_grid_min_threshold(m)
+        _assert_batch_is_each_float_call([random_valid_moments(rng) for _ in range(200)])
 
     @settings(max_examples=300, deadline=None)
     @given(log_d0=st.floats(-15.0, 5.0), log_d1=st.floats(-15.0, 5.0),
@@ -502,6 +528,45 @@ class TestGridOracle:
     def test_log_uniform_moments(self, log_d0, log_d1, log_v0, log_v1):
         m = HypothesisMoments(10.0 ** log_d0, 10.0 ** log_d1, 10.0 ** log_v0, 10.0 ** log_v1)
         assert grid_min_threshold(m) == full_grid_min_threshold(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(-15.0, 5.0), st.floats(-15.0, 5.0),
+                                   st.floats(-35.0, 10.0), st.floats(-35.0, 10.0)),
+                         min_size=1, max_size=20))
+    def test_log_uniform_batches(self, rows):
+        _assert_batch_is_each_float_call([HypothesisMoments(*(10.0 ** x for x in row))
+                                          for row in rows])
+
+    @pytest.mark.parametrize("batch", [1, 7, GRID_BATCH, 150])
+    def test_threshold_check_does_not_depend_on_the_batch(self, batch, monkeypatch):
+        expected = check_threshold_near_optimality(seed=11, n_tuples=150)
+        monkeypatch.setattr(verify, "GRID_BATCH", batch)
+        assert check_threshold_near_optimality(seed=11, n_tuples=150) == expected
+
+    def test_threshold_check_fails_where_the_threshold_does(self, monkeypatch):
+        # a sub-ulp crossing among valid tuples: its float threshold raises,
+        # and the batch marks it NaN, which must fail the check
+        rng = np.random.default_rng(5)
+        tuples = iter([random_valid_moments(rng), HypothesisMoments(1.0, 10.0, 10.0, 1e-31),
+                       random_valid_moments(rng)])
+        monkeypatch.setattr(verify, "random_valid_moments", lambda rng: next(tuples))
+        res = check_threshold_near_optimality(n_tuples=3)
+        assert not res.passed
+        assert "max BER gap nan" in res.detail, res.detail
+
+    def test_threshold_check_memory_is_bounded(self):
+        """The check takes its tuples GRID_BATCH at a time; all 1000 of the
+        default in one batch peaked at 39 MB traced."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            res = check_threshold_near_optimality()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed, res.detail
+        assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def _float_digest(values) -> str:

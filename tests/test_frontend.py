@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambclink import LNA, NO_LNA
+from ambclink import LNA, NO_LNA, ConfigError
 from ambclink.analysis import lna_moments, noise_power, nolna_moments
 from ambclink.channel import draw_channels
 import ambclink.frontend as frontend
 from ambclink.frontend import (
+    FRAME_BLOCK,
     SAMPLER_CHUNK,
     LnaVariates,
-    _draw_cn_block,
     draw_energies,
     draw_lna_variates,
     energies_from_variates,
@@ -31,6 +31,11 @@ def frame_energies(params, real, bits, rng, mode):
     return draw_energies(params, bits, (real.p0, real.p1), noise, rng, mode)
 
 
+def _draw_cn_block(rng, variance, total):
+    scale = math.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
+
+
 def _clone_draws(params, total, seed):
     """Replicate generate_frame's draws: s, then one unit CN noise block.
     The clone's generator is returned too, at the state generate_frame
@@ -43,11 +48,26 @@ def _clone_draws(params, total, seed):
 
 def _noise_sd(params, real, mode):
     """sigma_d for d = 0, 1 from the model equation: the sum of the receiver
-    noises is CN(0, a^2 (n_ar + alpha^2 |htr|^2 d n_at) + n_cov), with
-    a = beta1 in LNA mode and 1 without it."""
-    a = 1.0 if mode == NO_LNA else params.beta1
-    tag = params.alpha_amp * params.alpha_amp * real.htr_abs2 * params.n_at
-    return np.sqrt([a * a * (params.n_ar + tag * b) + params.n_cov for b in (0, 1)])
+    noises is CN(0, a^2 n_ar + n_cov + a^2 alpha^2 |htr|^2 d n_at), with
+    a = beta1 in LNA mode and 1 without it, summed in that order."""
+    a2 = 1.0 if mode == NO_LNA else params.beta1 ** 2
+    tag = params.alpha_amp ** 2 * real.htr_abs2 * params.n_at
+    return np.sqrt([a2 * params.n_ar + params.n_cov + a2 * (tag * b) for b in (0, 1)])
+
+
+def _reference_frame(params, real, bits, seed, mode):
+    """generate_frame's sample-level text on a flat layout of K*N samples,
+    each sample's gain and noise SD gathered from its bit: the energies,
+    and the clone's generator at the state generate_frame should leave."""
+    s, w, clone = _clone_draws(params, bits.size * params.n_samples, seed)
+    d = np.repeat(bits, params.n_samples)
+    x = (real.h0 + params.alpha_amp * real.hst * real.htr * d) * s
+    noise = _noise_sd(params, real, mode)[d] * w
+    if mode == NO_LNA:
+        y = x + noise
+    else:
+        y = params.beta1 * x + params.beta3 * x * np.abs(x) ** 2 + noise
+    return symbol_energies(y, params.n_samples), clone
 
 
 def _assert_same_next_draw(rng, clone):
@@ -70,19 +90,24 @@ class TestSymbolEnergies:
         with pytest.raises(ValueError):
             symbol_energies(np.ones(10, dtype=complex), 4)
 
-    def test_recomputable_from_frame(self, paper_params, fixed_realization):
-        # the LNA samples rebuilt from the same draws, in generate_frame's order
-        p = replace(paper_params, k_symbols=20, pilot_fraction=0.0)
-        bits = np.random.default_rng(4).integers(0, 2, 20)
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    # each frame spans three blocks of FRAME_BLOCK samples, the last one partial
+    @pytest.mark.parametrize("n, k, layout", [
+        (1, 20_000, "ones"),        # the moment check's layout
+        (4, 5_000, "alternating"),  # the sampler check's
+        (75, 300, "random"),
+    ])
+    def test_recomputable_from_frame(self, paper_params, fixed_realization, n, k, layout,
+                                     mode):
+        # the samples rebuilt per sample from the same draws, in generate_frame's order
+        assert -(-k // (FRAME_BLOCK // n)) == 3
+        p = replace(paper_params, n_samples=n, k_symbols=k, pilot_fraction=0.0)
+        bits = {"ones": np.ones(k, dtype=np.int64), "alternating": np.arange(k) % 2,
+                "random": np.random.default_rng(4).integers(0, 2, k)}[layout]
         rng = np.random.default_rng(3)
-        energies = generate_frame(p, fixed_realization, bits, rng, LNA)
-        s, w, clone = _clone_draws(p, p.k_symbols * p.n_samples, 3)
-        d = np.repeat(bits, p.n_samples)
-        real, alpha = fixed_realization, p.alpha_amp
-        x = (real.h0 + alpha * real.hst * real.htr * d) * s
-        y = (p.beta1 * x + p.beta3 * x * np.abs(x) ** 2
-             + _noise_sd(p, real, LNA)[d] * w)
-        assert np.array_equal(energies, symbol_energies(y, p.n_samples))
+        energies = generate_frame(p, fixed_realization, bits, rng, mode)
+        expected, clone = _reference_frame(p, fixed_realization, bits, 3, mode)
+        assert np.array_equal(energies, expected)
         _assert_same_next_draw(rng, clone)
         assert energies.shape == (p.k_symbols,)
         assert np.all(energies >= 0)
@@ -435,7 +460,9 @@ class TestMomentsVsMonteCarlo:
         assert not run(mean_tol=err_m / 2).passed
         assert not run(var_tol=err_v / 2).passed
 
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_too_few_samples_rejected(self, paper_params, n):
-        with pytest.raises(ValueError, match="n_samples_mc"):
+    @pytest.mark.parametrize("n", [0, 1, 2.5, True, 1e6])
+    def test_sample_count_is_judged_by_name(self, paper_params, n):
+        # two samples at least, for a sample variance; an integer, not a bool
+        with pytest.raises(ConfigError, match="n_samples_mc") as info:
             check_moments_vs_montecarlo(paper_params, n_samples_mc=n)
+        assert info.value.fields == ("n_samples_mc",)
