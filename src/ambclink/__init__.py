@@ -15,13 +15,12 @@ from .analysis import (
     nolna_moments,
     q_function,
 )
-from .channel import ChannelRealization, bdpr, draw_channels
+from .channel import ChannelRealization, bdpr, channel_table, draw_channels
 from .config import (
     LNA,
     NO_LNA,
     PAPER_DEFAULTS,
     SystemParams,
-    db_to_power_gain,
     dbm_to_watts,
     load_scenario,
     read_scenario,
@@ -36,7 +35,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
-from .frontend import draw_energies, generate_frame, symbol_energies
+from .frontend import draw_energies, generate_frame
 from .montecarlo import (
     BerPoint,
     BlockResult,
@@ -66,7 +65,7 @@ __all__ = [
     "bdpr",
     "ber_block",
     "ber_closed_form",
-    "db_to_power_gain",
+    "channel_table",
     "dbm_to_watts",
     "deflection_lna_approx",
     "deflection_lna_full",
@@ -87,6 +86,5 @@ __all__ = [
     "relative_threshold_error",
     "run_pilot_sweep",
     "run_sweep",
-    "symbol_energies",
     "watts_to_dbm",
 ]

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _each
 from .config import LNA, NO_LNA, SystemParams, check_mode, is_int_in
 from .errors import ModelValidityError, NoSeparationError
 
@@ -52,11 +52,6 @@ def noise_levels(params: SystemParams, htr_abs2, mode: str) -> tuple:
     floor = a2 * params.n_ar + params.n_cov
     tag = params.alpha_amp ** 2 * htr_abs2 * params.n_at   # times 0 keeps its shape, and NaN
     return floor + a2 * (tag * 0), floor + a2 * (tag * 1)
-
-
-def noise_power(params: SystemParams, htr_abs2: float, d: int, mode: str) -> float:
-    """Effective additive noise power under bit d, 0 or 1 (noise_levels)."""
-    return noise_levels(params, htr_abs2, mode)[d]
 
 
 def _checked_moments(p, n_samples: int, sums, *args):
@@ -148,11 +143,6 @@ def hypothesis_moments(params: SystemParams, real: ChannelRealization,
 
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _each(f, x: np.ndarray) -> np.ndarray:
-    """The math function f of each element of x, as an array of its shape."""
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def q_function(x):

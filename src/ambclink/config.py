@@ -29,13 +29,6 @@ def watts_to_dbm(p_watts: float) -> float:
     return 10.0 * math.log10(p_watts) + 30.0
 
 
-def db_to_power_gain(g_db: float) -> float:
-    """Convert a dB figure to a dimensionless power ratio."""
-    if not math.isfinite(g_db):
-        raise ConfigError(f"gain in dB must be finite, got {g_db!r}")
-    return 10.0 ** (g_db / 10.0)
-
-
 def db_to_amplitude_gain(g_db: float) -> float:
     """Amplitude multiplier corresponding to a dB power gain."""
     if not math.isfinite(g_db):
@@ -74,9 +67,9 @@ MAX_BDPR_DB = 200.0
 MAX_K_SYMBOLS = 10 ** 6
 MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7
-# Each block draws its own channels, 19 us per realization seeded, drawn and
-# composed (paper defaults, 2-vCPU Xeon), so the realization cap is 19 s of
-# channel draws spread over the blocks, with no table held. The LNA sampler
+# Each block draws its own channels, 14 us per realization seeded, drawn and
+# composed (paper defaults, 2-vCPU Xeon), so the realization cap is 14 s of
+# channel draws spread over the blocks, each holding its own table. The LNA sampler
 # draws about 1 M symbols/s (N = 75; 0.9 to 1.1 M measured). The symbol cap
 # counts every point and mode, though a block draws once for all of them, so it
 # bounds the sampling at 15 to 20 minutes per worker, and the per-point arithmetic.

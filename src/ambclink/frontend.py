@@ -24,17 +24,6 @@ SAMPLER_CHUNK = 2 ** 15  # exponential samples the LNA sampler holds at once
 FRAME_BLOCK = 2 ** 13    # samples generate_frame computes at once, so its arrays stay in cache
 
 
-def symbol_energies(samples: np.ndarray, n_samples: int) -> np.ndarray:
-    """Per-symbol average energy: mean |y|^2 over each block of N samples."""
-    samples = np.asarray(samples)
-    if n_samples < 1 or samples.size % n_samples != 0:
-        raise ValueError(
-            f"sample count {samples.size} is not a multiple of n_samples={n_samples}"
-        )
-    blocks = samples.reshape(-1, n_samples)
-    return np.mean(np.abs(blocks) ** 2, axis=1)
-
-
 def generate_frame(
     params: SystemParams,
     real: ChannelRealization,

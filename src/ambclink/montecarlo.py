@@ -7,7 +7,7 @@ own channels, seeded per realization, then its frames in runs of at most
 BLOCK_SYMBOLS symbols (one run unless a single realization's frames exceed
 it): the bits and the no-LNA standard gammas from the block's frame
 generator, the LNA variates from a generator of their own. A BER block
-composes its channels once per BDPR target, and each mode's points then run
+composes its channel table once per BDPR target, and each mode's points run
 stacked: one batch of closed forms (analysis: NaN marks an element whose
 float call raises), and per run one pass of arithmetic on the shared draws
 over at most STACK_SYMBOLS symbols.
@@ -29,7 +29,7 @@ from .analysis import (
     near_optimal_threshold,
     noise_levels,
 )
-from .channel import aligned_channel, draw_channels
+from .channel import aligned_channel, channel_table
 from .config import (LNA, MAX_BDPR_DB, MAX_WORKERS, MODES, NO_LNA, SystemParams, check_in,
                      check_int, check_mode, check_trials, is_finite_real, valid_pilot_count)
 from .errors import ConfigError, ModelValidityError
@@ -102,21 +102,22 @@ def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
                      LNA: None if lna_rng is None else draw_lna_variates(n, bits.shape, lna_rng)}
 
 
-def _gains(reals) -> np.ndarray:
-    """|h0|^2, |h1|^2 and |htr|^2 of each realization, of shape (3,
-    realizations): the floats _compose multiplies by Ps, so a gain times a
-    Ps is the power of the channel composed at that Ps, bit for bit."""
-    return np.array([(abs(r.h0) ** 2, abs(r.h1) ** 2, r.htr_abs2) for r in reals]).T
-
-
 def _levels(params, cases, mode):
-    """(power, noise) of stacked `cases` in `mode`, each a pair (ps, gains)
-    of a Ps (W) and the _gains of its realizations: arrays of shape (2,
-    cases, realizations, 1) whose [d] holds the bit-d input power and noise
-    power of each realization."""
-    power = np.stack([gains[:2] * ps for ps, gains in cases], axis=1)[..., None]
-    ht2 = np.stack([gains[2] for _, gains in cases])[..., None]
+    """(power, noise) of stacked `cases` (ps, mode, channel_table) in `mode`:
+    arrays of shape (2, cases, realizations, 1) whose [d] holds the bit-d input
+    power (the table's gain times ps) and noise power of each realization."""
+    power = np.stack([table[:2] * ps for ps, _, table in cases], axis=1)[..., None]
+    ht2 = np.stack([table[2] for *_, table in cases])[..., None]
     return power, np.stack(noise_levels(params, ht2, mode))
+
+
+def _raise_first_failure(params, mode, power, noise, thresholds=True) -> None:
+    """Raise where the float calls on levels of shape (2, realizations, ...)
+    fail first, every moment before any threshold: arrays mark NaN there."""
+    moments = [level_moments(params, p, n, mode)
+               for p, n in zip(*(x.reshape(2, -1).T.tolist() for x in (power, noise)))]
+    for m in moments if thresholds else ():
+        near_optimal_threshold(m)
 
 
 class _ModeGroup:
@@ -157,11 +158,11 @@ class _ModeGroup:
 
 def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.Generator,
               lna_rng: np.random.Generator | None, policy: str = CLOSED_FORM_TRUE) -> list:
-    """Every frame of a block at each case (ps, mode, reals) of the scenario
-    `params`: the realizations `reals` with their |h0|^2 and |h1|^2 scaled
-    by the Ps `ps` (W), in `mode` (cases that share one list read its gains
-    once). The cases share every parameter but Ps and the BDPR their
-    realizations carry, so they share one draw of the block's frames
+    """Every frame of a block at each case (ps, mode, table) of the scenario
+    `params`: the realizations of `table` (channel_table: |h0|^2, |h1|^2 and
+    |htr|^2, of shape (3, realizations)) with |h0|^2 and |h1|^2 scaled by the
+    Ps `ps` (W), in `mode`. The cases share every parameter but Ps and the
+    BDPR their table carries, so they share one draw of the block's frames
     (_frame_runs; the LNA variates come from lna_rng, drawn only if a case is
     LNA). A mode's consecutive cases are stacked in groups of at most
     STACK_SYMBOLS symbols per run (one case at least), and per run each group
@@ -175,7 +176,7 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
     check_in(policy, POLICIES, "threshold_policy")
     estimated = policy == ESTIMATED_POLICY
     cases = list(cases)
-    counts = sorted({len(reals) for _, _, reals in cases})
+    counts = sorted({table.shape[1] for _, _, table in cases})
     if not counts:
         raise ValueError("ber_block needs at least one case")
     if len(counts) > 1 or counts[0] == 0:
@@ -183,25 +184,18 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
                          f"they hold {counts}")
     n_reals, k = counts[0], params.k_symbols
     k_train = params.k_train if estimated else 0
-    gains = {id(reals): reals for _, _, reals in cases}
-    gains = {key: _gains(reals) for key, reals in gains.items()}
     stacked = max(1, STACK_SYMBOLS // (n_reals * k * _run_frames(n_reals, n_frames, k)))
     groups, slots = [], [None] * len(cases)     # slots: (group, index in it) of each case
     for mode in dict.fromkeys(mode for _, mode, _ in cases):
         index = [i for i, case in enumerate(cases) if case[1] == mode]
         for chunk in (index[s:s + stacked] for s in range(0, len(index), stacked)):
-            groups.append(_ModeGroup(params, mode, [(cases[i][0], gains[id(cases[i][2])])
-                                                    for i in chunk], estimated))
+            groups.append(_ModeGroup(params, mode, [cases[i] for i in chunk], estimated))
             for j, i in enumerate(chunk):
                 slots[i] = groups[-1], j
     if any(np.isnan(g.moments.var0 if estimated else g.closed).any() for g in groups):
-        # raise where a loop over the cases did: case by case, moments before thresholds
-        for group, j in slots:
-            levels = zip(*(x[:, j, :, 0].T.tolist() for x in group.levels))
-            moments = [level_moments(params, power, noise, group.mode) for power, noise in levels]
-            if not estimated:
-                for m in moments:
-                    near_optimal_threshold(m)
+        for group, j in slots:     # case by case, as a loop over the cases meets them
+            _raise_first_failure(params, group.mode, *(x[:, j] for x in group.levels),
+                                 not estimated)
     runs = _frame_runs(params, n_reals, n_frames, k_train, k - k_train, frame_rng,
                        lna_rng if any(case[1] == LNA for case in cases) else None)
     for bits, variates in runs:
@@ -332,8 +326,8 @@ def _blocks(realizations, symbols: int) -> list:
     return [(r0, realizations[r0:r1]) for r0, r1 in zip(bounds, bounds[1:])]
 
 
-def _block_draws(params, master_seed: int, r0: int, realizations):
-    """A block's channels, drawn under `params`, and its two generators.
+def _block_draws(master_seed: int, r0: int, realizations):
+    """A block's channels, the normals of channel_table, and its two generators.
     Channel r is seeded (master, r, 1), whatever the block, so modes are
     compared on identical fading and curves are paired across points (common
     random numbers). The frames of the block from realization r0 are seeded
@@ -342,7 +336,7 @@ def _block_draws(params, master_seed: int, r0: int, realizations):
     def rng(*key):
         return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
 
-    return [draw_channels(params, rng(r, 1)) for r in realizations], rng(r0, 2), rng(r0, 3)
+    return np.array([rng(r, 1).standard_normal(6) for r in realizations]).T, rng(r0, 2), rng(r0, 3)
 
 
 def _ber_task(task) -> list:
@@ -351,11 +345,11 @@ def _ber_task(task) -> list:
     depend neither on the worker count nor on the block layout of the other
     blocks; each case's result depends only on its own point and mode."""
     spec, r0, realizations = task
-    drawn, frame_rng, lna_rng = _block_draws(spec.scenario, spec.master_seed, r0, realizations)
-    # composed once per BDPR target: ber_block scales their gains by each point's Ps
-    composed = {bdpr_db: [real.at_operating_point(spec.scenario, bdpr_db) for real in drawn]
-                for bdpr_db in {bdpr_db for _, bdpr_db in spec.operating_points}}
-    cases = [(params.ps, mode, composed[bdpr_db])
+    normals, frame_rng, lna_rng = _block_draws(spec.master_seed, r0, realizations)
+    # composed once per BDPR target: ber_block scales the gains by each point's Ps
+    tables = {bdpr_db: channel_table(spec.scenario, normals, bdpr_db)
+              for bdpr_db in {bdpr_db for _, bdpr_db in spec.operating_points}}
+    cases = [(params.ps, mode, tables[bdpr_db])
              for params, bdpr_db in spec.operating_points for mode in spec.modes]
     return ber_block(spec.scenario, cases, spec.n_frames, frame_rng, lna_rng,
                      spec.threshold_policy)
@@ -369,13 +363,13 @@ def _pilot_task(task):
     Returns the relative threshold errors, of shape (len(k_trains),
     realizations, frames): NaN where the frame failed or its estimate is 0."""
     params, mode, k_trains, n_frames, master_seed, r0, realizations = task
-    reals, frame_rng, lna_rng = _block_draws(params, master_seed, r0, realizations)
-    levels = [x[:, 0] for x in _levels(params, [(params.ps, _gains(reals))], mode)]
+    normals, frame_rng, lna_rng = _block_draws(master_seed, r0, realizations)
+    case = params.ps, mode, channel_table(params, normals)
+    levels = [x[:, 0] for x in _levels(params, [case], mode)]
     t_true = near_optimal_threshold(level_moments(params, *levels, mode))
-    if np.isnan(t_true).any():      # raise the float call's error where a loop meets it first
-        for real in reals:
-            near_optimal_threshold(hypothesis_moments(params, real, mode))
-    runs = _frame_runs(params, len(reals), n_frames, max(k_trains), 0, frame_rng,
+    if np.isnan(t_true).any():
+        _raise_first_failure(params, mode, *levels)
+    runs = _frame_runs(params, len(realizations), n_frames, max(k_trains), 0, frame_rng,
                        lna_rng if mode == LNA else None)
     threshold = np.concatenate(
         [[near_optimal_threshold(pilot_statistics(energies, k)) for k in k_trains]

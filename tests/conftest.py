@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ambclink import load_scenario
-from ambclink.channel import draw_channels
+from ambclink.channel import channel_table, draw_channels
+
+FIXED_CHANNEL_SEED = 20240801
 
 
 @pytest.fixture(scope="session")
@@ -13,8 +15,15 @@ def paper_params():
 @pytest.fixture(scope="session")
 def fixed_realization(paper_params):
     """One seeded channel draw shared by tests that need a fixed channel."""
-    rng = np.random.default_rng(np.random.SeedSequence(20240801))
+    rng = np.random.default_rng(np.random.SeedSequence(FIXED_CHANNEL_SEED))
     return draw_channels(paper_params, rng)
+
+
+@pytest.fixture(scope="session")
+def fixed_table(paper_params):
+    """fixed_realization's channel table: channel_table on the same six normals."""
+    rng = np.random.default_rng(np.random.SeedSequence(FIXED_CHANNEL_SEED))
+    return channel_table(paper_params, rng.standard_normal((6, 1)))
 
 
 def rel_err(a, b):

@@ -20,7 +20,7 @@ from ambclink.analysis import (
     level_moments,
     lna_moments,
     near_optimal_threshold,
-    noise_power,
+    noise_levels,
     nolna_moments,
     q_function,
 )
@@ -150,7 +150,7 @@ class TestMoments:
                  for r in range(50)]
         power = [np.array([getattr(real, p) for real in reals]) for p in ("p0", "p1")]
         ht2 = np.array([real.htr_abs2 for real in reals])
-        noise = [noise_power(paper_params, ht2, d, mode) for d in (0, 1)]
+        noise = noise_levels(paper_params, ht2, mode)
         batch = level_moments(paper_params, power, noise, mode)
         for i, real in enumerate(reals):
             m = hypothesis_moments(paper_params, real, mode)
@@ -183,15 +183,13 @@ class TestNoisePower:
     def test_tag_path_gated_by_bit(self, paper_params):
         ht2 = 0.02
         a2 = paper_params.alpha_amp ** 2
-        n0 = noise_power(paper_params, ht2, 0, NO_LNA)
-        n1 = noise_power(paper_params, ht2, 1, NO_LNA)
+        n0, n1 = noise_levels(paper_params, ht2, NO_LNA)
         assert n0 == pytest.approx(paper_params.n_ar + paper_params.n_cov, rel=1e-12, abs=0.0)
         # n1 - n0 (1.6e-15) would keep only the rounding of n0 (1e-10) beyond
         # rel 1e-12, so the tag term is checked inside n1
         assert n1 == pytest.approx(n0 + a2 * ht2 * paper_params.n_at, rel=1e-12, abs=0.0)
         b2 = paper_params.beta1 ** 2
-        m0 = noise_power(paper_params, ht2, 0, LNA)
-        m1 = noise_power(paper_params, ht2, 1, LNA)
+        m0, m1 = noise_levels(paper_params, ht2, LNA)
         assert m0 == pytest.approx(b2 * paper_params.n_ar + paper_params.n_cov, rel=1e-12, abs=0.0)
         assert m1 - m0 == pytest.approx(b2 * a2 * ht2 * paper_params.n_at, rel=1e-12, abs=0.0)
 
@@ -200,7 +198,7 @@ class TestNoisePower:
         ht2 = fixed_realization.htr_abs2
         d0, v0 = lna_moments(fixed_realization.p0, paper_params.beta1,
                              paper_params.beta3,
-                             noise_power(paper_params, ht2, 0, LNA),
+                             noise_levels(paper_params, ht2, LNA)[0],
                              paper_params.n_samples)
         assert (m.delta0, m.var0) == (d0, v0)
 
@@ -226,8 +224,8 @@ class TestNoisePower:
     def test_dc_noise_ungated(self, paper_params):
         ht2 = 0.02
         n_w, n_aw = dc_noise_powers(paper_params, ht2)
-        assert n_w == noise_power(paper_params, ht2, 1, NO_LNA)
-        assert n_aw == noise_power(paper_params, ht2, 1, LNA)
+        assert n_w == noise_levels(paper_params, ht2, NO_LNA)[1]
+        assert n_aw == noise_levels(paper_params, ht2, LNA)[1]
 
 
 class TestQFunction:

@@ -1,12 +1,13 @@
 import math
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ambclink import UndefinedRatioError
-from ambclink.channel import ChannelRealization, bdpr, draw_channels
+from ambclink.channel import ChannelRealization, bdpr, channel_table, draw_channels
 
 N_DRAWS = 200_000  # 1% tolerance targets leave ~3x headroom at this size
 
@@ -173,3 +174,49 @@ class TestChannelsWithBdpr:
     def test_non_finite_target_rejected(self, paper_params):
         with pytest.raises(UndefinedRatioError):
             _with_bdpr(paper_params, math.inf, np.random.default_rng(1))
+
+
+def _normals(master, n):
+    """The six standard normals of channels (master, r, 1), r < n, as the
+    sweeps seed them: one column per realization."""
+    return np.array([np.random.default_rng(np.random.SeedSequence((master, r, 1)))
+                     .standard_normal(6) for r in range(n)]).T
+
+
+class TestChannelTable:
+    """channel_table composes a block's channels as arrays through the text
+    that composes one ChannelRealization, so both give the same bits."""
+
+    @pytest.mark.parametrize("scenario", [{}, {"r0": 7.0, "v0": 2.2, "rst": 3.0, "vst": 3.7,
+                                           "rtr": 1.0, "vtr": 1.5, "alpha_db": -13.0}],
+                             ids=["paper", "other-gains"])
+    def test_gains_are_those_of_each_realization(self, paper_params, scenario):
+        # 5 masters x 2000 realizations x 6 BDPR targets x 3 gains; numpy's
+        # complex product and abs, and its squares, would each miss some
+        p = replace(paper_params, **scenario)
+        for master in range(5):
+            drawn = [draw_channels(p, np.random.default_rng(np.random.SeedSequence((master, r, 1))))
+                     for r in range(2000)]
+            normals = _normals(master, 2000)
+            for target in (None, -30.0, 0.0, 17.3, 150.0, -150.0):
+                reals = [real.at_operating_point(p, target) for real in drawn]
+                want = np.array([(abs(r.h0) ** 2, abs(r.h1) ** 2, r.htr_abs2) for r in reals]).T
+                got = channel_table(p, normals, target)
+                assert got.shape == (3, 2000)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (master, target)
+
+    @pytest.mark.parametrize("rows, match", [((2, 3), "backscatter"), ((4, 5), "backscatter"),
+                                             ((0, 1), r"\|h0\| = 0")],
+                             ids=["hst", "htr", "h0"])
+    def test_a_zero_gain_with_a_target_raises_what_bdpr_raises(self, paper_params, rows, match):
+        # log10(0) would raise a bare ValueError: math domain error
+        normals = _normals(3, 4)
+        normals[rows, 2] = 0.0
+        with pytest.raises(UndefinedRatioError, match=match) as raised:
+            channel_table(paper_params, normals, -20.0)
+        column = SimpleNamespace(standard_normal=lambda size: normals[:, 2])
+        real = draw_channels(paper_params, column)    # the float call on the same normals
+        with pytest.raises(UndefinedRatioError) as float_call:
+            bdpr(real, paper_params)
+        assert str(raised.value) == str(float_call.value)
+        assert channel_table(paper_params, normals).shape == (3, 4)   # no target, no ratio

@@ -281,7 +281,7 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
 
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool built")
-    monkeypatch.setattr(ambclink.montecarlo, "draw_channels", no_draw)
+    monkeypatch.setattr(ambclink.montecarlo, "_block_draws", no_draw)
     monkeypatch.setattr(ambclink.montecarlo, "ProcessPoolExecutor", no_pool)
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
@@ -297,7 +297,7 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
 def test_a_bad_out_fails_before_any_channel_is_drawn(tmp_path, capsys, monkeypatch, command):
     def no_draw(*args):
         raise AssertionError("channel drawn")
-    monkeypatch.setattr(ambclink.montecarlo, "draw_channels", no_draw)
+    monkeypatch.setattr(ambclink.montecarlo, "_block_draws", no_draw)
     scenario = _scenario_file(tmp_path, k_symbols=200)
     base = [command, "--scenario", scenario, *FAST,
             *(["--sweep", "ps:0:10:10"] if command == "ber-sweep" else [])]

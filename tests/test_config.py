@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambclink import ConfigError, SystemParams, load_scenario, read_scenario
-from ambclink.analysis import hypothesis_moments, level_moments, noise_levels, noise_power
+from ambclink.analysis import hypothesis_moments, level_moments, noise_levels
 from ambclink.config import (
     MAX_ALPHA_DB,
     MAX_DBM,
@@ -21,7 +21,6 @@ from ambclink.config import (
     PAPER_DEFAULTS,
     MODES,
     db_to_amplitude_gain,
-    db_to_power_gain,
     dbm_to_watts,
     watts_to_dbm,
 )
@@ -34,29 +33,19 @@ class TestUnitConversions:
         assert dbm_to_watts(0.0) == pytest.approx(1.0e-3, rel=1e-12)
         assert dbm_to_watts(-100.0) == pytest.approx(1.0e-13, rel=1e-12, abs=0.0)
 
-    def test_db_to_power_gain_known_values(self):
-        assert db_to_power_gain(0.0) == 1.0
-        assert db_to_power_gain(10.0) == pytest.approx(10.0, rel=1e-12)
-        assert db_to_power_gain(-1.1) == pytest.approx(0.77625, rel=1e-4)
-
-    def test_amplitude_gain_is_sqrt_of_power_gain(self):
-        for g in (-20.0, -1.1, 0.0, 3.0, 17.5):
-            assert db_to_amplitude_gain(g) == pytest.approx(
-                math.sqrt(db_to_power_gain(g)), rel=1e-12
-            )
+    def test_db_to_amplitude_gain_known_values(self):
+        assert db_to_amplitude_gain(0.0) == 1.0
+        assert db_to_amplitude_gain(20.0) == pytest.approx(10.0, rel=1e-12)
+        assert db_to_amplitude_gain(-20.0) == pytest.approx(0.1, rel=1e-12)
+        assert db_to_amplitude_gain(-1.1) == pytest.approx(math.sqrt(0.776247), rel=1e-6)
 
     def test_round_trip(self):
         for p in (-200.0, -100.0, -37.5, 0.0, 42.0, 100.0):
             assert watts_to_dbm(dbm_to_watts(p)) == pytest.approx(p, rel=1e-12, abs=1e-12)
 
-    def test_power_gain_strictly_increasing(self):
-        xs = [-50.0, -10.0, -1.0, 0.0, 0.5, 10.0, 50.0]
-        ys = [db_to_power_gain(x) for x in xs]
-        assert all(a < b for a, b in zip(ys, ys[1:]))
-
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
-        for fn in (dbm_to_watts, db_to_power_gain, db_to_amplitude_gain):
+        for fn in (dbm_to_watts, db_to_amplitude_gain):
             with pytest.raises(ConfigError):
                 fn(bad)
         with pytest.raises(ConfigError):
@@ -371,7 +360,6 @@ def _assert_finite_in_range(p):
 
 # every call that takes a receiver mode, on a fixed channel
 _MODE_CALLS = {
-    "noise_power": lambda p, real, mode: noise_power(p, real.htr_abs2, 1, mode),
     "noise_levels": lambda p, real, mode: noise_levels(p, real.htr_abs2, mode),
     "level_moments": lambda p, real, mode: level_moments(p, (real.p0, real.p1),
                                                          (p.n_ar, p.n_ar), mode),

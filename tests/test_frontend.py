@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambclink import LNA, NO_LNA, ConfigError
-from ambclink.analysis import lna_moments, noise_power, nolna_moments
+from ambclink.analysis import lna_moments, noise_levels, nolna_moments
 from ambclink.channel import draw_channels
 import ambclink.frontend as frontend
 from ambclink.frontend import (
@@ -20,14 +20,24 @@ from ambclink.frontend import (
     draw_lna_variates,
     energies_from_variates,
     generate_frame,
-    symbol_energies,
 )
 from ambclink.verify import check_moments_vs_montecarlo, check_sampler_equivalence
 
 
+def symbol_energies(samples, n_samples):
+    """The sample-level reference of a symbol's energy statistic: mean |y|^2
+    over each block of N samples."""
+    samples = np.asarray(samples)
+    if n_samples < 1 or samples.size % n_samples != 0:
+        raise ValueError(
+            f"sample count {samples.size} is not a multiple of n_samples={n_samples}"
+        )
+    return np.mean(np.abs(samples.reshape(-1, n_samples)) ** 2, axis=1)
+
+
 def frame_energies(params, real, bits, rng, mode):
     """draw_energies for the K symbols of one frame on the channel `real`."""
-    noise = [noise_power(params, real.htr_abs2, d, mode) for d in (0, 1)]
+    noise = noise_levels(params, real.htr_abs2, mode)
     return draw_energies(params, bits, (real.p0, real.p1), noise, rng, mode)
 
 
@@ -177,7 +187,7 @@ class TestStatisticalProperties:
                 energies = generate_frame(p, fixed_realization, bits,
                                           np.random.default_rng(30 + d), mode)
                 var = float(np.mean(energies))     # mean |y|^2 over all samples
-                target = noise_power(p, fixed_realization.htr_abs2, d, mode)
+                target = noise_levels(p, fixed_realization.htr_abs2, mode)[d]
                 assert var == pytest.approx(target, rel=0.01, abs=0.0)
 
     @pytest.mark.parametrize("mode", [LNA, NO_LNA])
@@ -205,7 +215,7 @@ class TestStatisticalProperties:
 
     def test_lna_energy_mean_matches_closed_form(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=20_000, n_samples=50, pilot_fraction=0.0)
-        n_aw = noise_power(p, fixed_realization.htr_abs2, 1, LNA)
+        n_aw = noise_levels(p, fixed_realization.htr_abs2, LNA)[1]
         mean_c, var_c = lna_moments(fixed_realization.p1, p.beta1, p.beta3,
                                     n_aw, p.n_samples)
         bits = np.ones(p.k_symbols, dtype=np.int64)
@@ -215,7 +225,7 @@ class TestStatisticalProperties:
 
     def test_no_lna_energy_mean_matches_closed_form(self, paper_params, fixed_realization):
         p = replace(paper_params, k_symbols=20_000, n_samples=50, pilot_fraction=0.0)
-        n_w = noise_power(p, fixed_realization.htr_abs2, 0, NO_LNA)
+        n_w = noise_levels(p, fixed_realization.htr_abs2, NO_LNA)[0]
         mean_c, var_c = nolna_moments(fixed_realization.p0, n_w, p.n_samples)
         bits = np.zeros(p.k_symbols, dtype=np.int64)
         energies = generate_frame(p, fixed_realization, bits, np.random.default_rng(32), NO_LNA)
@@ -263,7 +273,7 @@ class TestFrameEnergies:
         assert p.k_symbols * p.n_samples > SAMPLER_CHUNK
         ht2 = fixed_realization.htr_abs2
         for d, power in ((0, fixed_realization.p0), (1, fixed_realization.p1)):
-            n_d = noise_power(p, ht2, d, mode)
+            n_d = noise_levels(p, ht2, mode)[d]
             mean_c, var_c = (lna_moments(power, p.beta1, p.beta3, n_d, p.n_samples)
                              if mode == LNA else nolna_moments(power, n_d, p.n_samples))
             e = frame_energies(p, fixed_realization, np.full(p.k_symbols, d),
@@ -286,7 +296,7 @@ class TestFrameEnergies:
         # A/N with A = beta1^2 p s1 + 2 beta1 beta3 p^2 s2 + beta3^2 p^3 s3,
         # never NaN, and A is the per-sample sum z (beta1 + beta3 z)^2
         p = replace(paper_params, n_ar_dbm=-4000.0, n_at_dbm=-4000.0, n_cov_dbm=-4000.0)
-        assert noise_power(p, fixed_realization.htr_abs2, 1, LNA) == 0.0
+        assert noise_levels(p, fixed_realization.htr_abs2, LNA)[1] == 0.0
         bits = np.arange(p.k_symbols) % 2
         e = frame_energies(p, fixed_realization, bits, np.random.default_rng(13), LNA)
         power = np.where(bits == 1, fixed_realization.p1, fixed_realization.p0)
@@ -318,13 +328,13 @@ class TestFrameEnergies:
         reals = [draw_channels(paper_params, np.random.default_rng(s)) for s in (1, 2)]
         levels = [np.array([getattr(r, f"p{d}") for r in reals])[:, None, None]
                   for d in (0, 1)]
-        noise = [np.array([noise_power(paper_params, r.htr_abs2, d, mode)
+        noise = [np.array([noise_levels(paper_params, r.htr_abs2, mode)[d]
                            for r in reals])[:, None, None] for d in (0, 1)]
         bits = np.ones((2, 4, 5000), dtype=np.int64)
         e = draw_energies(paper_params, bits, levels, noise, np.random.default_rng(15), mode)
         assert e.shape == bits.shape
         for r, real in enumerate(reals):
-            n_1 = noise_power(paper_params, real.htr_abs2, 1, mode)
+            n_1 = noise_levels(paper_params, real.htr_abs2, mode)[1]
             mean_c, var_c = (lna_moments(real.p1, paper_params.beta1, paper_params.beta3,
                                          n_1, paper_params.n_samples) if mode == LNA
                              else nolna_moments(real.p1, n_1, paper_params.n_samples))

@@ -14,10 +14,11 @@ from ambclink.analysis import (
     HypothesisMoments,
     ber_closed_form,
     hypothesis_moments,
+    level_moments,
     near_optimal_threshold,
-    noise_power,
+    noise_levels,
 )
-from ambclink.channel import ChannelRealization, draw_channels
+from ambclink.channel import channel_table, draw_channels
 from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
 from ambclink.errors import (ConfigError, EstimationError, ModelValidityError,
                              NoSeparationError)
@@ -47,11 +48,14 @@ BAD_COUNT_IDS = [f"{name}-{bad}" for name in ("frames", "realizations", "seed")
                  for bad in ("nan", "float", "bool")]
 
 
-def _manual_realization(params, h0, hst, htr):
+def _manual_table(params, h0, hst, htr):
+    """A hand-built channel table of one realization: |h0|^2, |h1|^2, |htr|^2."""
     h1 = h0 + params.alpha_amp * hst * htr
-    return ChannelRealization(h0=h0, hst=hst, htr=htr, h1=h1,
-                              p0=abs(h0) ** 2 * params.ps,
-                              p1=abs(h1) ** 2 * params.ps)
+    return np.array([[abs(h0) ** 2], [abs(h1) ** 2], [abs(htr) ** 2]])
+
+
+def _no_draw(*args):
+    raise AssertionError("channel drawn")
 
 
 class TestDetect:
@@ -79,11 +83,11 @@ class TestWilson:
         assert wilson_halfwidth(0, 1000) > 0
 
 
-def _one_frame(params, real, seed, mode, policy):
-    """ber_block's single frame of a single realization, read at [0, 0]: its
-    frames drawn from default_rng(seed), its LNA variates from
+def _one_frame(params, table, seed, mode, policy):
+    """ber_block's single frame of the single realization of `table`, read
+    at [0, 0]: its frames drawn from default_rng(seed), its LNA variates from
     default_rng([seed, 3])."""
-    (res,) = ber_block(params, [(params.ps, mode, [real])], 1, np.random.default_rng(seed),
+    (res,) = ber_block(params, [(params.ps, mode, table)], 1, np.random.default_rng(seed),
                        np.random.default_rng([seed, 3]), policy)
     return (int(res.errors[0, 0]), int(res.bits[0, 0]), float(res.threshold[0, 0]),
             float(res.ber_closed_form[0, 0]), bool(res.failed[0, 0]))
@@ -96,9 +100,9 @@ class TestBerTrial:
         p = replace(paper_params, beta1=1.0, beta3=0.0, alpha_db=0.0,
                     n_ar_dbm=-400.0, n_cov_dbm=-400.0, n_at_dbm=-400.0,
                     k_symbols=400, pilot_fraction=0.0)
-        real = _manual_realization(p, 1e-4 + 0j, 1.0 + 0j, 1.0 + 0j)
-        assert real.p1 / real.p0 > 1e6
-        errors, bits, *_ = _one_frame(p, real, 3, LNA, CLOSED_FORM_TRUE)
+        table = _manual_table(p, 1e-4 + 0j, 1.0 + 0j, 1.0 + 0j)
+        assert table[1, 0] / table[0, 0] > 1e6
+        errors, bits, *_ = _one_frame(p, table, 3, LNA, CLOSED_FORM_TRUE)
         assert errors == 0
         assert bits == 400
 
@@ -107,24 +111,23 @@ class TestBerTrial:
         # exists) while carrying no usable tag information
         p = replace(paper_params, alpha_db=-200.0, k_symbols=4000,
                     pilot_fraction=0.0)
-        real = _manual_realization(p, 0.001 + 0.001j, 0.01 + 0j, 0.02 + 0j)
-        errors, bits, *_ = _one_frame(p, real, 5, LNA, CLOSED_FORM_TRUE)
+        table = _manual_table(p, 0.001 + 0.001j, 0.01 + 0j, 0.02 + 0j)
+        errors, bits, *_ = _one_frame(p, table, 5, LNA, CLOSED_FORM_TRUE)
         assert abs(errors / bits - 0.5) < 4 * math.sqrt(0.25 / bits)
 
-    def test_estimated_policy_excludes_pilots(self, paper_params, fixed_realization):
+    def test_estimated_policy_excludes_pilots(self, paper_params, fixed_table):
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
-        _, bits, _, _, failed = _one_frame(p, fixed_realization, 7, LNA, ESTIMATED_POLICY)
+        _, bits, _, _, failed = _one_frame(p, fixed_table, 7, LNA, ESTIMATED_POLICY)
         assert failed is False
         assert bits == 80
 
-    def test_estimated_policy_without_pilots_raises(self, paper_params, fixed_realization):
+    def test_estimated_policy_without_pilots_raises(self, paper_params, fixed_table):
         # a frame with no pilots has nothing to estimate from
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.0)
         with pytest.raises(EstimationError):
-            _one_frame(p, fixed_realization, 7, LNA, ESTIMATED_POLICY)
+            _one_frame(p, fixed_table, 7, LNA, ESTIMATED_POLICY)
 
-    def test_degenerate_estimate_is_recorded_not_raised(self, paper_params,
-                                                        fixed_realization,
+    def test_degenerate_estimate_is_recorded_not_raised(self, paper_params, fixed_table,
                                                         monkeypatch):
         def degenerate(energies, k_train):
             d0, d1, v0, v1 = pilot_statistics(energies, k_train)
@@ -132,23 +135,24 @@ class TestBerTrial:
         monkeypatch.setattr(mc, "pilot_statistics", degenerate)
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
         errors, bits, threshold, closed, failed = _one_frame(
-            p, fixed_realization, 11, LNA, ESTIMATED_POLICY)
+            p, fixed_table, 11, LNA, ESTIMATED_POLICY)
         assert failed is True
         assert (errors, bits) == (0, 0)
         assert math.isnan(threshold) and math.isnan(closed)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_is_the_one_frame_case_of_a_block(self, paper_params, fixed_realization,
-                                               policy):
-        # equals one frame drawn by draw_energies and detected by hand: the
-        # bits from the frame generator, the energies from the LNA variates'
+                                               fixed_table, policy):
+        # equals one frame drawn by draw_energies and detected by hand on the
+        # channel object of the table's normals: the bits from the frame
+        # generator, the energies from the LNA variates'
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
-        res = _one_frame(p, fixed_realization, 21, LNA, policy)
+        res = _one_frame(p, fixed_table, 21, LNA, policy)
 
         rng = np.random.default_rng(21)
         k0 = p.k_train if policy == ESTIMATED_POLICY else 0
         bits = np.concatenate([np.arange(k0) % 2, rng.integers(0, 2, p.k_symbols - k0)])
-        noise = [noise_power(p, fixed_realization.htr_abs2, d, LNA) for d in (0, 1)]
+        noise = noise_levels(p, fixed_realization.htr_abs2, LNA)
         energies = draw_energies(p, bits, (fixed_realization.p0, fixed_realization.p1), noise,
                                  np.random.default_rng([21, 3]), LNA)
         true_m = hypothesis_moments(p, fixed_realization, LNA)
@@ -160,7 +164,7 @@ class TestBerTrial:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_failing_true_closed_forms_raise_the_float_calls_error(self, paper_params,
-                                                                  fixed_realization, policy):
+                                                                  fixed_table, policy):
         # the batches mark NaN where a float call raises; ber_block raises that
         # call's error where the loop over the cases and their realizations
         # met it first: the LNA case's overflowing moments before the no-LNA
@@ -168,21 +172,26 @@ class TestBerTrial:
         # no-LNA batch is taken first. The estimated policy takes no true
         # threshold, so there only the moments fail, and in the same place.
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.2)
-        huge = _manual_realization(p, 1e30 + 0j, 1.0 + 0j, 1.0 + 0j)   # P^6 overflows
-        nosep = _manual_realization(p, 1e-3 + 0j, 0j, 0j)
-        with pytest.raises(ModelValidityError) as float_call:
-            hypothesis_moments(p, huge, LNA)
+        huge = _manual_table(p, 1e30 + 0j, 1.0 + 0j, 1.0 + 0j)   # P^6 overflows
+        nosep = _manual_table(p, 1e-3 + 0j, 0j, 0j)
+
+        def float_call(table, mode):
+            (g0, g1, gtr), = table.T.tolist()
+            return level_moments(p, (g0 * p.ps, g1 * p.ps), noise_levels(p, gtr, mode), mode)
+
+        with pytest.raises(ModelValidityError) as float_error:
+            float_call(huge, LNA)
         with pytest.raises(NoSeparationError):
-            near_optimal_threshold(hypothesis_moments(p, nosep, NO_LNA))
-        cases = [(p.ps, LNA, [fixed_realization, huge]),
-                 (p.ps, NO_LNA, [nosep, fixed_realization])]
+            near_optimal_threshold(float_call(nosep, NO_LNA))
+        cases = [(p.ps, LNA, np.hstack([fixed_table, huge])),
+                 (p.ps, NO_LNA, np.hstack([nosep, fixed_table]))]
         with pytest.raises(ModelValidityError) as raised:
             ber_block(p, cases, 1, np.random.default_rng(1), np.random.default_rng(2), policy)
-        assert str(raised.value) == str(float_call.value)
+        assert str(raised.value) == str(float_error.value)
 
-    def test_unknown_policy_rejected(self, paper_params, fixed_realization):
+    def test_unknown_policy_rejected(self, paper_params, fixed_table):
         with pytest.raises(ValueError, match="threshold_policy must be one of") as ei:
-            ber_block(paper_params, [(paper_params.ps, LNA, [fixed_realization])], 1,
+            ber_block(paper_params, [(paper_params.ps, LNA, fixed_table)], 1,
                       np.random.default_rng(1), np.random.default_rng(2), "oracle")
         assert ei.value.fields == ("threshold_policy",)    # SweepSpec's rule (check_in)
 
@@ -192,9 +201,9 @@ class TestBerTrial:
         ((LNA, LNA), (2, 3), r"equally many realizations, at least one; they hold \[2, 3\]"),
         ((LNA,), (0,), r"equally many realizations, at least one; they hold \[0\]"),
     ], ids=["no-cases", "across-modes", "within-a-mode", "no-realizations"])
-    def test_cases_it_cannot_run_are_named(self, paper_params, fixed_realization, modes,
+    def test_cases_it_cannot_run_are_named(self, paper_params, fixed_table, modes,
                                            counts, match):
-        cases = [(paper_params.ps, mode, [fixed_realization] * n)
+        cases = [(paper_params.ps, mode, np.repeat(fixed_table, n, axis=1))
                  for mode, n in zip(modes, counts)]
         with pytest.raises(ValueError, match=match):
             ber_block(paper_params, cases, 1, np.random.default_rng(1), np.random.default_rng(2))
@@ -241,9 +250,7 @@ class TestSweepSpec:
             "pinned-in-bdpr-sweep", "str", "bool", "sweep-str", "sweep-huge-int"])
     def test_bad_bdpr_rejected_before_any_channel_is_drawn(self, paper_params,
                                                            monkeypatch, changes, field):
-        def no_draw(*args):
-            raise AssertionError("channel drawn")
-        monkeypatch.setattr(mc, "draw_channels", no_draw)
+        monkeypatch.setattr(mc, "_block_draws", _no_draw)
         with pytest.raises(ConfigError) as ei:
             spec = SweepSpec(**{"scenario": paper_params, "sweep_var": SWEEP_PS,
                                 "values": (0.0,), **changes})
@@ -274,9 +281,7 @@ class TestSweepSpec:
 
         assert any(fails(real) for real in table) is not reachable
 
-        def no_draw(*args):
-            raise AssertionError("channel drawn")
-        monkeypatch.setattr(mc, "draw_channels", no_draw)
+        monkeypatch.setattr(mc, "_block_draws", _no_draw)
         for changes, field in (({"values": (ps,), "fixed_bdpr_db": bdpr}, "fixed_bdpr_db"),
                                ({"scenario": p, "sweep_var": SWEEP_BDPR,
                                  "values": (0.0, bdpr)}, "values")):
@@ -317,9 +322,7 @@ class TestSweepSpec:
             "modes-str"])
     def test_repeats_and_trial_caps_rejected_before_any_channel_is_drawn(
             self, paper_params, monkeypatch, changes, fields):
-        def no_draw(*args):
-            raise AssertionError("channel drawn")
-        monkeypatch.setattr(mc, "draw_channels", no_draw)
+        monkeypatch.setattr(mc, "_block_draws", _no_draw)
         changes = dict(changes)
         workers = changes.pop("workers", 1)     # run_sweep's; the rest are the spec's
         with pytest.raises(ConfigError) as ei:
@@ -551,11 +554,10 @@ class TestStackedCases:
 
     @staticmethod
     def _alone(spec, r0, realizations, params, bdpr_db, mode):
-        """One case through ber_block on its own, its channels composed at its point."""
-        drawn, frame_rng, lna_rng = mc._block_draws(spec.scenario, spec.master_seed, r0,
-                                                    realizations)
-        reals = [real.at_operating_point(params, bdpr_db) for real in drawn]
-        (res,) = ber_block(params, [(params.ps, mode, reals)], spec.n_frames, frame_rng, lna_rng,
+        """One case through ber_block on its own, its channel table composed at its point."""
+        normals, frame_rng, lna_rng = mc._block_draws(spec.master_seed, r0, realizations)
+        table = channel_table(params, normals, bdpr_db)
+        (res,) = ber_block(params, [(params.ps, mode, table)], spec.n_frames, frame_rng, lna_rng,
                            spec.threshold_policy)
         return res
 
@@ -601,24 +603,28 @@ class TestStackedCases:
         if runs != "one-frame":
             assert (failed > 0) is (policy == ESTIMATED_POLICY)
 
-    @pytest.mark.parametrize("sweep, targets", [("pinned-bdpr", 1), ("bdpr", 3)])
+    @pytest.mark.parametrize("sweep, targets", [("ps", [None]), ("pinned-bdpr", [-20.0]),
+                                                ("bdpr", [-30.0, -20.0, -10.0])])
     def test_channels_are_composed_once_per_bdpr_target(self, paper_params, monkeypatch,
                                                         sweep, targets):
+        # 5 realizations of 2 frames of K=40 in blocks of at most 2: one
+        # table per block and BDPR target, of the block's realizations
         composed = []
-        at_point = ChannelRealization.at_operating_point
 
-        def counting(real, params, target=None):
-            composed.append(target)
-            return at_point(real, params, target)
+        def counting(params, normals, target=None):
+            composed.append((normals.shape, target))
+            return channel_table(params, normals, target)
 
         p = replace(paper_params, k_symbols=40, n_samples=6, pilot_fraction=0.0, ps_dbm=5.0)
         spec = SweepSpec(scenario=p, sweep_var=SWEEP_BDPR if sweep == "bdpr" else SWEEP_PS,
                          values=(-30.0, -20.0, -10.0) if sweep == "bdpr" else (-5.0, 10.0, 25.0),
-                         modes=(NO_LNA, LNA), n_frames=2, n_realizations=4, master_seed=5,
+                         modes=(NO_LNA, LNA), n_frames=2, n_realizations=5, master_seed=5,
                          fixed_bdpr_db=-20.0 if sweep == "pinned-bdpr" else None)
-        monkeypatch.setattr(ChannelRealization, "at_operating_point", counting)
+        monkeypatch.setattr(mc, "BLOCK_SYMBOLS", 2 * 2 * p.k_symbols)
+        monkeypatch.setattr(mc, "channel_table", counting)
         run_sweep(spec, workers=1)
-        assert len(composed) == 4 * targets
+        assert sorted(composed, key=repr) == sorted(
+            [((6, n), target) for n in (1, 2, 2) for target in targets], key=repr)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_no_pass_stacks_more_symbols_than_the_budget(self, paper_params, monkeypatch,
@@ -679,8 +685,14 @@ class TestPilotSweep:
 
     def test_a_failing_true_threshold_raises(self, k200, monkeypatch):
         # every channel without a tag path: equal means, so no true threshold
-        monkeypatch.setattr(mc, "draw_channels",
-                            lambda params, rng: _manual_realization(params, 1e-3 + 0j, 0j, 0j))
+        block_draws = mc._block_draws
+
+        def no_tag_path(*args):
+            normals, frame_rng, lna_rng = block_draws(*args)
+            normals[2:] = 0.0
+            return normals, frame_rng, lna_rng
+
+        monkeypatch.setattr(mc, "_block_draws", no_tag_path)
         with pytest.raises(NoSeparationError):
             run_pilot_sweep(k200, (0.1,), LNA, n_realizations=2, n_frames=3, master_seed=1)
 
@@ -741,9 +753,7 @@ class TestPilotSweep:
 
 def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_params,
                                                                         monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("channel drawn")
-    monkeypatch.setattr(mc, "draw_channels", no_draw)
+    monkeypatch.setattr(mc, "_block_draws", _no_draw)
     with pytest.raises(ConfigError) as ei:
         run_pilot_sweep(paper_params, (0.2,), "amp", n_realizations=1, n_frames=1,
                         master_seed=0)
@@ -772,10 +782,8 @@ def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
     # K = 100: the largest fraction, 0.2, draws 20 pilots per frame; 0.1 and
     # 0.1000000001 are distinct fractions of one pilot count, 10. verify's
     # seed obeys the same rule as the sweeps' master_seed.
-    def no_draw(*args):
-        raise AssertionError("channel drawn")
-    monkeypatch.setattr(mc, "draw_channels", no_draw)
-    monkeypatch.setattr(ambclink.verify, "draw_channels", no_draw)
+    monkeypatch.setattr(mc, "_block_draws", _no_draw)
+    monkeypatch.setattr(ambclink.verify, "draw_channels", _no_draw)
     with pytest.raises(ConfigError) as ei:
         run(paper_params)
     assert ei.value.fields == fields
