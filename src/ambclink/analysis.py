@@ -16,7 +16,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .channel import ChannelRealization, _each
+from .channel import ChannelRealization
 from .config import LNA, NO_LNA, SystemParams, check_mode, is_int_in
 from .errors import ModelValidityError, NoSeparationError
 
@@ -143,6 +143,11 @@ def hypothesis_moments(params: SystemParams, real: ChannelRealization,
 
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """The math function f of each element of x, as an array of its shape."""
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def q_function(x):

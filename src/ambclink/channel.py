@@ -1,6 +1,5 @@
 """Quasi-static Rayleigh channel draws with distance-based path loss, composed
-by one text for a realization of Python numbers or a table of arrays, which
-_Parts, _Moduli and _each round as Python does, bit for bit."""
+by one text on Python numbers, for one realization or each of a block's."""
 
 from __future__ import annotations
 
@@ -14,44 +13,8 @@ from .config import SystemParams
 from .errors import UndefinedRatioError
 
 
-def _each(f, x):
-    """The math function f of a float x, or of each element of an array x."""
-    if not isinstance(x, np.ndarray):
-        return f(x)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-class _Moduli(NamedTuple):
-    """|z| of each element of _Parts, whose ** is Python's, element by element."""
-
-    values: np.ndarray
-
-    def __pow__(self, exponent):
-        return _each(lambda v: v ** exponent, self.values)
-
-
-class _Parts(NamedTuple):
-    """Complex numbers as arrays of their real and imaginary parts, added,
-    multiplied (a real factor as x + 0j) and measured as Python's are."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __add__(self, other):
-        return _Parts(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        re, im = other if isinstance(other, _Parts) else (other, 0.0)
-        return _Parts(self.re * re - self.im * im, self.re * im + self.im * re)
-
-    __rmul__ = __mul__
-
-    def __abs__(self):
-        return _Moduli(np.hypot(self.re, self.im))
-
-
 class ChannelRealization(NamedTuple):
-    """One coherence interval's channel state, or channel_table's table of many.
+    """One coherence interval's channel state.
 
     h1 = h0 + alpha_amp * hst * htr; p_i = |h_i|^2 * Ps (watts).
     """
@@ -76,7 +39,7 @@ class ChannelRealization(NamedTuple):
         if target_bdpr_db is not None:
             if not math.isfinite(target_bdpr_db):
                 raise UndefinedRatioError(f"target BDPR must be finite, got {target_bdpr_db!r}")
-            hst = hst * _each(lambda x: 10.0 ** x, (target_bdpr_db - bdpr(self, params)) / 20.0)
+            hst = hst * 10.0 ** ((target_bdpr_db - bdpr(self, params)) / 20.0)
         return _compose(params, self.h0, hst, self.htr)
 
 
@@ -86,14 +49,18 @@ def _compose(params: SystemParams, h0: complex, hst: complex, htr: complex) -> C
     return ChannelRealization(h0, hst, htr, h1, abs(h0) ** 2 * ps, abs(h1) ** 2 * ps)
 
 
-def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw h0, hst, htr independently from CN(0, r^-v): real, then imaginary
-    part of each, scaled by params.cn_scales from one call of six standard
-    normals (the values of six `rng.normal(0, s)` calls, which compute 0 + s*z)."""
-    x0, y0, xst, yst, xtr, ytr = rng.standard_normal(6).tolist()
+def _from_normals(params: SystemParams, normals: list) -> ChannelRealization:
+    """h0, hst, htr from six standard normals, real then imaginary part of each
+    times params.cn_scales: the values of six `rng.normal(0, s)` calls (0 + s*z)."""
+    x0, y0, xst, yst, xtr, ytr = normals
     s0, sst, s_tr = params.cn_scales
     return _compose(params, complex(s0 * x0, s0 * y0), complex(sst * xst, sst * yst),
                     complex(s_tr * xtr, s_tr * ytr))
+
+
+def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
+    """Draw h0, hst, htr independently from CN(0, r^-v) from six standard normals."""
+    return _from_normals(params, rng.standard_normal(6).tolist())
 
 
 def channel_table(params: SystemParams, normals: np.ndarray,
@@ -101,11 +68,11 @@ def channel_table(params: SystemParams, normals: np.ndarray,
     """|h0|^2, |h1|^2 and |htr|^2, of shape (3, realizations), of the channels
     draw_channels draws from the six standard normals normals[:, r], composed by
     at_operating_point at the target and Ps = 1 W: a gain times a Ps is the power."""
-    unit, normals = replace(params, ps_dbm=30.0), np.reshape(normals, (6, -1))
-    drawn = _compose(unit, *(_Parts(s * normals[i], s * normals[i + 1])
-                             for i, s in zip((0, 2, 4), params.cn_scales)))
-    table = drawn.at_operating_point(unit, target_bdpr_db)
-    return np.array([table.p0, table.p1, table.htr_abs2])
+    unit = replace(params, ps_dbm=30.0)
+    reals = [_from_normals(unit, column) for column in np.reshape(normals, (6, -1)).T.tolist()]
+    if target_bdpr_db is not None:
+        reals = [real.at_operating_point(unit, target_bdpr_db) for real in reals]
+    return np.array([(real.p0, real.p1, real.htr_abs2) for real in reals]).reshape(-1, 3).T
 
 
 def aligned_channel(params: SystemParams, direct_gain: float) -> ChannelRealization:
@@ -118,13 +85,12 @@ def aligned_channel(params: SystemParams, direct_gain: float) -> ChannelRealizat
 
 
 def bdpr(real: ChannelRealization, params: SystemParams) -> float:
-    """Backscatter-to-direct-link power ratio in dB (of each realization of a
-    table). Raises UndefinedRatioError when either gain is 0."""
+    """Backscatter-to-direct-link power ratio in dB. Raises
+    UndefinedRatioError when either gain is 0."""
     direct = abs(real.h0) ** 2
-    if np.any(direct == 0.0):
+    if direct == 0.0:
         raise UndefinedRatioError("BDPR undefined: |h0| = 0")
     back = params.alpha_amp ** 2 * abs(real.hst) ** 2 * abs(real.htr) ** 2
-    if np.any(back == 0.0):
+    if back == 0.0:
         raise UndefinedRatioError("BDPR undefined: the backscatter gain is 0")
-    return 10.0 * _each(math.log10, back / direct)
-
+    return 10.0 * math.log10(back / direct)

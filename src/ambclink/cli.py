@@ -87,8 +87,11 @@ def _parse_sweep(text: str):
                           fields=("sweep",))
     # by index, not by accumulation: a step below the float spacing at start
     # would never advance
-    values = (round(start + i * step, 9) for i in range(math.floor(spans) + 1))
-    return names[var], tuple(values)
+    values = tuple(round(start + i * step, 9) for i in range(math.floor(spans) + 1))
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--sweep {text!r} has points closer than the 1e-9 grain they are "
+                          "rounded to", fields=("sweep",))
+    return names[var], values
 
 
 def _csv_rows(header: str, points) -> list:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ambclink import UndefinedRatioError
+from ambclink import UndefinedRatioError, channel
 from ambclink.channel import ChannelRealization, bdpr, channel_table, draw_channels
 
 N_DRAWS = 200_000  # 1% tolerance targets leave ~3x headroom at this size
@@ -184,7 +184,7 @@ def _normals(master, n):
 
 
 class TestChannelTable:
-    """channel_table composes a block's channels as arrays through the text
+    """channel_table composes each of a block's channels through the text
     that composes one ChannelRealization, so both give the same bits."""
 
     @pytest.mark.parametrize("scenario", [{}, {"r0": 7.0, "v0": 2.2, "rst": 3.0, "vst": 3.7,
@@ -220,3 +220,17 @@ class TestChannelTable:
             bdpr(real, paper_params)
         assert str(raised.value) == str(float_call.value)
         assert channel_table(paper_params, normals).shape == (3, 4)   # no target, no ratio
+
+    @pytest.mark.parametrize("target, per_realization", [(None, 1), (-20.0, 2)])
+    def test_each_realization_is_composed_once_per_operating_point(
+            self, paper_params, monkeypatch, target, per_realization):
+        # drawn once; composed again only to rescale hst to a target
+        calls, compose = [], channel._compose
+
+        def counting(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(channel, "_compose", counting)
+        assert channel_table(paper_params, _normals(4, 7), target).shape == (3, 7)
+        assert len(calls) == 7 * per_realization

@@ -26,6 +26,7 @@ from ambclink.cli import (
     main,
 )
 from ambclink.config import MAX_WORKERS
+from ambclink.errors import ConfigError
 from ambclink.montecarlo import SWEEP_BDPR, BerPoint, PilotPoint
 
 FAST = ["--seed", "4", "--workers", "1"]
@@ -141,12 +142,14 @@ class TestBerSweep:
         assert not os.path.exists(out)
 
     def test_step_below_float_spacing_still_ends(self):
-        # 1e17 + 2 rounds back to 1e17, so accumulating the step never advances
+        # 1e17 + 2 rounds back to 1e17, so accumulating the step never advances;
+        # by index the 513 points end, and their repeats name the sweep
         t0 = time.monotonic()
         assert _parse_sweep("bdpr:1e17:1e17:1") == (SWEEP_BDPR, (1e17,))
-        _, values = _parse_sweep("bdpr:1e17:1.0000000000000102e17:2")
+        with pytest.raises(ConfigError, match="closer than the 1e-9 grain") as raised:
+            _parse_sweep("bdpr:1e17:1.0000000000000102e17:2")
         assert time.monotonic() - t0 < 1.0
-        assert len(values) == 513 and values[0] == 1e17 and values[-1] <= 1.0000000000000102e17
+        assert raised.value.fields == ("sweep",)
 
     def test_grid_slack_is_a_fraction_of_the_step(self):
         # the slack is a fraction of the step, so a step near 1e-9 takes no point past stop
@@ -254,7 +257,8 @@ class TestPilotSweep:
     ("ber-sweep", ["--frames", "1000000"], "n_frames"),
     ("pilot-sweep", ["--frames", "1000000000"], "n_frames"),
     ("pilot-sweep", ["--fractions", "0.05,0.05000000001"], "pilot_fraction"),
-    ("ber-sweep", ["--sweep", "ps:0:2e-10:1e-10"], "values"),
+    ("ber-sweep", ["--sweep", "ps:0:2e-10:1e-10"], "--sweep"),
+    ("ber-sweep", ["--sweep", "ps:0:1e-9:1e-10"], "--sweep"),
     ("ber-sweep", ["--workers", str(MAX_WORKERS + 1)], "workers"),
     ("ber-sweep", ["--workers", "100000"], "workers"),
     ("pilot-sweep", ["--workers", str(MAX_WORKERS + 1)], "workers"),
@@ -272,8 +276,8 @@ class TestPilotSweep:
         "pilot-workers-negative", "ber-modes-repeated", "pilot-fractions-repeated",
         "ber-realizations-over-cap", "pilot-realizations-over-cap",
         "ber-symbols-over-cap", "pilot-symbols-over-cap", "pilot-fractions-of-one-count",
-        "ber-sweep-values-repeated", "ber-workers-over-cap", "ber-workers-huge",
-        "pilot-workers-over-cap", "pilot-workers-huge", "ber-ps-on-ps-sweep"])
+        "ber-sweep-values-repeated", "ber-sweep-step-below-grain", "ber-workers-over-cap",
+        "ber-workers-huge", "pilot-workers-over-cap", "pilot-workers-huge", "ber-ps-on-ps-sweep"])
 def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch, command,
                                                    bad_args, field):
     def no_draw(*args):

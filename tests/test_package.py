@@ -60,39 +60,38 @@ def test_the_shared_closed_forms_use_operators_and_sqrt_alone():
     # bits only through correctly rounded operators, so none may take a power
     # or numpy's log or exp. noise_levels is not among them: its powers act on
     # the scalar parameters alone, the same floats on either path. _each, which
-    # takes math functions element by element, lives in channel.py, whose
-    # channel text analysis imports.
-    shared = {analysis: {"HypothesisMoments", "_checked_moments", "lna_moments",
-                         "nolna_moments", "level_moments", "_level_moments",
-                         "hypothesis_moments", "q_function", "ber_closed_form",
-                         "near_optimal_threshold", "_threshold"},
-              channel: {"_each"}}
-    for module, names in shared.items():
-        found = set()
-        for node in ast.parse(inspect.getsource(module)).body:
-            if getattr(node, "name", None) not in names:
-                continue
-            found.add(node.name)
-            for sub in ast.walk(node):
-                assert not isinstance(getattr(sub, "op", None), ast.Pow), (node.name, sub.lineno)
-                assert not (isinstance(sub, ast.Name) and sub.id == "pow"), node.name
-                assert not (isinstance(sub, ast.Attribute)
-                            and (sub.attr == "pow" or sub.attr in ("power", "log", "exp")
-                                 and isinstance(sub.value, ast.Name) and sub.value.id == "np")), \
-                    (node.name, sub.lineno)
-        assert found == names
+    # takes math functions element by element over arrays, keeps the same rule.
+    names = {"HypothesisMoments", "_checked_moments", "lna_moments", "nolna_moments",
+             "level_moments", "_level_moments", "hypothesis_moments", "q_function",
+             "ber_closed_form", "near_optimal_threshold", "_threshold", "_each"}
+    found = set()
+    for node in ast.parse(inspect.getsource(analysis)).body:
+        if getattr(node, "name", None) not in names:
+            continue
+        found.add(node.name)
+        for sub in ast.walk(node):
+            assert not isinstance(getattr(sub, "op", None), ast.Pow), (node.name, sub.lineno)
+            assert not (isinstance(sub, ast.Name) and sub.id == "pow"), node.name
+            assert not (isinstance(sub, ast.Attribute)
+                        and (sub.attr == "pow" or sub.attr in ("power", "log", "exp")
+                             and isinstance(sub.value, ast.Name) and sub.value.id == "np")), \
+                (node.name, sub.lineno)
+    assert found == names
 
 
 def test_the_channel_text_takes_no_modulus_that_rounds_apart():
-    # np.abs and np.absolute of a complex array, and math.hypot, round apart
-    # from Python's abs of a complex in some last bits, so the channel table
-    # would miss the gains of the realizations it stands for
-    banned = {("np", "abs"), ("np", "absolute"), ("numpy", "abs"), ("numpy", "absolute"),
-              ("math", "hypot")}
-    found = [f"{node.value.id}.{node.attr}:{node.lineno}"
-             for node in ast.walk(ast.parse(inspect.getsource(channel)))
-             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-             and (node.value.id, node.attr) in banned]
+    # numpy's complex product, abs and log10, and math.hypot, round apart from
+    # Python's complex arithmetic in some last bits, so a channel composed
+    # through them would miss the gains of the realization draw_channels makes
+    tree = ast.parse(inspect.getsource(channel))
+    text = {"ChannelRealization", "_compose", "_from_normals", "aligned_channel", "bdpr"}
+    nodes = [node for node in tree.body if getattr(node, "name", None) in text]
+    assert {node.name for node in nodes} == text
+    found = [f"{sub.value.id}.{sub.attr}:{sub.lineno}" for node in nodes for sub in ast.walk(node)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+             and sub.value.id in ("np", "numpy")]
+    found += [f"hypot:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "hypot"]
     assert found == []
 
 
