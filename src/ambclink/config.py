@@ -68,7 +68,7 @@ MAX_K_SYMBOLS = 10 ** 6
 MAX_N_SAMPLES = 10 ** 6
 MAX_FRAME_SAMPLES = 10 ** 7
 # Each block draws its own channels, 15 us per realization seeded, drawn and
-# composed (16 us under a BDPR target; paper defaults, 2-vCPU Xeon), so the cap is
+# composed, with a BDPR target or without (paper defaults, 2-vCPU Xeon), so the cap is
 # 15 s of channel draws spread over the blocks, each holding its own table. The LNA sampler
 # draws about 1 M symbols/s (N = 75; 0.9 to 1.1 M measured). The symbol cap
 # counts every point and mode, though a block draws once for all of them, so it

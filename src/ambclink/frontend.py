@@ -34,19 +34,19 @@ def generate_frame(
     """The K energy statistics of one frame, built from its K*N received
     samples, channel held fixed.
 
-    no_lna: y = g*s + (w_ar + w_cov + alpha*htr*d*w_at), g = h0 + alpha*hst*htr*d
-    lna:    y = beta1*g*s + beta3*(g*s)|g*s|^2
-                + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
-    The cubic distortion acts on the noiseless signal component only. The
-    three noises are independent circular Gaussians, so their sum is drawn
-    as one, CN(0, a^2 n_ar + n_cov + a^2 alpha^2 |htr|^2 d n_at) with
-    a = beta1 (a = 1 without the LNA), the level of analysis.noise_levels:
-    s first, then one unit CN block scaled per sample, 4 normals a sample.
+    y = beta1*g*s + beta3*(g*s)|g*s|^2 + (beta1*w_ar + w_cov + beta1*alpha*htr*d*w_at)
+    with g the realization's own h0 under bit 0 and h1 under bit 1. Without the
+    LNA, beta1 = 1 and beta3 = 0: y = g*s + (w_ar + w_cov + alpha*htr*d*w_at), to
+    the bit. The cubic distortion acts on the noiseless signal component only.
+    The three noises are independent circular Gaussians, so their sum is drawn
+    as one, CN(0, a^2 n_ar + n_cov + a^2 alpha^2 |htr|^2 d n_at) with a = beta1
+    (a = 1 without the LNA), the level of analysis.noise_levels: s first, then
+    one unit CN block scaled per sample, 4 normals a sample.
 
     The samples sit on a (K, N) layout: each bit's g and noise SD are taken
     once and broadcast over its symbol's N samples, and the arithmetic runs
     in place, FRAME_BLOCK samples at a time. Every float operation has the
-    operands, in the order, of the per-sample expressions above (numpy
+    operands, in the order, of the per-sample expression above (numpy
     rounds g*s and s*g differently).
     """
     check_mode(mode)
@@ -57,7 +57,7 @@ def generate_frame(
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0/1 valued")
     d = bits.astype(np.int64, copy=False)[:, None]
-    g = real.h0 + params.alpha_amp * real.hst * real.htr * np.arange(2)   # under bits 0, 1
+    g = np.array([real.h0, real.h1])   # under bits 0, 1
     sigma = np.sqrt(noise_levels(params, real.htr_abs2, mode))
 
     z = rng.standard_normal((4, bits.size, params.n_samples))  # s's re, im; w's re, im
@@ -76,15 +76,13 @@ def _block_energies(params: SystemParams, mode: str, z: np.ndarray, g: np.ndarra
             ((math.sqrt(params.ps / 2.0), 0), (math.sqrt(1.0 / 2.0), 2)))
     np.multiply(sigma, w, out=w)
     x = np.multiply(g, s, out=s)
-    if mode == NO_LNA:
-        y = np.add(x, w, out=x)
-    else:
-        cubic = np.multiply(params.beta3, x)
-        x2 = np.square(np.abs(x, out=z[0]), out=z[0])
-        np.multiply(cubic, x2, out=cubic)
-        y = np.multiply(params.beta1, x, out=x)
-        np.add(y, cubic, out=y)
-        np.add(y, w, out=y)
+    beta1, beta3 = (1.0, 0.0) if mode == NO_LNA else (params.beta1, params.beta3)
+    cubic = np.multiply(beta3, x)
+    x2 = np.square(np.abs(x, out=z[0]), out=z[0])
+    np.multiply(cubic, x2, out=cubic)
+    y = np.multiply(beta1, x, out=x)
+    np.add(y, cubic, out=y)
+    np.add(y, w, out=y)
     return np.mean(np.square(np.abs(y, out=z[0]), out=z[0]), axis=1)
 
 

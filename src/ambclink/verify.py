@@ -123,7 +123,7 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
     and of generate_frame must agree in distribution (two-sample KS) and in
     mean and variance, each at p >= 1e-6. N = 4, so the statistic is far
     from Gaussian and its shape is tested, not only its first two moments.
-    Two operating points derived from `params`:
+    The channel is drawn once and composed at two points derived from `params`:
     - noise-limited: the tag noise raised to 3x the larger input-referred
       ungated noise, so n1/n0 >= 4, and the direct path at that noise;
     - compression: Ps set so that |beta3| P / beta1 = 0.05 on the weaker
@@ -154,15 +154,15 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
     worst = (math.inf, "")
     stream = 0
     for label, point in points.items():
-        real = draw_channels(point, np.random.default_rng(seed))
+        at = real.at_operating_point(point)     # the points change Ps and n_at only
         for mode in MODES:
             stream += 1
             rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
             ref = np.concatenate([
-                generate_frame(point, real, chunk_bits, rng, mode) for _ in range(k_ref // chunk)
+                generate_frame(point, at, chunk_bits, rng, mode) for _ in range(k_ref // chunk)
             ])
-            noise = analysis.noise_levels(point, real.htr_abs2, mode)
-            fast = draw_energies(point, fast_bits, (real.p0, real.p1), noise, rng, mode)
+            noise = analysis.noise_levels(point, at.htr_abs2, mode)
+            fast = draw_energies(point, fast_bits, (at.p0, at.p1), noise, rng, mode)
             for d in (0, 1):
                 a, b = ref[ref_bits == d], fast[fast_bits == d]
                 p_ks = _ks_2samp_pvalue(a, b)

@@ -505,11 +505,16 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
 
 class TestVerify:
     def test_paper_defaults_pass(self, capsys):
+        # sha256 of the check lines, all but the closing line with its time:
+        # a change that must not move any verify result keeps them byte for
+        # byte (x86-64 Linux, CPython 3.11, numpy 2.4.6, scipy 1.17.1)
         rc = main(["verify", "--paper-defaults", "--seed", "0"])
-        out = capsys.readouterr().out
+        *checks, last = capsys.readouterr().out.splitlines(keepends=True)
         assert rc == EXIT_OK
-        assert "all checks passed" in out
-        assert "FAIL" not in out
+        assert last.startswith("verify: all checks passed")
+        assert not any("FAIL" in line for line in checks)
+        assert hashlib.sha256("".join(checks).encode()).hexdigest() == \
+            "23513b15f4f4c8e2cae6984053e0ae7651e1693e61356c3174a8d42aedbc6dd6"
 
     def test_ps_override_reaches_the_checks(self, capsys):
         def moments_line(extra):

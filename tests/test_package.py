@@ -95,6 +95,16 @@ def test_the_channel_text_takes_no_modulus_that_rounds_apart():
     assert found == []
 
 
+def test_only_the_channel_module_reads_hst():
+    # every composition of h1 = h0 + alpha*hst*htr reads hst, so the channel
+    # is composed by one text: the others take h0 and h1 as it composed them
+    package = Path(ambclink.__file__).parent
+    readers = {path.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "hst"}
+    assert readers == {"channel.py"}
+
+
 def test_every_module_level_function_and_class_has_a_user():
     # a function or class that nothing in src/ or perfbench/ uses beyond its
     # definition and its export is code the product does not run.
