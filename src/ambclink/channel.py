@@ -68,10 +68,13 @@ def channel_table(params: SystemParams, normals: np.ndarray,
                   target_bdpr_db: float | None = None) -> np.ndarray:
     """|h0|^2, |h1|^2 and |htr|^2, of shape (3, realizations), of the channels
     draw_channels draws from the six standard normals normals[:, r], each composed
-    once, at the target and Ps = 1 W: a gain times a Ps is the power."""
+    once, at the target and Ps = 1 W: a gain times a Ps is the power. `normals`
+    must be (6, realizations); a transposed (6, 6) array cannot be told apart."""
+    if np.ndim(normals) != 2 or len(normals) != 6:
+        raise ValueError(f"normals must have shape (6, realizations), got {np.shape(normals)}")
     unit = replace(params, ps_dbm=30.0)
     reals = [_from_normals(unit, column, target_bdpr_db)
-             for column in np.reshape(normals, (6, -1)).T.tolist()]
+             for column in np.transpose(normals).tolist()]
     return np.array([(real.p0, real.p1, real.htr_abs2) for real in reals]).reshape(-1, 3).T
 
 

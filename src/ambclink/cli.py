@@ -5,6 +5,9 @@ Exit statuses: 0 success, 1 validation error, 2 check failure (a failed
 verify check, or a closed form that fails during a run) or usage error (from
 argparse: a bad --mode or --threshold-policy choice, a non-integer count, a
 missing --out), 3 I/O error.
+
+The parser is built once per process, on first use; `main` parses each argv
+into a fresh Namespace, so it is re-entrant.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 
 import numpy as np
@@ -183,7 +186,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILURE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; callers must not mutate it.
+    _sweep_command and cmd_verify are bound at that first build."""
     parser = argparse.ArgumentParser(
         prog="ambclink",
         description="Ambient backscatter link simulator and analysis toolkit",
@@ -231,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AmbclinkError as exc:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pickle
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -204,6 +206,23 @@ class TestChannelTable:
                 got = channel_table(p, normals, target)
                 assert got.shape == (3, 2000)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (master, target)
+
+    @pytest.mark.parametrize("normals, digest", [
+        (_normals(6, 1), "4012292876c3df41cf1dcc0b17d5d092993067404a092e6b362e45520761b6ea"),
+        (_normals(6, 10), "921446aa83603a1decc18c09f7f52f59070e486474b5a1e1964f7ad512e222bd"),
+        (_normals(6, 10).T, None), (_normals(6, 2).ravel(), None),
+        (_normals(6, 2)[..., None], None)], ids=["6x1", "6x10", "10x6", "12", "6x2x1"])
+    def test_normals_are_six_rows_of_realizations(self, paper_params, normals, digest):
+        # a reshape would read any 6R numbers as (6, R), so a transposed or
+        # flat array would compose scrambled channels without an error
+        if digest is None:
+            shape = re.escape(str(normals.shape))
+            with pytest.raises(ValueError, match=rf"normals .* got {shape}"):
+                channel_table(paper_params, normals)
+        else:
+            got = channel_table(paper_params, normals)
+            assert got.shape == (3, normals.shape[1])
+            assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("rows, match", [((2, 3), "backscatter"), ((4, 5), "backscatter"),
                                              ((0, 1), r"\|h0\| = 0")],

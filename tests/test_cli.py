@@ -73,6 +73,29 @@ class TestBerSweep:
                          *SMALL_SWEEP, *FAST]) == EXIT_OK
         assert _read(a) == _read(b)
 
+    def test_calls_in_one_process_share_the_parser_and_no_options(self, tmp_path, capsys):
+        # the parser is built once per process; options away from their
+        # defaults, a usage error and --help in between leave the next parse as
+        # it was
+        scenario = _scenario_file(tmp_path, pilot_fraction=0.2)
+        first, again = str(tmp_path / "first.csv"), str(tmp_path / "again.csv")
+        base = ["ber-sweep", "--scenario", scenario, *FAST]
+        assert main([*base, "--out", first, *SMALL_SWEEP]) == EXIT_OK
+        assert main([*base, "--out", str(tmp_path / "pinned.csv"), "--sweep", "ps:0:10:10",
+                     "--realizations", "4", "--bdpr", "-20", "--threshold-policy", "estimated",
+                     "--frames", "2", "--modes", "lna"]) == EXIT_OK
+        assert main([*base, "--out", str(tmp_path / "bdpr.csv"), "--sweep", "bdpr:-30:-10:20",
+                     "--ps", "5", "--realizations", "3"]) == EXIT_OK
+        for argv, code in (([*base, "--sweep", "ps:0:10:10", "--frames", "x"], 2),
+                           (["ber-sweep", "--help"], 0)):
+            with pytest.raises(SystemExit) as ei:
+                main(argv)
+            assert ei.value.code == code
+        assert "--threshold-policy" in capsys.readouterr().out
+        assert main([*base, "--out", again, *SMALL_SWEEP]) == EXIT_OK
+        assert _read(again) == _read(first)
+        assert build_parser() is build_parser()
+
     def test_worker_count_does_not_change_output(self, tmp_path):
         scenario = _scenario_file(tmp_path)
         a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w3.csv")
