@@ -53,10 +53,7 @@ def generate_frame(
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size != params.k_symbols:
         raise ValueError(f"bits must have length K={params.k_symbols}, got {bits.size}")
-    # checked before the cast, which would truncate 0.5 to a valid 0
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0/1 valued")
-    d = bits.astype(np.int64, copy=False)[:, None]
+    d = _zero_one(bits)[:, None]
     g = np.array([real.h0, real.h1])   # under bits 0, 1
     sigma = np.sqrt(noise_levels(params, real.htr_abs2, mode))
 
@@ -65,6 +62,13 @@ def generate_frame(
     return np.concatenate([
         _block_energies(params, mode, z[:, k:k + rows], g[d[k:k + rows]], sigma[d[k:k + rows]])
         for k in range(0, bits.size, rows)])
+
+
+def _zero_one(bits: np.ndarray) -> np.ndarray:
+    """The samplers' 0/1 rule, checked before the cast to int64 truncates 0.5 to 0."""
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0/1 valued")
+    return bits.astype(np.int64, copy=False)
 
 
 def _block_energies(params: SystemParams, mode: str, z: np.ndarray, g: np.ndarray,
@@ -190,10 +194,11 @@ def energies_from_variates(params: SystemParams, bits: np.ndarray, power, noise,
 
 def draw_energies(params: SystemParams, bits: np.ndarray, power, noise,
                   rng: np.random.Generator, mode: str) -> np.ndarray:
-    """Energy statistics of symbols `bits`, as energies_from_variates takes
-    them, drawn from `rng`: their variates, then their energies."""
+    """Energy statistics of symbols `bits` (0s and 1s, else ValueError), as
+    energies_from_variates takes them, drawn from `rng`: variates, then energies."""
     check_mode(mode)
-    shape, n = np.shape(bits), params.n_samples
+    bits = _zero_one(np.asarray(bits))
+    shape, n = bits.shape, params.n_samples
     variates = (rng.standard_gamma(n, shape) if mode == NO_LNA
                 else draw_lna_variates(n, shape, rng))
     return energies_from_variates(params, bits, power, noise, mode, variates)

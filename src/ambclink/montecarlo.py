@@ -6,12 +6,12 @@ with all their frames, drawn once and shared by every sweep point and mode
 own channels, seeded per realization, then its frames in runs of at most
 BLOCK_SYMBOLS symbols (one run unless a single realization's frames exceed
 it): the bits and the no-LNA standard gammas from the block's frame
-generator, the LNA variates from a generator of their own. A BER block
-composes its channel table once per BDPR target, and each mode's points run
-stacked: one batch of closed forms (analysis: NaN marks an element whose
-float call raises), and per run one pass of arithmetic on the shared draws
-over at most STACK_SYMBOLS symbols.
-"""
+generator, the LNA variates from a generator of their own. A block of either
+study is built from mode groups: cases of one mode stacked, with one batch
+of closed forms (analysis: NaN marks an element whose float call raises) and
+per run one pass on the shared draws. A BER block composes its channel table
+once per BDPR target and groups at most STACK_SYMBOLS symbols a run; a
+pilot-study block is one group of one case."""
 
 from __future__ import annotations
 
@@ -78,16 +78,15 @@ def _run_frames(n_reals, n_frames, frame_symbols) -> int:
     return min(n_frames, max(1, BLOCK_SYMBOLS // (n_reals * frame_symbols)))
 
 
-def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
-    """The draws of every (realization, frame, symbol) of a block, in runs of
-    consecutive frames of at most BLOCK_SYMBOLS symbols (one frame per
-    realization at least). Yields per run the bits, of shape (n_reals, frames
-    in the run, symbols), and their variates by mode, as energies_from_variates
-    takes them: from frame_rng the bits, then the no-LNA standard Gamma(N)
-    variates (None for an LNA-only run without data bits); from lna_rng,
-    unless it is None, the LNA variates. A frame holds k_train pilots
-    (pilot_bits; none for 0), then n_data random data bits. A block of
-    several realizations holds one run."""
+def _frame_runs(params, modes, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
+    """The draws of every (realization, frame, symbol) of a block serving
+    `modes`, in runs of consecutive frames of at most BLOCK_SYMBOLS symbols
+    (one frame per realization at least). Yields per run the bits, of shape
+    (n_reals, frames in the run, symbols), and their variates by mode, as
+    energies_from_variates takes them: from frame_rng the bits, then the
+    no-LNA Gamma(N) variates (None for an LNA-only run without data bits);
+    from lna_rng the LNA variates if `modes` holds LNA, else None. A frame
+    holds k_train pilots (pilot_bits), then n_data random data bits."""
     n = params.n_samples
     run = _run_frames(n_reals, n_frames, k_train + n_data)
     for f0 in range(0, n_frames, run):
@@ -97,49 +96,42 @@ def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
             bits = np.concatenate(
                 [np.broadcast_to(pilot_bits(k_train), (*shape, k_train)), bits], axis=-1)
         # the next run's bits follow the gammas, so an LNA-only sweep draws them too
-        gamma = frame_rng.standard_gamma(n, bits.shape) if n_data or lna_rng is None else None
+        gamma = frame_rng.standard_gamma(n, bits.shape) if n_data or NO_LNA in modes else None
         yield bits, {NO_LNA: gamma,
-                     LNA: None if lna_rng is None else draw_lna_variates(n, bits.shape, lna_rng)}
-
-
-def _levels(params, cases, mode):
-    """(power, noise) of stacked `cases` (ps, mode, channel_table) in `mode`:
-    arrays of shape (2, cases, realizations, 1) whose [d] holds the bit-d input
-    power (the table's gain times ps) and noise power of each realization."""
-    power = np.stack([table[:2] * ps for ps, _, table in cases], axis=1)[..., None]
-    ht2 = np.stack([table[2] for *_, table in cases])[..., None]
-    return power, np.stack(noise_levels(params, ht2, mode))
-
-
-def _raise_first_failure(params, mode, power, noise, thresholds=True) -> None:
-    """Raise where the float calls on levels of shape (2, realizations, ...)
-    fail first, every moment before any threshold: arrays mark NaN there."""
-    moments = [level_moments(params, p, n, mode)
-               for p, n in zip(*(x.reshape(2, -1).T.tolist() for x in (power, noise)))]
-    for m in moments if thresholds else ():
-        near_optimal_threshold(m)
+                     LNA: draw_lna_variates(n, bits.shape, lna_rng) if LNA in modes else None}
 
 
 class _ModeGroup:
-    """Consecutive cases of one mode of a BER block, stacked: their levels
-    (_levels), their true closed forms in one batch, of shape (cases,
-    realizations, 1), and per run of frames the results of one pass over
-    them all, of shape (cases, realizations, frames)."""
+    """Consecutive cases (ps, mode, channel_table) of one mode of a block of
+    either study, stacked: their levels, [d] the bit-d input power (gain times
+    ps) and noise power, of shape (2, cases, realizations, 1); their true
+    closed forms in one batch, of shape (cases, realizations, 1): the threshold
+    unless `estimated`, its BER once read; per run the results of one pass."""
 
     def __init__(self, params, mode, cases, estimated):
         self.params, self.mode, self.estimated = params, mode, estimated
-        self.levels = _levels(params, cases, mode)
+        power = np.stack([table[:2] * ps for ps, _, table in cases], axis=1)[..., None]
+        ht2 = np.stack([table[2] for *_, table in cases])[..., None]
+        self.levels = power, np.stack(noise_levels(params, ht2, mode))
         self.moments = level_moments(params, *self.levels, mode)
         if not estimated:
             self.threshold = near_optimal_threshold(self.moments)
-            self.closed = ber_closed_form(self.moments, self.threshold)
+        self.failed = np.isnan(self.moments.var0 if estimated else self.threshold).any()
         self.runs = []
+
+    @cached_property
+    def closed(self):
+        return ber_closed_form(self.moments, self.threshold)
+
+    def energies(self, bits, variates):
+        """A run's energies (_frame_runs) at every case: (cases, *bits.shape)."""
+        return energies_from_variates(self.params, bits, *(x[..., None] for x in self.levels),
+                                      self.mode, variates[self.mode])
 
     def add_run(self, k_train, bits, variates):
         """Detect a run's frames at every case and count errors on their data
         symbols; the cases broadcast against the bits and variates they share."""
-        energies = energies_from_variates(self.params, bits, *(x[..., None] for x in self.levels),
-                                          self.mode, variates[self.mode])
+        energies = self.energies(bits, variates)
         if not self.estimated:
             threshold, closed = (np.broadcast_to(x, energies.shape[:-1])
                                  for x in (self.threshold, self.closed))
@@ -154,6 +146,16 @@ class _ModeGroup:
         decided = detect(energies, threshold[..., None], delta0[..., None], delta1[..., None])
         errors = np.where(failed, 0, np.sum(decided != bits, axis=-1))
         self.runs.append((errors, np.where(failed, 0, bits.shape[-1]), threshold, closed, failed))
+
+
+def _raise_first_failure(slots) -> None:
+    """If a group marks NaN, raise where the float calls on `slots`, (group, index
+    in it) of each case, fail first: case by case, its moments before its true thresholds."""
+    for group, j in slots if any(group.failed for group, _ in slots) else ():
+        power, noise = (x[:, j].reshape(2, -1).T.tolist() for x in group.levels)
+        moments = [level_moments(group.params, p, n, group.mode) for p, n in zip(power, noise)]
+        for m in () if group.estimated else moments:
+            near_optimal_threshold(m)
 
 
 def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.Generator,
@@ -192,13 +194,9 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
             groups.append(_ModeGroup(params, mode, [cases[i] for i in chunk], estimated))
             for j, i in enumerate(chunk):
                 slots[i] = groups[-1], j
-    if any(np.isnan(g.moments.var0 if estimated else g.closed).any() for g in groups):
-        for group, j in slots:     # case by case, as a loop over the cases meets them
-            _raise_first_failure(params, group.mode, *(x[:, j] for x in group.levels),
-                                 not estimated)
-    runs = _frame_runs(params, n_reals, n_frames, k_train, k - k_train, frame_rng,
-                       lna_rng if any(case[1] == LNA for case in cases) else None)
-    for bits, variates in runs:
+    _raise_first_failure(slots)
+    for bits, variates in _frame_runs(params, {g.mode for g in groups}, n_reals, n_frames,
+                                      k_train, k - k_train, frame_rng, lna_rng):
         for group in groups:
             group.add_run(k_train, bits, variates)
     results = {group: [np.concatenate(x, axis=2) for x in zip(*group.runs)] for group in groups}
@@ -356,36 +354,33 @@ def _ber_task(task) -> list:
 
 
 def _pilot_task(task):
-    """One pilot-study block, for every pilot count in `k_trains` at once:
-    the true threshold once per realization, then per frame only the pilots
-    of the largest count, drawn by _frame_runs. Each count k estimates from
-    the first k of those energies, which are its own pilots (pilot_bits).
+    """One pilot-study block, for every pilot count in `k_trains` at once: a
+    mode group's true threshold per realization, then per frame the energies
+    of only the pilots of the largest count (_frame_runs). Each count k
+    estimates from the first k of those, which are its own pilots (pilot_bits).
     Returns the relative threshold errors, of shape (len(k_trains),
     realizations, frames): NaN where the frame failed or its estimate is 0."""
     params, mode, k_trains, n_frames, master_seed, r0, realizations = task
     normals, frame_rng, lna_rng = _block_draws(master_seed, r0, realizations)
-    case = params.ps, mode, channel_table(params, normals)
-    levels = [x[:, 0] for x in _levels(params, [case], mode)]
-    t_true = near_optimal_threshold(level_moments(params, *levels, mode))
-    if np.isnan(t_true).any():
-        _raise_first_failure(params, mode, *levels)
-    runs = _frame_runs(params, len(realizations), n_frames, max(k_trains), 0, frame_rng,
-                       lna_rng if mode == LNA else None)
+    group = _ModeGroup(params, mode, [(params.ps, mode, channel_table(params, normals))], False)
+    _raise_first_failure([(group, 0)])
+    runs = _frame_runs(params, (mode,), len(realizations), n_frames, max(k_trains), 0,
+                       frame_rng, lna_rng)
     threshold = np.concatenate(
         [[near_optimal_threshold(pilot_statistics(energies, k)) for k in k_trains]
-         for energies in (energies_from_variates(params, bits, *(x[..., None] for x in levels),
-                                                 mode, variates[mode])
-                          for bits, variates in runs)], axis=-1)
-    return relative_threshold_error(t_true, np.where(threshold == 0, np.nan, threshold))
+         for energies in (group.energies(bits, variates)[0] for bits, variates in runs)], axis=-1)
+    return relative_threshold_error(group.threshold[0],
+                                    np.where(threshold == 0, np.nan, threshold))
 
 
-def _map_blocks(fn, tasks: list, workers: int) -> list:
-    """The results of `fn` for each task, in order; the only place a process
-    pool is opened, only for two tasks or more and with at most one process
-    per task (tasks are pure, so this cannot change a result). At least four
-    chunks per worker keep the load balanced when one worker runs slower than
-    the other."""
+def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, workers: int) -> list:
+    """The results of `fn` on (*head, r0, realizations) for each block (_blocks), in
+    order; the only place a process pool is opened, only for two tasks or more
+    and with at most one process per task (tasks are pure, so this cannot
+    change a result). At least four chunks per worker keep the load balanced
+    when one worker runs slower than the other."""
     check_int(workers, 1, MAX_WORKERS, "workers")
+    tasks = [(*head, *block) for block in _blocks(range(n_realizations), symbols)]
     workers = min(workers, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
@@ -422,9 +417,8 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
-    tasks = [(spec, r0, realizations) for r0, realizations in
-             _blocks(range(spec.n_realizations), spec.n_frames * spec.scenario.k_symbols)]
-    per_case = zip(*_map_blocks(_ber_task, tasks, workers))
+    per_case = zip(*_map_blocks(_ber_task, (spec,), spec.n_realizations,
+                                spec.n_frames * spec.scenario.k_symbols, workers))
     points = ((value, mode) for value in spec.values for mode in spec.modes)
     return [_ber_point(spec, value, mode, blocks)
             for (value, mode), blocks in zip(points, per_case)]
@@ -461,6 +455,9 @@ def run_pilot_sweep(
     """
     check_mode(mode)
     check_int(master_seed, 0, math.inf, "master_seed")
+    if not isinstance(fractions, (tuple, list)):    # read once, as SweepSpec reads its values
+        raise ConfigError(f"pilot fractions must be a tuple or a list, got {fractions!r}",
+                          fields=("pilot_fraction",))
     per_fraction = [replace(params, pilot_fraction=frac) for frac in fractions]
     k_trains = tuple(p.k_train for p in per_fraction)
     # the pilot count is what a fraction estimates from: 0 pilots (a fraction
@@ -471,22 +468,14 @@ def run_pilot_sweep(
                           f"pilot counts, got pilot_fraction {tuple(fractions)!r} (k_train "
                           f"{k_trains})", fields=("pilot_fraction",))
     check_trials(n_realizations, n_frames, max(k_trains))
-    tasks = [(params, mode, k_trains, n_frames, master_seed, r0, realizations)
-             for r0, realizations in _blocks(range(n_realizations), n_frames * max(k_trains))]
-    blocks = _map_blocks(_pilot_task, tasks, workers)
-    errors = np.concatenate(blocks, axis=1)
+    head = params, mode, k_trains, n_frames, master_seed
+    errors = np.concatenate(_map_blocks(_pilot_task, head, n_realizations,
+                                        n_frames * max(k_trains), workers), axis=1)
 
     points = []
     for p, err in zip(per_fraction, errors):
-        good = err[~np.isnan(err)]       # (realization, frame) order
-        points.append(PilotPoint(
-            pilot_fraction=p.pilot_fraction,
-            k_train=p.k_train,
-            r_mean=float(np.mean(good)) if good.size else math.nan,
-            r_median=float(np.median(good)) if good.size else math.nan,
-            r_p90=float(np.percentile(good, 90)) if good.size else math.nan,
-            frames=int(good.size),
-            failures=n_realizations * n_frames - good.size,
-            master_seed=master_seed,
-        ))
+        ok = err[~np.isnan(err)]       # (realization, frame) order
+        stats = (np.mean(ok), np.median(ok), np.percentile(ok, 90)) if ok.size else [math.nan] * 3
+        points.append(PilotPoint(p.pilot_fraction, p.k_train, *map(float, stats), ok.size,
+                                 n_realizations * n_frames - ok.size, master_seed))
     return points

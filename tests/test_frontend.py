@@ -260,6 +260,20 @@ class TestFrameEnergies:
                 sampler(p, fixed_realization, bits, rng, mode)
 
     @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    @pytest.mark.parametrize("bits", [[2, 5, 0, 1], [0.5, 1.0], [-1, 1]],
+                             ids=["ints", "fraction", "negative"])
+    def test_both_samplers_reject_bits_other_than_0_and_1(self, paper_params,
+                                                           fixed_realization, mode, bits):
+        # one 0/1 rule, checked before any draw; draw_energies reads bits of any shape
+        p = replace(paper_params, k_symbols=len(bits), pilot_fraction=0.0)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for sampler in (generate_frame, frame_energies):
+            with pytest.raises(ValueError, match="bits must be 0/1 valued"):
+                sampler(p, fixed_realization, np.array(bits), rng, mode)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
     def test_same_rng_same_energies(self, paper_params, fixed_realization, mode):
         bits = np.random.default_rng(2).integers(0, 2, paper_params.k_symbols)
         a, b = (frame_energies(paper_params, fixed_realization, bits,

@@ -58,6 +58,10 @@ def _no_draw(*args):
     raise AssertionError("channel drawn")
 
 
+def _no_lna_draw(*args):
+    raise AssertionError("LNA variates drawn")
+
+
 class TestDetect:
     def test_rule_applications(self):
         up = HypothesisMoments(1.0, 6.0, 1.0, 1.0)
@@ -669,8 +673,9 @@ class TestPilotSweep:
         fractions = (0.05, 0.2, 0.1)
         points = run_pilot_sweep(k200, fractions, LNA, n_realizations=1, n_frames=30,
                                  master_seed=12, workers=1)
-        (energies,) = drawn
-        assert energies.shape == (1, 30, 40)
+        (energies,) = drawn     # one energy call for the run, at the study's one case
+        assert energies.shape == (1, 1, 30, 40)
+        energies = energies[0]
         real = draw_channels(k200, np.random.default_rng(np.random.SeedSequence((12, 0, 1))))
         t_true = near_optimal_threshold(hypothesis_moments(k200, real, LNA))
         for frac, pt in zip(fractions, points):
@@ -696,6 +701,70 @@ class TestPilotSweep:
         with pytest.raises(NoSeparationError):
             run_pilot_sweep(k200, (0.1,), LNA, n_realizations=2, n_frames=3, master_seed=1)
 
+    def test_failing_moments_raise_the_float_calls_error(self, k200, monkeypatch):
+        # the second realization's direct path overflows the LNA moments (P^2
+        # is inf): the study raises that realization's float call's error,
+        # message and all, before any LNA variate is drawn
+        block_draws = mc._block_draws
+
+        def huge_direct_path(*args):
+            normals, frame_rng, lna_rng = block_draws(*args)
+            normals[:2, 1] *= 1e100
+            return normals, frame_rng, lna_rng
+
+        (g0, g1, gtr), = channel_table(k200, huge_direct_path(12, 0, range(2))[0])[:, 1:].T
+        with pytest.raises(ModelValidityError) as float_error:
+            level_moments(k200, (float(g0) * k200.ps, float(g1) * k200.ps),
+                          noise_levels(k200, float(gtr), LNA), LNA)
+        monkeypatch.setattr(mc, "_block_draws", huge_direct_path)
+        monkeypatch.setattr(mc, "draw_lna_variates", _no_lna_draw)
+        with pytest.raises(ModelValidityError) as raised:
+            run_pilot_sweep(k200, (0.1, 0.2), LNA, n_realizations=2, n_frames=3, master_seed=12)
+        assert str(raised.value) == str(float_error.value)
+
+    # the rows of the no-LNA study below, pinned: no stream may move them
+    NO_LNA_ROWS = (
+        "[PilotPoint(pilot_fraction=0.4, k_train=80, r_mean=0.029654443249111644, "
+        "r_median=0.020801597453503733, r_p90=0.07125759573832527, frames=600, failures=0, "
+        "master_seed=21), PilotPoint(pilot_fraction=0.05, k_train=10, "
+        "r_mean=0.04910265992863352, r_median=0.03869828890062964, r_p90=0.10153380747474873, "
+        "frames=600, failures=0, master_seed=21), PilotPoint(pilot_fraction=0.2, k_train=40, "
+        "r_mean=0.03609185104859668, r_median=0.02647546559628898, r_p90=0.08212088271258083, "
+        "frames=600, failures=0, master_seed=21)]")
+
+    def test_a_no_lna_study_estimates_from_prefixes_of_one_draw(self, k200, monkeypatch):
+        # 2 realizations x 300 frames of 80 pilots: two blocks of one
+        # realization, each drawn in two runs (204 and 96 frames); the
+        # gammas come from the frame generator and no LNA variate is drawn
+        fractions = (0.4, 0.05, 0.2)
+        study = partial(run_pilot_sweep, k200, fractions, NO_LNA, n_realizations=2,
+                        n_frames=300, master_seed=21)
+        pooled = study(workers=2)
+        drawn = []
+
+        def recording(*args):
+            drawn.append(energies_from_variates(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(mc, "energies_from_variates", recording)
+        monkeypatch.setattr(mc, "draw_lna_variates", _no_lna_draw)
+        points = study(workers=1)
+        assert points == pooled and repr(points) == self.NO_LNA_ROWS
+        assert len(drawn) == 4
+        energies = np.concatenate([e.reshape(-1, 80) for e in drawn])   # (realization, frame)
+        t_true = [near_optimal_threshold(hypothesis_moments(
+                      k200, draw_channels(k200, np.random.default_rng(
+                          np.random.SeedSequence((21, r, 1)))), NO_LNA)) for r in range(2)]
+        for frac, pt in zip(fractions, points):
+            k = round(frac * 200)
+            rows = zip(*(s.tolist() for s in pilot_statistics(energies[:, :k], k)))
+            errs = [relative_threshold_error(
+                        t_true[j // 300], near_optimal_threshold(HypothesisMoments(*row)))
+                    for j, row in enumerate(rows)]
+            assert (pt.k_train, pt.frames, pt.failures) == (k, 600, 0)
+            assert (pt.r_mean, pt.r_median, pt.r_p90) == (
+                float(np.mean(errs)), float(np.median(errs)), float(np.percentile(errs, 90)))
+
     def test_a_zero_estimated_threshold_counts_as_a_failure(self, k200, monkeypatch):
         # the relative error |T - T_hat| / |T_hat| is undefined at T_hat = 0
         drawn, estimated = [], []
@@ -720,8 +789,9 @@ class TestPilotSweep:
         fractions = (0.1, 0.2)
         points = run_pilot_sweep(k200, fractions, LNA, n_realizations=2, n_frames=30,
                                  master_seed=12, workers=1)
-        (energies,) = drawn
-        assert energies.shape == (2, 30, 40) and len(estimated) == 2
+        (energies,) = drawn     # one energy call for the run, at the study's one case
+        assert energies.shape == (1, 2, 30, 40) and len(estimated) == 2
+        energies = energies[0]
         t_true = [near_optimal_threshold(hypothesis_moments(k200, real, LNA)) for real in reals]
         for i, (frac, pt) in enumerate(zip(fractions, points)):
             k = round(frac * 200)
@@ -774,14 +844,19 @@ def _pilot_sweep(fractions=(0.2,), n_realizations=1, n_frames=1, master_seed=0):
     *[(_pilot_sweep(**changes), fields) for changes, fields in BAD_COUNTS],
     (partial(ambclink.verify.run_all_checks, seed=math.nan), ("seed",)),
     *[(_pilot_sweep((0.2, bad)), ("pilot_fraction",)) for bad in ("a", None, 10 ** 400)],
+    *[(_pilot_sweep(fractions), ("pilot_fraction",))
+      for fractions in ((f for f in (0.1, 0.2)), np.array([0.1, 0.2]))],
 ], ids=["repeated-fraction", "realizations-over-cap", "symbols-over-cap",
         "fractions-of-one-pilot-count", *BAD_COUNT_IDS, "verify-seed-nan",
-        "fraction-str", "fraction-none", "fraction-huge-int"])
+        "fraction-str", "fraction-none", "fraction-huge-int", "fractions-generator",
+        "fractions-ndarray"])
 def test_pilot_sweep_rejects_repeats_and_trial_caps_before_any_channel_is_drawn(
         paper_params, monkeypatch, run, fields):
     # K = 100: the largest fraction, 0.2, draws 20 pilots per frame; 0.1 and
-    # 0.1000000001 are distinct fractions of one pilot count, 10. verify's
-    # seed obeys the same rule as the sweeps' master_seed.
+    # 0.1000000001 are distinct fractions of one pilot count, 10. Fractions
+    # come in a tuple or a list, as SweepSpec's values do: a generator or an
+    # array of valid fractions is refused. verify's seed obeys the same rule
+    # as the sweeps' master_seed.
     monkeypatch.setattr(mc, "_block_draws", _no_draw)
     monkeypatch.setattr(ambclink.verify, "draw_channels", _no_draw)
     with pytest.raises(ConfigError) as ei:
