@@ -1,5 +1,5 @@
 """Closed-form detection results: energy-statistic moments, BER, near-optimal
-threshold, and deflection coefficients.
+threshold, and deflection coefficients (floats only, one text at three gains).
 
 The moments, the threshold and the BER take Python floats or numpy arrays
 alike, through one text of +, -, *, / and sqrt, which IEEE 754 rounds
@@ -220,42 +220,34 @@ def _threshold(m: HypothesisMoments, arrays: bool):
 
 
 def deflection_no_lna(p0: float, p1: float, n_w: float, n_samples: int) -> float:
-    """Deflection coefficient of the conventional receiver.
-
-    n_w here is the ungated noise power (tag-noise term included).
-    """
-    if p0 + n_w <= 0:
-        raise ModelValidityError("p0 + n_w must be positive")
-    return n_samples * ((p1 - p0) / (p0 + n_w)) ** 2
+    """Deflection coefficient of the conventional receiver, deflection_lna_full at
+    beta1 = 1, beta3 = 0; n_w is the ungated noise power (tag-noise term included)."""
+    return deflection_lna_full(p0, p1, 1.0, 0.0, n_w, n_samples)
 
 
-def deflection_lna_full(
-    p0: float, p1: float, beta1: float, beta3: float, n_aw: float, n_samples: int
-) -> float:
+def deflection_lna_full(p0: float, p1: float, beta1: float, beta3: float, n_aw: float,
+                        n_samples: int) -> float:
     """Exact deflection coefficient with the LNA: squared difference of the
-    closed-form means over the H0 closed-form variance of lna_moments. The
-    mean difference is taken on P, term by term, so it keeps its precision
-    when p1 is close to p0."""
+    closed-form means over the H0 variance of lna_moments, which judges p0 and
+    that variance. p1 - p0 is factored out of the mean difference, so it keeps
+    its precision when p1 is close to p0. A result that is not finite raises
+    ModelValidityError."""
     b1, b3 = beta1, beta3
     var0 = lna_moments(p0, b1, b3, n_aw, n_samples)[1]
-    try:
-        return (
-            b1**2 * (p1 - p0)
-            + 6 * b3**2 * (p1**3 - p0**3)
-            + 4 * b1 * b3 * (p1**2 - p0**2)
-        ) ** 2 / var0
-    except OverflowError as exc:
-        raise ModelValidityError(
-            f"deflection polynomial overflowed at P1={p1}"
-        ) from exc
+    diff = (p1 - p0) * (b1 * b1 + 4 * b1 * b3 * (p1 + p0)
+                        + 6 * (b3 * b3) * (p1 * p1 + p1 * p0 + p0 * p0))
+    dc = diff * diff / var0
+    if not math.isfinite(dc):
+        raise ModelValidityError(f"deflection coefficient {dc} at P0={p0}, P1={p1}: "
+                                 "input power beyond the model's numeric range")
+    return dc
 
 
-def deflection_lna_approx(
-    p0: float, p1: float, beta1: float, n_aw: float, n_samples: int
-) -> float:
-    """Small-power approximation of the LNA deflection coefficient: the
-    conventional receiver's, with the noise referred to the LNA input."""
-    return deflection_no_lna(p0, p1, n_aw / beta1**2, n_samples)
+def deflection_lna_approx(p0: float, p1: float, beta1: float, n_aw: float,
+                          n_samples: int) -> float:
+    """Small-power LNA deflection coefficient, deflection_lna_full at beta3 = 0:
+    the conventional receiver's, with the noise referred to the LNA input."""
+    return deflection_lna_full(p0, p1, beta1, 0.0, n_aw, n_samples)
 
 
 def dc_noise_powers(params: SystemParams, htr_abs2: float):

@@ -65,7 +65,7 @@ def generate_frame(
 
 
 def _zero_one(bits: np.ndarray) -> np.ndarray:
-    """The samplers' 0/1 rule, checked before the cast to int64 truncates 0.5 to 0."""
+    """The one 0/1 rule for bits, checked before the cast to int64 truncates 0.5 to 0."""
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0/1 valued")
     return bits.astype(np.int64, copy=False)
@@ -134,11 +134,11 @@ def draw_lna_variates(n_samples: int, shape, rng: np.random.Generator) -> LnaVar
 
 def energies_from_variates(params: SystemParams, bits: np.ndarray, power, noise,
                            mode: str, variates) -> np.ndarray:
-    """Energy statistics of symbols `bits` (0/1, any shape), whose input
-    power and d-gated noise power under bit d are power[d] and noise[d]:
-    scalars, or arrays that broadcast against `bits`. `variates` are the
-    symbols' draws: standard Gamma(N) variates without the LNA, LnaVariates
-    with it.
+    """Energy statistics of symbols `bits` (0s and 1s of any shape, a list
+    too, else ValueError), whose input power and d-gated noise power under
+    bit d are power[d] and noise[d]: scalars, or arrays that broadcast
+    against `bits`. `variates` are the symbols' draws: standard Gamma(N)
+    variates without the LNA, LnaVariates with it.
 
     With p_d the input power and n_d the noise power of symbol d:
     no_lna: y is CN(0, p_d + n_d), so the energy is Gamma(N, (p_d + n_d)/N),
@@ -155,7 +155,7 @@ def energies_from_variates(params: SystemParams, bits: np.ndarray, power, noise,
     The factors of p_d and n_d are formed before the per-symbol pick, on
     the (realization, bit) levels; the no-LNA energies are then bit for bit
     those of rng.gamma(N, scale) on the same generator."""
-    one = bits == 1
+    one = _zero_one(np.asarray(bits)) == 1
     n = params.n_samples
     if mode == NO_LNA:
         scale = [(p + w) / n for p, w in zip(power, noise)]

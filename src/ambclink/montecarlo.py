@@ -158,6 +158,15 @@ def _raise_first_failure(slots) -> None:
             near_optimal_threshold(m)
 
 
+def _check_pilot_layout(params: SystemParams) -> None:
+    """The estimated policy's frame: an even pilot count >= 4, then a data symbol."""
+    if not (valid_pilot_count(params.k_train) and params.k_train < params.k_symbols):
+        raise ConfigError(
+            f"the {ESTIMATED_POLICY} policy needs an even pilot count >= 4 and a data symbol "
+            f"after the pilots, got k_train={params.k_train} of k_symbols={params.k_symbols} "
+            f"(pilot_fraction={params.pilot_fraction})", fields=("pilot_fraction",))
+
+
 def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.Generator,
               lna_rng: np.random.Generator | None, policy: str = CLOSED_FORM_TRUE) -> list:
     """Every frame of a block at each case (ps, mode, table) of the scenario
@@ -169,7 +178,8 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
     LNA). A mode's consecutive cases are stacked in groups of at most
     STACK_SYMBOLS symbols per run (one case at least), and per run each group
     takes its energies, picks a threshold per policy, detects, and counts
-    errors on data symbols in one pass. Returns one BlockResult per case.
+    errors on data symbols in one pass. Returns one BlockResult per case. The
+    trial counts, and the estimated policy's pilots, are judged as SweepSpec's.
 
     Under the estimated policy the leading pilots are excluded from BER
     counting and the detector orders hypotheses by the estimated moments, so
@@ -179,12 +189,13 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
     estimated = policy == ESTIMATED_POLICY
     cases = list(cases)
     counts = sorted({table.shape[1] for _, _, table in cases})
-    if not counts:
-        raise ValueError("ber_block needs at least one case")
-    if len(counts) > 1 or counts[0] == 0:
-        raise ValueError("ber_block's cases need equally many realizations, at least one; "
-                         f"they hold {counts}")
+    if len(counts) != 1 or counts[0] == 0:
+        raise ValueError("ber_block needs at least one case, and its cases equally many "
+                         f"realizations, at least one; they hold {counts}")
     n_reals, k = counts[0], params.k_symbols
+    check_trials(n_reals, n_frames, k, runs=len(cases))
+    if estimated:
+        _check_pilot_layout(params)
     k_train = params.k_train if estimated else 0
     stacked = max(1, STACK_SYMBOLS // (n_reals * k * _run_frames(n_reals, n_frames, k)))
     groups, slots = [], [None] * len(cases)     # slots: (group, index in it) of each case
@@ -225,13 +236,8 @@ class SweepSpec:
         for mode in self.modes:
             check_mode(mode, "modes")
         check_in(self.threshold_policy, POLICIES, "threshold_policy")
-        k_train, k_symbols = self.scenario.k_train, self.scenario.k_symbols
-        if (self.threshold_policy == ESTIMATED_POLICY
-                and not (valid_pilot_count(k_train) and k_train < k_symbols)):
-            raise ConfigError(
-                f"the {ESTIMATED_POLICY} policy needs an even pilot count >= 4 and a data "
-                f"symbol after the pilots, got k_train={k_train} of k_symbols={k_symbols} "
-                f"(pilot_fraction={self.scenario.pilot_fraction})", fields=("pilot_fraction",))
+        if self.threshold_policy == ESTIMATED_POLICY:
+            _check_pilot_layout(self.scenario)
         pinned = () if self.fixed_bdpr_db is None else (self.fixed_bdpr_db,)
         if pinned and self.sweep_var == SWEEP_BDPR:
             raise ConfigError("fixed_bdpr_db pins the BDPR of a ps sweep, not of a bdpr sweep",

@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -609,6 +610,28 @@ class TestExactBits:
             "31dacdcd662387da12d9d82bda7a17e35a104d26c98db91752bcba69bde11a99")
 
 
+def _dc(name, params, p0, p1, noise):
+    """One of the three deflection coefficients at the paper's gains and N = 75."""
+    if name == "no_lna":
+        return deflection_no_lna(p0, p1, noise, 75)
+    if name == "approx":
+        return deflection_lna_approx(p0, p1, params.beta1, noise, 75)
+    return deflection_lna_full(p0, p1, params.beta1, params.beta3, noise, 75)
+
+
+def _exact_dc(p0, p1, b1, b3, n_aw, n_samples):
+    """(m1 - m0)^2 / var0 of the LNA moments, in exact rationals of the floats given."""
+    p0, p1, b1, b3, n = map(Fraction, (p0, p1, b1, b3, n_aw))
+
+    def mean(p):
+        return b1 ** 2 * p + 4 * b1 * b3 * p ** 2 + 6 * b3 ** 2 * p ** 3 + n
+
+    var0 = (b1 ** 4 * p0 ** 2 + 16 * b1 ** 3 * b3 * p0 ** 3 + 116 * b1 ** 2 * b3 ** 2 * p0 ** 4
+            + 432 * b1 * b3 ** 3 * p0 ** 5 + 684 * b3 ** 4 * p0 ** 6 + 2 * b1 ** 2 * p0 * n
+            + 8 * b1 * b3 * p0 ** 2 * n + 12 * b3 ** 2 * p0 ** 3 * n + n * n) / n_samples
+    return (mean(p1) - mean(p0)) ** 2 / var0
+
+
 class TestDeflection:
     def test_zero_at_equal_powers(self, paper_params):
         n_w, n_aw = dc_noise_powers(paper_params, 0.01)
@@ -622,6 +645,43 @@ class TestDeflection:
         with pytest.raises(ModelValidityError, match="nonnegative"):
             deflection_lna_full(-1e-12, 1e-12, paper_params.beta1, paper_params.beta3,
                                 1e-10, 75)
+
+    @pytest.mark.parametrize("dc", ["no_lna", "approx"])
+    def test_every_dc_rejects_a_negative_power(self, paper_params, dc):
+        # as the full DC does (above): through lna_moments
+        with pytest.raises(ModelValidityError, match="nonnegative"):
+            _dc(dc, paper_params, -1e-12, 1e-12, 1e-10)
+
+    @pytest.mark.parametrize("dc,p1", [("no_lna", 1e200), ("approx", 1e200),
+                                       ("full", 1e110), ("full", 1e200)])
+    def test_out_of_range_power_raises_model_validity_error(self, paper_params, dc, p1):
+        # never a bare OverflowError, an inf or a NaN
+        with pytest.raises(ModelValidityError, match="numeric range"):
+            _dc(dc, paper_params, 1e-10, p1, 1e-10)
+
+    @pytest.mark.parametrize("p0", [1e-9, 1e-7, 1e-6, 3e-6])
+    def test_every_dc_exact_when_p1_is_near_p0(self, paper_params, p0):
+        # against rational arithmetic on the same floats: the difference of two
+        # nearly equal means must not cancel
+        b1, b3 = paper_params.beta1, paper_params.beta3
+        for delta in (1e-3, 1e-6, 1e-9, 1e-12):
+            p1 = p0 * (1 + delta)
+            for dc, gains in (("no_lna", (1.0, 0.0)), ("approx", (b1, 0.0)), ("full", (b1, b3))):
+                exact = _exact_dc(p0, p1, *gains, 1e-10, 75)
+                got = _dc(dc, paper_params, p0, p1, 1e-10)
+                assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact, (dc, p0, delta)
+
+    def test_approx_and_no_lna_are_the_full_dc_at_their_gains(self, paper_params):
+        rng = np.random.default_rng(4)
+        for ps in (-20.0, 10.0, 60.0):
+            p = replace(paper_params, ps_dbm=ps)
+            for _ in range(50):
+                r = draw_channels(p, rng)
+                n_w, n_aw = dc_noise_powers(p, r.htr_abs2)
+                assert deflection_lna_approx(r.p0, r.p1, p.beta1, n_aw, 75) \
+                    == deflection_lna_full(r.p0, r.p1, p.beta1, 0.0, n_aw, 75)
+                assert deflection_no_lna(r.p0, r.p1, n_w, 75) \
+                    == deflection_lna_full(r.p0, r.p1, 1.0, 0.0, n_w, 75)
 
     def test_no_lna_by_hand(self):
         assert deflection_no_lna(1.0, 2.0, 1.0, 100) == pytest.approx(25.0, rel=1e-12)

@@ -274,6 +274,24 @@ class TestFrameEnergies:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("mode", [LNA, NO_LNA])
+    def test_energies_from_variates_reads_bits_by_the_samplers_rule(
+            self, paper_params, fixed_realization, mode):
+        # a list reads as its array; a bit of 2 or 0.5 is refused, not read as bit 0
+        rng = np.random.default_rng(4)
+        n = paper_params.n_samples
+        variates = (rng.standard_gamma(n, 2) if mode == NO_LNA
+                    else draw_lna_variates(n, 2, rng))
+        levels = ((fixed_realization.p0, fixed_realization.p1),
+                  noise_levels(paper_params, fixed_realization.htr_abs2, mode))
+        want = energies_from_variates(paper_params, np.array([0, 1]), *levels, mode, variates)
+        got = energies_from_variates(paper_params, [0, 1], *levels, mode, variates)
+        assert np.array_equal(got, want)
+        assert got[1] != energies_from_variates(paper_params, [0, 0], *levels, mode, variates)[1]
+        for bits in (np.array([0, 2]), [0.5, 1.0]):
+            with pytest.raises(ValueError, match="bits must be 0/1 valued"):
+                energies_from_variates(paper_params, bits, *levels, mode, variates)
+
+    @pytest.mark.parametrize("mode", [LNA, NO_LNA])
     def test_same_rng_same_energies(self, paper_params, fixed_realization, mode):
         bits = np.random.default_rng(2).integers(0, 2, paper_params.k_symbols)
         a, b = (frame_energies(paper_params, fixed_realization, bits,

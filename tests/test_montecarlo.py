@@ -20,8 +20,7 @@ from ambclink.analysis import (
 )
 from ambclink.channel import channel_table, draw_channels
 from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
-from ambclink.errors import (ConfigError, EstimationError, ModelValidityError,
-                             NoSeparationError)
+from ambclink.errors import ConfigError, ModelValidityError, NoSeparationError
 from ambclink.estimation import (
     pilot_statistics,
     relative_threshold_error,
@@ -126,10 +125,11 @@ class TestBerTrial:
         assert bits == 80
 
     def test_estimated_policy_without_pilots_raises(self, paper_params, fixed_table):
-        # a frame with no pilots has nothing to estimate from
+        # a frame with no pilots has nothing to estimate from: refused at entry
         p = replace(paper_params, k_symbols=100, pilot_fraction=0.0)
-        with pytest.raises(EstimationError):
+        with pytest.raises(ConfigError) as ei:
             _one_frame(p, fixed_table, 7, LNA, ESTIMATED_POLICY)
+        assert ei.value.fields == ("pilot_fraction",)
 
     def test_degenerate_estimate_is_recorded_not_raised(self, paper_params, fixed_table,
                                                         monkeypatch):
@@ -211,6 +211,33 @@ class TestBerTrial:
                  for mode, n in zip(modes, counts)]
         with pytest.raises(ValueError, match=match):
             ber_block(paper_params, cases, 1, np.random.default_rng(1), np.random.default_rng(2))
+
+    @pytest.mark.parametrize("n_frames, fraction, policy, fields", [
+        (0, 0.2, CLOSED_FORM_TRUE, ("n_frames",)),
+        (-1, 0.2, CLOSED_FORM_TRUE, ("n_frames",)),
+        (1.5, 0.2, CLOSED_FORM_TRUE, ("n_frames",)),
+        (True, 0.2, CLOSED_FORM_TRUE, ("n_frames",)),
+        (MAX_SWEEP_SYMBOLS, 0.2, CLOSED_FORM_TRUE, ("n_frames", "n_realizations")),
+        (1, 0.995, ESTIMATED_POLICY, ("pilot_fraction",)),
+        (1, 0.0, ESTIMATED_POLICY, ("pilot_fraction",)),
+    ], ids=["no-frames", "negative", "fraction", "bool", "symbol-cap", "all-pilots",
+            "no-pilots"])
+    def test_frames_and_pilots_judged_before_any_work(self, paper_params, fixed_table,
+                                                      monkeypatch, n_frames, fraction,
+                                                      policy, fields):
+        # SweepSpec's rules at entry: no closed form runs and no generator moves
+        def no_closed_form(*args):
+            raise AssertionError("closed form computed")
+
+        p = replace(paper_params, pilot_fraction=fraction)
+        monkeypatch.setattr(mc, "level_moments", no_closed_form)
+        frame_rng, lna_rng = np.random.default_rng(1), np.random.default_rng(2)
+        states = frame_rng.bit_generator.state, lna_rng.bit_generator.state
+        with pytest.raises(ConfigError) as ei:
+            ber_block(p, [(p.ps, LNA, np.repeat(fixed_table, 2, axis=1))], n_frames,
+                      frame_rng, lna_rng, policy)
+        assert ei.value.fields == fields
+        assert (frame_rng.bit_generator.state, lna_rng.bit_generator.state) == states
 
 
 class TestSweepSpec:
