@@ -229,11 +229,13 @@ def deflection_lna_full(p0: float, p1: float, beta1: float, beta3: float, n_aw: 
                         n_samples: int) -> float:
     """Exact deflection coefficient with the LNA: squared difference of the
     closed-form means over the H0 variance of lna_moments, which judges p0 and
-    that variance. p1 - p0 is factored out of the mean difference, so it keeps
-    its precision when p1 is close to p0. A result that is not finite raises
-    ModelValidityError."""
+    that variance; p1 must be nonnegative too. p1 - p0 is factored out of the
+    mean difference, so it keeps its precision when p1 is close to p0. A
+    result that is not finite raises ModelValidityError."""
     b1, b3 = beta1, beta3
     var0 = lna_moments(p0, b1, b3, n_aw, n_samples)[1]
+    if p1 < 0:
+        raise ModelValidityError(f"received power must be nonnegative, got {p1}")
     diff = (p1 - p0) * (b1 * b1 + 4 * b1 * b3 * (p1 + p0)
                         + 6 * (b3 * b3) * (p1 * p1 + p1 * p0 + p0 * p0))
     dc = diff * diff / var0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -306,6 +305,7 @@ def load_scenario(doc: dict, paper_defaults: bool = False) -> SystemParams:
 
 def read_scenario(path: str, paper_defaults: bool = False) -> SystemParams:
     """Load a scenario from a JSON file (textual key-value document)."""
+    import json     # loaded on first use, so `import ambclink` loads no json
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -16,7 +16,6 @@ pilot-study block is one group of one case."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -46,6 +45,16 @@ SWEEP_BDPR = "bdpr_db"
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 BLOCK_SYMBOLS = 2 ** 14          # symbols per run of a block's frames, bounding its memory
 STACK_SYMBOLS = 8 * BLOCK_SYMBOLS   # symbols of a BER pass over stacked cases, likewise
+# The samples a sweep's frames draw (modes x realizations x frames x symbols x
+# N) above which _map_blocks opens a process pool; below it a pool costs more
+# than a second worker saves. An empty pool takes about 10 ms to open and
+# drain, and a process's first pool about 14 ms more to import
+# concurrent.futures and multiprocessing. Points and pilot fractions share a
+# block's draws and add little, so they do not count. In fresh processes on a
+# 2-vCPU Xeon, --workers 2 overtook --workers 1 between 600 and 700
+# realizations of the README ps sweep (9 and 10.5 million samples) and
+# between 20 and 30 of the README pilot study (6 and 9 million).
+POOL_MIN_SAMPLES = 10 ** 7
 # A sweep with a BDPR target is checked at load on a channel whose |h0|^2 is
 # this many times its mean r0^-v0. Under Rayleigh fading that ratio is Exp(1),
 # so a draw exceeds it with probability exp(-50), about 2e-22.
@@ -379,16 +388,19 @@ def _pilot_task(task):
                                     np.where(threshold == 0, np.nan, threshold))
 
 
-def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, workers: int) -> list:
+def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, samples: int,
+                workers: int) -> list:
     """The results of `fn` on (*head, r0, realizations) for each block (_blocks), in
     order; the only place a process pool is opened, only for two tasks or more
-    and with at most one process per task (tasks are pure, so this cannot
-    change a result). At least four chunks per worker keep the load balanced
-    when one worker runs slower than the other."""
+    of a sweep whose frames draw more than POOL_MIN_SAMPLES `samples`, and with
+    at most one process per task (tasks are pure, so this cannot change a
+    result). At least four chunks per worker keep the load balanced when one
+    worker runs slower than the other."""
     check_int(workers, 1, MAX_WORKERS, "workers")
     tasks = [(*head, *block) for block in _blocks(range(n_realizations), symbols)]
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks)) if samples > POOL_MIN_SAMPLES else 1
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loaded with the first pool
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))
@@ -423,8 +435,10 @@ def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
-    per_case = zip(*_map_blocks(_ber_task, (spec,), spec.n_realizations,
-                                spec.n_frames * spec.scenario.k_symbols, workers))
+    symbols = spec.n_frames * spec.scenario.k_symbols
+    samples = len(spec.modes) * spec.n_realizations * symbols * spec.scenario.n_samples
+    per_case = zip(*_map_blocks(_ber_task, (spec,), spec.n_realizations, symbols, samples,
+                                workers))
     points = ((value, mode) for value in spec.values for mode in spec.modes)
     return [_ber_point(spec, value, mode, blocks)
             for (value, mode), blocks in zip(points, per_case)]
@@ -475,8 +489,10 @@ def run_pilot_sweep(
                           f"{k_trains})", fields=("pilot_fraction",))
     check_trials(n_realizations, n_frames, max(k_trains))
     head = params, mode, k_trains, n_frames, master_seed
-    errors = np.concatenate(_map_blocks(_pilot_task, head, n_realizations,
-                                        n_frames * max(k_trains), workers), axis=1)
+    symbols = n_frames * max(k_trains)
+    errors = np.concatenate(_map_blocks(_pilot_task, head, n_realizations, symbols,
+                                        n_realizations * symbols * params.n_samples,
+                                        workers), axis=1)
 
     points = []
     for p, err in zip(per_fraction, errors):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ambclink.montecarlo
 from ambclink import load_scenario
 from ambclink.channel import channel_table, draw_channels
 
@@ -24,6 +25,13 @@ def fixed_table(paper_params):
     """fixed_realization's channel table: channel_table on the same six normals."""
     rng = np.random.default_rng(np.random.SeedSequence(FIXED_CHANNEL_SEED))
     return channel_table(paper_params, rng.standard_normal((6, 1)))
+
+
+@pytest.fixture
+def pool_at_any_size(monkeypatch):
+    """Let a sweep of two tasks or more open a process pool at any size, as
+    one above POOL_MIN_SAMPLES does, so that a small sweep tests the pool."""
+    monkeypatch.setattr(ambclink.montecarlo, "POOL_MIN_SAMPLES", 0)
 
 
 def rel_err(a, b):

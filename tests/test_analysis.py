@@ -652,6 +652,12 @@ class TestDeflection:
         with pytest.raises(ModelValidityError, match="nonnegative"):
             _dc(dc, paper_params, -1e-12, 1e-12, 1e-10)
 
+    @pytest.mark.parametrize("dc", ["no_lna", "approx", "full"])
+    def test_every_dc_rejects_a_negative_p1(self, paper_params, dc):
+        # lna_moments judges p0 only, so the DC judges p1 itself
+        with pytest.raises(ModelValidityError, match="nonnegative"):
+            _dc(dc, paper_params, 1e-10, -1e-8, 1e-10)
+
     @pytest.mark.parametrize("dc,p1", [("no_lna", 1e200), ("approx", 1e200),
                                        ("full", 1e110), ("full", 1e200)])
     def test_out_of_range_power_raises_model_validity_error(self, paper_params, dc, p1):

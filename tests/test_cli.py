@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ from ambclink.cli import (
 )
 from ambclink.config import MAX_WORKERS
 from ambclink.errors import ConfigError
-from ambclink.montecarlo import SWEEP_BDPR, BerPoint, PilotPoint
+from ambclink.montecarlo import POOL_MIN_SAMPLES, SWEEP_BDPR, BerPoint, PilotPoint
 
 FAST = ["--seed", "4", "--workers", "1"]
 SMALL_SWEEP = ["--sweep", "ps:0:10:10", "--frames", "1", "--realizations", "4"]
@@ -309,11 +310,15 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool built")
     monkeypatch.setattr(ambclink.montecarlo, "_block_draws", no_draw)
-    monkeypatch.setattr(ambclink.montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
     sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []
-    rc = main([command, "--scenario", scenario, "--out", out, *sweep, *FAST, *bad_args])
+    # 1200 realizations at K = 200 and N = 25 draw above POOL_MIN_SAMPLES (both
+    # modes, or 10 frames of 80 pilots), so a sweep judged late opens a pool
+    size = ["--realizations", "1200", "--workers", "2"]
+    assert 1200 * min(2 * 200, 10 * 80) * 25 > POOL_MIN_SAMPLES
+    rc = main([command, "--scenario", scenario, "--out", out, *sweep, *FAST, *size, *bad_args])
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
@@ -340,7 +345,10 @@ def test_a_bad_out_fails_before_any_channel_is_drawn(tmp_path, capsys, monkeypat
 
 
 def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
-    # K = 200: 100 realizations make two blocks, so --workers 8 needs two processes
+    # K = 200: blocks of at most 81 realizations, so 400 make five, and with
+    # both modes at N = 75 they draw above POOL_MIN_SAMPLES: --workers 8 needs
+    # five processes
+    assert 2 * 400 * 200 * 75 > POOL_MIN_SAMPLES
     opened = []
 
     class InProcessPool:
@@ -356,14 +364,37 @@ def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    scenario = _scenario_file(tmp_path, k_symbols=200)
-    base = ["ber-sweep", "--scenario", scenario, "--sweep", "ps:0:10:10", "--modes", "lna",
-            "--realizations", "100", "--seed", "4"]
+    scenario = _scenario_file(tmp_path, k_symbols=200, n_samples=75)
+    base = ["ber-sweep", "--scenario", scenario, "--sweep", "ps:0:10:10",
+            "--modes", "lna,no_lna", "--realizations", "400", "--seed", "4"]
     a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
     assert main([*base, "--workers", "1", "--out", a]) == EXIT_OK
-    monkeypatch.setattr(ambclink.montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert main([*base, "--workers", "8", "--out", b]) == EXIT_OK
-    assert opened == [2]
+    assert opened == [5]
+    assert _read(a) == _read(b)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_csv_is_byte_identical_either_side_of_the_pool_threshold(tmp_path, monkeypatch,
+                                                                 above):
+    # the README ps sweep's shape: both modes at K = 100 and N = 75 draw 15 000
+    # samples a realization; at --workers 2 a pool opens only above POOL_MIN_SAMPLES
+    realizations = POOL_MIN_SAMPLES // 15_000 + above
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    base = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:10:10",
+            "--realizations", str(realizations), "--seed", "7"]
+    a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
+    assert main([*base, "--workers", "1", "--out", a]) == EXIT_OK
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    assert main([*base, "--workers", "2", "--out", b]) == EXIT_OK
+    assert opened == ([2] if above else [])
     assert _read(a) == _read(b)
 
 
@@ -487,31 +518,51 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
     """Importing the package and running BER and pilot sweeps load no scipy;
     only verify loads it, when it runs, and then only scipy.special. The K=200
     pilot sweep with 4 pilots meets moment sets whose two PDFs both underflow
-    to 0 at the threshold."""
+    to 0 at the threshold. Nor does a sweep at --workers 2 load the process
+    pool's modules unless it opens a pool: two tasks or more, drawing more
+    than POOL_MIN_SAMPLES samples."""
     code = textwrap.dedent("""
         import json, sys
-        import ambclink, ambclink.cli
+        import ambclink
 
         def loaded(package="scipy"):
             return any(name == package or name.startswith(package + ".")
                        for name in sys.modules)
 
+        def pool_loaded():
+            return loaded("concurrent.futures") or loaded("multiprocessing")
+
+        assert not loaded("ambclink.verify"), "import ambclink"
+        import ambclink.cli
         assert not loaded(), "import"
         assert not loaded("numpy.polynomial"), "import"
-        ber = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:10:10",
+        assert not pool_loaded(), "import"
+        ber = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:10:10", "--workers", "2",
                "--realizations", "2", "--out", "ber.csv"]
         assert ambclink.cli.main(ber) == 0
         assert ambclink.cli.main([*ber, "--threshold-policy", "estimated"]) == 0
         assert not loaded(), "ber-sweep"
         assert ambclink.cli.main(["pilot-sweep", "--paper-defaults", "--fractions",
                                   "0.2,0.4", "--frames", "2", "--realizations", "2",
-                                  "--out", "pilot.csv"]) == 0
+                                  "--workers", "2", "--out", "pilot.csv"]) == 0
         with open("k200.json", "w") as fh:
             json.dump({"paper_defaults": True, "k_symbols": 200, "ps_dbm": 30}, fh)
         assert ambclink.cli.main(["pilot-sweep", "--scenario", "k200.json", "--fractions",
                                   "0.02", "--mode", "lna", "--realizations", "20",
-                                  "--frames", "100", "--seed", "3", "--out", "k200.csv"]) == 0
+                                  "--frames", "100", "--seed", "3", "--workers", "2",
+                                  "--out", "k200.csv"]) == 0
         assert not loaded(), "pilot-sweep"
+        assert not pool_loaded(), "single-task sweeps"
+        # the README ps sweep: two blocks, under POOL_MIN_SAMPLES
+        readme = ["ber-sweep", "--paper-defaults", "--sweep", "ps:-10:30:5", "--seed", "7",
+                  "--workers", "2", "--out", "readme.csv"]
+        assert ambclink.cli.main([*readme, "--realizations", "200"]) == 0
+        assert not pool_loaded(), "README ber-sweep"
+        # both modes at K = 100 and N = 75 draw 15 000 samples a realization
+        above = ambclink.montecarlo.POOL_MIN_SAMPLES // 15_000 + 1
+        assert ambclink.cli.main([*readme, "--realizations", str(above)]) == 0
+        assert loaded("concurrent.futures") and loaded("multiprocessing"), "pool"
+        assert not loaded(), "pool"
         assert ambclink.cli.main(["verify", "--paper-defaults"]) == 0
         assert loaded("scipy.special"), "verify"
         assert not loaded("scipy.integrate"), "verify"

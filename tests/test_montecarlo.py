@@ -1,6 +1,8 @@
+import concurrent.futures
 import math
 from dataclasses import astuple, replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -444,6 +446,7 @@ class TestBlocks:
         blocks = mc._blocks(range(12), 4 * block_params.k_symbols)
         assert [(r0, len(reals)) for r0, reals in blocks] == [(0, 6), (6, 6)]
 
+    @pytest.mark.usefixtures("pool_at_any_size")
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sweep_worker_invariance_across_blocks(self, block_params, policy):
         spec = SweepSpec(scenario=block_params, sweep_var=SWEEP_PS, values=(0.0, 10.0),
@@ -454,6 +457,7 @@ class TestBlocks:
         assert all(pt.bits + pt.failures * 360 == 12 * 4 * (360 if policy == ESTIMATED_POLICY
                                                              else 400) for pt in one)
 
+    @pytest.mark.usefixtures("pool_at_any_size")
     def test_pilot_sweep_worker_invariance_across_blocks(self, block_params):
         def sweep(workers):
             return run_pilot_sweep(block_params, (0.05, 0.1), LNA, n_realizations=12,
@@ -526,9 +530,11 @@ def test_a_row_depends_only_on_its_point_and_mode(paper_params, sweep, policy, w
                      modes=data.draw(st.permutations((LNA, NO_LNA))), threshold_policy=policy,
                      n_frames=f, n_realizations=r, master_seed=seed,
                      fixed_bdpr_db=-20.0 if sweep == "pinned-bdpr" else None)
-    rows = run_sweep(spec, workers=workers)
-    row = data.draw(st.sampled_from(rows))
-    alone = run_sweep(replace(spec, values=(row.value,), modes=(row.mode,)), workers=workers)
+    with mock.patch.object(mc, "POOL_MIN_SAMPLES", 0):     # two blocks open a pool
+        rows = run_sweep(spec, workers=workers)
+        row = data.draw(st.sampled_from(rows))
+        alone = run_sweep(replace(spec, values=(row.value,), modes=(row.mode,)),
+                          workers=workers)
     # repr compares NaN fields (a point whose frames all failed) as equal
     assert repr(alone) == repr([row])
 
@@ -536,6 +542,7 @@ def test_a_row_depends_only_on_its_point_and_mode(paper_params, sweep, policy, w
 class TestSharedDraws:
     """A block draws its frames and variates once for every point and mode."""
 
+    @pytest.mark.usefixtures("pool_at_any_size")
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("layout", ["blocks-of-realizations", "runs-of-frames"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -759,6 +766,7 @@ class TestPilotSweep:
         "r_mean=0.03609185104859668, r_median=0.02647546559628898, r_p90=0.08212088271258083, "
         "frames=600, failures=0, master_seed=21)]")
 
+    @pytest.mark.usefixtures("pool_at_any_size")
     def test_a_no_lna_study_estimates_from_prefixes_of_one_draw(self, k200, monkeypatch):
         # 2 realizations x 300 frames of 80 pilots: two blocks of one
         # realization, each drawn in two runs (204 and 96 frames); the
@@ -907,26 +915,35 @@ def test_numpy_scalars_give_the_rows_of_python_floats(paper_params):
 
 
 class TestPool:
+    """A pool opens only for two tasks or more of a sweep whose frames draw more
+    than POOL_MIN_SAMPLES samples (modes x realizations x frames x symbols x N)."""
+
     def _no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was opened")
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
     def test_single_task_pilot_sweep_opens_no_pool(self, paper_params, monkeypatch):
+        # one realization is one task, whatever its frames of 80 pilots of N = 75
         p = replace(paper_params, k_symbols=200, pilot_fraction=0.0)
-        args = (p, (0.05, 0.1, 0.2, 0.4), LNA, 4, 50, 9)
+        args = (p, (0.05, 0.1, 0.2, 0.4), LNA, 1, mc.POOL_MIN_SAMPLES // (80 * 75) + 1, 9)
         serial = run_pilot_sweep(*args, workers=1)
         self._no_pool(monkeypatch)
         assert run_pilot_sweep(*args, workers=2) == serial
 
     def test_single_task_ber_sweep_opens_no_pool(self, small_spec, monkeypatch):
-        # one block serves both points and both modes: one task
-        serial = run_sweep(small_spec, workers=1)
+        # one realization serves both points and both modes: one task
+        spec = replace(small_spec, n_realizations=1,
+                       n_frames=mc.POOL_MIN_SAMPLES // (2 * 50 * 25) + 1)
+        serial = run_sweep(spec, workers=1)
         self._no_pool(monkeypatch)
-        assert run_sweep(small_spec, workers=2) == serial
+        assert run_sweep(spec, workers=2) == serial
 
     def test_two_tasks_open_a_pool(self, small_spec, monkeypatch):
-        # 100 symbols per realization: blocks of at most 163 realizations, so 200 make two
+        # 100 symbols per realization: blocks of at most 163 realizations, so
+        # these make many, and just over POOL_MIN_SAMPLES
+        n_realizations = mc.POOL_MIN_SAMPLES // (100 * 25) + 1
         self._no_pool(monkeypatch)
         with pytest.raises(AssertionError, match="pool"):
-            run_sweep(replace(small_spec, modes=(LNA,), n_realizations=200), workers=2)
+            run_sweep(replace(small_spec, modes=(LNA,), n_realizations=n_realizations),
+                      workers=2)
