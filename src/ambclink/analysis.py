@@ -122,11 +122,6 @@ def level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMo
     """Closed-form moments of both hypotheses at input power power[d] and
     d-gated noise power noise[d] under bit d, floats or arrays."""
     check_mode(mode)
-    return _level_moments(params, power, noise, mode)
-
-
-def _level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisMoments:
-    # level_moments, the mode checked by the caller
     sums, gains = (_lna_sums, (params.beta1, params.beta3)) if mode == LNA else (_nolna_sums, ())
     d0, v0 = _checked_moments(power[0], params.n_samples, sums, *gains, noise[0])
     d1, v1 = _checked_moments(power[1], params.n_samples, sums, *gains, noise[1])
@@ -138,8 +133,8 @@ def _level_moments(params: SystemParams, power, noise, mode: str) -> HypothesisM
 def hypothesis_moments(params: SystemParams, real: ChannelRealization,
                        mode: str) -> HypothesisMoments:
     """Closed-form moments for both hypotheses of one channel realization."""
-    return _level_moments(params, (real.p0, real.p1),
-                          noise_levels(params, real.htr_abs2, mode), mode)
+    return level_moments(params, (real.p0, real.p1),
+                         noise_levels(params, real.htr_abs2, mode), mode)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -1,5 +1,5 @@
 """Quasi-static Rayleigh channel draws with distance-based path loss, composed
-once per operating point by one text on Python numbers, _compose."""
+by one text on Python numbers, _compose, at a Ps or, in a table, at 1 W."""
 
 from __future__ import annotations
 
@@ -29,11 +29,6 @@ class ChannelRealization(NamedTuple):
     @property
     def htr_abs2(self) -> float:
         return abs(self.htr) ** 2
-
-    def at_operating_point(self, params: SystemParams,
-                           target_bdpr_db: float | None = None) -> ChannelRealization:
-        """The drawn h0, hst, htr composed under `params`, as _compose does."""
-        return _compose(params, self.h0, self.hst, self.htr, target_bdpr_db)
 
 
 def _compose(params: SystemParams, h0: complex, hst: complex, htr: complex,
@@ -76,14 +71,6 @@ def channel_table(params: SystemParams, normals: np.ndarray,
     reals = [_from_normals(unit, column, target_bdpr_db)
              for column in np.transpose(normals).tolist()]
     return np.array([(real.p0, real.p1, real.htr_abs2) for real in reals]).reshape(-1, 3).T
-
-
-def aligned_channel(params: SystemParams, direct_gain: float) -> ChannelRealization:
-    """A channel with |h0|^2 at `direct_gain` times its mean r0^-v0, |htr|^2 at its
-    mean rtr^-vtr and hst = 1, all in phase: rescaled to a BDPR by at_operating_point,
-    it carries the largest |h1| that BDPR allows at that |h0|."""
-    h0 = complex(math.sqrt(direct_gain * params.r0 ** -params.v0))
-    return _compose(params, h0, 1 + 0j, complex(math.sqrt(params.rtr ** -params.vtr)))
 
 
 def bdpr(real: ChannelRealization, params: SystemParams) -> float:

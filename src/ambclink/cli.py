@@ -27,7 +27,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .config import MODES, SystemParams, check_in, load_scenario, read_scenario
+from .config import (MAX_SWEEP_POINTS, MODES, SystemParams, check_in, load_scenario,
+                     read_scenario)
 from .errors import AmbclinkError, ConfigError
 from .montecarlo import (
     POLICIES,
@@ -43,8 +44,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
 EXIT_IO = 3
-
-MAX_SWEEP_POINTS = 1000
 
 BER_CSV_HEADER = ("sweep_var,value,mode,threshold_policy,ber_empirical,"
                   "ber_ci_halfwidth,ber_closed_form,threshold_mean,errors,bits,failures")

@@ -74,6 +74,9 @@ MAX_FRAME_SAMPLES = 10 ** 7
 # bounds the sampling at 15 to 20 minutes per worker, and the per-point arithmetic.
 MAX_REALIZATIONS = 10 ** 6
 MAX_SWEEP_SYMBOLS = 10 ** 9
+# The points of a sweep, its values or pilot fractions: each builds its own
+# SystemParams when the sweep is loaded, and each is a CSV row (per mode).
+MAX_SWEEP_POINTS = 1000
 # A sweep's process pool starts all its workers at its first task (on Linux it
 # forks them). 61 is the most ProcessPoolExecutor accepts on Windows.
 MAX_WORKERS = 61

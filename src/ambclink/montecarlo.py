@@ -21,16 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import (
-    ber_closed_form,
-    hypothesis_moments,
-    level_moments,
-    near_optimal_threshold,
-    noise_levels,
-)
-from .channel import aligned_channel, channel_table
-from .config import (LNA, MAX_BDPR_DB, MAX_WORKERS, MODES, NO_LNA, SystemParams, check_in,
-                     check_int, check_mode, check_trials, is_finite_real, valid_pilot_count)
+from .analysis import ber_closed_form, level_moments, near_optimal_threshold, noise_levels
+from .channel import channel_table
+from .config import (LNA, MAX_BDPR_DB, MAX_SWEEP_POINTS, MAX_WORKERS, MODES, NO_LNA,
+                     SystemParams, check_in, check_int, check_mode, check_trials,
+                     is_finite_real, valid_pilot_count)
 from .errors import ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_lna_variates, energies_from_variates
@@ -45,16 +40,19 @@ SWEEP_BDPR = "bdpr_db"
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 BLOCK_SYMBOLS = 2 ** 14          # symbols per run of a block's frames, bounding its memory
 STACK_SYMBOLS = 8 * BLOCK_SYMBOLS   # symbols of a BER pass over stacked cases, likewise
-# The samples a sweep's frames draw (modes x realizations x frames x symbols x
-# N) above which _map_blocks opens a process pool; below it a pool costs more
-# than a second worker saves. An empty pool takes about 10 ms to open and
+# The samples a sweep's frames draw (realizations x frames x symbols x N, per
+# mode) above which _map_blocks opens a process pool; below it a pool costs
+# more than a second worker saves. An empty pool takes about 10 ms to open and
 # drain, and a process's first pool about 14 ms more to import
 # concurrent.futures and multiprocessing. Points and pilot fractions share a
-# block's draws and add little, so they do not count. In fresh processes on a
-# 2-vCPU Xeon, --workers 2 overtook --workers 1 between 600 and 700
-# realizations of the README ps sweep (9 and 10.5 million samples) and
-# between 20 and 30 of the README pilot study (6 and 9 million).
+# block's draws and add little, so they do not count. A no-LNA symbol draws
+# one Gamma(N) variate, not N samples, and counts NO_LNA_WEIGHT of them. In
+# fresh processes on a 2-vCPU Xeon, --workers 2 overtook --workers 1 between
+# 600 and 700 realizations of the README ps sweep, between 20 and 30 of the
+# README pilot study (6 and 9 million samples), and between 3000 and 4000 of
+# one no-LNA point (K = 100, N = 75), which took 0.30-0.33 of an LNA point's time.
 POOL_MIN_SAMPLES = 10 ** 7
+NO_LNA_WEIGHT = 0.4
 # A sweep with a BDPR target is checked at load on a channel whose |h0|^2 is
 # this many times its mean r0^-v0. Under Rayleigh fading that ratio is Exp(1),
 # so a draw exceeds it with probability exp(-50), about 2e-22.
@@ -167,6 +165,13 @@ def _raise_first_failure(slots) -> None:
             near_optimal_threshold(m)
 
 
+def _check_point_count(values, field: str) -> None:
+    """At most MAX_SWEEP_POINTS sweep points, judged before any point is built."""
+    if len(values) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"{field} holds {len(values)} sweep points, more than "
+                          f"{MAX_SWEEP_POINTS}", fields=(field,))
+
+
 def _check_pilot_layout(params: SystemParams) -> None:
     """The estimated policy's frame: an even pilot count >= 4, then a data symbol."""
     if not (valid_pilot_count(params.k_train) and params.k_train < params.k_symbols):
@@ -241,6 +246,7 @@ class SweepSpec:
         for name, items in (("values", self.values), ("modes", self.modes)):
             if not isinstance(items, (tuple, list)):    # a string would be read letter by letter
                 raise ConfigError(f"{name} must be a tuple or a list, got {items!r}", fields=(name,))
+        _check_point_count(self.values, "values")
         check_in(self.sweep_var, (SWEEP_PS, SWEEP_BDPR), "sweep_var")
         for mode in self.modes:
             check_mode(mode, "modes")
@@ -278,19 +284,22 @@ class SweepSpec:
 
 
 def _check_bdpr_reach(scenario, points, modes, field) -> None:
-    """Reject a BDPR target whose closed forms fail on the probe channel,
-    aligned_channel at PROBE_DIRECT_GAIN. At a fixed BDPR the moments grow
-    with |h0|. With the LNA the variance grows like p^6, so the threshold's
-    discriminant c (v1 - v0) ~ p1^12 / p0^6 grows with Ps + 2 BDPR (in dB)
-    until it overflows. At the paper's defaults 200 draws fail from
-    Ps + 2 BDPR = 580-583 dBm on, the probe from 572 dBm. A point the probe
-    passes, every weaker draw passes too."""
-    probe = aligned_channel(scenario, PROBE_DIRECT_GAIN)
-    for params, bdpr_db in points:
-        real = probe.at_operating_point(params, bdpr_db)
+    """Reject a BDPR target whose closed forms fail on the probe channel, run as
+    a block runs its cases: |h0|^2 at PROBE_DIRECT_GAIN times its mean, |htr|^2
+    at its mean and h0, hst, htr in phase, as one column of normals. At a fixed
+    BDPR the moments grow with |h0|. With the LNA the variance grows like p^6,
+    so the threshold's discriminant c (v1 - v0) ~ p1^12 / p0^6 grows with Ps +
+    2 BDPR (in dB) until it overflows. At the paper's defaults 200 draws fail
+    from Ps + 2 BDPR = 580-583 dBm on, the probe from 572 dBm. A point the
+    probe passes, every weaker draw passes too. Float calls name the first failure."""
+    normals = np.array([[math.sqrt(2 * PROBE_DIRECT_GAIN)], [0], [1], [0], [math.sqrt(2)], [0]])
+    tables = {b: channel_table(scenario, normals, b) for b in {b for _, b in points}}
+    groups = {mode: _ModeGroup(scenario, mode, [(p.ps, mode, tables[b]) for p, b in points],
+                               False) for mode in modes}
+    for j, (params, bdpr_db) in enumerate(points):
         for mode in modes:
             try:
-                near_optimal_threshold(hypothesis_moments(params, real, mode))
+                _raise_first_failure([(groups[mode], j)])
             except ModelValidityError as exc:
                 raise ConfigError(
                     f"bdpr {bdpr_db:g} dB at ps_dbm {params.ps_dbm:g} is beyond the {mode} "
@@ -388,7 +397,7 @@ def _pilot_task(task):
                                     np.where(threshold == 0, np.nan, threshold))
 
 
-def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, samples: int,
+def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, samples: float,
                 workers: int) -> list:
     """The results of `fn` on (*head, r0, realizations) for each block (_blocks), in
     order; the only place a process pool is opened, only for two tasks or more
@@ -405,6 +414,11 @@ def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, samples: int
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))
     return list(map(fn, tasks))
+
+
+def _samples(params: SystemParams, modes, symbols: int) -> float:
+    """The samples `symbols` symbols draw in each of `modes`, as POOL_MIN_SAMPLES counts them."""
+    return symbols * params.n_samples * sum(1.0 if m == LNA else NO_LNA_WEIGHT for m in modes)
 
 
 def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:
@@ -436,7 +450,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[BerPoint]:
     """Run all sweep points; deterministic for a fixed master seed regardless
     of worker count."""
     symbols = spec.n_frames * spec.scenario.k_symbols
-    samples = len(spec.modes) * spec.n_realizations * symbols * spec.scenario.n_samples
+    samples = _samples(spec.scenario, spec.modes, spec.n_realizations * symbols)
     per_case = zip(*_map_blocks(_ber_task, (spec,), spec.n_realizations, symbols, samples,
                                 workers))
     points = ((value, mode) for value in spec.values for mode in spec.modes)
@@ -478,6 +492,7 @@ def run_pilot_sweep(
     if not isinstance(fractions, (tuple, list)):    # read once, as SweepSpec reads its values
         raise ConfigError(f"pilot fractions must be a tuple or a list, got {fractions!r}",
                           fields=("pilot_fraction",))
+    _check_point_count(fractions, "pilot_fraction")
     per_fraction = [replace(params, pilot_fraction=frac) for frac in fractions]
     k_trains = tuple(p.k_train for p in per_fraction)
     # the pilot count is what a fraction estimates from: 0 pilots (a fraction
@@ -491,7 +506,7 @@ def run_pilot_sweep(
     head = params, mode, k_trains, n_frames, master_seed
     symbols = n_frames * max(k_trains)
     errors = np.concatenate(_map_blocks(_pilot_task, head, n_realizations, symbols,
-                                        n_realizations * symbols * params.n_samples,
+                                        _samples(params, (mode,), n_realizations * symbols),
                                         workers), axis=1)
 
     points = []

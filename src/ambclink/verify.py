@@ -154,7 +154,7 @@ def check_sampler_equivalence(params: SystemParams, seed: int = 5) -> CheckResul
     worst = (math.inf, "")
     stream = 0
     for label, point in points.items():
-        at = real.at_operating_point(point)     # the points change Ps and n_at only
+        at = draw_channels(point, np.random.default_rng(seed))  # real's normals, at the point
         for mode in MODES:
             stream += 1
             rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambclink import LNA, NO_LNA, ConfigError, ModelValidityError, NoSeparationError
+from ambclink import LNA, NO_LNA, ConfigError, ModelValidityError, NoSeparationError, channel
 from ambclink.analysis import (
     HypothesisMoments,
     ber_closed_form,
@@ -600,7 +600,7 @@ class TestExactBits:
                                  np.random.default_rng(np.random.SeedSequence((7, r, 1))))
             for ps in range(-60, 31, 5):
                 p = replace(paper_params, ps_dbm=float(ps))
-                at = real.at_operating_point(p)
+                at = channel._compose(p, *real[:3])
                 for mode in MODES:
                     m = hypothesis_moments(p, at, mode)
                     t = near_optimal_threshold(m)

@@ -149,7 +149,7 @@ class TestBdpr:
 
 def _with_bdpr(params, target, rng):
     """A draw, its hst rescaled to the target BDPR."""
-    return draw_channels(params, rng).at_operating_point(params, target)
+    return channel._compose(params, *draw_channels(params, rng)[:3], target)
 
 
 class TestChannelsWithBdpr:
@@ -201,7 +201,7 @@ class TestChannelTable:
                      for r in range(2000)]
             normals = _normals(master, 2000)
             for target in (None, -30.0, 0.0, 17.3, 150.0, -150.0):
-                reals = [real.at_operating_point(p, target) for real in drawn]
+                reals = [channel._compose(p, *real[:3], target) for real in drawn]
                 want = np.array([(abs(r.h0) ** 2, abs(r.h1) ** 2, r.htr_abs2) for r in reals]).T
                 got = channel_table(p, normals, target)
                 assert got.shape == (3, 2000)

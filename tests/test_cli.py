@@ -28,7 +28,8 @@ from ambclink.cli import (
 )
 from ambclink.config import MAX_WORKERS
 from ambclink.errors import ConfigError
-from ambclink.montecarlo import POOL_MIN_SAMPLES, SWEEP_BDPR, BerPoint, PilotPoint
+from ambclink.montecarlo import (NO_LNA_WEIGHT, POOL_MIN_SAMPLES, SWEEP_BDPR, BerPoint,
+                                 PilotPoint)
 
 FAST = ["--seed", "4", "--workers", "1"]
 SMALL_SWEEP = ["--sweep", "ps:0:10:10", "--frames", "1", "--realizations", "4"]
@@ -314,10 +315,11 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
     sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []
-    # 1200 realizations at K = 200 and N = 25 draw above POOL_MIN_SAMPLES (both
-    # modes, or 10 frames of 80 pilots), so a sweep judged late opens a pool
-    size = ["--realizations", "1200", "--workers", "2"]
-    assert 1200 * min(2 * 200, 10 * 80) * 25 > POOL_MIN_SAMPLES
+    # 1500 realizations at K = 200 and N = 25 draw above POOL_MIN_SAMPLES (both
+    # modes, a no-LNA symbol weighted by NO_LNA_WEIGHT, or 10 frames of 80
+    # pilots), so a sweep judged late opens a pool
+    size = ["--realizations", "1500", "--workers", "2"]
+    assert 1500 * min((1 + NO_LNA_WEIGHT) * 200, 10 * 80) * 25 > POOL_MIN_SAMPLES
     rc = main([command, "--scenario", scenario, "--out", out, *sweep, *FAST, *size, *bad_args])
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -346,9 +348,9 @@ def test_a_bad_out_fails_before_any_channel_is_drawn(tmp_path, capsys, monkeypat
 
 def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
     # K = 200: blocks of at most 81 realizations, so 400 make five, and with
-    # both modes at N = 75 they draw above POOL_MIN_SAMPLES: --workers 8 needs
-    # five processes
-    assert 2 * 400 * 200 * 75 > POOL_MIN_SAMPLES
+    # both modes at N = 100 (a no-LNA symbol weighted by NO_LNA_WEIGHT) they
+    # draw above POOL_MIN_SAMPLES: --workers 8 needs five processes
+    assert (1 + NO_LNA_WEIGHT) * 400 * 200 * 100 > POOL_MIN_SAMPLES
     opened = []
 
     class InProcessPool:
@@ -364,7 +366,7 @@ def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    scenario = _scenario_file(tmp_path, k_symbols=200, n_samples=75)
+    scenario = _scenario_file(tmp_path, k_symbols=200, n_samples=100)
     base = ["ber-sweep", "--scenario", scenario, "--sweep", "ps:0:10:10",
             "--modes", "lna,no_lna", "--realizations", "400", "--seed", "4"]
     a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
@@ -378,9 +380,10 @@ def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
 @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
 def test_csv_is_byte_identical_either_side_of_the_pool_threshold(tmp_path, monkeypatch,
                                                                  above):
-    # the README ps sweep's shape: both modes at K = 100 and N = 75 draw 15 000
-    # samples a realization; at --workers 2 a pool opens only above POOL_MIN_SAMPLES
-    realizations = POOL_MIN_SAMPLES // 15_000 + above
+    # the README ps sweep's shape: both modes at K = 100 and N = 75 draw 7500
+    # samples a realization each, a no-LNA one weighted by NO_LNA_WEIGHT; at
+    # --workers 2 a pool opens only above POOL_MIN_SAMPLES
+    realizations = int(POOL_MIN_SAMPLES / (7500 * (1 + NO_LNA_WEIGHT))) + above
     opened = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -558,8 +561,10 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
                   "--workers", "2", "--out", "readme.csv"]
         assert ambclink.cli.main([*readme, "--realizations", "200"]) == 0
         assert not pool_loaded(), "README ber-sweep"
-        # both modes at K = 100 and N = 75 draw 15 000 samples a realization
-        above = ambclink.montecarlo.POOL_MIN_SAMPLES // 15_000 + 1
+        # both modes at K = 100 and N = 75 draw 7500 samples a realization
+        # each, a no-LNA one weighted by NO_LNA_WEIGHT
+        mc = ambclink.montecarlo
+        above = int(mc.POOL_MIN_SAMPLES / (7500 * (1 + mc.NO_LNA_WEIGHT))) + 1
         assert ambclink.cli.main([*readme, "--realizations", str(above)]) == 0
         assert loaded("concurrent.futures") and loaded("multiprocessing"), "pool"
         assert not loaded(), "pool"
@@ -575,6 +580,37 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "verify: all checks passed" in proc.stdout
+
+
+def test_a_no_lna_sweep_runs_in_process_where_a_pool_loses(tmp_path):
+    """One no-LNA point at K = 100 and N = 75 draws one Gamma(N) variate a
+    symbol: at 1334 and 2000 realizations a pool of 2 workers costs more than
+    it saves, so --workers 2 runs in the calling process, loading no
+    concurrent.futures, and writes the bytes of --workers 1."""
+    code = textwrap.dedent("""
+        import sys
+        import ambclink.cli
+
+        for realizations in ("1334", "2000"):
+            csv = []
+            for workers in ("1", "2"):
+                args = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:0:1", "--modes",
+                        "no_lna", "--realizations", realizations, "--seed", "7",
+                        "--workers", workers, "--out", f"w{workers}.csv"]
+                assert ambclink.cli.main(args) == 0
+                with open(f"w{workers}.csv", encoding="utf-8") as fh:
+                    csv.append(fh.read())
+            assert csv[0] == csv[1], realizations
+        pool = [name for name in sys.modules
+                if name.split(".")[0] in ("concurrent", "multiprocessing")]
+        assert pool == [], pool
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ambclink.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestVerify:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ambclink.montecarlo as mc
 import ambclink.verify
-from ambclink import LNA, NO_LNA
+from ambclink import LNA, NO_LNA, channel
 from ambclink.analysis import (
     HypothesisMoments,
     ber_closed_form,
@@ -21,7 +21,8 @@ from ambclink.analysis import (
     noise_levels,
 )
 from ambclink.channel import channel_table, draw_channels
-from ambclink.config import MAX_REALIZATIONS, MAX_SWEEP_SYMBOLS
+from ambclink.config import (MAX_REALIZATIONS, MAX_SWEEP_POINTS, MAX_SWEEP_SYMBOLS, MODES,
+                             SystemParams)
 from ambclink.errors import ConfigError, ModelValidityError, NoSeparationError
 from ambclink.estimation import (
     pilot_statistics,
@@ -57,6 +58,10 @@ def _manual_table(params, h0, hst, htr):
 
 def _no_draw(*args):
     raise AssertionError("channel drawn")
+
+
+def _no_params(*args):
+    raise AssertionError("SystemParams built")
 
 
 def _no_lna_draw(*args):
@@ -305,7 +310,7 @@ class TestSweepSpec:
         p = replace(paper_params, ps_dbm=ps)
 
         def fails(real):
-            real = real.at_operating_point(p, bdpr)
+            real = channel._compose(p, *real[:3], bdpr)
             try:
                 near_optimal_threshold(hypothesis_moments(p, real, LNA))
             except ModelValidityError:
@@ -334,6 +339,63 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=r"^bdpr 190 dB at ps_dbm 200 is beyond the lna "):
             SweepSpec(**spec)
         SweepSpec(**{**spec, "values": (0.0,)})
+
+    def test_the_probe_agrees_with_its_float_route(self, paper_params):
+        """The probe, run as a block runs its cases, accepts the points and
+        names the first failing point and mode that the float calls on the
+        probe channel do: h0, hst = 1 and htr in phase, |h0|^2 at
+        PROBE_DIRECT_GAIN times its mean and |htr|^2 at its mean, composed at
+        each target. At Ps 100-300 dBm: a pinned BDPR of 0-100 dB in 0.25 dB
+        steps in each mode, and a two-mode bdpr sweep of 100-200 dB."""
+        p = paper_params
+        h0 = complex(math.sqrt(mc.PROBE_DIRECT_GAIN * p.r0 ** -p.v0))
+        htr = complex(math.sqrt(p.rtr ** -p.vtr))
+
+        def first_failure(params, bdprs, modes):
+            for bdpr in bdprs:
+                real = channel._compose(params, h0, 1 + 0j, htr, bdpr)
+                for mode in modes:
+                    try:
+                        near_optimal_threshold(hypothesis_moments(params, real, mode))
+                    except ModelValidityError:
+                        return (f"^bdpr {bdpr:g} dB at ps_dbm {params.ps_dbm:g} "
+                                f"is beyond the {mode} ")
+            return None
+
+        def check(spec, field, failure):
+            if failure is None:
+                SweepSpec(**spec)
+                return
+            with pytest.raises(ConfigError, match=failure) as ei:
+                SweepSpec(**spec)
+            assert ei.value.fields == (field,)
+
+        pinned = [0.25 * i for i in range(401)]
+        swept = tuple(100.0 + bdpr for bdpr in pinned)
+        rejected = []
+        for ps in (100.0, 150.0, 200.0, 250.0, 300.0):
+            at = replace(p, ps_dbm=ps)
+            for mode in MODES:
+                for bdpr in pinned:
+                    check({"scenario": p, "sweep_var": SWEEP_PS, "values": (ps,),
+                           "modes": (mode,), "fixed_bdpr_db": bdpr},
+                          "fixed_bdpr_db", first_failure(at, [bdpr], [mode]))
+            failure = first_failure(at, swept, MODES)
+            check({"scenario": at, "sweep_var": SWEEP_BDPR, "values": swept, "modes": MODES},
+                  "values", failure)
+            rejected += [ps] if failure else []
+        assert rejected == [200.0, 250.0, 300.0]
+
+    def test_more_points_than_the_cap_rejected_before_any_is_built(self, paper_params,
+                                                                 monkeypatch):
+        # a ps sweep builds each point's SystemParams; the cap is judged first
+        values = tuple(0.1 * i for i in range(MAX_SWEEP_POINTS + 1))
+        SweepSpec(scenario=paper_params, sweep_var=SWEEP_PS, values=values[:-1])
+        monkeypatch.setattr(SystemParams, "__post_init__", _no_params)
+        for sweep_var in (SWEEP_PS, SWEEP_BDPR):
+            with pytest.raises(ConfigError, match="more than 1000") as ei:
+                SweepSpec(scenario=paper_params, sweep_var=sweep_var, values=values)
+            assert ei.value.fields == ("values",)
 
     @pytest.mark.parametrize("changes, fields", [
         ({"modes": (LNA, LNA)}, ("modes",)),
@@ -865,6 +927,16 @@ def test_pilot_sweep_rejects_an_unknown_mode_before_any_channel_is_drawn(paper_p
     assert ei.value.fields == ("mode",)
 
 
+def test_pilot_sweep_rejects_more_fractions_than_the_cap_before_any_is_built(paper_params,
+                                                                            monkeypatch):
+    monkeypatch.setattr(SystemParams, "__post_init__", _no_params)
+    fractions = [(i + 1) / 4096 for i in range(MAX_SWEEP_POINTS + 1)]
+    with pytest.raises(ConfigError, match="more than 1000") as ei:
+        run_pilot_sweep(paper_params, fractions, LNA, n_realizations=1, n_frames=1,
+                        master_seed=0)
+    assert ei.value.fields == ("pilot_fraction",)
+
+
 def _pilot_sweep(fractions=(0.2,), n_realizations=1, n_frames=1, master_seed=0):
     return partial(run_pilot_sweep, fractions=fractions, mode=LNA, n_realizations=n_realizations,
                    n_frames=n_frames, master_seed=master_seed)
@@ -916,7 +988,8 @@ def test_numpy_scalars_give_the_rows_of_python_floats(paper_params):
 
 class TestPool:
     """A pool opens only for two tasks or more of a sweep whose frames draw more
-    than POOL_MIN_SAMPLES samples (modes x realizations x frames x symbols x N)."""
+    than POOL_MIN_SAMPLES samples (realizations x frames x symbols x N per mode,
+    a no-LNA symbol weighted by NO_LNA_WEIGHT)."""
 
     def _no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -933,8 +1006,8 @@ class TestPool:
 
     def test_single_task_ber_sweep_opens_no_pool(self, small_spec, monkeypatch):
         # one realization serves both points and both modes: one task
-        spec = replace(small_spec, n_realizations=1,
-                       n_frames=mc.POOL_MIN_SAMPLES // (2 * 50 * 25) + 1)
+        spec = replace(small_spec, n_realizations=1, n_frames=int(
+            mc.POOL_MIN_SAMPLES / ((1 + mc.NO_LNA_WEIGHT) * 50 * 25)) + 1)
         serial = run_sweep(spec, workers=1)
         self._no_pool(monkeypatch)
         assert run_sweep(spec, workers=2) == serial
