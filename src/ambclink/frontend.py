@@ -2,11 +2,12 @@
 
 `draw_energies` draws each symbol's energy statistic directly from its exact
 distribution, for symbols of any shape. It draws the symbols' variates first
-(`draw_lna_variates`, or standard gammas without the LNA), which do not depend
-on the powers, and turns them into energies with `energies_from_variates`;
-the sweeps draw the variates once and take the energies at every point and
-mode. `generate_frame` builds the same statistic from K*N baseband samples
-and is kept as the sample-level reference for it.
+(`draw_lna_variates`, in either mode), which do not depend on the powers, and
+turns them into energies with `energies_from_variates`; the sweeps draw the
+variates once and take the energies at every point and mode, so the two
+modes are paired sample by sample. `generate_frame` builds the same
+statistic from K*N baseband samples and is kept as the sample-level
+reference for it.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ def _cn(scale: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LnaVariates:
-    """What the LNA energy of symbols of some shape needs of their random
-    draws, each array of that shape: s1, s2, s3 the sums of e, e^2, e^3 over
-    the symbol's N standard exponentials e, g a standard Gamma(N - 1/2) and
-    z a standard normal."""
+    """What the energy of symbols of some shape needs of their random draws,
+    in either mode, each array of that shape: s1, s2, s3 the sums of e, e^2,
+    e^3 over the symbol's N standard exponentials e, g a standard
+    Gamma(N - 1/2) and z a standard normal. Without the LNA (beta3 = 0) only
+    s1, g and z are read."""
 
     s1: np.ndarray
     s2: np.ndarray
@@ -112,10 +114,10 @@ class LnaVariates:
 
 
 def draw_lna_variates(n_samples: int, shape, rng: np.random.Generator) -> LnaVariates:
-    """The LNA variates of symbols of `shape`: first the exponentials, in
-    chunks of at most SAMPLER_CHUNK samples reduced to their sums in place,
-    so memory stays bounded and the draws do not depend on the chunk size;
-    then every g, then every z."""
+    """The variates of symbols of `shape`, which both modes read: first the
+    exponentials, in chunks of at most SAMPLER_CHUNK samples reduced to their
+    sums in place, so memory stays bounded and the draws do not depend on the
+    chunk size; then every g, then every z."""
     sums = [np.empty(shape) for _ in range(3)]
     s1, s2, s3 = (s.reshape(-1) for s in sums)
     rows = max(1, SAMPLER_CHUNK // n_samples)
@@ -133,34 +135,29 @@ def draw_lna_variates(n_samples: int, shape, rng: np.random.Generator) -> LnaVar
 
 
 def energies_from_variates(params: SystemParams, bits: np.ndarray, power, noise,
-                           mode: str, variates) -> np.ndarray:
+                           mode: str, variates: LnaVariates) -> np.ndarray:
     """Energy statistics of symbols `bits` (0s and 1s of any shape, a list
     too, else ValueError), whose input power and d-gated noise power under
     bit d are power[d] and noise[d]: scalars, or arrays that broadcast
-    against `bits`. `variates` are the symbols' draws: standard Gamma(N)
-    variates without the LNA, LnaVariates with it.
+    against `bits`. `variates` are the symbols' LnaVariates, in either mode.
 
-    With p_d the input power and n_d the noise power of symbol d:
-    no_lna: y is CN(0, p_d + n_d), so the energy is Gamma(N, (p_d + n_d)/N),
-            that scale times a standard Gamma(N) variate.
-    lna:    the phase of x = g*s does not matter (the noise is circular), so
-            Z_k = |x_k|^2 = p_d e_k with e_k standard exponential, and
-            A = sum_k Z_k (beta1 + beta3 Z_k)^2
-              = beta1^2 p_d s1 + 2 beta1 beta3 p_d^2 s2 + beta3^2 p_d^3 s3.
-            Given Z, sum_k |a_k + w_k|^2 with w ~ CN(0, n_d) is
-            (n_d/2) chi'^2_{2N}(2A/n_d), and chi'^2_{2N}(lam) is
-            2 g + (z + sqrt(lam))^2, so the energy is that over N.
-            Where 2A/n_d is not finite (n_d underflowed to 0 W) the energy
-            is its exact limit A/N.
-    The factors of p_d and n_d are formed before the per-symbol pick, on
-    the (realization, bit) levels; the no-LNA energies are then bit for bit
-    those of rng.gamma(N, scale) on the same generator."""
+    With p_d the input power and n_d the noise power of symbol d: the phase
+    of x = g*s does not matter (the noise is circular), so Z_k = |x_k|^2 =
+    p_d e_k with e_k standard exponential, and
+        A = sum_k Z_k (beta1 + beta3 Z_k)^2
+          = beta1^2 p_d s1 + 2 beta1 beta3 p_d^2 s2 + beta3^2 p_d^3 s3,
+    with beta1 = 1 and beta3 = 0 without the LNA, as in generate_frame.
+    Where beta3 = 0 the s2 and s3 terms are skipped: A = beta1^2 p_d s1.
+    Given Z, sum_k |a_k + w_k|^2 with w ~ CN(0, n_d) is
+    (n_d/2) chi'^2_{2N}(2A/n_d), and chi'^2_{2N}(lam) is 2 g + (z + sqrt(lam))^2,
+    so the energy is that over N. Without the LNA this is exact: given s1 it
+    is that noncentral chi-square, and unconditionally Gamma(N, (p_d + n_d)/N).
+    Where 2A/n_d is not finite (n_d underflowed to 0 W) the energy is its
+    exact limit A/N. The factors of p_d and n_d are formed before the
+    per-symbol pick, on the (realization, bit) levels."""
     one = _zero_one(np.asarray(bits)) == 1
     n = params.n_samples
-    if mode == NO_LNA:
-        scale = [(p + w) / n for p, w in zip(power, noise)]
-        return np.where(one, scale[1], scale[0]) * variates
-    b1, b3 = params.beta1, params.beta3
+    b1, b3 = (1.0, 0.0) if mode == NO_LNA else (params.beta1, params.beta3)
 
     def pick(f):        # f of each bit's power, picked per symbol
         return np.where(one, f(power[1]), f(power[0]))
@@ -168,27 +165,26 @@ def energies_from_variates(params: SystemParams, bits: np.ndarray, power, noise,
     # computed in place, beside the variates every case shares
     a = pick(lambda p: b1 * b1 * p)
     a *= variates.s1
-    for f, s in ((lambda p: 2.0 * b1 * b3 * (p * p), variates.s2),
-                 (lambda p: b3 * b3 * (p * p * p), variates.s3)):
-        term = pick(f)
-        term *= s
-        a += term
-    np.maximum(a, 0.0, out=a)   # the sum is >= 0; its cancellation may round below
+    if b3:          # else A = beta1^2 p s1, as without the LNA
+        for f, s in ((lambda p: 2.0 * b1 * b3 * (p * p), variates.s2),
+                     (lambda p: b3 * b3 * (p * p * p), variates.s3)):
+            term = pick(f)
+            term *= s
+            a += term
+        np.maximum(a, 0.0, out=a)   # the sum is >= 0; its cancellation may round below
     noise = np.where(one, noise[1], noise[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        chi2 = a.copy()
-        chi2 *= 2.0
+        chi2 = np.multiply(a, 2.0)
         chi2 /= noise               # the noncentrality 2A/n
-    finite = np.isfinite(chi2)
-    np.copyto(chi2, 0.0, where=~finite)
+    not_finite = ~np.isfinite(chi2)
+    np.copyto(chi2, 0.0, where=not_finite)
     np.sqrt(chi2, out=chi2)
     chi2 += variates.z
     chi2 *= chi2
-    chi2 += np.multiply(variates.g, 2.0, out=term)
+    chi2 += variates.g * 2.0
     noise /= 2 * n
     chi2 *= noise
-    a /= n
-    np.copyto(chi2, a, where=~finite)
+    np.divide(a, n, out=chi2, where=not_finite)
     return chi2
 
 
@@ -198,7 +194,5 @@ def draw_energies(params: SystemParams, bits: np.ndarray, power, noise,
     energies_from_variates takes them, drawn from `rng`: variates, then energies."""
     check_mode(mode)
     bits = _zero_one(np.asarray(bits))
-    shape, n = bits.shape, params.n_samples
-    variates = (rng.standard_gamma(n, shape) if mode == NO_LNA
-                else draw_lna_variates(n, shape, rng))
+    variates = draw_lna_variates(params.n_samples, bits.shape, rng)
     return energies_from_variates(params, bits, power, noise, mode, variates)

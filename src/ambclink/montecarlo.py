@@ -5,8 +5,8 @@ with all their frames, drawn once and shared by every sweep point and mode
 (a pilot-study block serves every pilot fraction at once). A block draws its
 own channels, seeded per realization, then its frames in runs of at most
 BLOCK_SYMBOLS symbols (one run unless a single realization's frames exceed
-it): the bits and the no-LNA standard gammas from the block's frame
-generator, the LNA variates from a generator of their own. A block of either
+it): the bits from the block's frame generator, the variates both modes read
+(frontend.draw_lna_variates) from a generator of their own. A block of either
 study is built from mode groups: cases of one mode stacked, with one batch
 of closed forms (analysis: NaN marks an element whose float call raises) and
 per run one pass on the shared draws. A BER block composes its channel table
@@ -23,9 +23,9 @@ import numpy as np
 
 from .analysis import ber_closed_form, level_moments, near_optimal_threshold, noise_levels
 from .channel import channel_table
-from .config import (LNA, MAX_BDPR_DB, MAX_SWEEP_POINTS, MAX_WORKERS, MODES, NO_LNA,
-                     SystemParams, check_in, check_int, check_mode, check_trials,
-                     is_finite_real, valid_pilot_count)
+from .config import (MAX_BDPR_DB, MAX_SWEEP_POINTS, MAX_WORKERS, MODES, SystemParams,
+                     check_in, check_int, check_mode, check_trials, is_finite_real,
+                     valid_pilot_count)
 from .errors import ConfigError, ModelValidityError
 from .estimation import pilot_bits, pilot_statistics, relative_threshold_error
 from .frontend import draw_lna_variates, energies_from_variates
@@ -45,14 +45,13 @@ STACK_SYMBOLS = 8 * BLOCK_SYMBOLS   # symbols of a BER pass over stacked cases, 
 # more than a second worker saves. An empty pool takes about 10 ms to open and
 # drain, and a process's first pool about 14 ms more to import
 # concurrent.futures and multiprocessing. Points and pilot fractions share a
-# block's draws and add little, so they do not count. A no-LNA symbol draws
-# one Gamma(N) variate, not N samples, and counts NO_LNA_WEIGHT of them. In
-# fresh processes on a 2-vCPU Xeon, --workers 2 overtook --workers 1 between
-# 600 and 700 realizations of the README ps sweep, between 20 and 30 of the
-# README pilot study (6 and 9 million samples), and between 3000 and 4000 of
-# one no-LNA point (K = 100, N = 75), which took 0.30-0.33 of an LNA point's time.
+# block's draws and add little, so they do not count; every mode reads the
+# same draw of N samples a symbol and counts it once. In fresh processes on a
+# 2-vCPU Xeon, --workers 2 overtook --workers 1 between 400 and 500
+# realizations of the README ps sweep (6 and 7.5 million samples), between
+# 1000 and 1200 of one LNA or no-LNA point (K = 100, N = 75), and between 34
+# and 40 of the README pilot study (10 and 12 million).
 POOL_MIN_SAMPLES = 10 ** 7
-NO_LNA_WEIGHT = 0.4
 # A sweep with a BDPR target is checked at load on a channel whose |h0|^2 is
 # this many times its mean r0^-v0. Under Rayleigh fading that ratio is Exp(1),
 # so a draw exceeds it with probability exp(-50), about 2e-22.
@@ -85,16 +84,14 @@ def _run_frames(n_reals, n_frames, frame_symbols) -> int:
     return min(n_frames, max(1, BLOCK_SYMBOLS // (n_reals * frame_symbols)))
 
 
-def _frame_runs(params, modes, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
-    """The draws of every (realization, frame, symbol) of a block serving
-    `modes`, in runs of consecutive frames of at most BLOCK_SYMBOLS symbols
-    (one frame per realization at least). Yields per run the bits, of shape
-    (n_reals, frames in the run, symbols), and their variates by mode, as
-    energies_from_variates takes them: from frame_rng the bits, then the
-    no-LNA Gamma(N) variates (None for an LNA-only run without data bits);
-    from lna_rng the LNA variates if `modes` holds LNA, else None. A frame
-    holds k_train pilots (pilot_bits), then n_data random data bits."""
-    n = params.n_samples
+def _frame_runs(params, n_reals, n_frames, k_train, n_data, frame_rng, lna_rng):
+    """The draws of every (realization, frame, symbol) of a block, in runs of
+    consecutive frames of at most BLOCK_SYMBOLS symbols (one frame per
+    realization at least). Yields per run the bits, of shape (n_reals, frames
+    in the run, symbols), from frame_rng, and their variates from lna_rng, as
+    energies_from_variates takes them in either mode; the draws are the same
+    whatever modes the block serves. A frame holds k_train pilots
+    (pilot_bits), then n_data random data bits."""
     run = _run_frames(n_reals, n_frames, k_train + n_data)
     for f0 in range(0, n_frames, run):
         shape = (n_reals, min(run, n_frames - f0))
@@ -102,10 +99,7 @@ def _frame_runs(params, modes, n_reals, n_frames, k_train, n_data, frame_rng, ln
         if k_train:
             bits = np.concatenate(
                 [np.broadcast_to(pilot_bits(k_train), (*shape, k_train)), bits], axis=-1)
-        # the next run's bits follow the gammas, so an LNA-only sweep draws them too
-        gamma = frame_rng.standard_gamma(n, bits.shape) if n_data or NO_LNA in modes else None
-        yield bits, {NO_LNA: gamma,
-                     LNA: draw_lna_variates(n, bits.shape, lna_rng) if LNA in modes else None}
+        yield bits, draw_lna_variates(params.n_samples, bits.shape, lna_rng)
 
 
 class _ModeGroup:
@@ -133,7 +127,7 @@ class _ModeGroup:
     def energies(self, bits, variates):
         """A run's energies (_frame_runs) at every case: (cases, *bits.shape)."""
         return energies_from_variates(self.params, bits, *(x[..., None] for x in self.levels),
-                                      self.mode, variates[self.mode])
+                                      self.mode, variates)
 
     def add_run(self, k_train, bits, variates):
         """Detect a run's frames at every case and count errors on their data
@@ -182,15 +176,15 @@ def _check_pilot_layout(params: SystemParams) -> None:
 
 
 def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.Generator,
-              lna_rng: np.random.Generator | None, policy: str = CLOSED_FORM_TRUE) -> list:
+              lna_rng: np.random.Generator, policy: str = CLOSED_FORM_TRUE) -> list:
     """Every frame of a block at each case (ps, mode, table) of the scenario
     `params`: the realizations of `table` (channel_table: |h0|^2, |h1|^2 and
     |htr|^2, of shape (3, realizations)) with |h0|^2 and |h1|^2 scaled by the
     Ps `ps` (W), in `mode`. The cases share every parameter but Ps and the
     BDPR their table carries, so they share one draw of the block's frames
-    (_frame_runs; the LNA variates come from lna_rng, drawn only if a case is
-    LNA). A mode's consecutive cases are stacked in groups of at most
-    STACK_SYMBOLS symbols per run (one case at least), and per run each group
+    (_frame_runs: the bits from frame_rng, the variates from lna_rng). A
+    mode's consecutive cases are stacked in groups of at most STACK_SYMBOLS
+    symbols per run (one case at least), and per run each group
     takes its energies, picks a threshold per policy, detects, and counts
     errors on data symbols in one pass. Returns one BlockResult per case. The
     trial counts, and the estimated policy's pilots, are judged as SweepSpec's.
@@ -220,8 +214,8 @@ def ber_block(params: SystemParams, cases, n_frames: int, frame_rng: np.random.G
             for j, i in enumerate(chunk):
                 slots[i] = groups[-1], j
     _raise_first_failure(slots)
-    for bits, variates in _frame_runs(params, {g.mode for g in groups}, n_reals, n_frames,
-                                      k_train, k - k_train, frame_rng, lna_rng):
+    for bits, variates in _frame_runs(params, n_reals, n_frames, k_train, k - k_train,
+                                      frame_rng, lna_rng):
         for group in groups:
             group.add_run(k_train, bits, variates)
     results = {group: [np.concatenate(x, axis=2) for x in zip(*group.runs)] for group in groups}
@@ -353,7 +347,7 @@ def _block_draws(master_seed: int, r0: int, realizations):
     Channel r is seeded (master, r, 1), whatever the block, so modes are
     compared on identical fading and curves are paired across points (common
     random numbers). The frames of the block from realization r0 are seeded
-    (master, r0, 2) and its LNA variates (master, r0, 3): both are shared by
+    (master, r0, 2) and their variates (master, r0, 3): both are shared by
     every point, mode and fraction."""
     def rng(*key):
         return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
@@ -388,8 +382,8 @@ def _pilot_task(task):
     normals, frame_rng, lna_rng = _block_draws(master_seed, r0, realizations)
     group = _ModeGroup(params, mode, [(params.ps, mode, channel_table(params, normals))], False)
     _raise_first_failure([(group, 0)])
-    runs = _frame_runs(params, (mode,), len(realizations), n_frames, max(k_trains), 0,
-                       frame_rng, lna_rng)
+    runs = _frame_runs(params, len(realizations), n_frames, max(k_trains), 0, frame_rng,
+                       lna_rng)
     threshold = np.concatenate(
         [[near_optimal_threshold(pilot_statistics(energies, k)) for k in k_trains]
          for energies in (group.energies(bits, variates)[0] for bits, variates in runs)], axis=-1)
@@ -416,9 +410,10 @@ def _map_blocks(fn, head: tuple, n_realizations: int, symbols: int, samples: flo
     return list(map(fn, tasks))
 
 
-def _samples(params: SystemParams, modes, symbols: int) -> float:
-    """The samples `symbols` symbols draw in each of `modes`, as POOL_MIN_SAMPLES counts them."""
-    return symbols * params.n_samples * sum(1.0 if m == LNA else NO_LNA_WEIGHT for m in modes)
+def _samples(params: SystemParams, modes, symbols: int) -> int:
+    """The samples of `symbols` symbols, N each, counted once per mode, as
+    POOL_MIN_SAMPLES counts them."""
+    return symbols * params.n_samples * len(modes)
 
 
 def _ber_point(spec: SweepSpec, value: float, mode: str, blocks) -> BerPoint:

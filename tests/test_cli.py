@@ -28,7 +28,7 @@ from ambclink.cli import (
 )
 from ambclink.config import MAX_WORKERS
 from ambclink.errors import ConfigError
-from ambclink.montecarlo import (NO_LNA_WEIGHT, POOL_MIN_SAMPLES, SWEEP_BDPR, BerPoint,
+from ambclink.montecarlo import (POOL_MIN_SAMPLES, SWEEP_BDPR, BerPoint,
                                  PilotPoint)
 
 FAST = ["--seed", "4", "--workers", "1"]
@@ -315,11 +315,11 @@ def test_bad_counts_and_choices_exit_1_without_csv(tmp_path, capsys, monkeypatch
     scenario = _scenario_file(tmp_path, k_symbols=200)
     out = str(tmp_path / "x.csv")
     sweep = ["--sweep", "ps:0:10:10"] if command == "ber-sweep" else []
-    # 1500 realizations at K = 200 and N = 25 draw above POOL_MIN_SAMPLES (both
-    # modes, a no-LNA symbol weighted by NO_LNA_WEIGHT, or 10 frames of 80
-    # pilots), so a sweep judged late opens a pool
-    size = ["--realizations", "1500", "--workers", "2"]
-    assert 1500 * min((1 + NO_LNA_WEIGHT) * 200, 10 * 80) * 25 > POOL_MIN_SAMPLES
+    # 1200 realizations at K = 200 and N = 25 draw above POOL_MIN_SAMPLES (both
+    # modes, each counted, or 10 frames of 80 pilots), so a sweep judged late
+    # opens a pool
+    size = ["--realizations", "1200", "--workers", "2"]
+    assert 1200 * min(2 * 200, 10 * 80) * 25 > POOL_MIN_SAMPLES
     rc = main([command, "--scenario", scenario, "--out", out, *sweep, *FAST, *size, *bad_args])
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -348,9 +348,9 @@ def test_a_bad_out_fails_before_any_channel_is_drawn(tmp_path, capsys, monkeypat
 
 def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
     # K = 200: blocks of at most 81 realizations, so 400 make five, and with
-    # both modes at N = 100 (a no-LNA symbol weighted by NO_LNA_WEIGHT) they
-    # draw above POOL_MIN_SAMPLES: --workers 8 needs five processes
-    assert (1 + NO_LNA_WEIGHT) * 400 * 200 * 100 > POOL_MIN_SAMPLES
+    # both modes at N = 75, each counted, they draw above POOL_MIN_SAMPLES:
+    # --workers 8 needs five processes
+    assert 2 * 400 * 200 * 75 > POOL_MIN_SAMPLES
     opened = []
 
     class InProcessPool:
@@ -366,7 +366,7 @@ def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    scenario = _scenario_file(tmp_path, k_symbols=200, n_samples=100)
+    scenario = _scenario_file(tmp_path, k_symbols=200, n_samples=75)
     base = ["ber-sweep", "--scenario", scenario, "--sweep", "ps:0:10:10",
             "--modes", "lna,no_lna", "--realizations", "400", "--seed", "4"]
     a, b = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
@@ -380,10 +380,10 @@ def test_a_pool_opens_no_more_processes_than_blocks(tmp_path, monkeypatch):
 @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
 def test_csv_is_byte_identical_either_side_of_the_pool_threshold(tmp_path, monkeypatch,
                                                                  above):
-    # the README ps sweep's shape: both modes at K = 100 and N = 75 draw 7500
-    # samples a realization each, a no-LNA one weighted by NO_LNA_WEIGHT; at
-    # --workers 2 a pool opens only above POOL_MIN_SAMPLES
-    realizations = int(POOL_MIN_SAMPLES / (7500 * (1 + NO_LNA_WEIGHT))) + above
+    # the README ps sweep's shape: both modes at K = 100 and N = 75 count
+    # 7500 samples a realization each; at --workers 2 a pool opens only above
+    # POOL_MIN_SAMPLES
+    realizations = POOL_MIN_SAMPLES // (2 * 7500) + above
     opened = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -561,10 +561,9 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
                   "--workers", "2", "--out", "readme.csv"]
         assert ambclink.cli.main([*readme, "--realizations", "200"]) == 0
         assert not pool_loaded(), "README ber-sweep"
-        # both modes at K = 100 and N = 75 draw 7500 samples a realization
-        # each, a no-LNA one weighted by NO_LNA_WEIGHT
+        # both modes at K = 100 and N = 75 count 7500 samples a realization each
         mc = ambclink.montecarlo
-        above = int(mc.POOL_MIN_SAMPLES / (7500 * (1 + mc.NO_LNA_WEIGHT))) + 1
+        above = mc.POOL_MIN_SAMPLES // (2 * 7500) + 1
         assert ambclink.cli.main([*readme, "--realizations", str(above)]) == 0
         assert loaded("concurrent.futures") and loaded("multiprocessing"), "pool"
         assert not loaded(), "pool"
@@ -583,24 +582,24 @@ def test_scipy_stays_off_the_sweep_path(tmp_path):
 
 
 def test_a_no_lna_sweep_runs_in_process_where_a_pool_loses(tmp_path):
-    """One no-LNA point at K = 100 and N = 75 draws one Gamma(N) variate a
-    symbol: at 1334 and 2000 realizations a pool of 2 workers costs more than
-    it saves, so --workers 2 runs in the calling process, loading no
-    concurrent.futures, and writes the bytes of --workers 1."""
+    """One no-LNA point at K = 100 and N = 75 reads the N samples a symbol
+    that an LNA point reads, and --workers 2 overtakes 1 between 1000 and
+    1200 realizations: at 1000 a pool of 2 workers saves nothing, so
+    --workers 2 runs in the calling process, loading no concurrent.futures,
+    and writes the bytes of --workers 1."""
     code = textwrap.dedent("""
         import sys
         import ambclink.cli
 
-        for realizations in ("1334", "2000"):
-            csv = []
-            for workers in ("1", "2"):
-                args = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:0:1", "--modes",
-                        "no_lna", "--realizations", realizations, "--seed", "7",
-                        "--workers", workers, "--out", f"w{workers}.csv"]
-                assert ambclink.cli.main(args) == 0
-                with open(f"w{workers}.csv", encoding="utf-8") as fh:
-                    csv.append(fh.read())
-            assert csv[0] == csv[1], realizations
+        csv = []
+        for workers in ("1", "2"):
+            args = ["ber-sweep", "--paper-defaults", "--sweep", "ps:0:0:1", "--modes",
+                    "no_lna", "--realizations", "1000", "--seed", "7",
+                    "--workers", workers, "--out", f"w{workers}.csv"]
+            assert ambclink.cli.main(args) == 0
+            with open(f"w{workers}.csv", encoding="utf-8") as fh:
+                csv.append(fh.read())
+        assert csv[0] == csv[1]
         pool = [name for name in sys.modules
                 if name.split(".")[0] in ("concurrent", "multiprocessing")]
         assert pool == [], pool
@@ -624,7 +623,7 @@ class TestVerify:
         assert last.startswith("verify: all checks passed")
         assert not any("FAIL" in line for line in checks)
         assert hashlib.sha256("".join(checks).encode()).hexdigest() == \
-            "23513b15f4f4c8e2cae6984053e0ae7651e1693e61356c3174a8d42aedbc6dd6"
+            "758d7840f102df89ab51074f3c14392a3242ae809908d58d10a2e7035f522dc3"
 
     def test_ps_override_reaches_the_checks(self, capsys):
         def moments_line(extra):
@@ -705,7 +704,7 @@ class TestReadmeOutputs:
     @pytest.mark.parametrize("argv, digest", [
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:-10:30:5", "--modes", "lna,no_lna",
           "--realizations", "200", "--seed", "7"],
-         "2818e915d9dc3a74d8d2c21f9dce4d7a31212696ba98d86bf61158c1d05f5898"),
+         "01824c9a4620322f1f4e9a890c791bb77280e54872948c14cb0b3f1406f1620b"),
         (["ber-sweep", "--paper-defaults", "--sweep", "bdpr:-30:-10:10", "--ps", "5",
           "--modes", "lna", "--realizations", "200", "--seed", "7"],
          "fa1b28f828e11d825723775095b64de33f507556023b7dc9c53d6bdd73f51dcd"),
@@ -714,7 +713,7 @@ class TestReadmeOutputs:
          "bf5b610a5ca1f9b200d35d1f02b2e3da5978673d8cb660d54364d52ef0101051"),
         (["ber-sweep", "--paper-defaults", "--sweep", "ps:0:20:10", "--threshold-policy",
           "estimated", "--frames", "5", "--realizations", "20", "--seed", "3"],
-         "0cd3a01d0350da0f4371b1e14c5db9a86267bf96b32ea58c6bca89c74671c90a"),
+         "00b953b0099aea18a3cdfd1d945350ac7d7fd2dfb3c1e7ffe0b865bd1f9f66f3"),
     ], ids=["ber-ps", "ber-bdpr", "pilot-k200", "ber-estimated"])
     def test_csv_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)

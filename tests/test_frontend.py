@@ -279,8 +279,7 @@ class TestFrameEnergies:
         # a list reads as its array; a bit of 2 or 0.5 is refused, not read as bit 0
         rng = np.random.default_rng(4)
         n = paper_params.n_samples
-        variates = (rng.standard_gamma(n, 2) if mode == NO_LNA
-                    else draw_lna_variates(n, 2, rng))
+        variates = draw_lna_variates(n, 2, rng)     # both modes read the same variates
         levels = ((fixed_realization.p0, fixed_realization.p1),
                   noise_levels(paper_params, fixed_realization.htr_abs2, mode))
         want = energies_from_variates(paper_params, np.array([0, 1]), *levels, mode, variates)
@@ -342,6 +341,47 @@ class TestFrameEnergies:
             (p.k_symbols, p.n_samples))
         per_sample = np.sum(z * (b1 + b3 * z) ** 2, axis=1)
         assert np.allclose(e, per_sample / p.n_samples, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("noise_dbm", [None, -4000.0], ids=["noisy", "zero-noise"])
+    def test_no_lna_energies_are_the_lna_text_at_unit_gain(self, paper_params,
+                                                           fixed_realization, noise_dbm):
+        # both modes read one draw: without the LNA the energy is the LNA's
+        # at beta1 = 1, beta3 = 0, bit for bit, n/(2N) (2g + (z + sqrt(2 p s1/n))^2),
+        # and at 0 W of noise its limit p s1/N
+        p = paper_params if noise_dbm is None else replace(
+            paper_params, n_ar_dbm=noise_dbm, n_at_dbm=noise_dbm, n_cov_dbm=noise_dbm)
+        power = (fixed_realization.p0, fixed_realization.p1)
+        noise = noise_levels(p, fixed_realization.htr_abs2, NO_LNA)
+        bits = np.arange(p.k_symbols) % 2
+        v = draw_lna_variates(p.n_samples, bits.shape, np.random.default_rng(16))
+        got = energies_from_variates(p, bits, power, noise, NO_LNA, v)
+        unit = replace(p, beta1=1.0, beta3=0.0)
+        assert np.array_equal(got, energies_from_variates(unit, bits, power, noise, LNA, v))
+        pw, nw = (np.where(bits == 1, x[1], x[0]) for x in (power, noise))
+        n = p.n_samples
+        if noise_dbm is None:
+            want = nw / (2 * n) * (2 * v.g + (v.z + np.sqrt(2 * pw * v.s1 / nw)) ** 2)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        else:
+            assert noise == (0.0, 0.0)
+            assert np.array_equal(got, pw * v.s1 / n)
+
+    @pytest.mark.parametrize("n", [4, 75])
+    @pytest.mark.parametrize("power, noise", [(1e-12, 1e-10), (1e-9, 1e-12)],
+                             ids=["noise-limited", "signal-dominated"])
+    def test_no_lna_energies_follow_the_exact_gamma_law(self, paper_params, n, power, noise):
+        # Gamma(N, (p + n)/N): the count of M draws whose CDF value falls
+        # below q is Binomial(M, q), and must lie within 4 of its SEs of M q
+        # at each of five levels q (bounds fixed before the test first ran)
+        from scipy.special import gammainc
+
+        m = 200_000
+        e = draw_energies(replace(paper_params, n_samples=n), np.ones(m, dtype=np.int64),
+                          (power, power), (noise, noise), np.random.default_rng(17), NO_LNA)
+        u = gammainc(n, e * n / (power + noise))
+        for q in (0.01, 0.1, 0.5, 0.9, 0.99):
+            count = np.count_nonzero(u < q)
+            assert abs(count - m * q) <= 4 * math.sqrt(m * q * (1 - q)), q
 
     def test_draws_do_not_depend_on_the_chunk(self, paper_params, fixed_realization,
                                               monkeypatch):

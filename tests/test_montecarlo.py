@@ -95,8 +95,8 @@ class TestWilson:
 
 def _one_frame(params, table, seed, mode, policy):
     """ber_block's single frame of the single realization of `table`, read
-    at [0, 0]: its frames drawn from default_rng(seed), its LNA variates from
-    default_rng([seed, 3])."""
+    at [0, 0]: its bits drawn from default_rng(seed), its variates, in either
+    mode, from default_rng([seed, 3])."""
     (res,) = ber_block(params, [(params.ps, mode, table)], 1, np.random.default_rng(seed),
                        np.random.default_rng([seed, 3]), policy)
     return (int(res.errors[0, 0]), int(res.bits[0, 0]), float(res.threshold[0, 0]),
@@ -611,8 +611,8 @@ class TestSharedDraws:
     def test_one_mode_sweep_writes_the_two_mode_rows(self, paper_params, policy, layout,
                                                      workers):
         # runs-of-frames: F*K = 6 * 4000 > BLOCK_SYMBOLS, so each realization
-        # is a block of two runs, and an LNA-only sweep still draws the
-        # no-LNA gammas the second run's bits follow
+        # is a block of two runs, and a one-mode sweep's second run must read
+        # the bits and variates of the two-mode sweep's
         if layout == "runs-of-frames":
             p = replace(paper_params, k_symbols=4000, n_samples=4, pilot_fraction=0.01)
             assert 6 * p.k_symbols > mc.BLOCK_SYMBOLS
@@ -645,6 +645,21 @@ class TestSharedDraws:
         points = run_sweep(spec, workers=1)
         assert len(points) == 18
         assert shapes == [(100, 1, 100), (100, 1, 100)]
+
+    @pytest.mark.parametrize("modes", [(LNA,), (NO_LNA,), (LNA, NO_LNA)],
+                             ids=["lna", "no_lna", "both"])
+    def test_a_block_takes_only_its_bits_from_the_frame_generator(self, paper_params,
+                                                                  fixed_table, modes):
+        # K = 4000 and 6 frames: runs of 4 and 2 frames. Whatever the modes,
+        # the frame generator gives each run's bits and nothing else, so the
+        # next run's bits do not depend on the modes
+        p = replace(paper_params, k_symbols=4000, n_samples=4, pilot_fraction=0.0)
+        frame_rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        ber_block(p, [(p.ps, mode, fixed_table) for mode in modes], 6, frame_rng,
+                  np.random.default_rng(6))
+        for frames in (4, 2):
+            fresh.integers(0, 2, (1, frames, 4000))
+        assert frame_rng.bit_generator.state == fresh.bit_generator.state
 
 
 class TestStackedCases:
@@ -820,34 +835,38 @@ class TestPilotSweep:
 
     # the rows of the no-LNA study below, pinned: no stream may move them
     NO_LNA_ROWS = (
-        "[PilotPoint(pilot_fraction=0.4, k_train=80, r_mean=0.029654443249111644, "
-        "r_median=0.020801597453503733, r_p90=0.07125759573832527, frames=600, failures=0, "
+        "[PilotPoint(pilot_fraction=0.4, k_train=80, r_mean=0.02973403731432338, "
+        "r_median=0.020180202159678043, r_p90=0.06742185267200411, frames=600, failures=0, "
         "master_seed=21), PilotPoint(pilot_fraction=0.05, k_train=10, "
-        "r_mean=0.04910265992863352, r_median=0.03869828890062964, r_p90=0.10153380747474873, "
+        "r_mean=0.04934490836339036, r_median=0.041248970497834506, r_p90=0.09915000891811594, "
         "frames=600, failures=0, master_seed=21), PilotPoint(pilot_fraction=0.2, k_train=40, "
-        "r_mean=0.03609185104859668, r_median=0.02647546559628898, r_p90=0.08212088271258083, "
+        "r_mean=0.03687268984185868, r_median=0.02921856252455201, r_p90=0.07859236496396932, "
         "frames=600, failures=0, master_seed=21)]")
 
     @pytest.mark.usefixtures("pool_at_any_size")
     def test_a_no_lna_study_estimates_from_prefixes_of_one_draw(self, k200, monkeypatch):
         # 2 realizations x 300 frames of 80 pilots: two blocks of one
-        # realization, each drawn in two runs (204 and 96 frames); the
-        # gammas come from the frame generator and no LNA variate is drawn
+        # realization, each drawn in two runs (204 and 96 frames) of the
+        # variates an LNA study draws
         fractions = (0.4, 0.05, 0.2)
         study = partial(run_pilot_sweep, k200, fractions, NO_LNA, n_realizations=2,
                         n_frames=300, master_seed=21)
         pooled = study(workers=2)
-        drawn = []
+        drawn, shapes = [], []
 
         def recording(*args):
             drawn.append(energies_from_variates(*args))
             return drawn[-1]
 
+        def recording_shapes(n_samples, shape, rng):
+            shapes.append(shape)
+            return draw_lna_variates(n_samples, shape, rng)
+
         monkeypatch.setattr(mc, "energies_from_variates", recording)
-        monkeypatch.setattr(mc, "draw_lna_variates", _no_lna_draw)
+        monkeypatch.setattr(mc, "draw_lna_variates", recording_shapes)
         points = study(workers=1)
         assert points == pooled and repr(points) == self.NO_LNA_ROWS
-        assert len(drawn) == 4
+        assert len(drawn) == 4 and shapes == [(1, 204, 80), (1, 96, 80)] * 2
         energies = np.concatenate([e.reshape(-1, 80) for e in drawn])   # (realization, frame)
         t_true = [near_optimal_threshold(hypothesis_moments(
                       k200, draw_channels(k200, np.random.default_rng(
@@ -988,8 +1007,8 @@ def test_numpy_scalars_give_the_rows_of_python_floats(paper_params):
 
 class TestPool:
     """A pool opens only for two tasks or more of a sweep whose frames draw more
-    than POOL_MIN_SAMPLES samples (realizations x frames x symbols x N per mode,
-    a no-LNA symbol weighted by NO_LNA_WEIGHT)."""
+    than POOL_MIN_SAMPLES samples (realizations x frames x symbols x N, once
+    per mode)."""
 
     def _no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1006,8 +1025,8 @@ class TestPool:
 
     def test_single_task_ber_sweep_opens_no_pool(self, small_spec, monkeypatch):
         # one realization serves both points and both modes: one task
-        spec = replace(small_spec, n_realizations=1, n_frames=int(
-            mc.POOL_MIN_SAMPLES / ((1 + mc.NO_LNA_WEIGHT) * 50 * 25)) + 1)
+        spec = replace(small_spec, n_realizations=1,
+                       n_frames=mc.POOL_MIN_SAMPLES // (2 * 50 * 25) + 1)
         serial = run_sweep(spec, workers=1)
         self._no_pool(monkeypatch)
         assert run_sweep(spec, workers=2) == serial
